@@ -109,6 +109,56 @@ class AdmissionPolicy:
         """Feed one completed query's delay back (arrival-ordered)."""
         self.window.add(now, delay)
 
+    # -- the bulk seam -----------------------------------------------------
+    #: hooks whose base-class versions :meth:`bulk_capable` relies on.
+    _BULK_HOOKS = ("admit", "observe", "_decide", "_consume", "signal")
+
+    def bulk_capable(self) -> bool:
+        """Can the engine's fused seam make this policy's decisions?
+
+        True when each decision depends only on the arrival time, the
+        busiest-server backlog, and state the policy exports through
+        :meth:`export_bulk` -- no delay feedback between two ticks.  The
+        base class qualifies (queue cap only) unless a subclass overrides
+        a per-query hook; subclasses with exportable state override this.
+        """
+        return self._hooks_of(AdmissionPolicy)
+
+    def _hooks_of(self, owner: type) -> bool:
+        cls = type(self)
+        return all(
+            getattr(cls, hook, None) is getattr(owner, hook, None)
+            for hook in self._BULK_HOOKS
+        )
+
+    def export_bulk(self, gate) -> None:
+        """Write this policy's state into a kernel ``AdmissionGate``."""
+        gate.queue_cap = self.queue_cap
+        gate.bucket = False
+        gate.backlog_hwm = self._backlog_hwm
+        gate.max_admitted_backlog = self.max_admitted_backlog
+
+    def import_bulk(self, gate) -> None:
+        """Take back a gated span's outcome: counters, marks, shed rows."""
+        n = gate.n_shed
+        self.accepted += gate.n_admitted
+        self.shed += n
+        self._backlog_hwm = gate.backlog_hwm
+        self.max_admitted_backlog = gate.max_admitted_backlog
+        if n:
+            self.log.record_sheds(
+                gate.shed_time[:n],
+                gate.shed_idx[:n],
+                gate.shed_reason[:n],
+                gate.shed_backlog[:n],
+                gate.shed_signal[:n],
+                gate.REASONS,
+            )
+
+    def observe_chunk(self, times, delays) -> None:
+        """Feed a chunk of admitted delays back at once (arrival order)."""
+        self.window.extend(times, delays)
+
     def tick(self, now: float, query_index: int = -1) -> None:
         """One exact-time controller tick: adapt, then log the state."""
         p99 = self.window.percentile(99, now)

@@ -143,6 +143,27 @@ class AIMDAdmission(AdmissionPolicy):
         self._accrue(now)
         return self._tokens
 
+    # the rate only moves at ticks, so between two ticks a decision needs
+    # just the queue cap and the bucket: the fused seam can make it
+    _BULK_HOOKS = AdmissionPolicy._BULK_HOOKS + ("_accrue",)
+
+    def bulk_capable(self) -> bool:
+        return self._hooks_of(AIMDAdmission)
+
+    def export_bulk(self, gate) -> None:
+        super().export_bulk(gate)
+        gate.bucket = True
+        gate.rate = self._rate
+        gate.burst = self.burst
+        gate.tokens = self._tokens
+        gate.accrued_at = math.nan if self._accrued_at is None else self._accrued_at
+
+    def import_bulk(self, gate) -> None:
+        super().import_bulk(gate)
+        self._tokens = gate.tokens
+        if not math.isnan(gate.accrued_at):
+            self._accrued_at = gate.accrued_at
+
 
 class DelayGatedAdmission(AdmissionPolicy):
     """Shed while the windowed p99 delay exceeds ``slo_multiple * slo``."""

@@ -139,6 +139,36 @@ class ShedLog:
         self._shed_backlog.append(float(backlog))
         self._shed_signal.append(float(signal))
 
+    def record_sheds(
+        self,
+        time,
+        query_index,
+        reason_code,
+        backlog,
+        signal,
+        reasons: tuple[str, ...],
+    ) -> None:
+        """Append a run of shed decisions, one array per column.
+
+        ``reason_code[i]`` indexes into *reasons*.  Reasons are interned
+        in order of first appearance, so the columns and the reason table
+        match what per-row :meth:`record_shed` calls would have built.
+        """
+        import numpy as np
+
+        codes = np.asarray(reason_code, dtype=np.int64)
+        if codes.size == 0:
+            return
+        uniq, first = np.unique(codes, return_index=True)
+        lut = np.zeros(len(reasons), dtype=np.int64)
+        for code in uniq[np.argsort(first)].tolist():
+            lut[code] = self._intern(reasons[code])
+        self._shed_time.extend(time)
+        self._shed_query_index.extend(query_index)
+        self._shed_reason.extend(lut[codes])
+        self._shed_backlog.extend(backlog)
+        self._shed_signal.extend(signal)
+
     def record_tick(
         self,
         time: float,

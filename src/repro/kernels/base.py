@@ -52,6 +52,17 @@ windows and with a span-constant ``pq``, so ``commit_batch`` never needs
 to delegate or re-plan; the exactness contract extends to it unchanged
 (``exact = True`` kernels must produce bit-identical *state*, not just
 decisions).
+
+**The admission pre-check.**  An :class:`AdmissionGate` passed to
+``commit_batch`` decides, per arriving query and before any scheduling
+work, whether the query is admitted: shed when the busiest-server backlog
+is at or over the queue cap, or (with ``bucket``) when the token bucket
+holds less than one token.  Both checks read only the arrival time, the
+live ``busy`` mirror, and the gate's own scalars, so they run inside the
+same fused call; shed queries consume no RTT draw and emit one shed row
+each.  Policies whose decision needs per-query delay feedback
+(``delay_gated``) cannot use the gate and stay on the engine's per-query
+path.
 """
 
 from __future__ import annotations
@@ -70,6 +81,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..core.covertable import CoverTable
 
 __all__ = [
+    "AdmissionGate",
     "CommitBuffers",
     "CommitPlan",
     "DeviationBound",
@@ -311,6 +323,64 @@ class CommitBuffers:
         self.res_n = np.zeros(1, dtype=np.int64)
 
 
+class AdmissionGate:
+    """Admission state and shed rows for one ``commit_batch`` call.
+
+    The policy writes its scalars in before the call
+    (:meth:`~repro.admission.base.AdmissionPolicy.export_bulk`) and reads
+    the outcome back after it (``import_bulk``).  Per query the kernel
+    computes ``backlog = max(busy) - now`` (clipped at 0), raises
+    ``backlog_hwm``, accrues the token bucket once at ``now`` when
+    ``bucket`` is set, and then sheds with reason code 0 (``queue-cap``,
+    ``backlog >= queue_cap``) or 1 (``rate``, fewer than one token).  An
+    admitted query raises ``max_admitted_backlog`` and spends one token.
+
+    ``accrued_at`` is NaN until the bucket first accrues.  ``adm_idx``
+    lists the admitted query indices in arrival order: admitted query
+    ``j`` uses ``bufs.rtts[j]`` and fills row ``j`` of the out buffers.
+    ``shed_*`` hold one row per shed query, with the token count as the
+    signal (NaN without a bucket).
+    """
+
+    #: shed reason names, indexed by the code the kernel emits.
+    REASONS = ("queue-cap", "rate")
+
+    __slots__ = (
+        "queue_cap",
+        "bucket",
+        "rate",
+        "burst",
+        "tokens",
+        "accrued_at",
+        "backlog_hwm",
+        "max_admitted_backlog",
+        "n_admitted",
+        "n_shed",
+        "adm_idx",
+        "shed_time",
+        "shed_idx",
+        "shed_reason",
+        "shed_backlog",
+        "shed_signal",
+        "ext",
+    )
+
+    def __init__(self, cap: int) -> None:
+        self.queue_cap = math.inf
+        self.bucket = False
+        self.rate = self.burst = self.tokens = self.accrued_at = math.nan
+        self.backlog_hwm = self.max_admitted_backlog = 0.0
+        self.n_admitted = self.n_shed = 0
+        self.adm_idx = np.empty(cap, dtype=np.int64)
+        self.shed_time = np.empty(cap, dtype=np.float64)
+        self.shed_idx = np.empty(cap, dtype=np.int64)
+        self.shed_reason = np.empty(cap, dtype=np.int64)
+        self.shed_backlog = np.empty(cap, dtype=np.float64)
+        self.shed_signal = np.empty(cap, dtype=np.float64)
+        #: scratch for kernels (e.g. a compiled struct), keyed by kernel name.
+        self.ext: dict[str, object] = {}
+
+
 def assignment_at(
     state: SweepState, entry: PqEntry, est: "np.ndarray", start_id: float
 ) -> tuple[list[int], list[float]]:
@@ -400,17 +470,24 @@ class SweepKernel:
         bufs: CommitBuffers,
         start: int,
         nq: int,
-    ) -> None:
+        gate: "AdmissionGate | None" = None,
+    ) -> int:
         """Fused sweep+commit over queries ``start .. start + nq``.
 
         Contract: on return the live mirrors (``state.busy``, ``plan.spd``,
         ``entry.Q``) hold exactly the state the per-query path would have
         produced after the span's last query, and *bufs* holds the span's
         chunk-buffer rows (sub-query rows in submit order, per-query
-        totals, the last query's reserve map).  The engine guarantees no
+        totals, the last admitted query's reserve map; ``res_*`` are left
+        alone when nothing was admitted).  The engine guarantees no
         failed server can be scheduled (it never enters the bulk seam
         inside a failure window), a span-constant ``pq`` matching *entry*,
         and ``bufs.rtts[:nq]`` pre-drawn in arrival order.
+
+        With a *gate* each query first passes the admission pre-check
+        (see :class:`AdmissionGate`); only admitted queries are scheduled,
+        and they fill the out buffers densely in arrival order.  Returns
+        the number of admitted queries (``nq`` without a gate).
 
         The engine times this call as one opaque span: its wall is what
         the chunk accounting charges to scheduling and what the phase
@@ -460,11 +537,59 @@ class SweepKernel:
         q_mw: list[float] = []
         q_ms: list[float] = []
         res: dict[int, float] = {}
+        if gate is not None:
+            queue_cap = gate.queue_cap
+            bucket = gate.bucket
+            rate = gate.rate
+            burst = gate.burst
+            tokens = gate.tokens
+            accrued_at = gate.accrued_at
+            hwm = gate.backlog_hwm
+            max_adm = gate.max_admitted_backlog
+            # running max of the queue mirror: exact, because a commit
+            # only ever raises busy[g]
+            bmax = max(busy_l)
+            adm_idx: list[int] = []
+            shed_rows: list[tuple] = []
+        j = 0  # admitted queries so far
 
         for k in range(nq):
-            now = arr_l[start + k]
+            q = start + k
+            now = arr_l[q]
+            if gate is not None:
+                backlog = bmax - now
+                if backlog < 0.0:
+                    backlog = 0.0
+                if backlog > hwm:
+                    hwm = backlog
+                if bucket:
+                    # the policy accrues once per arrival (AIMD._accrue)
+                    if accrued_at != accrued_at:  # NaN: first accrual
+                        accrued_at = now
+                    else:
+                        elapsed = now - accrued_at
+                        if elapsed > 0.0:
+                            t = tokens + elapsed * rate
+                            tokens = t if t < burst else burst
+                            accrued_at = now
+                if backlog >= queue_cap:
+                    reason = 0
+                elif bucket and tokens < 1.0:
+                    reason = 1
+                else:
+                    reason = -1
+                if reason >= 0:
+                    signal = tokens if bucket else math.nan
+                    shed_rows.append((now, q, reason, backlog, signal))
+                    continue
+                if backlog > max_adm:
+                    max_adm = backlog
+                if bucket:
+                    tokens -= 1.0
+                adm_idx.append(q)
             g_list, pts, start_id = select(state, entry, now)
-            rtt = rtt_l[k]
+            rtt = rtt_l[j]
+            j += 1
 
             # widths + reserve (FIFO over sub-queries, first occurrence
             # syncs the live queue, repeats accumulate)
@@ -513,6 +638,8 @@ class SweepKernel:
                 service = srv_fixed_l[g] + work / srv_speed_l[g]
                 f = start_t + service
                 busy_l[g] = f
+                if gate is not None and f > bmax:
+                    bmax = f
                 sg_append(g)
                 ssv_append(service)
                 swk_append(work)
@@ -542,18 +669,35 @@ class SweepKernel:
             q_mw.append(mw)
             q_ms.append(ms)
 
-        m = nq * pq
+        m = j * pq
         bufs.sub_g[:m] = sg
         bufs.sub_service[:m] = ssv
         bufs.sub_work[:m] = swk
         bufs.sub_finish[:m] = sf
         bufs.sub_start[:m] = sst
-        bufs.q_total[:nq] = q_total
-        bufs.q_mw[:nq] = q_mw
-        bufs.q_ms[:nq] = q_ms
-        rn = len(res)
-        bufs.res_n[0] = rn
-        if rn:
+        bufs.q_total[:j] = q_total
+        bufs.q_mw[:j] = q_mw
+        bufs.q_ms[:j] = q_ms
+        if j:
+            rn = len(res)
+            bufs.res_n[0] = rn
             keys = list(res)
             bufs.res_g[:rn] = keys
             bufs.res_v[:rn] = [res[g] for g in keys]
+        if gate is not None:
+            gate.tokens = tokens
+            gate.accrued_at = accrued_at
+            gate.backlog_hwm = hwm
+            gate.max_admitted_backlog = max_adm
+            gate.n_admitted = j
+            gate.adm_idx[:j] = adm_idx
+            n_shed = len(shed_rows)
+            gate.n_shed = n_shed
+            if n_shed:
+                st, si, sr, sb, ss = zip(*shed_rows)
+                gate.shed_time[:n_shed] = st
+                gate.shed_idx[:n_shed] = si
+                gate.shed_reason[:n_shed] = sr
+                gate.shed_backlog[:n_shed] = sb
+                gate.shed_signal[:n_shed] = ss
+        return j

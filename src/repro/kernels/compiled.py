@@ -39,6 +39,7 @@ except ImportError:  # pragma: no cover - the image bakes numpy in
     np = None  # type: ignore[assignment]
 
 from .base import (
+    AdmissionGate,
     CommitBuffers,
     CommitPlan,
     KernelUnavailableError,
@@ -55,7 +56,7 @@ __all__ = [
 ]
 
 _SOURCE = Path(__file__).with_name("csrc") / "sweep.c"
-_ABI_VERSION = 2
+_ABI_VERSION = 3
 
 #: memoised library handle / failure reason (one build attempt per process).
 _lib: Optional[ctypes.CDLL] = None
@@ -250,7 +251,46 @@ class _CommitArgs(ctypes.Structure):
         ("q_total", ctypes.c_void_p),
         ("q_mw", ctypes.c_void_p),
         ("q_ms", ctypes.c_void_p),
+        ("gate", ctypes.c_void_p),
     ]
+
+
+class _GateArgs(ctypes.Structure):
+    """Mirror of ``roar_gate`` in ``csrc/sweep.c`` (keep in sync)."""
+
+    _fields_ = [
+        ("queue_cap", ctypes.c_double),
+        ("rate", ctypes.c_double),
+        ("burst", ctypes.c_double),
+        ("tokens", ctypes.c_double),
+        ("accrued_at", ctypes.c_double),
+        ("backlog_hwm", ctypes.c_double),
+        ("max_admitted_backlog", ctypes.c_double),
+        ("bucket", ctypes.c_int64),
+        ("n_shed", ctypes.c_int64),
+        ("adm_idx", ctypes.c_void_p),
+        ("shed_time", ctypes.c_void_p),
+        ("shed_idx", ctypes.c_void_p),
+        ("shed_reason", ctypes.c_void_p),
+        ("shed_backlog", ctypes.c_void_p),
+        ("shed_signal", ctypes.c_void_p),
+    ]
+
+    @classmethod
+    def for_gate(cls, gate: AdmissionGate) -> "_GateArgs":
+        """The gate's struct (cached on it), pointing at its out arrays."""
+        args = gate.ext.get("compiled")
+        if args is None:
+            args = cls(
+                adm_idx=gate.adm_idx.ctypes.data,
+                shed_time=gate.shed_time.ctypes.data,
+                shed_idx=gate.shed_idx.ctypes.data,
+                shed_reason=gate.shed_reason.ctypes.data,
+                shed_backlog=gate.shed_backlog.ctypes.data,
+                shed_signal=gate.shed_signal.ctypes.data,
+            )
+            gate.ext["compiled"] = args
+        return args
 
 
 def _sweep_struct(
@@ -335,7 +375,14 @@ class _CommitBlock:
     scalar foreign-call arguments (block pointer, start index, count).
     """
 
-    __slots__ = ("args_ptr", "state_token", "plan_token", "bufs_token", "_hold")
+    __slots__ = (
+        "args",
+        "args_ptr",
+        "state_token",
+        "plan_token",
+        "bufs_token",
+        "_hold",
+    )
 
     def __init__(
         self,
@@ -390,6 +437,7 @@ class _CommitBlock:
             plan,
             bufs,
         )
+        self.args = args
         self.args_ptr = ctypes.addressof(args)
         self.state_token = id(state)
         self.plan_token = id(plan)
@@ -463,7 +511,8 @@ class CompiledKernel(SweepKernel):
         bufs: CommitBuffers,
         start: int,
         nq: int,
-    ) -> None:
+        gate: Optional[AdmissionGate] = None,
+    ) -> int:
         if state is not self._state:
             self.bind(state)
         block = entry.ext.get("compiled_commit")
@@ -475,4 +524,28 @@ class CompiledKernel(SweepKernel):
         ):
             block = _CommitBlock(state, entry, plan, bufs, self._starts_flat)
             entry.ext["compiled_commit"] = block
-        self._commit_fn(block.args_ptr, start, nq)
+        if gate is None:
+            block.args.gate = None
+            return self._commit_fn(block.args_ptr, start, nq)
+        if gate.adm_idx.size < nq:
+            raise ValueError(
+                f"admission gate holds {gate.adm_idx.size} rows; the span has {nq}"
+            )
+        g = _GateArgs.for_gate(gate)
+        g.queue_cap = gate.queue_cap
+        g.rate = gate.rate
+        g.burst = gate.burst
+        g.tokens = gate.tokens
+        g.accrued_at = gate.accrued_at
+        g.backlog_hwm = gate.backlog_hwm
+        g.max_admitted_backlog = gate.max_admitted_backlog
+        g.bucket = int(gate.bucket)
+        block.args.gate = ctypes.addressof(g)
+        n_admitted = self._commit_fn(block.args_ptr, start, nq)
+        gate.tokens = g.tokens
+        gate.accrued_at = g.accrued_at
+        gate.backlog_hwm = g.backlog_hwm
+        gate.max_admitted_backlog = g.max_admitted_backlog
+        gate.n_admitted = n_admitted
+        gate.n_shed = g.n_shed
+        return n_admitted

@@ -30,6 +30,7 @@
  */
 
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
 
 /* The reference estimator: (max(busy - now, 0) + fixed) + work*d/speed.
@@ -250,7 +251,34 @@ int64_t roar_sweep_select(const roar_sweep_args *a, double now)
  * exact_numpy oracle is a bug.  The caller guarantees no server in the
  * span's schedules is failed (the engine never enters the fused path
  * inside a failure window) and that pq is constant across the span.
+ *
+ * Admission pre-check: with a non-NULL `gate`, each arrival first sees
+ * backlog = max(busy) - now (clipped at 0), kept as a running max that
+ * is exact because a commit only ever raises busy[g].  The token bucket
+ * (when `bucket`) accrues once at `now` -- AIMDAdmission._accrue,
+ * operation for operation -- then the query is shed on the queue cap
+ * (code 0) or on an empty bucket (code 1), or admitted.  Admitted query
+ * j takes rtts[j] and fills out row j; shed queries emit one shed row
+ * and consume nothing else.
  */
+typedef struct {
+    double queue_cap;              /* shed when backlog >= queue_cap      */
+    double rate;                   /* token rate (bucket only)            */
+    double burst;                  /* token ceiling (bucket only)         */
+    double tokens;                 /* in/out: bucket level                */
+    double accrued_at;             /* in/out: last accrual, NaN = never   */
+    double backlog_hwm;            /* in/out: largest backlog seen        */
+    double max_admitted_backlog;   /* in/out: largest admitted backlog    */
+    int64_t bucket;                /* 1: token bucket after the queue cap */
+    int64_t n_shed;                /* out: shed rows written              */
+    int64_t *adm_idx;              /* [cap] out: admitted query indices   */
+    double *shed_time;             /* [cap] out: shed arrival time        */
+    int64_t *shed_idx;             /* [cap] out: shed query index         */
+    int64_t *shed_reason;          /* [cap] out: 0 queue-cap, 1 rate      */
+    double *shed_backlog;          /* [cap] out: backlog at the decision  */
+    double *shed_signal;           /* [cap] out: tokens (NaN w/o bucket)  */
+} roar_gate;
+
 typedef struct {
     roar_sweep_args sweep;         /* embedded; its busy/q_over_s alias   */
                                    /* busy_mut/q_over_s_mut below         */
@@ -278,6 +306,7 @@ typedef struct {
     double *q_total;               /* [cap] out: finish - now             */
     double *q_mw;                  /* [cap] out: max sub-query wait       */
     double *q_ms;                  /* [cap] out: max sub-query service    */
+    roar_gate *gate;               /* admission pre-check, NULL = none    */
 } roar_commit_args;
 
 int64_t roar_commit_batch(const roar_commit_args *a, int64_t start,
@@ -298,12 +327,70 @@ int64_t roar_commit_batch(const roar_commit_args *a, int64_t start,
     double *wbuf = a->wbuf;
     int64_t *res_g = a->res_g;
     double *res_v = a->res_v;
-    int64_t si = 0;
+    roar_gate *gate = a->gate;
+    int64_t si = 0, adm = 0, ns = 0;
     int64_t k, i, j;
+    double bmax = 0.0, hwm = 0.0, max_adm = 0.0, tokens = 0.0;
+    double accrued_at = 0.0;
+    if (gate != NULL) {
+        bmax = busy[0];
+        for (j = 1; j < sw->n; j++) {
+            if (busy[j] > bmax) {
+                bmax = busy[j];
+            }
+        }
+        hwm = gate->backlog_hwm;
+        max_adm = gate->max_admitted_backlog;
+        tokens = gate->tokens;
+        accrued_at = gate->accrued_at;
+    }
 
     for (k = 0; k < nq; k++) {
         const double now = a->arrivals[start + k];
-        const double rtt = a->rtts[k];
+        if (gate != NULL) {
+            double backlog = bmax - now;
+            if (backlog < 0.0) {
+                backlog = 0.0;
+            }
+            if (backlog > hwm) {
+                hwm = backlog;
+            }
+            if (gate->bucket) {
+                if (isnan(accrued_at)) {
+                    accrued_at = now;
+                } else {
+                    const double elapsed = now - accrued_at;
+                    if (elapsed > 0.0) {
+                        const double t = tokens + elapsed * gate->rate;
+                        tokens = t < gate->burst ? t : gate->burst;
+                        accrued_at = now;
+                    }
+                }
+            }
+            int64_t reason = -1;
+            if (backlog >= gate->queue_cap) {
+                reason = 0;
+            } else if (gate->bucket && tokens < 1.0) {
+                reason = 1;
+            }
+            if (reason >= 0) {
+                gate->shed_time[ns] = now;
+                gate->shed_idx[ns] = start + k;
+                gate->shed_reason[ns] = reason;
+                gate->shed_backlog[ns] = backlog;
+                gate->shed_signal[ns] = gate->bucket ? tokens : NAN;
+                ns++;
+                continue;
+            }
+            if (backlog > max_adm) {
+                max_adm = backlog;
+            }
+            if (gate->bucket) {
+                tokens -= 1.0;
+            }
+            gate->adm_idx[adm] = start + k;
+        }
+        const double rtt = a->rtts[adm];
         (void)roar_sweep_select(sw, now);
         const double start_id = sw->start_id_out[0];
 
@@ -368,6 +455,9 @@ int64_t roar_commit_batch(const roar_commit_args *a, int64_t start,
             const double service = srv_fixed[g] + work / srv_speed[g];
             const double f = start_t + service;
             busy[g] = f;
+            if (gate != NULL && f > bmax) {
+                bmax = f;
+            }
             a->sub_g[si] = g;
             a->sub_service[si] = service;
             a->sub_work[si] = work;
@@ -396,12 +486,20 @@ int64_t roar_commit_batch(const roar_commit_args *a, int64_t start,
             const int64_t g = res_g[j];
             q_over_s[g] = wd / spd[g];
         }
-        a->q_total[k] = finish - now;
-        a->q_mw[k] = mw;
-        a->q_ms[k] = ms;
+        a->q_total[adm] = finish - now;
+        a->q_mw[adm] = mw;
+        a->q_ms[adm] = ms;
+        adm++;
     }
-    return nq;
+    if (gate != NULL) {
+        gate->tokens = tokens;
+        gate->accrued_at = accrued_at;
+        gate->backlog_hwm = hwm;
+        gate->max_admitted_backlog = max_adm;
+        gate->n_shed = ns;
+    }
+    return adm;
 }
 
 /* Build-probe symbol so the loader can verify the ABI revision it built. */
-int64_t roar_sweep_abi_version(void) { return 2; }
+int64_t roar_sweep_abi_version(void) { return 3; }

@@ -45,8 +45,12 @@ the accounting loop (reserve/submit/EWMA).  This module removes that loop:
   buffered path uses.  The default ``commit_batch`` is the reference
   python loop (so every kernel takes the seam); the compiled kernel
   fuses the whole span into one C call, which removes the last
-  per-query python from the hot path.  Failure windows and per-query
-  ``pq_fn`` callables stay on the inline per-query loop, where the
+  per-query python from the hot path.  Admission policies whose
+  decisions need only the arrival time, the busiest-server backlog and
+  their own token state (the queue cap, AIMD's token bucket) run inside
+  the same call through an :class:`~repro.kernels.base.AdmissionGate`.
+  Failure windows, per-query ``pq_fn`` callables and delay-fed policies
+  (``delay_gated``) stay on the inline per-query loop, where the
   delegation machinery and rng draw order live.
 
 * **Exact-time action queue.**  :class:`Action` schedules a callback to run
@@ -84,6 +88,7 @@ except ImportError:  # pragma: no cover - the image bakes numpy in
 
 from ..core.covertable import CoverTableCache, require_numpy
 from ..kernels.base import (
+    AdmissionGate,
     CommitBuffers,
     CommitPlan,
     PqEntry,
@@ -105,10 +110,6 @@ __all__ = [
     "run_queries_fast",
     "run_queries_reference",
 ]
-
-#: Backwards-compatible name: the per-(rings, pq) table moved to the
-#: kernels package when the sweep became pluggable.
-_PqTable = PqEntry
 
 #: Queries buffered before a chunk is force-flushed (bounds buffer memory;
 #: the flush itself is O(chunk) numpy work, so larger is mildly better).
@@ -242,8 +243,8 @@ class _Engine:
     ) -> None:
         self.dep = deployment
         #: admission controller, or None (the default).  Like the
-        #: profiler, every site below guards on ``is not None``, and the
-        #: bulk-seam gate requires None -- so an admission-free run takes
+        #: profiler, every site below guards on ``is not None`` (and the
+        #: bulk seam passes no gate), so an admission-free run takes
         #: exactly the pre-admission code path, bit for bit.
         self.admission = admission
         #: phase profiler, or None (the default).  Every instrumentation
@@ -301,6 +302,14 @@ class _Engine:
         #: kernels can cache raw pointers against them for the whole run).
         self.commit_bufs: dict[int, CommitBuffers] = {}
         self.bulk_cap = min(CHUNK_CAP, max(1, n_q))
+        #: the kernel-facing admission state, when the policy's decisions
+        #: can be made inside ``commit_batch`` (None otherwise, and always
+        #: None without admission -- the seam then runs ungated).
+        self.gate: Optional[AdmissionGate] = (
+            AdmissionGate(self.bulk_cap)
+            if admission is not None and admission.bulk_capable()
+            else None
+        )
 
         self._build()
         self._reset_buffers()
@@ -662,7 +671,8 @@ class _Engine:
 
         A span is a maximal run of queries with no exact-time action
         inside it.  Spans outside failure windows (and without a
-        per-query ``pq_fn`` callable) go through the kernel's bulk
+        per-query ``pq_fn`` callable or an admission policy that needs
+        per-query delay feedback) go through the kernel's bulk
         sweep+commit seam (:meth:`_run_span_bulk`); everything else takes
         the inline per-query path (:meth:`_run_span`), which owns the
         failure-delegation machinery.  Both produce bit-identical state.
@@ -682,7 +692,7 @@ class _Engine:
             if (
                 not pq_callable
                 and not self.any_failed
-                and self.admission is None
+                and (self.admission is None or self.gate is not None)
                 and (self.kernel.fused_commit or end - pos >= BULK_MIN_SPAN)
             ):
                 pos = self._run_span_bulk(pos, end)
@@ -731,6 +741,12 @@ class _Engine:
         each chunk is flushed straight from the bulk out buffers.  After
         the span the scalar list shadows and any sibling pq tables are
         re-derived from the arrays.
+
+        With an admission gate the kernel also makes the span's admission
+        decisions.  Shed queries draw no RTT, so the chunk pre-draws one
+        RTT per query from a snapshot of the network rng and, after the
+        call, rewinds it and re-draws exactly one per admitted query: the
+        stream advances draw for draw as on the per-query path.
         """
         pq = self.pq_override if self.pq_override is not None else self.pq_fn
         pq = pq or self.cfg.p
@@ -743,42 +759,51 @@ class _Engine:
         entry = self._table_for(pq)
         plan = self.plan
         bufs = self._bufs_for(pq)
+        gate = self.gate
         commit = self.kernel.commit_batch
         sample_rtt = self.network.sample_rtt
+        rng = self.network.rng
         perf = time.perf_counter
         perf_ns = time.perf_counter_ns
         prof = self.prof
         cap = bufs.cap
+        admitted = 0
         pos = span_start
         while pos < span_end:
             nq = min(span_end - pos, cap)
+            if gate is not None:
+                self.admission.export_bulk(gate)
+                snapshot = rng.getstate()
             if prof is None:
                 # pre-draw the span's RTTs in arrival order: the rng stream
                 # must advance exactly as the per-query path would
-                rtt_l = [sample_rtt() for _ in range(nq)]
-                bufs.rtts[:nq] = rtt_l
+                bufs.rtts[:nq] = [sample_rtt() for _ in range(nq)]
                 t0 = perf()
-                commit(self.state, entry, plan, bufs, pos, nq)
+                n_adm = commit(self.state, entry, plan, bufs, pos, nq, gate)
                 chunk_wall = perf() - t0
-                self._flush_bulk(pos, nq, pq, rtt_l, chunk_wall, entry, bufs)
+                if gate is not None:
+                    self._close_gate(nq, n_adm, snapshot)
+                self._flush_bulk(pos, nq, n_adm, pq, chunk_wall, entry, bufs)
             else:
                 # same statements bracketed by clock reads only -- the rng
                 # stream and the float sequence are untouched
                 c0 = perf_ns()
-                rtt_l = [sample_rtt() for _ in range(nq)]
+                bufs.rtts[:nq] = [sample_rtt() for _ in range(nq)]
                 draw_ns = perf_ns() - c0
                 prof.add_ns("arrival_draw", draw_ns)
-                bufs.rtts[:nq] = rtt_l
                 t0 = perf()
-                commit(self.state, entry, plan, bufs, pos, nq)
+                n_adm = commit(self.state, entry, plan, bufs, pos, nq, gate)
                 chunk_wall = perf() - t0
                 prof.add_s("sweep_commit", chunk_wall)
                 prof.begin("flush")
-                self._flush_bulk(pos, nq, pq, rtt_l, chunk_wall, entry, bufs)
+                if gate is not None:
+                    self._close_gate(nq, n_adm, snapshot)
+                self._flush_bulk(pos, nq, n_adm, pq, chunk_wall, entry, bufs)
                 flush_ns = prof.end()
                 prof.record_chunk(
                     pos, nq, c0, draw_ns, int(chunk_wall * 1e9), flush_ns
                 )
+            admitted += n_adm
             pos += nq
         # re-derive the scalar shadows and sibling pq tables from the
         # arrays the kernel advanced in place (elementwise division is
@@ -788,19 +813,31 @@ class _Engine:
         for tb in self.tables.values():
             if tb is not entry:
                 np.divide(tb.wd, self.spd, out=tb.Q)
-        rn = int(bufs.res_n[0])
-        self.last_res = list(
-            zip(bufs.res_g[:rn].tolist(), bufs.res_v[:rn].tolist())
-        )
-        self.st_sync_pending = True
+        if admitted:
+            rn = int(bufs.res_n[0])
+            self.last_res = list(
+                zip(bufs.res_g[:rn].tolist(), bufs.res_v[:rn].tolist())
+            )
+            self.st_sync_pending = True
         return span_end
+
+    def _close_gate(self, nq: int, n_adm: int, snapshot) -> None:
+        """Hand a gated chunk's outcome to the policy; fix the rng stream."""
+        if n_adm < nq:
+            rng = self.network.rng
+            rng.setstate(snapshot)
+            sample_rtt = self.network.sample_rtt
+            for _ in range(n_adm):
+                sample_rtt()
+        self.admission.import_bulk(self.gate)
+        self.shed_n += nq - n_adm
 
     def _flush_bulk(
         self,
         pos: int,
         nq: int,
+        n_adm: int,
         pq: int,
-        rtt_l: list,
         chunk_wall: float,
         entry: PqEntry,
         bufs: CommitBuffers,
@@ -810,11 +847,24 @@ class _Engine:
         The same reductions as :meth:`_flush`, minus the tuple-buffer
         transposition: the kernel already delivered flat arrays in submit
         order.  Per-query ``scheduling_delay`` is the chunk's kernel wall
-        time amortised over its queries (the fused call does not observe
-        per-query boundaries; with ``charge_scheduling`` the amortised
-        value is what lands in the latency).
+        time amortised over its admitted queries (the fused call does not
+        observe per-query boundaries; with ``charge_scheduling`` the
+        amortised value is what lands in the latency).
+
+        Of the chunk's *nq* queries the first *n_adm* rows of the out
+        buffers belong to the admitted ones; without a gate that is all
+        of them, in order.  Gated chunks scatter by the gate's admitted
+        indices and leave shed slots as shed: NaN latency, ``-1`` id, the
+        recorded ``pq``, and ``()`` assignments.
         """
-        m = nq * pq
+        self.pqs[pos : pos + nq] = pq
+        if self.assignments is not None:
+            self.assignments.extend(self._bulk_assignments(bufs, pos, nq, n_adm, pq))
+        if n_adm == 0:
+            return
+        gated = self.gate is not None
+        rows = self.gate.adm_idx[:n_adm] if gated else slice(pos, pos + nq)
+        m = n_adm * pq
         sg = bufs.sub_g[:m]
         np.add.at(self.bt, sg, bufs.sub_service[:m])
         np.add.at(self.om, sg, bufs.sub_work[:m])
@@ -824,20 +874,22 @@ class _Engine:
         np.maximum.at(self.ls, sg, bufs.sub_finish[:m])
         self.touched[sg] = True
 
-        qnow = self.arrivals[pos : pos + nq]
-        qtotal = bufs.q_total[:nq]
-        sched_each = chunk_wall / nq
+        qnow = self.arrivals[rows]
+        qtotal = bufs.q_total[:n_adm]
+        sched_each = chunk_wall / n_adm
         if self.charge:
             qtotal = qtotal + sched_each
         fr = qnow + qtotal
         delay = fr - qnow
-        self.latencies[pos : pos + nq] = delay
-        self.finishes[pos : pos + nq] = fr
+        self.latencies[rows] = delay
+        self.finishes[rows] = fr
         qid0 = self.qid_last
-        qqid = np.arange(qid0 + 1, qid0 + nq + 1, dtype=np.int64)
-        self.query_ids[pos : pos + nq] = qqid
-        self.qid_last = qid0 + nq
-        self.pqs[pos : pos + nq] = pq
+        qqid = np.arange(qid0 + 1, qid0 + n_adm + 1, dtype=np.int64)
+        self.query_ids[rows] = qqid
+        self.qid_last = qid0 + n_adm
+        if gated:
+            # the same (arrival, total) pairs the per-query path observes
+            self.admission.observe_chunk(qnow, qtotal)
 
         if self.trace_any:
             sg_l = sg.tolist()
@@ -850,37 +902,43 @@ class _Engine:
             qqid,
             qnow,
             fr,
-            np.full(nq, pq, dtype=np.int64),
-            bufs.rtts[:nq],
-            np.full(nq, sched_each),
+            np.full(n_adm, pq, dtype=np.int64),
+            bufs.rtts[:n_adm],
+            np.full(n_adm, sched_each),
             qtotal,
-            bufs.q_mw[:nq],
-            bufs.q_ms[:nq],
+            bufs.q_mw[:n_adm],
+            bufs.q_ms[:n_adm],
             sg_l,
             sst_l,
             sf_l,
             swk_l,
         )
 
-        dep = self.dep
-        if self.assignments is not None:
-            names = self.names_flat
-            # sub rows are in submit (LIFO) order; assignments record the
-            # selection (point) order, so reverse each query's row
-            for row in bufs.sub_g[:m].reshape(nq, pq)[:, ::-1].tolist():
-                self.assignments.append(tuple(names[g] for g in row))
-
         fe = self.fe
-        fe.total_iterations += nq * entry.iterations
-        fe.total_estimates += nq * entry.estimates
-        fe.queries_scheduled += nq
+        fe.total_iterations += n_adm * entry.iterations
+        fe.total_estimates += n_adm * entry.estimates
+        fe.queries_scheduled += n_adm
         fe._query_counter = self.qid_last
-        dep.scheduling_wallclock += chunk_wall
-        self.ledger.record_query(nq * pq)
-        self.ledger.record_result(nq * pq)
-        self.completed += nq
-        self.fast_scheduled += nq
-        self.chunk_sizes.append(nq)
+        self.dep.scheduling_wallclock += chunk_wall
+        self.ledger.record_query(n_adm * pq)
+        self.ledger.record_result(n_adm * pq)
+        self.completed += n_adm
+        self.fast_scheduled += n_adm
+        self.chunk_sizes.append(n_adm)
+
+    def _bulk_assignments(self, bufs, pos, nq, n_adm, pq) -> list:
+        """The chunk's per-query server names, ``()`` for shed queries."""
+        names = self.names_flat
+        # sub rows are in submit (LIFO) order; assignments record the
+        # selection (point) order, so reverse each query's row
+        rows = bufs.sub_g[: n_adm * pq].reshape(n_adm, pq)[:, ::-1].tolist()
+        picked = [tuple(names[g] for g in row) for row in rows]
+        if n_adm == nq:
+            return picked
+        out: list[tuple[str, ...]] = [()] * nq
+        for slot, sel in zip((self.gate.adm_idx[:n_adm] - pos).tolist(), picked):
+            out[slot] = sel
+        return out
 
     # -- the per-query path ------------------------------------------------
     def _run_span(self, span_start: int, span_end: int) -> int:
@@ -888,9 +946,10 @@ class _Engine:
 
         This is the path that owns failure delegation (select first, check
         the schedule against the failed set, hand the query to the
-        reference path when it hits) and per-query ``pq_fn`` evaluation;
-        it is also what short spans use when the kernel's bulk commit is a
-        python loop anyway.  Commit arithmetic here, the kernel's default
+        reference path when it hits), per-query ``pq_fn`` evaluation, and
+        admission policies that feed on per-query delays; it is also what
+        short spans use when the kernel's bulk commit is a python loop
+        anyway.  Commit arithmetic here, the kernel's default
         ``commit_batch``, and ``roar_commit_batch`` in ``csrc/sweep.c``
         are three copies of the same float-op sequence, pinned together by
         the differential tests.
@@ -942,6 +1001,9 @@ class _Engine:
         span_sched = 0.0
         if prof is not None:
             prof.begin("commit")
+        # busiest-server queue, kept as a running max (a commit only ever
+        # raises busy_l[g]; a delegation rebuilds the mirrors, so recompute)
+        bmax = max(busy_l) if admission is not None else 0.0
 
         for q_i in range(span_start, span_end):
             now = arr[q_i]
@@ -954,7 +1016,7 @@ class _Engine:
             # -- admission: decide before any scheduling work or rng draw,
             # off the busiest-server backlog the queue mirror exposes -----
             if admission is not None:
-                backlog = max(busy_l) - now
+                backlog = bmax - now
                 if backlog < 0.0:
                     backlog = 0.0
                 if admission.admit(q_i, now, backlog) is not None:
@@ -995,6 +1057,8 @@ class _Engine:
                     any_failed,
                     failed_l,
                 ) = local_state()
+                if admission is not None:
+                    bmax = max(busy_l)
                 continue
 
             # -- commit (identical arithmetic to run_query) ----------------
@@ -1056,6 +1120,8 @@ class _Engine:
                 service = srv_fixed_l[g] + work / srv_speed_l[g]
                 f = start + service
                 busy_l[g] = f
+                if f > bmax:
+                    bmax = f
                 subs_append((g, service, work, f, start))
                 eff = service - fe_fixed
                 if eff > 0.0 and work > 0.0:
@@ -1200,8 +1266,12 @@ def run_queries_fast(
     policy name/spec, an :class:`~repro.admission.base.AdmissionPolicy`
     instance, or ``None``/``"none"`` for accept-all.  Passthrough specs
     resolve to ``None`` before the engine sees them, so the default run
-    is bit-identical to the pre-admission engine; an active policy
-    forces the per-query path (the bulk seam cannot shed mid-chunk).
+    is bit-identical to the pre-admission engine.  Policies whose
+    decisions depend only on the arrival time, the busiest-server backlog
+    and their own token state (``aimd``, or a queue cap alone) are made
+    inside the kernel's bulk ``commit_batch`` call; ``delay_gated`` reads
+    the windowed p99 before every query and keeps the per-query path.
+    Either way the results are bit-identical.
     """
     require_numpy()
     _check_frontend(deployment)
