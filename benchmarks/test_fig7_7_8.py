@@ -12,7 +12,7 @@ import random
 
 from repro.core import FrontEnd, FrontEndConfig, Ring
 from repro.sim import DelayLog, PoissonArrivals, QueryRecord, SimServer
-from repro.sim.tracing import percentile
+from repro.telemetry.records import percentile
 
 from conftest import print_series, run_once
 

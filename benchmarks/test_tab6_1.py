@@ -6,7 +6,7 @@ heterogeneity, arrival process, the exploding-queue threshold.
 """
 
 from repro.cluster import ComparisonConfig, heterogeneous_speeds, run_comparison
-from repro.sim.tracing import EXPLODING_SLOPE
+from repro.telemetry.records import EXPLODING_SLOPE
 
 from conftest import print_series, run_once
 

@@ -9,7 +9,7 @@ scheduling cost, and sustained throughput.
 
 from repro.cluster import Deployment, DeploymentConfig, ec2_fleet
 from repro.sim import PoissonArrivals
-from repro.sim.tracing import percentile
+from repro.telemetry.records import percentile
 
 from conftest import print_series, run_once
 

@@ -15,7 +15,8 @@ Subpackages:
 * :mod:`repro.analysis` -- closed-form models: bandwidth, delay bounds,
   availability, index-based-vs-PPS trade-off.
 * :mod:`repro.control` -- closed-loop control plane: live metrics windows,
-  SLO-driven elasticity, online re-partitioning, scenario runner.
+  SLO-driven elasticity, online re-partitioning, the deployment actuator
+  (the loop runs inside :mod:`repro.scenarios`).
 """
 
 __version__ = "1.1.0"

@@ -460,24 +460,44 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_control(args: argparse.Namespace) -> int:
-    from .control import ScenarioConfig, run_scenario
+    from .scenarios import control_scenario, execute_scenario, phase_p99s
 
     policies = tuple(x.strip() for x in args.policies.split(",") if x.strip())
-    report = run_scenario(
-        ScenarioConfig(
-            scenario=args.scenario,
+    ex = execute_scenario(
+        control_scenario(
+            args.scenario,
             n_servers=args.servers,
-            p0=args.p,
+            p=args.p,
             duration=args.duration,
-            base_rate=args.rate,
-            slo_p99=args.slo,
-            seed=args.seed,
+            rate=args.rate,
+            slo=args.slo,
             policies=policies,
-            use_planner=args.planner,
+            planner=args.planner,
+            seed=args.seed,
         )
     )
-    print(report.summary())
-    return 0 if report.adapted else 1
+    dep = ex.deployment
+    before, crisis, after = phase_p99s(dep.log, args.scenario, args.duration)
+    actions = sorted((a for c in ex.controllers for a in c.actions),
+                     key=lambda a: a.time)
+    recovered = not math.isnan(after) and (after < crisis or after <= args.slo)
+    print(f"scenario       : {args.scenario}")
+    print(f"servers        : {args.servers} initially, {len(dep.servers)} finally")
+    print(f"p / pq         : {args.p} initially, "
+          f"{dep.p_store:g} / {ex.pq_end} finally")
+    print(f"queries run    : {len(dep.log)}")
+    print(f"SLO (p99)      : {args.slo * 1000:.0f} ms")
+    print(f"p99 before     : {before * 1000:.0f} ms")
+    print(f"p99 crisis     : {crisis * 1000:.0f} ms")
+    print(f"p99 after      : {after * 1000:.0f} ms")
+    print(f"adapted        : {bool(actions)} ({len(actions)} actions)")
+    print(f"recovered      : {recovered}")
+    if actions:
+        print("control actions:")
+        for act in actions:
+            print(f"  t={act.time:7.1f}s  [{act.controller}] "
+                  f"{act.kind}: {act.detail}")
+    return 0 if actions else 1
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:

@@ -23,8 +23,8 @@ from ..core.ring import Ring, RingNode
 from ..core.scheduler import schedule_heap, schedule_naive, schedule_random
 from ..rendezvous import PTN, RoarAlgorithm, ServerInfo, SlidingWindow
 from ..sim.server import SimServer
-from ..sim.tracing import DelayLog, QueryRecord
 from ..sim.workload import PoissonArrivals
+from ..telemetry.records import DelayLog, QueryRecord
 
 __all__ = ["ComparisonConfig", "ComparisonResult", "run_comparison", "heterogeneous_speeds"]
 

@@ -4,13 +4,18 @@ The paper's mechanisms (ring edits, :mod:`repro.core.reconfig`, the heap
 scheduler) make ROAR *able* to change shape online; this subpackage adds the
 thing that *decides* to.  It observes a running deployment through sliding
 metric windows, and drives the two elastic knobs -- the server set and the
-partitioning level -- from SLO-style policies, with scenarios (flash crowds,
-diurnal cycles, correlated rack failures) to exercise the loop end-to-end.
+partitioning level -- from SLO-style policies through a
+:class:`DeploymentActuator`.  The loop itself runs inside
+:func:`repro.scenarios.execute_scenario` whenever a scenario carries a
+:class:`~repro.scenarios.spec.ControlSpec`;
+:func:`repro.scenarios.control_scenario` states the flash-crowd, diurnal and
+rack-failure closed loops (``repro control``) in that vocabulary.
 """
 
 from .controllers import (
     ControlAction,
     Controller,
+    DeploymentActuator,
     FrontendElasticityController,
     RepartitionController,
     SLOElasticityController,
@@ -21,17 +26,8 @@ from .metrics import (
     MetricsSnapshot,
     SlidingWindow,
 )
-from .runner import (
-    SCENARIOS,
-    DeploymentActuator,
-    ScenarioConfig,
-    ScenarioReport,
-    ScenarioRunner,
-    run_scenario,
-)
 
 __all__ = [
-    "SCENARIOS",
     "ControlAction",
     "Controller",
     "DeploymentActuator",
@@ -41,9 +37,5 @@ __all__ = [
     "MetricsSnapshot",
     "RepartitionController",
     "SLOElasticityController",
-    "ScenarioConfig",
-    "ScenarioReport",
-    "ScenarioRunner",
     "SlidingWindow",
-    "run_scenario",
 ]

@@ -10,8 +10,9 @@ Two knobs make ROAR elastic (Sections 4.5 / 4.9):
 
 Controllers here close the loop over those knobs.  They never touch the
 deployment directly: every actuation goes through a :class:`ControlTarget`
-adapter, so the same policy drives a full :class:`~repro.cluster.Deployment`
-in the scenario runner and a stub in unit tests.
+adapter -- :class:`DeploymentActuator` over a full
+:class:`~repro.cluster.Deployment` in the scenario runner, a stub in unit
+tests.
 
 The policy style follows threshold controllers from congestion control
 (AIMD flavoured): react multiplicatively-ish to SLO violations, recover
@@ -24,13 +25,21 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol
+from typing import TYPE_CHECKING, Callable, Protocol
 
+from ..cluster.models import MODEL_CATALOGUE
+from ..core.reconfig import ReconfigPhase
 from .metrics import MetricsSnapshot
+
+if TYPE_CHECKING:
+    from ..cluster.deployment import Deployment
+    from ..scenarios.spec import ControlSpec
+    from ..sim.engine import Simulation
 
 __all__ = [
     "ControlAction",
     "ControlTarget",
+    "DeploymentActuator",
     "FrontendPool",
     "Controller",
     "SLOElasticityController",
@@ -80,6 +89,81 @@ class ControlTarget(Protocol):
     def add_server(self) -> str: ...
 
     def remove_server(self) -> str | None: ...
+
+
+class DeploymentActuator:
+    """:class:`ControlTarget` over a :class:`~repro.cluster.Deployment`.
+
+    Owns the live ``pq`` setting and translates controller intents into
+    deployment edits; replica movement for level changes is spread across
+    simulated time via per-node reconfiguration steps scheduled on *sim*
+    (``control.drop_seconds`` / ``control.grow_seconds`` across the ring).
+    """
+
+    def __init__(
+        self, deployment: "Deployment", sim: "Simulation", control: "ControlSpec"
+    ) -> None:
+        self.deployment = deployment
+        self.sim = sim
+        self.control = control
+        self.pq = int(math.ceil(deployment.p_store - 1e-9))
+
+    @property
+    def n_servers(self) -> int:
+        return len(self.deployment.servers)
+
+    @property
+    def p_store(self) -> float:
+        return self.deployment.p_store
+
+    @property
+    def reconfig_stable(self) -> bool:
+        rc = self.deployment.reconfig
+        return rc is None or rc.phase == ReconfigPhase.STABLE
+
+    @property
+    def p_safety_cap(self) -> int | None:
+        worst = self.deployment.max_dead_range()
+        if worst <= 0.0:
+            return None
+        return max(1, int(1.0 / worst - 1e-6))
+
+    def set_pq(self, pq: int) -> None:
+        floor = int(math.ceil(self.deployment.p_store - 1e-9))
+        self.pq = max(int(pq), floor, 1)
+
+    def request_p(self, p_new: int) -> bool:
+        rc = self.deployment.reconfig
+        if rc is None or rc.phase != ReconfigPhase.STABLE:
+            return False
+        if p_new == rc.p_target:
+            return False
+        status = rc.request_p(p_new)
+        span = (
+            self.control.drop_seconds
+            if status.phase == ReconfigPhase.SHRINKING_REPLICAS
+            else self.control.grow_seconds
+        )
+        names = sorted(node.name for node in rc.ring)
+        for i, name in enumerate(names):
+            self.sim.schedule(
+                span * (i + 1) / len(names), lambda n=name: rc.node_step(n)
+            )
+        return True
+
+    def add_server(self) -> str:
+        model = MODEL_CATALOGUE[self.control.growth_model]
+        return self.deployment.add_server(model, now=self.sim.now)
+
+    def remove_server(self) -> str | None:
+        ring = self.deployment.rings[0]
+        if len(ring) <= 1:
+            return None
+        cool = self.deployment.membership.coolest_node(ring)
+        if cool is None:
+            return None
+        self.deployment.remove_server(cool.name, now=self.sim.now)
+        return cool.name
 
 
 class FrontendPool(Protocol):

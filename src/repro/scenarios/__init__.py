@@ -25,8 +25,11 @@ from .runner import (
     run_scenario_spec,
 )
 from .matrix import (
+    CONTROL_KINDS,
     MatrixResult,
     builtin_scenarios,
+    control_scenario,
+    phase_p99s,
     render_table,
     run_matrix,
     trace_scenario,
@@ -34,6 +37,7 @@ from .matrix import (
 from .spec import scenario_from_dict, scenario_to_dict
 
 __all__ = [
+    "CONTROL_KINDS",
     "AdmissionSpec",
     "ChurnSpec",
     "ControlSpec",
@@ -46,9 +50,11 @@ __all__ = [
     "WorkloadSpec",
     "build_deployment",
     "builtin_scenarios",
+    "control_scenario",
     "execute_scenario",
     "render_table",
     "run_matrix",
+    "phase_p99s",
     "run_scenario_spec",
     "scenario_from_dict",
     "scenario_to_dict",

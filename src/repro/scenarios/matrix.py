@@ -8,6 +8,8 @@ cycles, correlated rack failures, membership churn, online re-partitioning
 under a closed loop, and adversarial compositions of the above.
 
 ``repro matrix`` is the CLI veneer; tests sweep reduced grids.
+:func:`control_scenario` states the ``repro control`` closed loops in the
+same vocabulary.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
+from ..telemetry.columns import array_percentile
+from ..telemetry.records import DelayLog
 from ..traces.spec import TraceSpec
 from .runner import ScenarioResult, auto_rate, build_models, run_scenario_spec
 from .spec import (
@@ -30,12 +34,19 @@ from .spec import (
 )
 
 __all__ = [
+    "CONTROL_KINDS",
     "MatrixResult",
     "builtin_scenarios",
+    "control_scenario",
+    "phase_p99s",
     "render_table",
     "run_matrix",
     "trace_scenario",
 ]
+
+#: The closed-loop stimuli of :func:`control_scenario`, each with the
+#: fraction of the run at which it hits (the before/crisis boundary).
+CONTROL_KINDS = {"flash-crowd": 0.25, "diurnal": 0.5, "rack-failure": 0.4}
 
 
 def builtin_scenarios(
@@ -213,6 +224,91 @@ def trace_scenario(
         p=p,
         dataset_size=dataset_size,
         seed=seed,
+    )
+
+
+def control_scenario(
+    kind: str = "flash-crowd",
+    n_servers: int = 16,
+    p: int = 4,
+    duration: float = 240.0,
+    rate: float | None = None,
+    slo: float = 1.0,
+    policies: Sequence[str] = ("elasticity", "repartition"),
+    planner: bool = False,
+    seed: int = 1,
+) -> Scenario:
+    """One closed-loop control run (``repro control``) as a scenario.
+
+    A flash crowd, a compressed diurnal cycle, or a correlated failure of
+    rack servers 0-2 under steady load (rebuilt by membership 45 s later)
+    hits a deployment that keeps object stores, so the *policies* can
+    walk ``p`` online as well as resize the server set.  *rate* is the
+    base arrival rate (default: ~30% pool utilisation).
+
+    Example::
+
+        >>> s = control_scenario("rack-failure", n_servers=8, p=3, duration=100.0)
+        >>> [(e.at, e.action) for e in s.events]
+        [(40.0, 'fail-rack'), (85.0, 'rebuild')]
+        >>> s.control.policies, s.needs_stores
+        (('elasticity', 'repartition'), True)
+    """
+    if kind not in CONTROL_KINDS:
+        raise ValueError(
+            f"unknown control scenario {kind!r}; pick one of {tuple(CONTROL_KINDS)}"
+        )
+    probe = Scenario(name="_probe", n_servers=n_servers, p=p)
+    if rate is None:
+        rate = auto_rate(build_models(probe), p, probe.dataset_size, target_util=0.30)
+    events: tuple[EventSpec, ...] = ()
+    if kind == "rack-failure":
+        # a rebuild past the horizon is dropped by the runner
+        t_fail = CONTROL_KINDS[kind] * duration
+        events = (
+            EventSpec(at=t_fail, action="fail-rack", count=3, value=0),
+            EventSpec(at=t_fail + 45.0, action="rebuild"),
+        )
+    return Scenario(
+        name=f"control-{kind}",
+        description=f"closed loop ({', '.join(policies)}) against {kind}",
+        workload=WorkloadSpec(
+            kind="poisson" if kind == "rack-failure" else kind,
+            rate=rate,
+            duration=duration,
+        ),
+        n_servers=n_servers,
+        p=p,
+        seed=seed,
+        events=events,
+        control=ControlSpec(
+            policies=tuple(policies), slo_p99=slo, planner=planner
+        ),
+        store_objects=True,
+        n_objects_stored=240,
+    )
+
+
+def phase_p99s(
+    log: DelayLog, kind: str, duration: float
+) -> tuple[float, float, float]:
+    """p99 delay before a :func:`control_scenario` stimulus, over the
+    quarter-run crisis after it, and over the run's last fifth.
+
+    Reads the log's arrival/finish columns directly; a phase no query
+    arrived in reports NaN.
+    """
+    arrival = log.column("arrival")
+    delay = log.column("finish") - arrival
+    t_s = CONTROL_KINDS[kind] * duration
+
+    def p99(mask) -> float:
+        return array_percentile(delay[mask], 99) if mask.any() else math.nan
+
+    return (
+        p99(arrival < t_s),
+        p99((arrival >= t_s) & (arrival < t_s + 0.25 * duration)),
+        p99(arrival >= duration - 0.20 * duration),
     )
 
 

@@ -4,21 +4,20 @@ One runner drives every layer the same way regardless of what the scenario
 throws at it: the deployment serves the arrival trace (on the batched fast
 path by default, or the per-query reference path), timed events and churn
 edit the membership, Zipf-skewed updates heat replica holders, and -- when a
-:class:`ControlSpec` is present -- the PR-1 control plane (metrics collector,
-SLO elasticity, online re-partitioning) closes the loop at its tick
-interval, actuating through the same
-:class:`~repro.control.runner.DeploymentActuator` the closed-loop runner
-uses.
+:class:`ControlSpec` is present -- the control plane (metrics collector,
+SLO elasticity, online re-partitioning, optionally steered by the
+live-metrics planner) closes the loop at its tick interval, actuating
+through a :class:`~repro.control.controllers.DeploymentActuator`.  The
+``repro control`` closed loops are ordinary scenarios
+(:func:`~repro.scenarios.matrix.control_scenario`) run here.
 
 Execution has **exact event-time semantics**: every stimulus (event, churn
 tick, control tick, individual update) is compiled to an
 :class:`~repro.sim.fastpath.Action` bound to the precise query index where
 its timestamp falls, and the batched engine fires it *between those two
 queries* with fully materialised deployment state.  A mid-batch update is
-therefore visible to the very next query -- the old segment-batched runner's
-"updates land up to ``batch_interval`` late" caveat is gone, at full batch
-speed (``UpdateSpec.batch_interval`` is deprecated and ignored; passing it
-warns).  The ``engine="reference"`` backend replays the same action schedule
+therefore visible to the very next query, at full batch speed.  The
+``engine="reference"`` backend replays the same action schedule
 through the per-query path, so both engines agree on *when* every stimulus
 lands.  Discrete-event work scheduled on the internal
 :class:`~repro.sim.engine.Simulation` (reconfiguration node steps, delayed
@@ -33,7 +32,6 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as _np
@@ -42,11 +40,11 @@ from ..cluster.deployment import Deployment, DeploymentConfig
 from ..cluster.models import MODEL_CATALOGUE, ServerModel, ec2_fleet, hen_testbed
 from ..control.controllers import (
     Controller,
+    DeploymentActuator,
     RepartitionController,
     SLOElasticityController,
 )
 from ..control.metrics import MetricsCollector
-from ..control.runner import DeploymentActuator
 from ..core.reconfig import ReconfigPhase
 from ..sim.engine import Simulation
 from ..sim.energy import PowerProfile
@@ -137,7 +135,7 @@ def _vector_rate_fn(scenario: Scenario):
         base = w.rate
 
         def rate_fn(t):
-            # start at the trough, peak mid-run (the control runner's phase)
+            # start at the trough, peak mid-run
             return base * (
                 1.0 + amp * _np.sin(2.0 * _np.pi * _np.asarray(t) / d - _np.pi / 2.0)
             )
@@ -339,13 +337,7 @@ def execute_scenario(
 
         decision_log = DecisionLog()
         collector = MetricsCollector(window=ctl.metrics_window).attach(deployment)
-        shim = SimpleNamespace(
-            p0=scenario.p,
-            drop_seconds=ctl.drop_seconds,
-            grow_seconds=ctl.grow_seconds,
-            growth_model=ctl.growth_model,
-        )
-        actuator = DeploymentActuator(deployment, sim, shim)
+        actuator = DeploymentActuator(deployment, sim, ctl)
         if scenario.pq is not None:
             actuator.set_pq(scenario.pq)
         if "elasticity" in ctl.policies:
@@ -367,6 +359,9 @@ def execute_scenario(
                     p_max=ctl.p_max
                     or max(scenario.p, min(4 * scenario.p, scenario.n_servers)),
                     cooldown=3 * ctl.interval,
+                    planner=(
+                        _planner_fn(scenario, deployment) if ctl.planner else None
+                    ),
                 )
             )
         for controller in controllers:
@@ -795,6 +790,31 @@ def _repartition_inline(
     names = sorted(node.name for node in rc.ring)
     for i, name in enumerate(names):
         sim.schedule(5.0 * (i + 1) / len(names), lambda n=name: rc.node_step(n))
+
+
+def _planner_fn(scenario: Scenario, deployment: Deployment):
+    """The repartition policy's planner: the capacity advisor over live
+    metrics, re-reading the surviving servers' speeds at every tick."""
+    from ..analysis.planner import recommend_from_metrics
+
+    initial = deployment.servers.values()
+    mean_fixed = sum(s.fixed_overhead for s in initial) / len(initial)
+
+    def recommend(snapshot) -> int | None:
+        speeds = [s.speed for s in deployment.servers.values() if not s.failed]
+        if not speeds:
+            return None
+        rec = recommend_from_metrics(
+            snapshot,
+            dataset_size=scenario.dataset_size,
+            speeds=speeds,
+            # the advisor targets *mean* delay; mean ~ half the tail SLO
+            target_delay=scenario.control.slo_p99 / 2.0,
+            fixed_overhead=mean_fixed,
+        )
+        return rec.chosen.p if rec.chosen is not None else None
+
+    return recommend
 
 
 def _planned_p(

@@ -11,7 +11,6 @@ outcome.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass, field, replace
 
 __all__ = [
@@ -98,6 +97,11 @@ class WorkloadSpec:
                 raise ValueError("rate must be positive")
             if self.duration <= 0:
                 raise ValueError("duration must be positive")
+            # the thinning sampler needs the peak to bound every rate
+            if self.surge_factor < 1.0:
+                raise ValueError("surge_factor must be >= 1")
+            if self.end_rate is not None and self.end_rate <= 0:
+                raise ValueError("end_rate must be positive")
 
     @property
     def horizon(self) -> float:
@@ -137,13 +141,6 @@ class UpdateSpec:
     zipf_s: float = 1.1
     hotspots: int = 16
     jitter: float = 0.01
-    #: **Deprecated.**  Knob of the retired segment-batched runner, where
-    #: updates applied at batch boundaries up to this many seconds late.
-    #: The exact-time action queue replaced it: every update now lands at
-    #: the precise query index where its timestamp falls (see
-    #: :class:`repro.sim.fastpath.Action` and ``docs/architecture.md``).
-    #: Passing a value warns and has no effect; the field will be removed.
-    batch_interval: float | None = None
 
     def __post_init__(self) -> None:
         if self.rate <= 0:
@@ -152,14 +149,6 @@ class UpdateSpec:
             raise ValueError("need at least one hotspot")
         if self.zipf_s < 0:
             raise ValueError("zipf_s must be non-negative")
-        if self.batch_interval is not None:
-            warnings.warn(
-                "UpdateSpec.batch_interval is deprecated and ignored: "
-                "updates land at exact event times through the engine's "
-                "action queue (docs/architecture.md); drop the argument",
-                DeprecationWarning,
-                stacklevel=2,
-            )
 
 
 @dataclass(frozen=True)
@@ -218,7 +207,15 @@ class EventSpec:
 
 @dataclass(frozen=True)
 class ControlSpec:
-    """Closed-loop policies allowed to react during the scenario."""
+    """Closed-loop policies allowed to react during the scenario.
+
+    ``None`` bounds default from the scenario's shape: servers within
+    ``[max(2, n // 2), 2n]``, ``p`` within ``[max(1, p - 2),
+    max(p, min(4p, n))]``.  With ``planner`` set, the repartition policy
+    steps toward the level the live-metrics capacity planner
+    (:func:`repro.analysis.planner.recommend_from_metrics`) picks instead
+    of following latency thresholds.
+    """
 
     policies: tuple[str, ...] = ("elasticity",)
     slo_p99: float = 1.0
@@ -231,6 +228,7 @@ class ControlSpec:
     grow_seconds: float = 20.0
     drop_seconds: float = 4.0
     growth_model: str = "dell-1950"
+    planner: bool = False
 
     def __post_init__(self) -> None:
         known = {"elasticity", "repartition"}
@@ -432,6 +430,10 @@ def scenario_from_dict(data: dict) -> Scenario:
             raw = dict(raw)
             if key == "control":
                 raw["policies"] = tuple(raw.get("policies") or ())
+            if key == "updates":
+                # knob of the retired segment-batched runner; older
+                # recordings still carry it
+                raw.pop("batch_interval", None)
             d[key] = cls(**raw)
     if d.get("speeds") is not None:
         d["speeds"] = tuple(d["speeds"])

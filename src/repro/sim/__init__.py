@@ -1,18 +1,16 @@
 """Discrete-event simulation substrate (the Chapter 6 evaluation model)."""
 
+from ..telemetry.records import DelayLog, QueryRecord, linear_fit, percentile
 from .energy import DEFAULT_PROFILES, EnergyReport, PowerProfile, measure_energy
-from .engine import Event, PeriodicEvent, Simulation
+from .engine import Event, Simulation
 from .fastpath import Action, BatchResult, run_queries_fast, run_queries_reference
 from .network import NetworkModel, TrafficLedger
 from .queueing import md1_delay, md1_wait, min_p_for_delay, mm1_wait, utilisation
 from .server import SimServer, TaskRecord
-from .tracing import DelayLog, QueryRecord, linear_fit, percentile
 from .transport import IncastModel, IncastResult, TransportConfig
 from .workload import (
     DiurnalTrace,
-    FlashCrowdTrace,
     PoissonArrivals,
-    RampTrace,
     StepTrace,
     UniformArrivals,
     arrivals_from_rate_fn,
@@ -30,16 +28,13 @@ __all__ = [
     "DiurnalTrace",
     "EnergyReport",
     "Event",
-    "FlashCrowdTrace",
     "IncastModel",
     "IncastResult",
     "TransportConfig",
     "NetworkModel",
-    "PeriodicEvent",
     "PoissonArrivals",
     "PowerProfile",
     "QueryRecord",
-    "RampTrace",
     "SimServer",
     "Simulation",
     "StepTrace",

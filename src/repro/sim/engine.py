@@ -17,7 +17,7 @@ import heapq
 import itertools
 from typing import Callable, Optional
 
-__all__ = ["Event", "PeriodicEvent", "Simulation"]
+__all__ = ["Event", "Simulation"]
 
 
 class Event:
@@ -36,22 +36,6 @@ class Event:
 
     def __lt__(self, other: "Event") -> bool:
         return (self.time, self.seq) < (other.time, other.seq)
-
-
-class PeriodicEvent:
-    """Handle on a recurring callback series created by :meth:`Simulation.every`."""
-
-    __slots__ = ("pending", "cancelled", "fired")
-
-    def __init__(self) -> None:
-        self.pending: Optional[Event] = None
-        self.cancelled = False
-        self.fired = 0
-
-    def cancel(self) -> None:
-        self.cancelled = True
-        if self.pending is not None:
-            self.pending.cancel()
 
 
 class Simulation:
@@ -92,37 +76,6 @@ class Simulation:
             event.callback()
             return True
         return False
-
-    def every(
-        self,
-        interval: float,
-        callback: Callable[[float], object],
-        start: Optional[float] = None,
-    ) -> "PeriodicEvent":
-        """Run ``callback(now)`` every *interval* seconds.
-
-        The first firing is at absolute time *start* (default: one interval
-        from now).  The series stops when the callback returns ``False`` or
-        the returned handle is cancelled.  Control planes use this for
-        periodic sampling/decision ticks.
-        """
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, got {interval}")
-        handle = PeriodicEvent()
-
-        def fire() -> None:
-            if handle.cancelled:
-                return
-            handle.fired += 1
-            if callback(self.now) is False:
-                handle.cancel()
-                return
-            if not handle.cancelled:
-                handle.pending = self.schedule(interval, fire)
-
-        first_delay = interval if start is None else max(0.0, start - self.now)
-        handle.pending = self.schedule(first_delay, fire)
-        return handle
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Drain the event queue, optionally stopping at time *until*.

@@ -18,8 +18,6 @@ __all__ = [
     "UniformArrivals",
     "DiurnalTrace",
     "StepTrace",
-    "FlashCrowdTrace",
-    "RampTrace",
     "arrivals_from_rate_fn",
     "batched_poisson_times",
     "batched_uniform_times",
@@ -107,73 +105,6 @@ class StepTrace:
             else:
                 break
         return current
-
-
-@dataclass
-class FlashCrowdTrace:
-    """Baseline load with a sudden multiplicative surge (a "flash crowd").
-
-    The rate jumps to ``base_rate * surge_factor`` at ``surge_start``, holds
-    for ``surge_duration`` seconds, then decays back exponentially with time
-    constant ``decay`` (0 = instant drop).  This is the canonical stimulus
-    for elasticity controllers: the surge violates the latency SLO, the
-    controller adapts, and the report asks whether p99 recovered.
-    """
-
-    base_rate: float
-    surge_factor: float = 4.0
-    surge_start: float = 0.0
-    surge_duration: float = 60.0
-    decay: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.base_rate <= 0:
-            raise ValueError("base_rate must be positive")
-        if self.surge_factor < 1.0:
-            raise ValueError("surge_factor must be >= 1")
-
-    @property
-    def peak_rate(self) -> float:
-        return self.base_rate * self.surge_factor
-
-    def rate(self, t: float) -> float:
-        if t < self.surge_start:
-            return self.base_rate
-        if t <= self.surge_start + self.surge_duration:
-            return self.peak_rate
-        if self.decay <= 0:
-            return self.base_rate
-        elapsed = t - (self.surge_start + self.surge_duration)
-        extra = (self.peak_rate - self.base_rate) * math.exp(-elapsed / self.decay)
-        return self.base_rate + extra
-
-
-@dataclass
-class RampTrace:
-    """Linear ramp from ``start_rate`` to ``end_rate`` over ``[t0, t1]``.
-
-    Constant at ``start_rate`` before ``t0`` and at ``end_rate`` after
-    ``t1`` -- a compressed diurnal rising edge for controller experiments.
-    """
-
-    start_rate: float
-    end_rate: float
-    t0: float = 0.0
-    t1: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.t1 <= self.t0:
-            raise ValueError("t1 must be after t0")
-        if min(self.start_rate, self.end_rate) <= 0:
-            raise ValueError("rates must be positive")
-
-    def rate(self, t: float) -> float:
-        if t <= self.t0:
-            return self.start_rate
-        if t >= self.t1:
-            return self.end_rate
-        frac = (t - self.t0) / (self.t1 - self.t0)
-        return self.start_rate + frac * (self.end_rate - self.start_rate)
 
 
 def arrivals_from_rate_fn(

@@ -12,8 +12,8 @@ Two invariants matter here:
 * **Loss-free storage.**  Columns are float64/int64, so every python float
   or int that goes in comes back bit-identical.
 * **Bit-exact statistics.**  :func:`array_percentile` reproduces the exact
-  float operations of the historic sorted-list implementation
-  (``repro.sim.tracing.percentile``) via ``np.partition``, so the golden
+  float operations of the historic sorted-list implementation (now
+  :func:`repro.telemetry.records.percentile`) via ``np.partition``, so the golden
   regression pins -- and every controller threshold decision derived from a
   percentile -- are unchanged by the columnar port.
 """

@@ -10,7 +10,7 @@ from repro.control.metrics import (
     SlidingWindow,
 )
 from repro.sim.server import SimServer
-from repro.sim.tracing import QueryRecord
+from repro.telemetry.records import QueryRecord
 
 
 def record(qid, arrival, delay):

@@ -1,102 +1,88 @@
-"""Tests for the closed-loop scenario runner and its integration points."""
+"""Tests for the closed-loop control scenarios and their integration points.
+
+The ``repro control`` loops are plain :class:`~repro.scenarios.Scenario`
+values built by :func:`~repro.scenarios.control_scenario` and run by
+:func:`~repro.scenarios.execute_scenario`, so they inherit its guarantees:
+bit-reproducible runs and identical decisions on either engine.
+"""
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.cluster.deployment import Deployment, DeploymentConfig
 from repro.cluster.models import MODEL_CATALOGUE, hen_testbed
-from repro.control import (
-    DeploymentActuator,
-    ScenarioConfig,
-    ScenarioRunner,
-    run_scenario,
+from repro.control import DeploymentActuator
+from repro.scenarios import (
+    ControlSpec,
+    EventSpec,
+    Scenario,
+    WorkloadSpec,
+    build_deployment,
+    control_scenario,
+    execute_scenario,
+    phase_p99s,
 )
+from repro.scenarios.runner import _vector_rate_fn
 from repro.sim.engine import Simulation
-from repro.sim.workload import FlashCrowdTrace, RampTrace
 
 
-def small_config(**kw):
-    kw.setdefault("scenario", "flash-crowd")
+def small(kind="flash-crowd", **kw):
     kw.setdefault("n_servers", 8)
-    kw.setdefault("p0", 3)
+    kw.setdefault("p", 3)
     kw.setdefault("duration", 80.0)
     kw.setdefault("seed", 3)
-    return ScenarioConfig(**kw)
+    return control_scenario(kind, **kw)
 
 
-class TestSimulationEvery:
-    def test_fires_periodically(self):
-        sim = Simulation()
-        seen = []
-        sim.every(2.0, seen.append)
-        sim.run(until=10.0)
-        assert seen == [2.0, 4.0, 6.0, 8.0, 10.0]
+def actions_of(ex):
+    return sorted(
+        (a for c in ex.controllers for a in c.actions), key=lambda a: a.time
+    )
 
-    def test_stops_on_false(self):
-        sim = Simulation()
-        seen = []
 
-        def cb(now):
-            seen.append(now)
-            return len(seen) < 3
-
-        sim.every(1.0, cb)
-        sim.run(until=100.0)
-        assert seen == [1.0, 2.0, 3.0]
-
-    def test_cancel_stops_series(self):
-        sim = Simulation()
-        seen = []
-        handle = sim.every(1.0, seen.append)
-        sim.run(until=2.5)
-        handle.cancel()
-        sim.run(until=10.0)
-        assert seen == [1.0, 2.0]
-        assert handle.fired == 2
-
-    def test_explicit_start(self):
-        sim = Simulation()
-        seen = []
-        sim.every(5.0, seen.append, start=1.0)
-        sim.run(until=12.0)
-        assert seen == [1.0, 6.0, 11.0]
-
-    def test_rejects_bad_interval(self):
-        with pytest.raises(ValueError):
-            Simulation().every(0.0, lambda now: None)
+def rate_at(workload, t):
+    rate_fn, peak = _vector_rate_fn(Scenario(name="shape", workload=workload))
+    return float(rate_fn(np.array([t]))[0]), peak
 
 
 class TestWorkloadTraces:
+    """The closed loops' load shapes, as the batched sampler draws them."""
+
     def test_flash_crowd_phases(self):
-        t = FlashCrowdTrace(
-            base_rate=10.0, surge_factor=4.0, surge_start=100.0,
-            surge_duration=50.0, decay=10.0,
+        w = WorkloadSpec(
+            kind="flash-crowd", rate=10.0, duration=400.0, surge_factor=4.0,
+            surge_start_frac=0.25, surge_duration_frac=0.125, decay_frac=0.025,
         )
-        assert t.rate(0.0) == 10.0
-        assert t.rate(120.0) == 40.0
+        assert rate_at(w, 0.0) == (10.0, 40.0)
+        assert rate_at(w, 120.0)[0] == 40.0
         # one decay constant after the surge: base + (peak-base)/e
-        assert t.rate(160.0) == pytest.approx(10.0 + 30.0 / math.e)
+        assert rate_at(w, 160.0)[0] == pytest.approx(10.0 + 30.0 / math.e)
 
     def test_flash_crowd_instant_drop(self):
-        t = FlashCrowdTrace(base_rate=5.0, surge_start=10.0, surge_duration=5.0)
-        assert t.rate(15.1) == 5.0
+        w = WorkloadSpec(
+            kind="flash-crowd", rate=5.0, duration=100.0,
+            surge_start_frac=0.10, surge_duration_frac=0.05, decay_frac=0.0,
+        )
+        assert rate_at(w, 15.1)[0] == 5.0
 
     def test_flash_crowd_validation(self):
         with pytest.raises(ValueError):
-            FlashCrowdTrace(base_rate=0.0)
+            WorkloadSpec(kind="flash-crowd", rate=0.0)
         with pytest.raises(ValueError):
-            FlashCrowdTrace(base_rate=1.0, surge_factor=0.5)
+            WorkloadSpec(kind="flash-crowd", rate=1.0, surge_factor=0.5)
 
     def test_ramp(self):
-        t = RampTrace(start_rate=10.0, end_rate=30.0, t0=100.0, t1=200.0)
-        assert t.rate(0.0) == 10.0
-        assert t.rate(150.0) == pytest.approx(20.0)
-        assert t.rate(999.0) == 30.0
+        w = WorkloadSpec(kind="ramp", rate=10.0, end_rate=30.0, duration=200.0)
+        assert rate_at(w, 0.0) == (10.0, 30.0)
+        assert rate_at(w, 100.0)[0] == pytest.approx(20.0)
+        assert rate_at(w, 999.0)[0] == 30.0
 
     def test_ramp_validation(self):
         with pytest.raises(ValueError):
-            RampTrace(start_rate=1.0, end_rate=2.0, t0=5.0, t1=5.0)
+            WorkloadSpec(kind="ramp", rate=1.0, end_rate=0.0)
 
 
 class TestDeploymentElasticity:
@@ -169,37 +155,31 @@ class TestDeploymentElasticity:
 
 class TestScenarioRunner:
     def test_flash_crowd_adapts_and_reports(self):
-        report = run_scenario(small_config())
-        assert report.adapted  # the controller acted at least once mid-run
-        kinds = {a.kind for a in report.actions}
+        ex = execute_scenario(small())
+        actions = actions_of(ex)
+        assert actions  # the controller acted at least once mid-run
+        kinds = {a.kind for a in actions}
         assert kinds & {"add_server", "remove_server", "request_p", "set_pq"}
-        assert report.timeline, "control ticks recorded"
-        assert not math.isnan(report.p99_before)
-        assert not math.isnan(report.p99_after)
-        assert len(report.log.records) > 100
-        # summary renders without crashing and names the scenario
-        assert "flash-crowd" in report.summary()
+        before, crisis, after = phase_p99s(ex.deployment.log, "flash-crowd", 80.0)
+        assert not math.isnan(before)
+        assert not math.isnan(after)
+        assert crisis > before
+        assert len(ex.deployment.log) > 100
 
     def test_runs_are_deterministic(self):
-        # Control decisions are seeded; only the *measured* scheduling
-        # wall-clock folded into each delay varies run to run (microseconds
-        # against delays of hundreds of milliseconds).
-        a = run_scenario(small_config())
-        b = run_scenario(small_config())
-        assert [(x.time, x.kind) for x in a.actions] == [
-            (x.time, x.kind) for x in b.actions
-        ]
-        assert [(t, pq, n) for t, pq, _, n in a.timeline] == [
-            (t, pq, n) for t, pq, _, n in b.timeline
-        ]
-        assert a.p99_after == pytest.approx(b.p99_after, rel=0.05)
+        # no wall-clock enters a scenario run: two runs agree bit for bit
+        a = execute_scenario(small())
+        b = execute_scenario(small())
+        assert repr(a.decisions.records()) == repr(b.decisions.records())
+        for name in ("arrival", "finish"):
+            assert np.array_equal(
+                a.deployment.log.column(name), b.deployment.log.column(name)
+            )
 
     def test_repartition_changes_p_mid_run(self):
-        report = run_scenario(
-            small_config(policies=("repartition",), duration=100.0)
-        )
-        p_levels = {t[1] for t in report.timeline}
-        assert len(p_levels) > 1, "pq never moved"
+        ex = execute_scenario(small(policies=("repartition",), duration=100.0))
+        moves = [a for a in actions_of(ex) if a.kind in ("request_p", "set_pq")]
+        assert moves, "pq never moved"
 
     def test_rack_failure_scenario_survives(self):
         # Cap p so replacement windows stay wider than the dead ranges (the
@@ -210,49 +190,81 @@ class TestScenarioRunner:
         # into the yield accounting -- they used to be counted as served
         # with silently incomplete results -- so the bar here is honest
         # yield during the crisis window plus full recovery after rebuild.
-        report = run_scenario(
-            small_config(
-                scenario="rack-failure",
-                rack_size=2,
-                duration=100.0,
-                p_max=4,
-                rebuild_delay=15.0,
-            )
+        base = small("rack-failure", duration=100.0)
+        scenario = base.with_(
+            events=(
+                EventSpec(at=40.0, action="fail-rack", count=2, value=0),
+                EventSpec(at=55.0, action="rebuild"),
+            ),
+            control=replace(base.control, p_max=4),
         )
-        assert report.adapted
+        ex = execute_scenario(scenario)
+        log = ex.deployment.log
+        assert actions_of(ex)
         # membership eventually redistributed the dead ranges
-        assert report.log.yield_fraction() > 0.85
+        assert log.yield_fraction() > 0.85
+        assert not any(s.failed for s in ex.deployment.servers.values())
         # after the rebuild the system serves everything again
-        rebuild_done = report.stimulus_time + 20.0
-        tail = [r for r in report.log.records if r.arrival > rebuild_done]
-        assert tail, "no queries served after the rebuild"
-        assert report.log.records[-1].arrival > 0.9 * 100.0
+        arrivals = log.column("arrival")
+        assert (arrivals > 60.0).any(), "no queries served after the rebuild"
+        assert arrivals[-1] > 0.9 * 100.0
 
     def test_diurnal_scenario(self):
-        report = run_scenario(small_config(scenario="diurnal", duration=100.0))
-        assert report.adapted
-        assert report.timeline[-1][3] >= report.config.min_servers
+        ex = execute_scenario(small("diurnal", duration=100.0))
+        assert actions_of(ex)
+        assert len(ex.deployment.servers) >= max(2, 8 // 2)
 
     def test_planner_mode_runs(self):
-        report = run_scenario(
-            small_config(policies=("repartition",), use_planner=True)
-        )
-        assert report.timeline  # ran to completion with the advisor in loop
+        scenario = small(policies=("repartition",), planner=True)
+        assert scenario.control.planner
+        ex = execute_scenario(scenario)
+        # ran to completion with the advisor steering p
+        assert "request_p" in {a.kind for a in actions_of(ex)}
 
     def test_bad_scenario_rejected(self):
-        with pytest.raises(ValueError):
-            ScenarioConfig(scenario="nope")
+        with pytest.raises(ValueError, match="unknown control scenario"):
+            control_scenario("nope")
 
     def test_bad_policy_rejected(self):
-        with pytest.raises(ValueError):
-            ScenarioRunner(small_config(policies=("magic",)))
+        with pytest.raises(ValueError, match="unknown policies"):
+            small(policies=("magic",))
+
+
+@pytest.mark.parametrize(
+    "kind, policies",
+    [
+        ("flash-crowd", ("elasticity", "repartition")),
+        ("diurnal", ("repartition",)),
+        ("rack-failure", ("elasticity", "repartition")),
+    ],
+)
+def test_closed_loop_identical_across_engines_and_runs(kind, policies):
+    scenario = small(kind, policies=policies)
+    runs = [
+        execute_scenario(scenario, engine="batched"),
+        execute_scenario(scenario, engine="reference"),
+        execute_scenario(scenario, engine="batched"),
+    ]
+    decisions = [repr(ex.decisions.records()) for ex in runs]
+    assert any(
+        not r.is_hold for r in runs[0].decisions.records()
+    ), "the loop never acted"
+    assert decisions[1] == decisions[0]
+    assert decisions[2] == decisions[0]
+    for ex in runs[1:]:
+        for name in ("arrival", "finish"):
+            assert np.array_equal(
+                ex.deployment.log.column(name),
+                runs[0].deployment.log.column(name),
+            ), f"{ex.engine} {name} column differs"
 
 
 class TestActuator:
     def make(self):
-        cfg = small_config()
-        runner = ScenarioRunner(cfg)
-        return runner.actuator, runner
+        scenario = small()
+        dep = build_deployment(scenario)
+        sim = Simulation()
+        return DeploymentActuator(dep, sim, scenario.control), sim
 
     def test_pq_floor_follows_p_store(self):
         act, _ = self.make()
@@ -260,10 +272,10 @@ class TestActuator:
         assert act.pq == act.deployment.config.p  # clamped to the floor
 
     def test_request_p_schedules_background_steps(self):
-        act, runner = self.make()
+        act, sim = self.make()
         assert act.request_p(act.deployment.config.p + 1)
         assert not act.reconfig_stable
-        runner.sim.run(until=runner.config.drop_seconds + 1.0)
+        sim.run(until=ControlSpec().drop_seconds + 1.0)
         assert act.reconfig_stable
         assert act.p_store == act.deployment.config.p + 1
 

@@ -23,6 +23,7 @@ import repro.core.ids
 import repro.obs.audit
 import repro.obs.manifest
 import repro.obs.profiler
+import repro.scenarios.matrix
 import repro.scenarios.spec
 import repro.telemetry.archive
 import repro.traces.registry
@@ -39,6 +40,7 @@ DOCTEST_MODULES = (
     repro.obs.audit,
     repro.obs.manifest,
     repro.obs.profiler,
+    repro.scenarios.matrix,
     repro.scenarios.spec,
     repro.telemetry.archive,
     repro.traces.registry,

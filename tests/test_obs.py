@@ -496,24 +496,23 @@ class TestScenarioDecisions:
         assert logs["batched"] == logs["reference"]
 
     def test_control_runner_decisions_match_action_goldens(self):
-        """ScenarioRunner's decision log agrees with Controller.actions."""
-        from repro.control.runner import ScenarioConfig, ScenarioRunner
+        """A closed-loop run's decision log agrees with Controller.actions."""
+        from repro.scenarios import control_scenario
+        from repro.scenarios.runner import execute_scenario
 
-        runner = ScenarioRunner(
-            ScenarioConfig(
-                scenario="flash-crowd", n_servers=12, duration=120.0, seed=1
-            )
+        execution = execute_scenario(
+            control_scenario("flash-crowd", n_servers=12, duration=120.0, seed=1)
         )
-        report = runner.run()
-        assert report.decisions is not None
-        acted = [r for r in report.decisions.records() if not r.is_hold]
-        golden = [a for c in runner.controllers for a in c.actions]
+        assert execution.decisions is not None
+        acted = [r for r in execution.decisions.records() if not r.is_hold]
+        golden = [a for c in execution.controllers for a in c.actions]
         golden.sort(key=lambda a: a.time)
+        assert acted, "the closed loop never acted"
         assert [(r.time, r.controller, r.kind, r.detail) for r in acted] == [
             (a.time, a.controller, a.kind, a.detail) for a in golden
         ]
         # every tick (hold or action) carries the inputs it saw
-        for rec in report.decisions.records():
+        for rec in execution.decisions.records():
             if rec.kind != "hold" or rec.detail != "no-signal":
                 assert not math.isnan(rec.p99)
             assert rec.query_index >= 0

@@ -104,7 +104,7 @@ class TestLiveMetricsAdvisor:
 
     def make_snapshot(self, qps):
         from repro.control.metrics import MetricsCollector
-        from repro.sim.tracing import QueryRecord
+        from repro.telemetry.records import QueryRecord
 
         c = MetricsCollector(window=10.0)
         gap = 1.0 / qps

@@ -76,26 +76,15 @@ class TestSpecs:
         assert [s.seed for s in grid] == [0, 1, 2]
         assert grid[0].workload == base.workload
 
-    def test_batch_interval_deprecated_and_ignored(self):
-        from repro.scenarios.spec import UpdateSpec
+    def test_legacy_batch_interval_key_is_dropped(self):
+        # recordings written while UpdateSpec still had the retired
+        # segment-batched runner's batch_interval knob load unchanged
+        from repro.scenarios import scenario_from_dict, scenario_to_dict
 
-        with pytest.warns(DeprecationWarning, match="batch_interval"):
-            spec = UpdateSpec(rate=10.0, batch_interval=1.0)
-        assert spec.rate == 10.0  # construction still succeeds (compat)
-        # the replacement is the exact-time action queue: not passing the
-        # knob is silent, and nothing downstream reads it
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            UpdateSpec(rate=10.0)
-
-    def test_builtin_scenarios_carry_no_batch_interval(self):
-        from repro.scenarios.matrix import builtin_scenarios
-
-        for scenario in builtin_scenarios(n_servers=8, duration=5.0, p=4):
-            if scenario.updates is not None:
-                assert scenario.updates.batch_interval is None
+        scenario = small(updates=UpdateSpec(rate=10.0))
+        legacy = scenario_to_dict(scenario)
+        legacy["updates"]["batch_interval"] = 1.0
+        assert scenario_from_dict(legacy) == scenario
 
 
 class TestWorkloads:
