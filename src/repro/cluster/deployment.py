@@ -280,12 +280,22 @@ class Deployment:
         return worst
 
     # -- queries -------------------------------------------------------------------
-    def run_query(self, now: float, pq: int | None = None) -> Optional[QueryRecord]:
+    def run_query(
+        self, now: float, pq: int | None = None, pick: tuple | None = None
+    ) -> Optional[QueryRecord]:
         """Execute one query end-to-end; returns its timing record.
 
         Returns ``None`` (and counts the query as dropped) when failure
         fall-back cannot re-cover a dead node's range -- the objects are
         unavailable until re-replication.
+
+        *pick* is an Algorithm 1 decision already made on identical state,
+        ``(assignment, start_id, iterations, estimates)``: the node per
+        query point, the start id, and the sweep's work counters.  The
+        front-end adopts it instead of sweeping again
+        (:meth:`~repro.core.frontend.FrontEnd.adopt_schedule`); the
+        batched engine passes its exact kernel's pick when it hands a
+        failure-window query to this path.
         """
         pq = pq or self.config.p
         p_store = self.p_store
@@ -304,7 +314,10 @@ class Deployment:
                 ].busy_until
 
         sched_start = time.perf_counter()
-        qid, plan, _ = self.frontend.schedule_query(now, pq, p_store)
+        if pick is None:
+            qid, plan, _ = self.frontend.schedule_query(now, pq, p_store)
+        else:
+            qid, plan, _ = self.frontend.adopt_schedule(now, *pick, p_store=p_store)
         sched_wall = time.perf_counter() - sched_start
         self.scheduling_wallclock += sched_wall
         self.frontend.reserve(plan, now)
@@ -400,10 +413,11 @@ class Deployment:
         identical to :meth:`run_queries`, orders of magnitude faster; see
         :func:`repro.sim.fastpath.run_queries_fast` and
         ``docs/architecture.md`` for how.  *actions* schedules
-        :class:`~repro.sim.fastpath.Action` callbacks (events, updates,
-        control ticks) to land between two specific queries with exact
-        event-time semantics.  *kernel* selects the scheduling kernel by
-        registry name (default ``exact_numpy``, the bit-exact oracle;
+        :class:`~repro.sim.fastpath.Action` work (callbacks for events
+        and control ticks, object updates as data) to land between two
+        specific queries with exact event-time semantics.  *kernel*
+        selects the scheduling kernel by registry name (default
+        ``exact_numpy``, the bit-exact oracle;
         ``compiled`` fuses sweep and commit into one C call per chunk --
         see :mod:`repro.kernels` and ``docs/kernels.md``).  *profile*
         enables the engine-phase profiler (results stay bit-identical;
@@ -447,20 +461,23 @@ class Deployment:
 
         With replication level ``r = n/p`` an update lands on ~r servers; we
         model it as r fixed-cost tasks on the nodes covering a replication
-        arc starting at *at* (default: uniform random -- scenario workloads
-        pass Zipf-skewed positions to model hot objects).
+        arc starting at *at* in ``[0, 1)`` (default: uniform random --
+        scenario workloads pass Zipf-skewed positions to model hot
+        objects).  The holders are the r alive ring nodes clockwise from
+        *at* (:meth:`~repro.core.ring.Ring.replica_holders`, the rule the
+        batched engine applies on its mirrors too); failed servers among
+        them skip the write.
         """
         r = max(1, round(self.n / self.p_store))
         primary = self.rings[0]
         start = self.rng.random() if at is None else at
-        nodes = primary.alive_nodes()
-        if not nodes:
+        holders = primary.replica_holders(start, r)
+        if not holders:
             return
-        # the r nodes clockwise from the random point
-        ordered = sorted(nodes, key=lambda nd: (nd.start - start) % 1.0)
+        nodes = primary.nodes()
         cost_items = self.config.update_cost  # seconds of server time
-        for node in ordered[:r]:
-            server = self.servers[node.name]
+        for i in holders:
+            server = self.servers[nodes[i].name]
             if not server.failed:
                 server.submit(now, cost_items * server.speed)
         self.ledger.record_update(r)

@@ -184,7 +184,6 @@ class FrontEnd:
         """
         if pq < 1:
             raise ValueError("pq must be >= 1")
-        p_store = float(p_store if p_store is not None else pq)
         estimator = self.make_estimator(now)
         method = self.config.method
         if method == "heap":
@@ -197,7 +196,52 @@ class FrontEnd:
             )
         else:
             raise ValueError(f"unknown scheduling method {method!r}")
+        qid, plan = self.plan_query(result, estimator, p_store)
+        return qid, plan, result
 
+    def adopt_schedule(
+        self,
+        now: float,
+        assignment: Sequence[RingNode],
+        start_id: float,
+        iterations: int,
+        estimates: int,
+        p_store: float | None = None,
+    ) -> tuple[int, QueryPlan, ScheduleResult]:
+        """:meth:`schedule_query` for a decision made elsewhere.
+
+        The batched engine's exact kernels run Algorithm 1 on mirrors of
+        these statistics; when such a query has to fall back to the
+        per-query path, its pick (the nodes per query point, the start id
+        and the sweep's work counters) is adopted here instead of being
+        swept again.  Each node's finish estimate is re-evaluated at
+        *now*, so the plan is the one :meth:`schedule_query` would build.
+        """
+        estimator = self.make_estimator(now)
+        work = 1.0 / len(assignment)
+        finishes = [estimator(node, work) for node in assignment]
+        result = ScheduleResult(
+            start_id=frac(start_id),
+            assignment=list(assignment),
+            finishes=finishes,
+            makespan=max(finishes),
+            iterations=iterations,
+            estimates=estimates,
+        )
+        qid, plan = self.plan_query(result, estimator, p_store)
+        return qid, plan, result
+
+    def plan_query(
+        self,
+        result: ScheduleResult,
+        estimator: Estimator,
+        p_store: float | None = None,
+    ) -> tuple[int, QueryPlan]:
+        """The bookkeeping every scheduled query pays: count the sweep's
+        work, turn the schedule into a plan (range adjustment and splitting
+        per configuration), and issue the query id."""
+        pq = result.p
+        p_store = float(p_store if p_store is not None else pq)
         self.total_iterations += result.iterations
         self.total_estimates += result.estimates
         self.queries_scheduled += 1
@@ -209,7 +253,7 @@ class FrontEnd:
             plan = split_slowest(
                 plan, self.rings, estimator, p_store, max_splits=self.config.max_splits
             )
-        return self.next_query_id(), plan, result
+        return self.next_query_id(), plan
 
     def reserve(self, plan: QueryPlan, now: float) -> None:
         """Record the expected load of a dispatched plan in node stats."""

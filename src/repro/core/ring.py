@@ -12,6 +12,7 @@ its range), and moving range boundaries for load balancing.
 from __future__ import annotations
 
 import bisect
+import itertools
 from typing import Iterable, Iterator, Optional
 
 from .ids import EPS, Arc, cw_distance, frac
@@ -167,6 +168,29 @@ class Ring:
         if idx < 0:
             idx = len(self._nodes) - 1  # wrap: owned by the last node
         return self._nodes[idx]
+
+    def replica_holders(self, point: float, r: int) -> list[int]:
+        """Indices of the first *r* alive nodes clockwise from *point*.
+
+        The replica holders of an object at *point* in ``[0, 1)``: a node
+        whose start equals *point* comes first, then the walk continues
+        clockwise, wrapping past 1.0 and skipping dead nodes.  Fewer than
+        *r* alive nodes yields all of them; an all-dead ring yields none.
+        Bisect plus walk, O(log n + r) on a ring with few dead nodes.
+        Because starts are kept more than ``EPS`` apart, the order equals
+        sorting the alive nodes by ``(start - point) % 1.0``.
+        """
+        if r <= 0:
+            return []
+        nodes = self._nodes
+        i = bisect.bisect_left(self._starts, point)
+        out: list[int] = []
+        for j in itertools.chain(range(i, len(nodes)), range(i)):
+            if nodes[j].alive:
+                out.append(j)
+                if len(out) == r:
+                    break
+        return out
 
     def successor(self, node: RingNode) -> RingNode:
         idx = self.index_of(node)

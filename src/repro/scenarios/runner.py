@@ -15,15 +15,18 @@ Execution has **exact event-time semantics**: every stimulus (event, churn
 tick, control tick, individual update) is compiled to an
 :class:`~repro.sim.fastpath.Action` bound to the precise query index where
 its timestamp falls, and the batched engine fires it *between those two
-queries* with fully materialised deployment state.  A mid-batch update is
-therefore visible to the very next query, at full batch speed.  The
-``engine="reference"`` backend replays the same action schedule
-through the per-query path, so both engines agree on *when* every stimulus
-lands.  Discrete-event work scheduled on the internal
-:class:`~repro.sim.engine.Simulation` (reconfiguration node steps, delayed
-elastic grows) is pumped at every action instant, exactly as often as the
-old boundary scheme and at the same timestamps.  Every random choice derives
-from ``Scenario.seed``; two runs of one scenario are identical.
+queries*: callbacks with fully materialised deployment state, object
+updates (coalesced per index) as data the engine applies on its own
+mirrors.  A mid-batch update is therefore visible to the very next query,
+at full batch speed.  The ``engine="reference"`` backend replays the same
+action schedule through the per-query path, so both engines agree on
+*when* every stimulus lands.  Discrete-event work scheduled on the
+internal :class:`~repro.sim.engine.Simulation` (reconfiguration node
+steps, delayed elastic grows) is pumped at every action instant where it
+can exist: update actions carry the pump callback only when the scenario
+has a control spec or a repartition event, its only sources.  Every
+random choice derives from ``Scenario.seed``; two runs of one scenario
+are identical.
 """
 
 from __future__ import annotations
@@ -409,7 +412,6 @@ def execute_scenario(
     for t_u, pos in update_stream:
         add_entry(t_u, -1, "update", (t_u, pos))
 
-    updates_applied = 0
     current_pq = scenario.pq or scenario.p
     events_applied = 0
 
@@ -497,12 +499,6 @@ def execute_scenario(
             except ValueError:
                 break
 
-    def apply_updates(items) -> None:
-        nonlocal updates_applied
-        for t_u, pos in items:
-            deployment.apply_update(t_u, at=pos)
-            updates_applied += 1
-
     def apply_control(t: float, query_index: int = -1) -> None:
         assert collector is not None
         collector.sample_servers(t, deployment.servers)
@@ -523,6 +519,9 @@ def execute_scenario(
         "fail-rack": "values",
         "set-pq": "busy",
     }
+    # Only the control actuator and event-driven repartitions schedule
+    # simulation work, so only then do update actions carry the pump.
+    pump = ctl is not None or any(e.action == "repartition" for e in scenario.events)
 
     def make_action(t: float, kind: str, payload: object, index: int) -> Action:
         def fire(now: float) -> int:
@@ -531,8 +530,6 @@ def execute_scenario(
                 apply_event(payload, now)
             elif kind == "churn":
                 apply_churn(payload, now)
-            elif kind == "updates":
-                apply_updates(payload)
             elif kind == "control":
                 # the action's own index IS the tick's exact position in
                 # the arrival stream -- it lands in the decision log
@@ -541,12 +538,17 @@ def execute_scenario(
                 admission_controller.tick(now, query_index=index)
             return pq_now()
 
+        if kind == "updates":
+            # object updates are engine data; the pump rides along only
+            # where simulation work can exist
+            if not pump:
+                return Action(index=index, time=t, updates=payload)
+            scope = "membership" if ctl is not None else "busy"
+            return Action(index=index, time=t, fn=fire, scope=scope, updates=payload)
         if ctl is not None:
             scope = "membership"
         elif kind == "event":
             scope = _EVENT_SCOPES.get(payload.action, "membership")
-        elif kind == "updates":
-            scope = "busy"
         elif kind == "admission":
             # mutates controller state only, but the fire() pump can
             # complete an in-flight event-driven repartition (see set-pq)
@@ -701,7 +703,7 @@ def execute_scenario(
         batch=batch_result,
         servers_start=servers_start,
         horizon=horizon,
-        updates_applied=updates_applied,
+        updates_applied=len(update_stream),
         events_applied=events_applied,
         controllers=controllers,
         pq_end=pq_now(),

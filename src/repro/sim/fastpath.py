@@ -53,13 +53,17 @@ the accounting loop (reserve/submit/EWMA).  This module removes that loop:
   (``delay_gated``) stay on the inline per-query loop, where the
   delegation machinery and rng draw order live.
 
-* **Exact-time action queue.**  :class:`Action` schedules a callback to run
-  *between two specific queries* (before ``arrival_times[index]``).  The
-  engine flushes and materialises full object state before each callback --
-  so a mid-batch update, failure, membership change, or control tick sees
-  precisely the state the per-query reference path would have produced, and
-  is visible to the very next query.  This removes the scenario runner's
-  old "updates land at batch boundaries, up to 1 s late" caveat.
+* **Exact-time action queue.**  :class:`Action` schedules work *between
+  two specific queries* (before ``arrival_times[index]``): a callback,
+  object updates given as data, or both.  The engine flushes and
+  materialises full object state before each callback -- so a mid-batch
+  failure, membership change, or control tick sees precisely the state
+  the per-query reference path would have produced, and is visible to
+  the very next query.  Update data needs no materialise: the engine
+  applies each ``(time, position)`` write on its mirrors
+  (:meth:`_Engine._apply_updates`), with the replica-holder rule
+  :meth:`Deployment.apply_update <repro.cluster.deployment.Deployment.
+  apply_update>` uses.
 
 The batched path is only landable because it is *provably the same system*:
 for equal seeds it produces bit-identical per-query server sets, latencies,
@@ -67,7 +71,10 @@ traces, statistics, and scheduler work counters as the per-query reference
 path -- ``tests/test_fastpath.py`` holds that line.  Queries whose schedule
 touches a failed server are delegated, one at a time, to the reference path
 so the (rare, rng-consuming) failure fall-back machinery stays the single
-source of truth.
+source of truth.  An exact kernel's pick for such a query is the decision
+the reference sweep would make, so the engine hands it to the fall-back,
+which then skips its own sweep; an inexact kernel's pick is not handed
+over.
 
 Requires the deployment's front-end to run the default configuration
 (``method="heap"``, no range adjustment, no splitting); other configurations
@@ -131,15 +138,23 @@ ACTION_SCOPES = ("none", "busy", "values", "membership")
 
 @dataclass
 class Action:
-    """A callback scheduled between two specific queries of a batch.
+    """Work scheduled between two specific queries of a batch: a callback,
+    object updates given as data, or both.
 
     Fires immediately before ``arrival_times[index]`` (an index of
-    ``len(arrival_times)`` or beyond fires after the last query).  The
-    engine flushes pending accounting and materialises exact object state
-    first, so ``fn`` observes precisely what the reference path would show
-    at that point in the arrival order.  ``fn`` receives ``time`` and may
-    return an ``int`` to change the partitioning level ``pq`` for
-    subsequent queries (honoured when ``pq_fn`` is not a callable).
+    ``len(arrival_times)`` or beyond fires after the last query).  For a
+    callback the engine flushes pending accounting and materialises exact
+    object state first, so ``fn`` observes precisely what the reference
+    path would show at that point in the arrival order.  ``fn`` receives
+    ``time`` and may return an ``int`` to change the partitioning level
+    ``pq`` for subsequent queries (honoured when ``pq_fn`` is not a
+    callable).
+
+    ``updates`` holds ``(time, position)`` object updates, applied in
+    order after ``fn`` with :meth:`~repro.cluster.deployment.Deployment.
+    apply_update`'s semantics.  The reference path calls that method; the
+    batched engine applies them on its own mirrors, with no materialise
+    and no refresh.
 
     ``scope`` declares what ``fn`` may have mutated so the engine can
     refresh its mirrors minimally:
@@ -155,8 +170,9 @@ class Action:
 
     index: int
     time: float
-    fn: Callable[[float], Optional[int]]
+    fn: Optional[Callable[[float], Optional[int]]] = None
     scope: str = "membership"
+    updates: Sequence[tuple[float, float]] = ()
 
     def __post_init__(self) -> None:
         if self.scope not in ACTION_SCOPES:
@@ -165,6 +181,8 @@ class Action:
             )
         if self.index < 0:
             raise ValueError("action index must be >= 0")
+        if self.fn is None and not self.updates:
+            raise ValueError("an action needs a callback, updates, or both")
 
 
 @dataclass
@@ -297,6 +315,10 @@ class _Engine:
         #: prediction rather than a synced server value.
         self.last_res: Optional[list[tuple[int, float]]] = None
         self.st_sync_pending = False
+        #: the queue shadow as that last fast query left it, snapshotted
+        #: when a data update moves the queues before the sync is written
+        #: (None: ``busy_l`` is still that state).
+        self.st_busy: Optional[list[float]] = None
 
         #: per-pq bulk-commit out buffers (stable objects, so compiled
         #: kernels can cache raw pointers against them for the whole run).
@@ -352,6 +374,13 @@ class _Engine:
         self.om = np.array([s.objects_matched for s in self.servers_flat])
         self.tasks = np.array(
             [s.tasks_run for s in self.servers_flat], dtype=np.int64
+        )
+        # one object update's work and service time per server, in
+        # SimServer.submit's float ops (work = cost * speed)
+        srv_speed = np.array(self.srv_speed_l, dtype=np.float64)
+        self.upd_work = self.cfg.update_cost * srv_speed
+        self.upd_svc = np.array(self.srv_fixed_l, dtype=np.float64) + (
+            self.upd_work / srv_speed
         )
         self.cc = np.array(
             [st.completed for st in self.stats_flat], dtype=np.int64
@@ -618,14 +647,17 @@ class _Engine:
                 st.last_seen = float(self.ls[g])
             self.touched[:] = False
         # NodeStats.busy_until parity: after the last fast query, every node
-        # reads the live server value except that query's reservations,
+        # reads the server value it synced (the queues as they stood
+        # before any later data update) except that query's reservations,
         # which keep the reserve prediction (reference-path behaviour).
         if self.st_sync_pending and self.last_res is not None:
+            synced = self.st_busy if self.st_busy is not None else self.busy_l
             for g, st in enumerate(self.stats_flat):
-                st.busy_until = self.busy_l[g]
+                st.busy_until = synced[g]
             for g, val in self.last_res:
                 self.stats_flat[g].busy_until = val
             self.st_sync_pending = False
+            self.st_busy = None
         if prof is not None:
             prof.end()
 
@@ -634,19 +666,77 @@ class _Engine:
         prof = self.prof
         if prof is not None:
             prof.begin("actions")
-        self._materialise()
-        new_pq = action.fn(action.time)
-        if new_pq is not None:
-            self.pq_override = int(new_pq)
-        if action.scope == "membership":
-            self._build()
-        elif action.scope == "values":
-            self._refresh_values()
-        elif action.scope == "busy":
-            self._refresh_busy()
+        if action.fn is not None:
+            self._materialise()
+            new_pq = action.fn(action.time)
+            if new_pq is not None:
+                self.pq_override = int(new_pq)
+            if action.scope == "membership":
+                self._build()
+            elif action.scope == "values":
+                self._refresh_values()
+            elif action.scope == "busy":
+                self._refresh_busy()
+        if action.updates:
+            self._apply_updates(action.updates)
         self.actions_applied += 1
         if prof is not None:
             prof.end()
+
+    def _apply_updates(self, updates) -> None:
+        """Apply object updates on the mirrors, as
+        :meth:`~repro.cluster.deployment.Deployment.apply_update` does on
+        the objects.
+
+        Each update charges one fixed-cost write to the alive replica
+        holders clockwise from its position
+        (:meth:`~repro.core.ring.Ring.replica_holders`), skipping failed
+        servers: the queue, busy-time, task and object mirrors move in
+        ``SimServer.submit``'s float ops, and ``touched`` hands them to
+        the next materialise.  The pending chunk is flushed first, so
+        per-server sums keep the reference addition order and chunks are
+        cut where they always were.
+        """
+        self._flush()
+        if self.st_sync_pending and self.st_busy is None:
+            self.st_busy = self.busy_l[:]
+        dep = self.dep
+        r = max(1, round(dep.n / dep.p_store))
+        holders_of = self.rings[0].replica_holders
+        failed_l = self.failed_l if self.any_failed else None
+        busy, bt, om, tasks = self.busy, self.bt, self.om, self.tasks
+        upd_svc, upd_work = self.upd_svc, self.upd_work
+        record_update = self.ledger.record_update
+        for t, pos in updates:
+            holders = holders_of(pos, r)
+            if not holders:
+                continue  # an all-dead ring takes no write traffic
+            record_update(r)
+            if failed_l is not None:
+                holders = [g for g in holders if not failed_l[g]]
+                if not holders:
+                    continue
+            # one update's holders are distinct servers, so fancy-indexed
+            # writes give each exactly SimServer.submit's float ops
+            h = np.array(holders, dtype=np.intp)
+            start = busy[h]
+            np.maximum(start, t, out=start)
+            svc = upd_svc[h]
+            finish = start + svc
+            busy[h] = finish
+            bt[h] += svc
+            om[h] += upd_work[h]
+            tasks[h] += 1
+            self.touched[h] = True
+            if self.trace_any:
+                # the rows SimServer.submit appends for a traced server
+                for g, s0, f0 in zip(holders, start.tolist(), finish.tolist()):
+                    server = self.servers_flat[g]
+                    if server.keep_trace:
+                        server.trace.append(
+                            TaskRecord(-1, t, s0, f0, float(upd_work[g]))
+                        )
+        self.busy_l = busy.tolist()
 
     # -- tables ------------------------------------------------------------
     def _table_for(self, pq: int) -> PqEntry:
@@ -819,6 +909,7 @@ class _Engine:
                 zip(bufs.res_g[:rn].tolist(), bufs.res_v[:rn].tolist())
             )
             self.st_sync_pending = True
+            self.st_busy = None
         return span_end
 
     def _close_gate(self, nq: int, n_adm: int, snapshot) -> None:
@@ -1045,7 +1136,7 @@ class _Engine:
 
             # -- failure window: the reference path owns the fall-back -----
             if any_failed and any(failed_l[g] for g in g_list):
-                self._delegate(q_i, now, pq)
+                self._delegate(q_i, now, pq, entry, g_list, start_id)
                 (
                     busy_l,
                     spd_l,
@@ -1100,6 +1191,7 @@ class _Engine:
                 res[g] = (base if base > now else now) + service
             self.last_res = list(res.items())
             self.st_sync_pending = True
+            self.st_busy = None
 
             finish = now
             mw = 0.0
@@ -1177,8 +1269,22 @@ class _Engine:
             prof.end()
         return span_end
 
-    def _delegate(self, q_i: int, now: float, pq: int) -> None:
-        """Route one failure-window query through the reference path."""
+    def _delegate(
+        self,
+        q_i: int,
+        now: float,
+        pq: int,
+        entry: PqEntry,
+        g_list: list[int],
+        start_id: float,
+    ) -> None:
+        """Route one failure-window query through the reference path.
+
+        An exact kernel's pick (*g_list*, *start_id*) is the decision the
+        reference sweep would make on this state, so it is handed over
+        and the reference path does not sweep again; an inexact kernel's
+        pick is not, and the reference path runs its own sweep.
+        """
         prof = self.prof
         if prof is not None:
             prof.begin("delegate")
@@ -1190,7 +1296,16 @@ class _Engine:
                 for name, s in self.servers.items()
                 if s.keep_trace
             }
-        record = self.dep.run_query(now, pq)
+        pick = None
+        if self.kernel.exact:
+            nodes = self.nodes_flat
+            pick = (
+                [nodes[g] for g in g_list],
+                start_id,
+                entry.iterations,
+                entry.estimates,
+            )
+        record = self.dep.run_query(now, pq, pick)
         self.delegated += 1
         self.last_res = None
         self.st_sync_pending = False
@@ -1251,9 +1366,10 @@ def run_queries_fast(
     :class:`Action`.  *kernel* picks the scheduling kernel by registry name
     (or instance); the default ``exact_numpy`` is bit-identical to the
     reference path, others trade exactness or portability for speed (see
-    :mod:`repro.kernels`).  Failure-window queries always delegate to the
-    per-query reference path regardless of kernel, so fall-back semantics
-    stay exact everywhere.
+    :mod:`repro.kernels`).  Failure-window queries delegate to the
+    per-query reference path, so fall-back semantics stay exact
+    everywhere; exact kernels hand their pick to the fall-back, which
+    then does not sweep again, while inexact ones let it sweep.
 
     *profile* enables the engine-phase profiler: pass ``True`` (or a
     :class:`~repro.obs.profiler.PhaseProfiler` to accumulate across runs);
@@ -1352,13 +1468,20 @@ def run_queries_reference(
     actions_applied = 0
     ai = 0
     arr_l = arrivals.tolist()
+
+    def fire(action: Action) -> Optional[int]:
+        new_pq = action.fn(action.time) if action.fn is not None else None
+        for t_u, pos in action.updates:
+            deployment.apply_update(t_u, at=pos)
+        return new_pq
+
     for q_i in range(n_q):
         while ai < len(acts) and acts[ai].index <= q_i:
             if prof is None:
-                new_pq = acts[ai].fn(acts[ai].time)
+                new_pq = fire(acts[ai])
             else:
                 a0 = perf_ns()
-                new_pq = acts[ai].fn(acts[ai].time)
+                new_pq = fire(acts[ai])
                 prof.add_ns("actions", perf_ns() - a0)
             if new_pq is not None:
                 pq_override = int(new_pq)
@@ -1412,10 +1535,10 @@ def run_queries_reference(
             assignments.append(executed)
     while ai < len(acts):
         if prof is None:
-            new_pq = acts[ai].fn(acts[ai].time)
+            new_pq = fire(acts[ai])
         else:
             a0 = perf_ns()
-            new_pq = acts[ai].fn(acts[ai].time)
+            new_pq = fire(acts[ai])
             prof.add_ns("actions", perf_ns() - a0)
         if new_pq is not None:
             pq_override = int(new_pq)

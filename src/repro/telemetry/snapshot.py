@@ -14,8 +14,8 @@ differential tests apply).
 
 Take snapshots at a *materialisation point*: between two queries on the
 per-query path, or from inside a batched-path
-:class:`~repro.sim.fastpath.Action` (the engine materialises exact object
-state before every action fires).  Snapshotting mid-chunk is not
+:class:`~repro.sim.fastpath.Action` callback (the engine materialises exact
+object state before every action callback runs).  Snapshotting mid-chunk is not
 expressible through the public API, so this is not a practical constraint.
 
 Serialisation: scalar/object state goes into a JSON-able ``meta`` dict
@@ -162,7 +162,7 @@ def capture_deployment(deployment) -> Snapshot:
     """Freeze *deployment* into a :class:`Snapshot`.
 
     Call only at a materialisation point (between per-query calls, or from
-    inside a batched-path :class:`~repro.sim.fastpath.Action`): the
+    inside a batched-path :class:`~repro.sim.fastpath.Action` callback): the
     captured object state must be exact, and mid-chunk the engine's
     arrays are ahead of the objects.
     """

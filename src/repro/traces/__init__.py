@@ -28,6 +28,7 @@ from .record import (
     Recording,
     ReplayReport,
     Stimulus,
+    StimulusError,
     is_recording,
     read_recording,
     recording_to_archive,
@@ -67,6 +68,7 @@ __all__ = [
     "Recording",
     "ReplayReport",
     "Stimulus",
+    "StimulusError",
     "is_recording",
     "read_recording",
     "recording_to_archive",

@@ -32,6 +32,7 @@ __all__ = [
     "Recording",
     "ReplayReport",
     "Stimulus",
+    "StimulusError",
     "is_recording",
     "read_recording",
     "recording_to_archive",
@@ -57,6 +58,14 @@ _BASELINE_COLUMNS = (
 )
 
 
+class StimulusError(ValueError):
+    """A malformed stimulus stream; ``column`` names its recording column."""
+
+    def __init__(self, column: str, message: str) -> None:
+        super().__init__(message)
+        self.column = column
+
+
 @dataclass(frozen=True)
 class Stimulus:
     """The drawn stimulus of one execution: what replay re-injects.
@@ -67,6 +76,11 @@ class Stimulus:
     Events, churn and control ticks are *not* stored: they are
     deterministic functions of the scenario (timed schedules plus
     seed-derived RNG), so rebuilding the scenario reproduces them exactly.
+
+    Update times must be finite and non-negative and positions must lie
+    in ``[0, 1)``, as for :class:`~repro.traces.spec.Trace`; anything else
+    raises :class:`StimulusError`.  The stream need not be sorted: a run
+    appends trace-supplied updates after its seed-drawn ones.
     """
 
     arrivals: "np.ndarray"
@@ -75,12 +89,26 @@ class Stimulus:
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.arrivals, dtype=np.float64)
+        ups = tuple((float(t), float(p)) for t, p in self.updates)
+        if ups:
+            times, pos = np.array(ups, dtype=np.float64).T
+            bad = np.flatnonzero(~(np.isfinite(times) & (times >= 0.0)))
+            if bad.size:
+                i = int(bad[0])
+                raise StimulusError(
+                    "stim_update_times",
+                    f"update {i} has time {float(times[i])!r}; update times must be "
+                    "finite and non-negative",
+                )
+            bad = np.flatnonzero(~((pos >= 0.0) & (pos < 1.0)))
+            if bad.size:
+                i = int(bad[0])
+                raise StimulusError(
+                    "stim_update_pos",
+                    f"update {i} has ring position {float(pos[i])!r} outside [0, 1)",
+                )
         object.__setattr__(self, "arrivals", arr)
-        object.__setattr__(
-            self,
-            "updates",
-            tuple((float(t), float(p)) for t, p in self.updates),
-        )
+        object.__setattr__(self, "updates", ups)
 
 
 @dataclass
@@ -195,14 +223,24 @@ def read_recording(path) -> Recording:
             for k in data.files
             if k.startswith("base_")
         }
-    updates = tuple(
-        (float(t), float(p)) for t, p in zip(times.tolist(), pos.tolist())
-    )
-    stimulus = Stimulus(
-        arrivals=arrivals,
-        updates=updates,
-        horizon=float(meta.get("horizon", arrivals[-1] if arrivals.size else 0.0)),
-    )
+    if times.shape != pos.shape:
+        raise ValueError(
+            f"{path}: columns 'stim_update_times' {times.shape} and "
+            f"'stim_update_pos' {pos.shape} disagree; the recording is "
+            "corrupt -- record the run again"
+        )
+    updates = tuple(zip(times.tolist(), pos.tolist()))
+    try:
+        stimulus = Stimulus(
+            arrivals=arrivals,
+            updates=updates,
+            horizon=float(meta.get("horizon", arrivals[-1] if arrivals.size else 0.0)),
+        )
+    except StimulusError as exc:
+        raise ValueError(
+            f"{path}: column {exc.column!r}: {exc}; the recording is corrupt "
+            "-- record the run again"
+        ) from exc
     return Recording(
         meta=meta, stimulus=stimulus, baseline=baseline, path=str(path)
     )

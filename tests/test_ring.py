@@ -1,9 +1,15 @@
 """Tests for the ROAR ring structure (repro.core.ring)."""
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import Ring, RingNode
 from repro.core.ids import Arc
+
+#: the largest double below 1.0 -- the last position an update can take.
+BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 class TestConstruction:
@@ -233,3 +239,76 @@ class TestEdgeCases:
         ring.move_start(node, 0.95)  # node-0's start slides behind 0
         ring.validate()
         assert ring.node_in_charge(0.97) is node
+
+
+def _sorted_holders(ring, point, r):
+    """The replica-holder rule as a full sort: the r alive nodes nearest
+    clockwise from *point*, as ring indices."""
+    ordered = sorted(ring.alive_nodes(), key=lambda nd: (nd.start - point) % 1.0)
+    return [ring.index_of(nd) for nd in ordered[:r]]
+
+
+class TestReplicaHolders:
+    """``Ring.replica_holders`` (bisect + clockwise walk) against the sort."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        starts=st.lists(
+            st.one_of(
+                st.floats(0.0, 1.0, exclude_max=True),
+                st.sampled_from([0.0, BELOW_ONE, 0.5]),
+            ),
+            min_size=1,
+            max_size=24,
+        ),
+        dead=st.lists(st.booleans(), max_size=24),
+        r=st.integers(1, 30),
+        data=st.data(),
+    )
+    def test_matches_the_sort_rule(self, starts, dead, r, data):
+        ring = Ring()
+        for i, s in enumerate(starts):
+            try:
+                ring.add_node(RingNode(f"n{i}", s))
+            except ValueError:
+                pass  # within EPS of a node already placed
+        for node, is_dead in zip(ring.nodes(), dead):
+            node.alive = not is_dead
+        node_starts = [nd.start for nd in ring]
+        point = data.draw(
+            st.one_of(
+                st.floats(0.0, 1.0, exclude_max=True),
+                st.sampled_from([0.0, BELOW_ONE] + node_starts),
+            )
+        )
+        assert ring.replica_holders(point, r) == _sorted_holders(ring, point, r)
+
+    def test_walk_wraps_past_one_and_skips_dead(self):
+        ring = Ring.uniform(8)  # starts 0, .125, ..., .875
+        ring.get("node-0").alive = False
+        assert ring.replica_holders(0.8, 3) == [7, 1, 2]
+        assert ring.replica_holders(0.875, 2) == [7, 1]  # exact start first
+        assert ring.replica_holders(BELOW_ONE, 2) == [1, 2]
+
+    def test_r_at_least_the_alive_count_returns_every_alive_node(self):
+        ring = Ring.uniform(5)
+        ring.get("node-3").alive = False
+        assert ring.replica_holders(0.5, 4) == [4, 0, 1, 2]
+        assert ring.replica_holders(0.5, 50) == [4, 0, 1, 2]
+
+    def test_all_dead_ring_has_no_holders(self):
+        ring = Ring.uniform(4)
+        for node in ring:
+            node.alive = False
+        assert ring.replica_holders(0.3, 2) == []
+        assert Ring().replica_holders(0.3, 2) == []
+
+    def test_all_dead_deployment_takes_no_update_traffic(self):
+        from repro.cluster import Deployment, DeploymentConfig, hen_testbed
+
+        dep = Deployment(DeploymentConfig(models=hen_testbed(6), p=3, seed=1))
+        for name in list(dep.servers):
+            dep.fail_node(name, 0.0)
+        dep.apply_update(1.0, at=0.4)
+        assert dep.ledger.update_messages == 0
+        assert all(s.tasks_run == 0 for s in dep.servers.values())

@@ -278,6 +278,59 @@ class TestArchiveAndRecordingLoaders:
         assert np.array_equal(trace.arrivals, np.sort(rec.stimulus.arrivals))
         assert len(trace.updates) == len(rec.stimulus.updates) > 0
 
+    @pytest.mark.parametrize(
+        "column, value",
+        [
+            ("stim_update_times", np.nan),
+            ("stim_update_times", -1.0),
+            ("stim_update_times", np.inf),
+            ("stim_update_pos", 1.0),
+            ("stim_update_pos", -0.25),
+            ("stim_update_pos", np.nan),
+        ],
+    )
+    def test_corrupted_update_stream_names_file_and_column(
+        self, tmp_path, column, value
+    ):
+        rec_path = str(tmp_path / "run.rec.npz")
+        execute_scenario(small(seed=7, updates=UpdateSpec(rate=4.0)), record_path=rec_path)
+        with np.load(rec_path) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays[column] = arrays[column].copy()
+        arrays[column][3] = value
+        bad_path = str(tmp_path / "corrupt.rec.npz")
+        np.savez_compressed(bad_path, **arrays)
+        with pytest.raises(ValueError, match="corrupt") as info:
+            read_recording(bad_path)
+        assert bad_path in str(info.value) and column in str(info.value)
+
+    def test_stimulus_checks_its_update_stream(self):
+        from repro.traces.record import Stimulus, StimulusError
+
+        ok = Stimulus(arrivals=[0.5], updates=[(2.0, 0.5), (1.0, 0.0)])
+        assert ok.updates == ((2.0, 0.5), (1.0, 0.0))  # order is kept as given
+        for bad, column in (
+            ((float("nan"), 0.5), "stim_update_times"),
+            ((-1.0, 0.5), "stim_update_times"),
+            ((1.0, 1.0), "stim_update_pos"),
+            ((1.0, 1.5), "stim_update_pos"),
+        ):
+            with pytest.raises(StimulusError) as info:
+                Stimulus(arrivals=[0.5], updates=[(0.2, 0.1), bad])
+            assert info.value.column == column
+            assert "update 1" in str(info.value)
+
+    def test_mismatched_update_columns_are_refused(self, tmp_path):
+        rec_path = str(tmp_path / "run.rec.npz")
+        execute_scenario(small(seed=7, updates=UpdateSpec(rate=4.0)), record_path=rec_path)
+        with np.load(rec_path) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays["stim_update_pos"] = arrays["stim_update_pos"][:-1]
+        bad_path = str(tmp_path / "short.rec.npz")
+        np.savez_compressed(bad_path, **arrays)
+        with pytest.raises(ValueError, match="disagree"):
+            read_recording(bad_path)
+
     def test_is_recording_rejects_plain_archives(self, tmp_path):
         from repro.telemetry.archive import write_archive
 

@@ -1,0 +1,407 @@
+"""Object updates as engine data, and delegations that reuse the kernel's pick.
+
+An :class:`~repro.sim.fastpath.Action` may carry ``(time, position)``
+object updates as data.  The reference path applies them through
+:meth:`Deployment.apply_update`; the batched engine applies them on its
+own mirrors.  The two must leave the same bytes behind.  Compared: the
+``BatchResult`` arrays and counts, the wall-free telemetry columns, every
+rng state, and the full deployment state -- server queues, busy time,
+task and object counters, traces in order, every ``NodeStats`` field
+(``busy_until`` included), the front-end work counters and the ledger.
+
+Paths: the reference engine, the batched engine with ``exact_numpy`` on
+its inline loop and on the python bulk seam, and with ``compiled``; a
+subprocess repeats the battery with ``REPRO_NO_COMPILED_KERNEL=1``.
+
+Mechanism checks, each with a monkeypatch that raises or counts: data
+updates never reach ``Deployment.apply_update`` or ``_refresh_busy`` on
+the batched engine, and exact kernels hand their failure-window picks to
+the reference path, which then never calls ``FrontEnd.schedule_query``.
+"""
+
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+np = pytest.importorskip("numpy")
+
+from repro.cluster import Deployment, DeploymentConfig, hen_testbed
+from repro.core.frontend import FrontEnd
+from repro.kernels.compiled import compiled_available
+from repro.sim import PoissonArrivals, fastpath
+from repro.sim.fastpath import Action, run_queries_reference
+from repro.telemetry.archive import collect_columns
+
+PATHS = ["reference", "inline", "python_seam", "compiled"]
+
+#: the largest double below 1.0 -- the last position an update can take.
+BELOW_ONE = math.nextafter(1.0, 0.0)
+
+
+def _deployment(n=12, p=4, seed=5, n_rings=1, trace="all"):
+    dep = Deployment(
+        DeploymentConfig(
+            models=hen_testbed(n),
+            p=p,
+            n_rings=n_rings,
+            dataset_size=2e6,
+            seed=seed,
+            charge_scheduling=False,
+        )
+    )
+    for i, server in enumerate(dep.servers.values()):
+        server.keep_trace = trace == "all" or (trace == "some" and i % 3 == 0)
+    return dep
+
+
+def _updates(arrivals, index, count, rng, lo=0.0, hi=1.0):
+    """*count* updates timed between queries ``index - 1`` and ``index``."""
+    t0 = arrivals[index - 1] if index > 0 else 0.0
+    t1 = arrivals[index] if index < len(arrivals) else t0 + 1.0
+    times = sorted(t0 + (t1 - t0) * rng.random() for _ in range(count))
+    return [(t, min(lo + (hi - lo) * rng.random(), BELOW_ONE)) for t in times]
+
+
+def _case(name):
+    """(deployment kwargs, pq, arrivals, plan) for one named case.
+
+    A plan row is ``(index, callback kind, server names, updates)``; the
+    callback kind is None for a data-only action.
+    """
+    rng = np.random.default_rng(sum(map(ord, name)))
+    n_q = 240
+    arrivals = PoissonArrivals(40.0, seed=len(name)).times(n_q)
+    dep_kw: dict = {}
+    pq = 4
+    plan = []
+    every = range(3, n_q, 3)
+    if name == "failure-window":
+        plan = [(i, None, (), _updates(arrivals, i, 2, rng)) for i in every]
+        plan.append((60, "fail", ("node-3", "node-7"), ()))
+        plan.append((150, "recover", ("node-3", "node-7"), ()))
+    elif name == "wrap":
+        plan = [(i, None, (), _updates(arrivals, i, 2, rng, 0.9, 1.0)) for i in every]
+        plan += [(i, None, (), [(arrivals[i - 1], v)]) for i, v in
+                 ((40, 0.0), (80, BELOW_ONE), (120, 11 / 12))]
+    elif name == "r-over-alive":
+        # p=1: every update is charged to r = n holders, more than are alive
+        dep_kw = {"n": 10, "p": 1}
+        pq = 1
+        plan = [(i, None, (), _updates(arrivals, i, 1, rng)) for i in every]
+        plan.append((90, "fail", ("node-2", "node-5"), ()))
+    elif name == "coalesced":
+        plan = [(i, None, (), _updates(arrivals, i, 6, rng)) for i in range(5, n_q, 7)]
+    elif name == "edges":
+        plan = [
+            (0, None, (), _updates(arrivals, 0, 3, rng)),
+            (n_q, None, (), _updates(arrivals, n_q, 3, rng)),
+            (n_q + 5, None, (), _updates(arrivals, n_q, 2, rng)),
+        ]
+    elif name == "after-fast-query":
+        # lone updates after long fast spans, the last one after the
+        # final query: NodeStats.busy_until must keep the synced queues
+        plan = [(i, None, (), _updates(arrivals, i, 1, rng)) for i in (100, 200, n_q)]
+    elif name == "keep-trace-some":
+        dep_kw = {"trace": "some"}
+        plan = [(i, None, (), _updates(arrivals, i, 2, rng)) for i in every]
+        plan.append((70, "fail", ("node-4",), ()))
+    elif name == "multi-ring":
+        dep_kw = {"n_rings": 2}
+        plan = [(i, None, (), _updates(arrivals, i, 2, rng)) for i in every]
+    elif name == "callback-and-data":
+        # a callback that itself writes, then data updates in one action
+        plan = [(i, "write", (), _updates(arrivals, i, 2, rng)) for i in range(4, n_q, 9)]
+        plan += [(i, None, (), _updates(arrivals, i, 1, rng)) for i in range(6, n_q, 9)]
+    else:  # pragma: no cover
+        raise KeyError(name)
+    return dep_kw, pq, arrivals, plan
+
+
+CASES = [
+    "failure-window",
+    "wrap",
+    "r-over-alive",
+    "coalesced",
+    "edges",
+    "after-fast-query",
+    "keep-trace-some",
+    "multi-ring",
+    "callback-and-data",
+]
+
+
+def _actions(dep, arrivals, plan):
+    def fail(now, names):
+        for name in names:
+            dep.fail_node(name, now)
+
+    def recover(now, names):
+        for name in names:
+            dep.recover_node(name, now)
+
+    def write(now, names):
+        dep.apply_update(now, at=0.25)
+
+    kinds = {"fail": (fail, "values"), "recover": (recover, "values"), "write": (write, "busy")}
+    acts = []
+    for index, kind, names, updates in plan:
+        t = updates[0][0] if updates else arrivals[index - 1]
+        fn, scope = None, "membership"
+        if kind is not None:
+            body, scope = kinds[kind]
+            fn = lambda now, body=body, names=names: body(now, names)  # noqa: E731
+        acts.append(Action(index, t, fn, scope, updates=tuple(updates)))
+    return acts
+
+
+def _fingerprint(dep, res):
+    fe = dep.frontend
+    return {
+        "result": (
+            res.latencies.tobytes(),
+            res.finishes.tobytes(),
+            res.query_ids.tobytes(),
+            res.pqs.tobytes(),
+            res.completed,
+            res.dropped,
+            res.actions_applied,
+        ),
+        "columns": {
+            k: v.tobytes() for k, v in collect_columns(dep, wall_columns=False).items()
+        },
+        "rng": (dep.rng.getstate(), dep.network.rng.getstate(), fe.rng.getstate()),
+        "servers": {
+            name: (
+                tuple(s._lane_busy_until),
+                s.busy_time,
+                s.tasks_run,
+                s.objects_matched,
+                s.failed,
+                [(t.query_id, t.arrival, t.start, t.finish, t.work) for t in s.trace],
+            )
+            for name, s in dep.servers.items()
+        },
+        "stats": {
+            name: (st.speed_estimate, st.busy_until, st.last_seen, st.outstanding, st.completed)
+            for name, st in fe.stats.items()
+        },
+        "frontend": (
+            fe.total_iterations,
+            fe.total_estimates,
+            fe.queries_scheduled,
+            fe._query_counter,
+        ),
+        "ledger": dep.ledger,
+        "dropped": dep.log.dropped,
+    }
+
+
+def run_path(path, name, profile=None):
+    """One run of case *name* on *path*: ``(fingerprint, result)``."""
+    dep_kw, pq, arrivals, plan = _case(name)
+    dep = _deployment(**dep_kw)
+    acts = _actions(dep, arrivals, plan)
+    if path == "reference":
+        res = run_queries_reference(dep, arrivals, pq, actions=acts)
+    else:
+        saved = fastpath.BULK_MIN_SPAN
+        fastpath.BULK_MIN_SPAN = 0 if path == "python_seam" else saved
+        try:
+            res = dep.run_queries_fast(
+                arrivals,
+                pq,
+                actions=acts,
+                kernel="compiled" if path == "compiled" else "exact_numpy",
+                profile=profile,
+            )
+        finally:
+            fastpath.BULK_MIN_SPAN = saved
+    return _fingerprint(dep, res), res
+
+
+def _paths():
+    return [p for p in PATHS if p != "compiled" or compiled_available()]
+
+
+class TestDataUpdatesMatchTheReference:
+    @pytest.mark.parametrize("name", CASES)
+    def test_every_path_leaves_the_same_bytes(self, name):
+        base, ref = run_path("reference", name)
+        assert ref.actions_applied == len(_case(name)[3])
+        for path in _paths()[1:]:
+            got, res = run_path(path, name)
+            for key in base:
+                assert got[key] == base[key], (path, key)
+            assert res.fast_scheduled > 0, path
+
+    def test_failed_server_on_an_alive_node_skips_the_write(self):
+        ups = tuple((0.1 * k, (0.13 * k) % 1.0) for k in range(1, 40))
+        prints = []
+        for path in _paths():
+            dep = _deployment(n=8)
+            dep.servers["node-2"].fail()  # the server only: its node stays alive
+            acts = [Action(0, 0.1, updates=ups[:15]), Action(0, 2.0, updates=ups[15:])]
+            if path == "reference":
+                res = run_queries_reference(dep, [], 4, actions=acts)
+            else:
+                kernel = "compiled" if path == "compiled" else "exact_numpy"
+                res = dep.run_queries_fast([], 4, actions=acts, kernel=kernel)
+            prints.append(_fingerprint(dep, res))
+        assert all(p == prints[0] for p in prints[1:])
+        tasks = {name: s[2] for name, s in prints[0]["servers"].items()}
+        assert tasks["node-2"] == 0 and tasks["node-1"] > 0
+
+    def test_cases_reach_what_they_name(self):
+        _, res = run_path("inline", "failure-window")
+        assert res.delegated > 0
+        fp, res = run_path("inline", "r-over-alive")
+        assert res.delegated > 0
+        # every alive server took every update: r = n exceeds the alive count
+        tasks = {name: s[2] for name, s in fp["servers"].items()}
+        assert tasks["node-2"] < tasks["node-0"]
+        fp, _ = run_path("inline", "keep-trace-some")
+        traced = [s[5] for s in fp["servers"].values()]
+        assert any(traced) and not all(traced)
+        assert any(t[0] == -1 for rows in traced for t in rows)
+
+    def test_profiled_run_is_identical_and_adds_no_phase(self):
+        from repro.obs.profiler import PHASES
+
+        plain, _ = run_path("inline", "coalesced")
+        profiled, res = run_path("inline", "coalesced", profile=True)
+        assert profiled == plain
+        assert "actions" in res.profile.totals_ns
+        assert set(res.profile.totals_ns) <= set(PHASES)
+
+    def test_no_compiled_kernel_subprocess(self):
+        code = """
+import sys
+sys.path.insert(0, "tests")
+import test_update_seam as t
+from repro.kernels.compiled import compiled_available
+
+assert not compiled_available()
+for name in t.CASES:
+    base, _ = t.run_path("reference", name)
+    for path in ("inline", "python_seam"):
+        assert t.run_path(path, name)[0] == base, (name, path)
+print("update-seam-fallback-ok")
+"""
+        env = {
+            "REPRO_NO_COMPILED_KERNEL": "1",
+            "PYTHONPATH": "src",
+            "PATH": os.environ.get("PATH", "/usr/bin:/bin"),
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, timeout=300,
+            cwd=Path(__file__).resolve().parents[1], env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "update-seam-fallback-ok" in proc.stdout
+
+
+class TestMechanism:
+    def test_data_updates_never_touch_objects_or_refresh(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("called on a data-update-only run")
+
+        monkeypatch.setattr(Deployment, "apply_update", boom)
+        monkeypatch.setattr(fastpath._Engine, "_refresh_busy", boom)
+        for path in _paths()[1:]:
+            _, res = run_path(path, "coalesced")
+            assert res.actions_applied > 0
+
+    @pytest.mark.parametrize("kernel", ["exact_numpy", "compiled", "approx_topk"])
+    def test_exact_kernels_hand_their_pick_to_the_fall_back(self, monkeypatch, kernel):
+        if kernel == "compiled" and not compiled_available():
+            pytest.skip("compiled kernel unavailable")
+        sweeps = []
+        original = FrontEnd.schedule_query
+
+        def counting(self, *args, **kwargs):
+            sweeps.append(args[0])
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(FrontEnd, "schedule_query", counting)
+        dep = _deployment(n=10, seed=3)
+        arrivals = PoissonArrivals(30.0, seed=13).times(200)
+        t_fail = arrivals[59]
+        acts = [
+            Action(60, t_fail, lambda now: dep.fail_node("node-4", now), "values"),
+        ]
+        res = dep.run_queries_fast(arrivals, 4, actions=acts, kernel=kernel)
+        assert res.delegated > 0
+        if kernel == "approx_topk":
+            assert len(sweeps) == res.delegated
+        else:
+            assert sweeps == []
+
+
+class TestPumpOnlyWhereSimulationWorkExists:
+    def _scenario(self, control):
+        from repro.scenarios import ControlSpec, Scenario, UpdateSpec, WorkloadSpec
+
+        return Scenario(
+            name="pump",
+            n_servers=10,
+            p=3,
+            dataset_size=1e6,
+            seed=7,
+            workload=WorkloadSpec(
+                kind="flash-crowd", rate=30.0, duration=30.0, surge_factor=6.0
+            ),
+            updates=UpdateSpec(rate=60.0, zipf_s=1.2, hotspots=6),
+            control=(
+                ControlSpec(policies=("elasticity",), slo_p99=0.15, interval=2.0)
+                if control
+                else None
+            ),
+        )
+
+    def _pumps(self, monkeypatch, scenario, engine, kernel=None):
+        from repro.scenarios.runner import execute_scenario
+        from repro.sim.engine import Simulation
+
+        instants = []
+        original = Simulation.run
+
+        def counting(self, until=None, max_events=None):
+            instants.append(until)
+            return original(self, until=until, max_events=max_events)
+
+        with monkeypatch.context() as m:
+            m.setattr(Simulation, "run", counting)
+            ex = execute_scenario(scenario, engine=engine, kernel=kernel)
+        return ex, instants
+
+    def test_control_run_keeps_the_pump_and_matches_the_reference(self, monkeypatch):
+        scenario = self._scenario(control=True)
+        ref, ref_pumps = self._pumps(monkeypatch, scenario, "reference")
+        assert ref.updates_applied > 100
+        assert sum(len(c.actions) for c in ref.controllers) > 0
+        # one pump per action (update actions included) plus the final drain
+        assert len(ref_pumps) == ref.batch.actions_applied + 1
+        base = collect_columns(ref.deployment, wall_columns=False)
+        kernels = ["exact_numpy"] + (["compiled"] if compiled_available() else [])
+        for kernel in kernels:
+            ex, pumps = self._pumps(monkeypatch, scenario, "batched", kernel)
+            assert pumps == ref_pumps, kernel
+            assert ex.updates_applied == ref.updates_applied
+            got = collect_columns(ex.deployment, wall_columns=False)
+            assert got.keys() == base.keys()
+            for key in base:
+                assert got[key].tobytes() == base[key].tobytes(), (kernel, key)
+            for col, values in ref.decisions.columns().items():
+                assert ex.decisions.columns()[col].tobytes() == values.tobytes()
+
+    def test_update_actions_carry_no_pump_without_simulation_work(self, monkeypatch):
+        scenario = self._scenario(control=False)
+        ex, pumps = self._pumps(monkeypatch, scenario, "batched", "exact_numpy")
+        assert ex.updates_applied > 100
+        assert ex.batch.actions_applied > 0
+        assert pumps == [ex.horizon]  # only the final drain
