@@ -66,28 +66,13 @@ class KernelPack:
     into a single C-contiguous ``(n_rings, pq, n_configs)`` int64 block of
     ring-local node indices, ``evaluated_u8`` is the heap-evaluation mask
     as bytes, and ``config_start_id`` aliases the table's candidate start
-    ids.
-
-    The ``ev_*`` arrays are the *differential* encoding of the same
-    timelines: the owner of a (ring, point) chain is piecewise-constant
-    along the config axis (exactly one chain crosses a boundary per sweep
-    event), so configuration ``c`` differs from ``c - 1`` by the owner
-    changes listed in ``ev_ring/ev_point/ev_owner[ev_offsets[c] :
-    ev_offsets[c + 1]]``.  An incremental kernel walks configs updating a
-    register-resident point set in O(total events) instead of gathering
-    the full ``(pq, n_configs)`` timeline per query -- the representation
-    behind the compiled kernel's speedup.  Built lazily by
-    :meth:`CoverTable.kernel_pack` and cached on the table, so pure-python
-    users never pay for it.
+    ids.  Built lazily by :meth:`CoverTable.kernel_pack` and cached on the
+    table, so pure-python users never pay for it.
     """
 
     owner_stack: "np.ndarray"
     evaluated_u8: "np.ndarray"
     config_start_id: "np.ndarray"
-    ev_offsets: "np.ndarray"  # (n_configs + 1,) int64, config -> event span
-    ev_ring: "np.ndarray"  # (n_events,) int64
-    ev_point: "np.ndarray"  # (n_events,) int64
-    ev_owner: "np.ndarray"  # (n_events,) int64, ring-local new owner
 
 
 @dataclass
@@ -218,40 +203,16 @@ class CoverTable:
         """Contiguous array views for compiled kernels (lazy, cached)."""
         pack = getattr(self, "_kernel_pack", None)
         if pack is None:
-            owner_stack = np.ascontiguousarray(
-                np.stack(
-                    [rt.owner_timeline for rt in self.ring_tables], axis=0
-                ).astype(np.int64, copy=False)
-            )
-            # differential encoding: owner changes between consecutive
-            # configs, grouped by the config they take effect at
-            n_configs = owner_stack.shape[2]
-            if n_configs > 1:
-                ev_r, ev_p, ev_c = np.nonzero(
-                    owner_stack[:, :, 1:] != owner_stack[:, :, :-1]
-                )
-                ev_c = ev_c + 1  # change takes effect at config c
-                order = np.argsort(ev_c, kind="stable")
-                ev_r = ev_r[order]
-                ev_p = ev_p[order]
-                ev_c = ev_c[order]
-                ev_owner = owner_stack[ev_r, ev_p, ev_c]
-                counts = np.bincount(ev_c, minlength=n_configs)
-            else:
-                ev_r = ev_p = ev_owner = np.zeros(0, dtype=np.int64)
-                counts = np.zeros(n_configs, dtype=np.int64)
-            ev_offsets = np.zeros(n_configs + 1, dtype=np.int64)
-            np.cumsum(counts, out=ev_offsets[1:])
             pack = KernelPack(
-                owner_stack=owner_stack,
+                owner_stack=np.ascontiguousarray(
+                    np.stack(
+                        [rt.owner_timeline for rt in self.ring_tables], axis=0
+                    ).astype(np.int64, copy=False)
+                ),
                 evaluated_u8=np.ascontiguousarray(
                     self.evaluated.astype(np.uint8)
                 ),
                 config_start_id=np.ascontiguousarray(self.config_start_id),
-                ev_offsets=ev_offsets,
-                ev_ring=np.ascontiguousarray(ev_r.astype(np.int64)),
-                ev_point=np.ascontiguousarray(ev_p.astype(np.int64)),
-                ev_owner=np.ascontiguousarray(ev_owner.astype(np.int64)),
             )
             self._kernel_pack = pack
         return pack

@@ -2,12 +2,14 @@
 
 ``csrc/sweep.c`` replicates the exact oracle's float arithmetic in C --
 estimate evaluation, the owner-timeline sweep, and the final assignment --
-fused into a single pass with no temporaries.  The win is not asymptotic
-(the work is the same O(n + pq * n_configs)) but constant-factor: the
-oracle pays ~10 numpy dispatches plus temporary allocation per query,
-which dominates at the few-thousand-element sizes a per-query sweep runs
-at.  Target: >= 2x on the sweep at the 1k-server configuration
-(``repro bench`` reports per-kernel sweep columns; CI uploads them).
+fused into a single pass with no temporaries.  The oracle gathers all
+``pq * n_rings`` estimates of every configuration through ~10 numpy
+dispatches per query; the C sweep keeps a *witness* point whose value
+already rules the current best out, so most configurations cost one
+estimate per ring and the pass does O(n_rings * n_configs) work in the
+common case (``docs/kernels.md`` has the exactness argument).  Target:
+>= 2x on the sweep at the 1k-server configuration (``repro bench``
+reports per-kernel sweep columns; CI uploads them).
 
 Build story: the C source has **no Python.h dependency**, so it needs only
 a C compiler, not Python headers.  On first use it is compiled with the
@@ -56,7 +58,7 @@ __all__ = [
 ]
 
 _SOURCE = Path(__file__).with_name("csrc") / "sweep.c"
-_ABI_VERSION = 3
+_ABI_VERSION = 4
 
 #: memoised library handle / failure reason (one build attempt per process).
 _lib: Optional[ctypes.CDLL] = None
@@ -210,12 +212,6 @@ class _SweepArgs(ctypes.Structure):
         ("config_start_id", ctypes.c_void_p),
         ("offs", ctypes.c_void_p),
         ("starts_flat", ctypes.c_void_p),
-        ("ev_offsets", ctypes.c_void_p),
-        ("ev_ring", ctypes.c_void_p),
-        ("ev_point", ctypes.c_void_p),
-        ("ev_owner", ctypes.c_void_p),
-        ("cur", ctypes.c_void_p),
-        ("owner_cur", ctypes.c_void_p),
         ("g_out", ctypes.c_void_p),
         ("pts_out", ctypes.c_void_p),
         ("start_id_out", ctypes.c_void_p),
@@ -306,9 +302,6 @@ def _sweep_struct(
     lo = np.asarray(state.ring_lo, dtype=np.int64)
     hi = np.asarray(state.ring_hi, dtype=np.int64)
     offs = np.asarray(entry.offs, dtype=np.float64)
-    pq = len(entry.offs)
-    cur = np.empty(pq, dtype=np.float64)
-    owner_cur = np.empty(state.n_rings * pq, dtype=np.int64)
     args = _SweepArgs(
         busy=state.busy.ctypes.data,
         q_over_s=entry.Q.ctypes.data,
@@ -318,23 +311,17 @@ def _sweep_struct(
         ring_lo=lo.ctypes.data,
         ring_hi=hi.ctypes.data,
         n_rings=state.n_rings,
-        pq=pq,
+        pq=len(entry.offs),
         n_configs=entry.n_configs,
         evaluated=pack.evaluated_u8.ctypes.data,
         config_start_id=pack.config_start_id.ctypes.data,
         offs=offs.ctypes.data,
         starts_flat=starts_flat.ctypes.data,
-        ev_offsets=pack.ev_offsets.ctypes.data,
-        ev_ring=pack.ev_ring.ctypes.data,
-        ev_point=pack.ev_point.ctypes.data,
-        ev_owner=pack.ev_owner.ctypes.data,
-        cur=cur.ctypes.data,
-        owner_cur=owner_cur.ctypes.data,
         g_out=g_buf.ctypes.data,
         pts_out=pts_buf.ctypes.data,
         start_id_out=sid_buf.ctypes.data,
     )
-    holds = (lo, hi, offs, pack, starts_flat, cur, owner_cur, state)
+    holds = (lo, hi, offs, pack, starts_flat, state)
     return args, holds
 
 

@@ -2,10 +2,11 @@
  * plus the fused per-chunk commit stage.
  *
  * roar_sweep_select replaces the engine's per-query scheduling block --
- * estimate evaluation, the owner-timeline sweep (gather / min across
- * rings / max across points / first-wins argmin across evaluated
- * configurations), and the final assignment re-derivation by binary
- * search.  roar_commit_batch goes further: it consumes a whole chunk of
+ * estimate evaluation, the owner-timeline sweep (min across rings / max
+ * across points / first strict minimum across evaluated configurations,
+ * pruned by a witness point so most configurations cost one estimate per
+ * ring), and the final assignment re-derivation by binary search.
+ * roar_commit_batch goes further: it consumes a whole chunk of
  * queries per call, running the sweep AND the closed-form commit for
  * each -- sub-query widths, the front-end reserve, queue submit, EWMA
  * speed observation, and the q_over_s write-through -- against the live
@@ -22,11 +23,12 @@
  * (see repro/kernels/compiled.py), which is what lets `repro[fast]`
  * degrade gracefully to the pure-python oracle when no toolchain exists.
  *
- * ABI notes: `owners` is the (n_rings, pq, n_configs) C-contiguous owner
- * timeline of ring-LOCAL node indices; `ring_lo[r]` maps them to global
- * server indices (the order of `busy` / `q_over_s` / `starts_flat`).
- * `starts_flat` holds each ring's sorted node start positions in that
- * same global order.  All int buffers are int64 (numpy intp on LP64).
+ * ABI notes (revision 4): `owners` is the (n_rings, pq, n_configs)
+ * C-contiguous owner timeline of ring-LOCAL node indices; `ring_lo[r]`
+ * maps them to global server indices (the order of `busy` / `q_over_s` /
+ * `starts_flat`).  `starts_flat` holds each ring's sorted node start
+ * positions in that same global order.  All int buffers are int64 (numpy
+ * intp on LP64).
  */
 
 #include <math.h>
@@ -35,8 +37,8 @@
 
 /* The reference estimator: (max(busy - now, 0) + fixed) + work*d/speed.
  * A pure function of per-server state, evaluated lazily at gather sites:
- * the sweep touches each server O(1) times (init + its events), so
- * computing on demand beats materialising all n estimates up front. */
+ * the pruned sweep reads about one estimate per ring per configuration,
+ * so computing on demand beats materialising all n estimates up front. */
 static inline double est_of(
     const double *busy, const double *q_over_s, double now, double fe_fixed,
     int64_t i)
@@ -64,7 +66,7 @@ static int64_t upper_bound(const double *a, int64_t len, double v) {
 
 /* All per-query-invariant inputs, filled once per (state, entry) pair by
  * the ctypes driver; per query the foreign call then marshals just two
- * arguments (block pointer + now), which matters at ~8 us/sweep. */
+ * arguments (block pointer + now), which matters at a few us/sweep. */
 typedef struct {
     const double *busy;            /* [n] live queue mirror                */
     const double *q_over_s;        /* [n] work*dataset/speed_estimate      */
@@ -80,24 +82,37 @@ typedef struct {
     const double *config_start_id; /* [n_configs] candidate start ids      */
     const double *offs;            /* [pq] query point offsets i/pq        */
     const double *starts_flat;     /* [n] node starts, global order        */
-    const int64_t *ev_offsets;     /* [n_configs+1] config -> event span   */
-    const int64_t *ev_ring;        /* [n_events] differential encoding of  */
-    const int64_t *ev_point;       /* [n_events] the owner timelines (see  */
-    const int64_t *ev_owner;       /* [n_events] KernelPack)               */
-    double *cur;                   /* [pq] scratch: current point values   */
-    int64_t *owner_cur;            /* [n_rings*pq] scratch: current owners */
     int64_t *g_out;                /* [pq] out: global server indices      */
     double *pts_out;               /* [pq] out: query points               */
     double *start_id_out;          /* [1]  out: chosen start id            */
 } roar_sweep_args;
+
+/* Point p's value at config c: the min estimate across rings of its
+ * owners, ring 0 first and replaced only on a strict `<` (the gather's
+ * order, so even signed-zero ties resolve as before). */
+static inline double point_value(const roar_sweep_args *a, double now,
+                                 int64_t p, int64_t c)
+{
+    const int64_t ring_stride = a->pq * a->n_configs;
+    const int64_t *o = a->owners + p * a->n_configs + c;
+    double f = est_of(a->busy, a->q_over_s, now, a->fe_fixed,
+                      a->ring_lo[0] + o[0]);
+    int64_t r;
+    for (r = 1; r < a->n_rings; r++) {
+        const double v = est_of(a->busy, a->q_over_s, now, a->fe_fixed,
+                                a->ring_lo[r] + o[r * ring_stride]);
+        if (v < f) {
+            f = v;
+        }
+    }
+    return f;
+}
 
 int64_t roar_sweep_select(const roar_sweep_args *a, double now)
 {
     const double *busy = a->busy;
     const double *q_over_s = a->q_over_s;
     const double fe_fixed = a->fe_fixed;
-    const int64_t n = a->n;
-    const int64_t *owners = a->owners;
     const int64_t *ring_lo = a->ring_lo;
     const int64_t *ring_hi = a->ring_hi;
     const int64_t n_rings = a->n_rings;
@@ -110,83 +125,56 @@ int64_t roar_sweep_select(const roar_sweep_args *a, double now)
     int64_t *g_out = a->g_out;
     double *pts_out = a->pts_out;
     double *start_id_out = a->start_id_out;
-    int64_t i, r, p, c;
-    (void)n;
+    int64_t r, p, c;
 
-    /* the sweep, walked incrementally: a (ring, point) chain's owner is
-     * piecewise-constant along the config axis, so config c differs from
-     * c-1 only by the owner changes in ev_*[ev_offsets[c]..ev_offsets[c+1]).
-     * Maintain the per-point values (min across rings) and re-derive the
-     * makespan (max across points) per config -- O(events + configs * pq)
-     * scratch-resident work instead of re-gathering the whole timeline.
-     * The values are the identical doubles the full gather would produce,
-     * and the first strict minimum among evaluated configs is kept, so the
-     * selection replicates np.argmin over the inf-masked makespans. */
-    const int64_t ring_stride = pq * n_configs;
-    const int64_t *ev_o = a->ev_offsets;
-    const int64_t *evr = a->ev_ring;
-    const int64_t *evp = a->ev_point;
-    const int64_t *evw = a->ev_owner;
-    double *cur = a->cur;
-    int64_t *owner_cur = a->owner_cur;
-    for (p = 0; p < pq; p++) {
-        double f = est_of(busy, q_over_s, now, fe_fixed,
-                          ring_lo[0] + owners[p * n_configs]);
-        owner_cur[p] = owners[p * n_configs];
-        for (r = 1; r < n_rings; r++) {
-            int64_t o_idx = owners[r * ring_stride + p * n_configs];
-            owner_cur[r * pq + p] = o_idx;
-            double o = est_of(busy, q_over_s, now, fe_fixed,
-                              ring_lo[r] + o_idx);
-            if (o < f) {
-                f = o;
-            }
-        }
-        cur[p] = f;
-    }
-    /* running makespan: rescan the pq points only when the previous max
-     * holder's value drops (values stay bit-identical either way) */
-    double mk = cur[0];
-    for (p = 1; p < pq; p++) {
-        if (cur[p] > mk) {
-            mk = cur[p];
-        }
-    }
+    /* The witness-pruned sweep.  A config wins only when its makespan (the
+     * max of its point values) is strictly below best_mk, the best so far,
+     * and one point at or above best_mk already rules that out.  The
+     * witness `w` is such a point at the last config that was checked:
+     * test it first, and only when it has dropped below best_mk look for
+     * another point at or above it (the first one found is the new
+     * witness).  When there is none, every point value of the config has
+     * just been computed, so the config wins with best_mk = their exact
+     * max, and the point holding it becomes the witness.
+     *
+     * Exactness: the point values are the doubles the full gather would
+     * produce, max/min of the same doubles are exact, and a config still
+     * wins only on a strict `<` -- so the chosen config is the first strict
+     * minimum among evaluated configs, what np.argmin over the inf-masked
+     * makespans picks. */
     double best_mk = INFINITY;
     int64_t best = 0;
+    int64_t w = 0;
     for (c = 0; c < n_configs; c++) {
-        if (c > 0) {
-            for (i = ev_o[c]; i < ev_o[c + 1]; i++) {
-                const int64_t r_i = evr[i];
-                const int64_t p_i = evp[i];
-                owner_cur[r_i * pq + p_i] = evw[i];
-                double f = est_of(busy, q_over_s, now, fe_fixed,
-                                  ring_lo[0] + owner_cur[p_i]);
-                for (r = 1; r < n_rings; r++) {
-                    double o = est_of(busy, q_over_s, now, fe_fixed,
-                                      ring_lo[r] + owner_cur[r * pq + p_i]);
-                    if (o < f) {
-                        f = o;
-                    }
-                }
-                const double old = cur[p_i];
-                cur[p_i] = f;
-                if (f >= mk) {
-                    mk = f;
-                } else if (old == mk) {
-                    mk = cur[0];
-                    for (p = 1; p < pq; p++) {
-                        if (cur[p] > mk) {
-                            mk = cur[p];
-                        }
-                    }
-                }
+        if (!evaluated[c]) {
+            continue;
+        }
+        double mk = point_value(a, now, w, c);
+        if (mk >= best_mk) {
+            continue;
+        }
+        int64_t arg = w, hit = -1;
+        for (p = 0; p < pq; p++) {
+            if (p == w) {
+                continue;
+            }
+            const double v = point_value(a, now, p, c);
+            if (v >= best_mk) {
+                hit = p;
+                break;
+            }
+            if (v > mk) {
+                mk = v;
+                arg = p;
             }
         }
-        if (evaluated[c] && mk < best_mk) {
-            best_mk = mk;
-            best = c;
+        if (hit >= 0) {
+            w = hit;
+            continue;
         }
+        best_mk = mk;
+        best = c;
+        w = arg;
     }
     const double start_id = config_start_id[best];
     *start_id_out = start_id;
@@ -502,4 +490,4 @@ int64_t roar_commit_batch(const roar_commit_args *a, int64_t start,
 }
 
 /* Build-probe symbol so the loader can verify the ABI revision it built. */
-int64_t roar_sweep_abi_version(void) { return 3; }
+int64_t roar_sweep_abi_version(void) { return 4; }

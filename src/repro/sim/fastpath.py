@@ -851,7 +851,7 @@ class _Engine:
         bufs = self._bufs_for(pq)
         gate = self.gate
         commit = self.kernel.commit_batch
-        sample_rtt = self.network.sample_rtt
+        sample_rtts = self.network.sample_rtts
         rng = self.network.rng
         perf = time.perf_counter
         perf_ns = time.perf_counter_ns
@@ -867,7 +867,7 @@ class _Engine:
             if prof is None:
                 # pre-draw the span's RTTs in arrival order: the rng stream
                 # must advance exactly as the per-query path would
-                bufs.rtts[:nq] = [sample_rtt() for _ in range(nq)]
+                bufs.rtts[:nq] = sample_rtts(nq)
                 t0 = perf()
                 n_adm = commit(self.state, entry, plan, bufs, pos, nq, gate)
                 chunk_wall = perf() - t0
@@ -878,7 +878,7 @@ class _Engine:
                 # same statements bracketed by clock reads only -- the rng
                 # stream and the float sequence are untouched
                 c0 = perf_ns()
-                bufs.rtts[:nq] = [sample_rtt() for _ in range(nq)]
+                bufs.rtts[:nq] = sample_rtts(nq)
                 draw_ns = perf_ns() - c0
                 prof.add_ns("arrival_draw", draw_ns)
                 t0 = perf()
@@ -915,11 +915,8 @@ class _Engine:
     def _close_gate(self, nq: int, n_adm: int, snapshot) -> None:
         """Hand a gated chunk's outcome to the policy; fix the rng stream."""
         if n_adm < nq:
-            rng = self.network.rng
-            rng.setstate(snapshot)
-            sample_rtt = self.network.sample_rtt
-            for _ in range(n_adm):
-                sample_rtt()
+            self.network.rng.setstate(snapshot)
+            self.network.sample_rtts(n_adm)
         self.admission.import_bulk(self.gate)
         self.shed_n += nq - n_adm
 

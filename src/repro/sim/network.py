@@ -12,7 +12,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-__all__ = ["NetworkModel", "TrafficLedger"]
+try:  # numpy is required for the bulk draw only; the model stays pure-python.
+    import numpy as np
+except ImportError:  # pragma: no cover - the image bakes numpy in
+    np = None  # type: ignore[assignment]
+
+__all__ = ["NetworkModel", "RTT_VECTOR_MIN", "TrafficLedger"]
+
+#: Below this many draws :meth:`NetworkModel.sample_rtts` keeps the scalar
+#: loop: handing the generator state to numpy and back costs about as much
+#: as this many :meth:`NetworkModel.sample_rtt` calls (2-core x86-64 VM).
+RTT_VECTOR_MIN = 256
 
 
 @dataclass
@@ -27,11 +37,54 @@ class NetworkModel:
     rtt: float = 0.0005  # 0.5 ms, "well under 1ms" per Section 4.8.1
     jitter: float = 0.0001
     rng: random.Random = field(default_factory=random.Random, repr=False)
+    #: numpy's twin of ``rng``'s Mersenne Twister, reused by every bulk draw
+    _mt: np.random.MT19937 | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def sample_rtt(self) -> float:
         if self.jitter <= 0:
             return self.rtt
         return max(0.0, self.rtt + self.rng.uniform(-self.jitter, self.jitter))
+
+    def sample_rtts(self, n: int) -> "np.ndarray":
+        """``n`` :meth:`sample_rtt` draws as one float64 array, same stream.
+
+        The values are the ones ``n`` scalar calls would return, and
+        ``rng`` is left in the state they would leave it in (a pending
+        ``gauss_next`` included).  From :data:`RTT_VECTOR_MIN` draws up,
+        and when ``rng`` is a plain ``random.Random`` (a subclass may
+        override ``random()``), the generator state is copied into
+        numpy's ``MT19937``, which yields the same 32-bit words; each
+        double is built from two words as CPython's ``random()`` builds
+        it, then goes through ``uniform``'s and :meth:`sample_rtt`'s float
+        ops in their order, and the advanced state is copied back.
+        """
+        if self.jitter <= 0:
+            return np.full(n, self.rtt, dtype=np.float64)
+        rng = self.rng
+        if n < RTT_VECTOR_MIN or type(rng) is not random.Random:
+            return np.array([self.sample_rtt() for _ in range(n)], dtype=np.float64)
+        version, internal, gauss_next = rng.getstate()
+        if self._mt is None:
+            self._mt = np.random.MT19937(0)
+        mt = self._mt
+        mt.state = {
+            "bit_generator": "MT19937",
+            "state": {"key": internal[:-1], "pos": internal[-1]},
+        }
+        words = mt.random_raw(2 * n)
+        # random(): (a >> 5) * 2**26 + (b >> 6), scaled by 2**-53 -- exact
+        u = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (
+            1.0 / 9007199254740992.0
+        )
+        lo, hi = -self.jitter, self.jitter
+        x = self.rtt + (lo + (hi - lo) * u)
+        state = mt.state["state"]
+        rng.setstate(
+            (version, (*state["key"].tolist(), int(state["pos"])), gauss_next)
+        )
+        return np.where(x > 0.0, x, 0.0)  # max(0.0, x), -0.0 and NaN too
 
     def one_way(self) -> float:
         return self.sample_rtt() / 2.0

@@ -8,7 +8,9 @@ Three layers of guarantee:
   per-query reference path (i.e. to the pre-refactor inline sweep), and
   ``compiled`` is bit-identical to the oracle across every regime the
   engine supports (multi-ring, failures/delegation, mid-batch membership
-  changes, varying pq) plus the full builtin scenario battery;
+  changes, varying pq) plus the full builtin scenario battery, and pick
+  for pick on drawn sweep states (makespan ties, pq up to 32, the
+  evaluated mask);
 * **bounded kernels** -- ``approx_topk`` stays inside the deviation bound
   its docstring documents, measured by the divergence harness on all 8
   builtin scenarios at the size the contract names, and degenerates to
@@ -19,11 +21,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 np = pytest.importorskip("numpy")
 
 from test_fastpath import _build, assert_deployments_identical
 
+from repro.core.covertable import CoverTable
+from repro.core.ring import Ring, RingNode
 from repro.kernels import (
     DEFAULT_KERNEL,
     KernelUnavailableError,
@@ -35,12 +40,18 @@ from repro.kernels import (
     register_kernel,
 )
 from repro.kernels.approx import ApproxTopKKernel
-from repro.kernels.compiled import compiled_available, compiled_unavailable_reason
+from repro.kernels.base import PqEntry, SweepState
+from repro.kernels.compiled import (
+    CompiledKernel,
+    compiled_available,
+    compiled_unavailable_reason,
+)
 from repro.kernels.divergence import (
     battery_divergence,
     render_divergence,
     scenario_divergence,
 )
+from repro.kernels.exact import ExactNumpyKernel
 from repro.kernels.registry import is_known_kernel
 from repro.sim import PoissonArrivals
 
@@ -220,6 +231,119 @@ class TestCompiledKernel:
                 f"compiled diverged on {report.scenario}: "
                 f"{report.diverged} queries"
             )
+
+
+def _noeval_ring():
+    """A ring whose last sweep configuration the heap never evaluates at pq=2.
+
+    Point 0's last crossing (into the node at 0.5 - 1.5e-12) lies within
+    EPS of point 1's first crossing at or past 1/pq - EPS (into the node at
+    1 - 0.7e-12), so the last tie group is not evaluated.
+    """
+    starts = (0.1, 0.3, 0.5 - 1.5e-12, 0.7, 1.0 - 0.7e-12)
+    return Ring(RingNode(f"m-{j}", s) for j, s in enumerate(starts))
+
+
+def _sweep_case(rings, pq, busy, spd, fe_fixed=0.004, dataset=1e6):
+    """A (table, state, entry) triple over *rings*, in the engine's layout."""
+    table = CoverTable(rings, pq)
+    ring_lo, ring_hi, ring_starts = [], [], []
+    for ring in rings:
+        ring_lo.append(sum(len(s) for s in ring_starts))
+        ring_starts.append([nd.start for nd in ring.nodes()])
+        ring_hi.append(ring_lo[-1] + len(ring_starts[-1]))
+    busy = np.array(busy, dtype=np.float64)
+    state = SweepState(
+        busy, np.empty_like(busy), fe_fixed, ring_lo, ring_hi, ring_starts
+    )
+    entry = PqEntry(table, pq, dataset, np.array(spd, dtype=np.float64))
+    return table, state, entry
+
+
+@st.composite
+def _ring_sets(draw):
+    rings = []
+    for r in range(draw(st.integers(min_value=1, max_value=3))):
+        size = draw(st.integers(min_value=2, max_value=60))
+        if draw(st.booleans()):
+            ring = Ring.uniform(size, name_prefix=f"r{r}n", ring_id=r)
+        else:
+            weights = draw(
+                st.lists(
+                    st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+                    min_size=size,
+                    max_size=size,
+                )
+            )
+            ring = Ring.proportional(weights, name_prefix=f"r{r}n", ring_id=r)
+        rings.append(ring)
+    return rings
+
+
+#: a handful of mirror values, so equal estimates -- and makespan ties
+#: between configurations -- are common
+_BUSY = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+_SPEED = st.sampled_from([0.5, 1.0, 2.0])
+
+
+@needs_compiled
+class TestCompiledSelectDifferential:
+    """``CompiledKernel.select`` equals the oracle's pick on raw states.
+
+    The engine-level tests reach the C sweep only at the pq and states a
+    batch happens to produce; this draws them directly: ties between
+    configurations, pq up to 32, up to three rings, and a ring whose last
+    configuration is masked out of the sweep.
+    """
+
+    @staticmethod
+    def _assert_same_pick(state, entry, now):
+        want = ExactNumpyKernel().select(state, entry, now)
+        got = CompiledKernel().select(state, entry, now)
+        assert got == want  # server set, points and start id, exactly
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        rings=_ring_sets(),
+        pq=st.integers(min_value=1, max_value=32),
+        now=st.sampled_from([0.0, 0.25, 0.6]),
+    )
+    def test_matches_exact_numpy(self, data, rings, pq, now):
+        n = sum(len(r) for r in rings)
+        busy = data.draw(st.lists(_BUSY, min_size=n, max_size=n))
+        spd = data.draw(st.lists(_SPEED, min_size=n, max_size=n))
+        _, state, entry = _sweep_case(rings, pq, busy, spd)
+        self._assert_same_pick(state, entry, now)
+
+    def test_unevaluated_last_config_would_win(self):
+        # nodes 2 and 3 idle: the masked config has the smallest makespan,
+        # so only the evaluated mask keeps the kernels off it
+        busy, spd = [1.0, 1.0, 0.0, 0.0, 1.0], [1.0] * 5
+        table, state, entry = _sweep_case([_noeval_ring()], 2, busy, spd)
+        assert not table.evaluated[-1]
+        est = (np.maximum(state.busy, 0.0) + state.fe_fixed) + entry.Q
+        makespans = est[entry.owners[0]].max(axis=0)
+        assert makespans[-1] < makespans[:-1].min()
+        self._assert_same_pick(state, entry, 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        extra=st.lists(st.integers(min_value=2, max_value=12), max_size=2),
+        now=st.sampled_from([0.0, 0.25, 0.6]),
+    )
+    def test_unevaluated_last_config_is_skipped(self, data, extra, now):
+        rings = [_noeval_ring()] + [
+            Ring.uniform(k, name_prefix=f"u{r}n", ring_id=r + 1)
+            for r, k in enumerate(extra)
+        ]
+        n = sum(len(r) for r in rings)
+        busy = data.draw(st.lists(_BUSY, min_size=n, max_size=n))
+        spd = data.draw(st.lists(_SPEED, min_size=n, max_size=n))
+        table, state, entry = _sweep_case(rings, 2, busy, spd)
+        assert not table.evaluated[-1]
+        self._assert_same_pick(state, entry, now)
 
 
 class TestApproxKernel:

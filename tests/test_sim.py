@@ -1,8 +1,11 @@
 """Tests for the simulation substrate (repro.sim)."""
 
 import math
+import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim import (
     DelayLog,
@@ -25,6 +28,7 @@ from repro.sim import (
     utilisation,
 )
 from repro.sim.energy import PowerProfile, measure_energy
+from repro.sim.network import RTT_VECTOR_MIN
 
 
 class TestSimulationEngine:
@@ -284,6 +288,39 @@ class TestNetworkAndEnergy:
 
     def test_wide_area_slower(self):
         assert NetworkModel.wide_area().rtt > NetworkModel.data_center().rtt
+
+    @pytest.mark.parametrize(
+        "n",
+        [0, 1, RTT_VECTOR_MIN - 1, RTT_VECTOR_MIN, 311, 312, 313, 624, 625, 8192],
+    )
+    @pytest.mark.parametrize(
+        "make",
+        [
+            NetworkModel.data_center,
+            NetworkModel.wide_area,
+            lambda seed: replace(NetworkModel.zero(), rng=random.Random(seed)),
+            # jitter above the rtt: the clip at 0.0 fires on a third of draws
+            lambda seed: NetworkModel(0.001, 0.003, random.Random(seed)),
+        ],
+        ids=["data_center", "wide_area", "zero", "clipped"],
+    )
+    @settings(max_examples=3, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_sample_rtts_is_the_scalar_stream(self, make, n, seed):
+        # MT19937 refills its 624-word block every 312 doubles; n straddles
+        # that and the vector crossover.  Two calls in a row also start the
+        # second draw mid-block.
+        np = pytest.importorskip("numpy")
+        bulk, scalar = make(seed), make(seed)
+        bulk.rng.gauss(0.0, 1.0)  # leaves a pending gauss_next behind
+        scalar.rng.gauss(0.0, 1.0)
+        for _ in range(2):
+            got = bulk.sample_rtts(n)
+            want = [scalar.sample_rtt() for _ in range(n)]
+            assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
+            assert bulk.rng.getstate() == scalar.rng.getstate()
+        if bulk.jitter > bulk.rtt and n >= 311:
+            assert 0.0 in want
 
     def test_ledger_totals(self):
         ledger = TrafficLedger()
