@@ -758,8 +758,16 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 def _cmd_archive(args: argparse.Namespace) -> int:
     from .telemetry.archive import archive_diff, archive_info, read_archive
 
+    paths = [args.path] if args.archive_command == "info" else [args.path_a, args.path_b]
+    archives = []
+    for path in paths:
+        try:
+            archives.append(read_archive(path))
+        except (OSError, ValueError) as exc:
+            print(f"cannot read {path}: {exc}", file=sys.stderr)
+            return 2
     if args.archive_command == "info":
-        info = archive_info(read_archive(args.path))
+        info = archive_info(archives[0])
         print(f"path           : {info['path']}")
         print(f"schema         : {info['schema']}")
         print(f"queries        : {info['n_queries']} "
@@ -793,7 +801,7 @@ def _cmd_archive(args: argparse.Namespace) -> int:
                   f"host {manifest.get('host', '?')})")
         return 0
 
-    diff = archive_diff(read_archive(args.path_a), read_archive(args.path_b))
+    diff = archive_diff(*archives)
     for name in sorted(diff["columns"]):
         entry = diff["columns"][name]
         if entry["equal"]:

@@ -64,14 +64,19 @@ class KernelPack:
     any future accelerator back-end) consume raw pointers, which requires
     one known layout: ``owner_stack`` stacks every ring's owner timeline
     into a single C-contiguous ``(n_rings, pq, n_configs)`` int64 block of
-    ring-local node indices, ``evaluated_u8`` is the heap-evaluation mask
-    as bytes, and ``config_start_id`` aliases the table's candidate start
-    ids.  Built lazily by :meth:`CoverTable.kernel_pack` and cached on the
-    table, so pure-python users never pay for it.
+    ring-local node indices; ``next_change[p, c]`` (C-contiguous
+    ``(pq, n_configs)`` int64) is the first configuration after ``c`` at
+    which any ring's owner of point ``p`` differs from its owner at ``c``,
+    or ``n_configs`` when none does; ``n_eval`` is the length of the
+    evaluated prefix (only the last configuration can be masked); and
+    ``config_start_id`` aliases the table's candidate start ids.  Built
+    lazily by :meth:`CoverTable.kernel_pack` and cached on the table, so
+    pure-python users never pay for it.
     """
 
     owner_stack: "np.ndarray"
-    evaluated_u8: "np.ndarray"
+    next_change: "np.ndarray"
+    n_eval: int
     config_start_id: "np.ndarray"
 
 
@@ -203,15 +208,29 @@ class CoverTable:
         """Contiguous array views for compiled kernels (lazy, cached)."""
         pack = getattr(self, "_kernel_pack", None)
         if pack is None:
+            n_eval = int(self.evaluated.sum())
+            if not self.evaluated[:n_eval].all():
+                raise ValueError(
+                    "evaluated mask is not a prefix: only the last "
+                    "configuration can be masked"
+                )
+            owner_stack = np.ascontiguousarray(
+                np.stack(
+                    [rt.owner_timeline for rt in self.ring_tables], axis=0
+                ).astype(np.int64, copy=False)
+            )
+            n_configs = owner_stack.shape[2]
+            # change[p, j]: some ring's owner of point p differs between
+            # configs j and j + 1; a reverse running minimum of the change
+            # positions then gives each config its next change.
+            change = (owner_stack[:, :, 1:] != owner_stack[:, :, :-1]).any(axis=0)
+            at = np.where(change, np.arange(1, n_configs), n_configs)
+            next_change = np.full(owner_stack.shape[1:], n_configs, dtype=np.int64)
+            next_change[:, :-1] = np.minimum.accumulate(at[:, ::-1], axis=1)[:, ::-1]
             pack = KernelPack(
-                owner_stack=np.ascontiguousarray(
-                    np.stack(
-                        [rt.owner_timeline for rt in self.ring_tables], axis=0
-                    ).astype(np.int64, copy=False)
-                ),
-                evaluated_u8=np.ascontiguousarray(
-                    self.evaluated.astype(np.uint8)
-                ),
+                owner_stack=owner_stack,
+                next_change=next_change,
+                n_eval=n_eval,
                 config_start_id=np.ascontiguousarray(self.config_start_id),
             )
             self._kernel_pack = pack

@@ -5,11 +5,11 @@ estimate evaluation, the owner-timeline sweep, and the final assignment --
 fused into a single pass with no temporaries.  The oracle gathers all
 ``pq * n_rings`` estimates of every configuration through ~10 numpy
 dispatches per query; the C sweep keeps a *witness* point whose value
-already rules the current best out, so most configurations cost one
-estimate per ring and the pass does O(n_rings * n_configs) work in the
-common case (``docs/kernels.md`` has the exactness argument).  Target:
->= 2x on the sweep at the 1k-server configuration (``repro bench``
-reports per-kernel sweep columns; CI uploads them).
+already rules the current best out, and after each rejection jumps to the
+witness point's next owner change (``KernelPack.next_change``), so it
+reads about one estimate per ring per owner along the witness's track
+rather than one per configuration (``docs/kernels.md`` has the exactness
+argument and the measured counts).
 
 Build story: the C source has **no Python.h dependency**, so it needs only
 a C compiler, not Python headers.  On first use it is compiled with the
@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 _SOURCE = Path(__file__).with_name("csrc") / "sweep.c"
-_ABI_VERSION = 4
+_ABI_VERSION = 5
 
 #: memoised library handle / failure reason (one build attempt per process).
 _lib: Optional[ctypes.CDLL] = None
@@ -208,7 +208,8 @@ class _SweepArgs(ctypes.Structure):
         ("n_rings", ctypes.c_int64),
         ("pq", ctypes.c_int64),
         ("n_configs", ctypes.c_int64),
-        ("evaluated", ctypes.c_void_p),
+        ("n_eval", ctypes.c_int64),
+        ("next_change", ctypes.c_void_p),
         ("config_start_id", ctypes.c_void_p),
         ("offs", ctypes.c_void_p),
         ("starts_flat", ctypes.c_void_p),
@@ -289,6 +290,16 @@ class _GateArgs(ctypes.Structure):
         return args
 
 
+def _check_block(name: str, arr: "np.ndarray", shape: tuple) -> None:
+    """Refuse an index array the C sweep would misread through its pointer."""
+    if arr.dtype != np.int64 or arr.shape != shape or not arr.flags.c_contiguous:
+        raise ValueError(
+            f"KernelPack.{name} must be a C-contiguous int64 array of shape "
+            f"{shape}; got {arr.dtype} {arr.shape} "
+            f"(C-contiguous: {arr.flags.c_contiguous})"
+        )
+
+
 def _sweep_struct(
     state: SweepState,
     entry: PqEntry,
@@ -299,6 +310,9 @@ def _sweep_struct(
 ) -> tuple[_SweepArgs, tuple]:
     """Fill a :class:`_SweepArgs` for (state, entry); returns (struct, holds)."""
     pack = entry.table.kernel_pack()
+    pq, n_configs = len(entry.offs), entry.n_configs
+    _check_block("owner_stack", pack.owner_stack, (state.n_rings, pq, n_configs))
+    _check_block("next_change", pack.next_change, (pq, n_configs))
     lo = np.asarray(state.ring_lo, dtype=np.int64)
     hi = np.asarray(state.ring_hi, dtype=np.int64)
     offs = np.asarray(entry.offs, dtype=np.float64)
@@ -311,9 +325,10 @@ def _sweep_struct(
         ring_lo=lo.ctypes.data,
         ring_hi=hi.ctypes.data,
         n_rings=state.n_rings,
-        pq=len(entry.offs),
-        n_configs=entry.n_configs,
-        evaluated=pack.evaluated_u8.ctypes.data,
+        pq=pq,
+        n_configs=n_configs,
+        n_eval=pack.n_eval,
+        next_change=pack.next_change.ctypes.data,
         config_start_id=pack.config_start_id.ctypes.data,
         offs=offs.ctypes.data,
         starts_flat=starts_flat.ctypes.data,

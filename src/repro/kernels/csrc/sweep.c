@@ -4,8 +4,9 @@
  * roar_sweep_select replaces the engine's per-query scheduling block --
  * estimate evaluation, the owner-timeline sweep (min across rings / max
  * across points / first strict minimum across evaluated configurations,
- * pruned by a witness point so most configurations cost one estimate per
- * ring), and the final assignment re-derivation by binary search.
+ * pruned by a witness point that, once rejected, jumps the sweep to its
+ * next owner change), and the final assignment re-derivation by binary
+ * search.
  * roar_commit_batch goes further: it consumes a whole chunk of
  * queries per call, running the sweep AND the closed-form commit for
  * each -- sub-query widths, the front-end reserve, queue submit, EWMA
@@ -23,12 +24,15 @@
  * (see repro/kernels/compiled.py), which is what lets `repro[fast]`
  * degrade gracefully to the pure-python oracle when no toolchain exists.
  *
- * ABI notes (revision 4): `owners` is the (n_rings, pq, n_configs)
+ * ABI notes (revision 5): `owners` is the (n_rings, pq, n_configs)
  * C-contiguous owner timeline of ring-LOCAL node indices; `ring_lo[r]`
  * maps them to global server indices (the order of `busy` / `q_over_s` /
- * `starts_flat`).  `starts_flat` holds each ring's sorted node start
- * positions in that same global order.  All int buffers are int64 (numpy
- * intp on LP64).
+ * `starts_flat`).  `next_change` is the (pq, n_configs) C-contiguous
+ * next-owner-change index (KernelPack.next_change), and `n_eval` the
+ * length of the evaluated prefix: revision 5 replaced the per-config
+ * `evaluated` byte mask with these two.  `starts_flat` holds each ring's
+ * sorted node start positions in the global order.  All int buffers are
+ * int64 (numpy intp on LP64).
  */
 
 #include <math.h>
@@ -37,8 +41,9 @@
 
 /* The reference estimator: (max(busy - now, 0) + fixed) + work*d/speed.
  * A pure function of per-server state, evaluated lazily at gather sites:
- * the pruned sweep reads about one estimate per ring per configuration,
- * so computing on demand beats materialising all n estimates up front. */
+ * the pruned sweep reads about one estimate per ring per owner change of
+ * its witness point, so computing on demand beats materialising all n
+ * estimates up front. */
 static inline double est_of(
     const double *busy, const double *q_over_s, double now, double fe_fixed,
     int64_t i)
@@ -78,7 +83,8 @@ typedef struct {
     int64_t n_rings;
     int64_t pq;
     int64_t n_configs;
-    const uint8_t *evaluated;      /* [n_configs] heap-evaluated mask      */
+    int64_t n_eval;                /* evaluated prefix: configs [0,n_eval) */
+    const int64_t *next_change;    /* [pq*n_configs] next owner change     */
     const double *config_start_id; /* [n_configs] candidate start ids      */
     const double *offs;            /* [pq] query point offsets i/pq        */
     const double *starts_flat;     /* [n] node starts, global order        */
@@ -118,7 +124,8 @@ int64_t roar_sweep_select(const roar_sweep_args *a, double now)
     const int64_t n_rings = a->n_rings;
     const int64_t pq = a->pq;
     const int64_t n_configs = a->n_configs;
-    const uint8_t *evaluated = a->evaluated;
+    const int64_t n_eval = a->n_eval;
+    const int64_t *next_change = a->next_change;
     const double *config_start_id = a->config_start_id;
     const double *offs = a->offs;
     const double *starts_flat = a->starts_flat;
@@ -137,20 +144,28 @@ int64_t roar_sweep_select(const roar_sweep_args *a, double now)
      * just been computed, so the config wins with best_mk = their exact
      * max, and the point holding it becomes the witness.
      *
+     * A rejected witness stays rejected until the owner of its point
+     * changes: its value is fixed while its owners are, and best_mk only
+     * falls.  So after either rejection the sweep jumps to
+     * next_change[w][c], the witness point's next owner change, and reads
+     * about one estimate per owner along the witness's track instead of
+     * one per config.  Only the last config can be masked, so the loop
+     * runs over the evaluated prefix [0, n_eval), which also ends a jump
+     * that runs past the table.
+     *
      * Exactness: the point values are the doubles the full gather would
-     * produce, max/min of the same doubles are exact, and a config still
-     * wins only on a strict `<` -- so the chosen config is the first strict
-     * minimum among evaluated configs, what np.argmin over the inf-masked
-     * makespans picks. */
+     * produce, max/min of the same doubles are exact, every skipped config
+     * has a makespan >= best_mk, and a config still wins only on a strict
+     * `<` -- so the chosen config is the first strict minimum among
+     * evaluated configs, what np.argmin over the inf-masked makespans
+     * picks. */
     double best_mk = INFINITY;
     int64_t best = 0;
     int64_t w = 0;
-    for (c = 0; c < n_configs; c++) {
-        if (!evaluated[c]) {
-            continue;
-        }
+    for (c = 0; c < n_eval; c++) {
         double mk = point_value(a, now, w, c);
         if (mk >= best_mk) {
+            c = next_change[w * n_configs + c] - 1;
             continue;
         }
         int64_t arg = w, hit = -1;
@@ -170,6 +185,7 @@ int64_t roar_sweep_select(const roar_sweep_args *a, double now)
         }
         if (hit >= 0) {
             w = hit;
+            c = next_change[w * n_configs + c] - 1;
             continue;
         }
         best_mk = mk;
@@ -490,4 +506,4 @@ int64_t roar_commit_batch(const roar_commit_args *a, int64_t start,
 }
 
 /* Build-probe symbol so the loader can verify the ABI revision it built. */
-int64_t roar_sweep_abi_version(void) { return 4; }
+int64_t roar_sweep_abi_version(void) { return 5; }

@@ -40,6 +40,7 @@ import os
 import shutil
 import tempfile
 import zipfile
+import zlib
 from dataclasses import dataclass
 
 try:
@@ -328,11 +329,31 @@ class ArchiveWriter(ChunkListener):
         self.abort()  # no-op when close() already ran
 
 
+def read_meta_npz(path, kind: str, error: type = ValueError) -> tuple[dict, dict]:
+    """``(meta, columns)`` of an ``.npz`` that carries a ``meta_json`` column.
+
+    A file that numpy cannot read -- truncated, empty, not a zip, or
+    without ``meta_json`` -- raises *error* with the path, the problem and
+    the fix, not zipfile's or numpy's bare exception.  A missing file
+    still raises ``OSError``.
+    """
+    fix = f"the file is truncated or is not a {kind}; write it again"
+    try:
+        with np.load(path) as data:
+            if "meta_json" not in data.files:
+                raise KeyError("meta_json")
+            meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
+            columns = {k: data[k] for k in data.files if k != "meta_json"}
+    except KeyError:
+        raise error(f"{path}: column 'meta_json' is missing; {fix}") from None
+    except (zipfile.BadZipFile, zlib.error, EOFError, TypeError, ValueError) as exc:
+        raise error(f"{path}: not a readable {kind} ({exc}); {fix}") from None
+    return meta, columns
+
+
 def read_archive(path) -> RunArchive:
     """Read an archive written by :func:`write_archive`."""
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
-        columns = {k: data[k] for k in data.files if k != "meta_json"}
+    meta, columns = read_meta_npz(path, "run archive")
     schema = meta.get("schema")
     if schema != ARCHIVE_SCHEMA:
         raise ValueError(

@@ -40,6 +40,7 @@ except ImportError:  # pragma: no cover - the image bakes numpy in
     np = None  # type: ignore[assignment]
 
 from .. import _rng
+from .archive import read_meta_npz
 
 __all__ = [
     "SNAPSHOT_SCHEMA",
@@ -79,11 +80,7 @@ class Snapshot:
     @classmethod
     def load(cls, path) -> "Snapshot":
         """Read a snapshot written by :meth:`save`."""
-        with np.load(path) as data:
-            meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
-            columns = {
-                key: data[key] for key in data.files if key != "meta_json"
-            }
+        meta, columns = read_meta_npz(path, "snapshot", SnapshotError)
         schema = meta.get("schema")
         if schema != SNAPSHOT_SCHEMA:
             raise SnapshotError(

@@ -10,7 +10,7 @@ Three layers of guarantee:
   engine supports (multi-ring, failures/delegation, mid-batch membership
   changes, varying pq) plus the full builtin scenario battery, and pick
   for pick on drawn sweep states (makespan ties, pq up to 32, the
-  evaluated mask);
+  evaluated mask) and on states built to steer its owner-change jumps;
 * **bounded kernels** -- ``approx_topk`` stays inside the deviation bound
   its docstring documents, measured by the divergence harness on all 8
   builtin scenarios at the size the contract names, and degenerates to
@@ -233,14 +233,17 @@ class TestCompiledKernel:
             )
 
 
-def _noeval_ring():
+def _noeval_ring(track=()):
     """A ring whose last sweep configuration the heap never evaluates at pq=2.
 
     Point 0's last crossing (into the node at 0.5 - 1.5e-12) lies within
     EPS of point 1's first crossing at or past 1/pq - EPS (into the node at
-    1 - 0.7e-12), so the last tie group is not evaluated.
+    1 - 0.7e-12), so the last tie group is not evaluated.  *track* adds
+    nodes in ``(0.5, 1)``, each one more owner change on point 1's track
+    (starts that keep every crossing more than EPS from the others keep
+    the last configuration masked).
     """
-    starts = (0.1, 0.3, 0.5 - 1.5e-12, 0.7, 1.0 - 0.7e-12)
+    starts = sorted((0.1, 0.3, 0.5 - 1.5e-12, 0.7, 1.0 - 0.7e-12) + tuple(track))
     return Ring(RingNode(f"m-{j}", s) for j, s in enumerate(starts))
 
 
@@ -261,10 +264,10 @@ def _sweep_case(rings, pq, busy, spd, fe_fixed=0.004, dataset=1e6):
 
 
 @st.composite
-def _ring_sets(draw):
+def _ring_sets(draw, min_size=2):
     rings = []
     for r in range(draw(st.integers(min_value=1, max_value=3))):
-        size = draw(st.integers(min_value=2, max_value=60))
+        size = draw(st.integers(min_value=min_size, max_value=60))
         if draw(st.booleans()):
             ring = Ring.uniform(size, name_prefix=f"r{r}n", ring_id=r)
         else:
@@ -284,6 +287,73 @@ def _ring_sets(draw):
 #: between configurations -- are common
 _BUSY = st.sampled_from([0.0, 0.25, 0.5, 1.0])
 _SPEED = st.sampled_from([0.5, 1.0, 2.0])
+
+
+class TestNextChangeIndex:
+    """``KernelPack.next_change`` against a brute-force walk of ``owner_stack``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rings=_ring_sets(min_size=1), pq=st.integers(min_value=1, max_value=32))
+    def test_matches_brute_force(self, rings, pq):
+        table = CoverTable(rings, pq)
+        pack = table.kernel_pack()
+        owners = pack.owner_stack
+        n_configs = owners.shape[2]
+        want = np.empty((pq, n_configs), dtype=np.int64)
+        for p in range(pq):
+            for c in range(n_configs):
+                nxt = c + 1
+                while nxt < n_configs and (owners[:, p, nxt] == owners[:, p, c]).all():
+                    nxt += 1
+                want[p, c] = nxt
+        assert pack.next_change.dtype == np.int64
+        assert pack.next_change.flags.c_contiguous
+        np.testing.assert_array_equal(pack.next_change, want)
+        # only the last configuration can be masked: the mask is a prefix
+        assert pack.n_eval == int(table.evaluated.sum())
+        assert table.evaluated[: pack.n_eval].all()
+
+    def test_one_node_rings_have_one_config(self):
+        table = CoverTable([Ring.uniform(1), Ring.uniform(1, ring_id=1)], 5)
+        pack = table.kernel_pack()
+        assert pack.owner_stack.shape == (2, 5, 1)
+        np.testing.assert_array_equal(pack.next_change, np.ones((5, 1)))
+        assert pack.n_eval == 1
+
+    def test_mask_that_is_not_a_prefix_is_refused(self):
+        table = CoverTable([_noeval_ring()], 2)
+        table.evaluated = np.array([True, False, True, True, True])
+        with pytest.raises(ValueError, match="not a prefix"):
+            table.kernel_pack()
+
+
+def _jump_walk(state, entry, now):
+    """The C sweep's visiting order, replayed over the point values.
+
+    Returns ``(pick, jumps)``; each jump is ``(config, witness, target)``,
+    taken after the witness test or a scan hit rejected ``config``.  The
+    tests use it to check that a state takes the path it was built for.
+    """
+    pack = entry.table.kernel_pack()
+    est = (np.maximum(state.busy - now, 0.0) + state.fe_fixed) + entry.Q
+    vals = np.stack(
+        [est[lo:hi][own] for lo, hi, own in zip(state.ring_lo, state.ring_hi, entry.owners)]
+    ).min(axis=0)
+    best_mk, pick, w, c, jumps = np.inf, 0, 0, 0, []
+    while c < pack.n_eval:
+        col = vals[:, c]
+        hits = [p for p in [w] + list(range(entry.pq)) if col[p] >= best_mk]
+        if hits:
+            w = hits[0]
+            jumps.append((c, w, int(pack.next_change[w, c])))
+            c = jumps[-1][2]
+            continue
+        best_mk, pick = col.max(), c
+        for p in range(entry.pq):
+            if col[p] > col[w]:
+                w = p
+        c += 1
+    return pick, jumps
 
 
 @needs_compiled
@@ -344,6 +414,106 @@ class TestCompiledSelectDifferential:
         table, state, entry = _sweep_case(rings, 2, busy, spd)
         assert not table.evaluated[-1]
         self._assert_same_pick(state, entry, now)
+
+    # -- owner-change jumps: states built to steer the walk ---------------
+    #: point 1's extra owners on _noeval_ring: nodes 3-7 (configs 1-7)
+    _TRACK = (0.56, 0.62, 0.84, 0.93)
+
+    def _assert_walk(self, state, entry, jumps_want):
+        pick, jumps = _jump_walk(state, entry, 0.0)
+        assert jumps == jumps_want
+        want = ExactNumpyKernel().select(state, entry, 0.0)
+        assert entry.csi[pick] == want[2]
+        self._assert_same_pick(state, entry, 0.0)
+
+    @pytest.mark.parametrize(
+        "hot, jumps",
+        [
+            # track hot through its last owner: five jumps on witness 1,
+            # the last from config 7 past the masked config 8
+            ((3, 4, 5, 6, 7), [(1, 1, 3), (3, 1, 4), (4, 1, 6), (6, 1, 7), (7, 1, 9)]),
+            # track hot until config 7, whose idle owner wins at the target
+            ((3, 4, 5, 6), [(1, 1, 3), (3, 1, 4), (4, 1, 6), (6, 1, 7)]),
+        ],
+    )
+    def test_hot_track_jumps_past_masked_config(self, hot, jumps):
+        busy = [0.0] * 9
+        busy[2] = 0.25  # config 0 wins with point 1 as its witness
+        for j in hot:
+            busy[j] = 1.0
+        table, state, entry = _sweep_case(
+            [_noeval_ring(self._TRACK)], 2, busy, [1.0] * 9
+        )
+        assert table.kernel_pack().n_eval == entry.n_configs - 1 == 8
+        self._assert_walk(state, entry, jumps)
+
+    def test_jump_lands_on_masked_config_that_would_win(self):
+        # config 0 wins with point 0 (node 8) as its witness; point 0's next
+        # owners, nodes 0 and 1, are hot, so its jump from config 5 lands on
+        # the masked config 8, whose owners are idle
+        busy = [0.0] * 9
+        busy[8] = 0.25
+        busy[0] = busy[1] = 1.0
+        table, state, entry = _sweep_case(
+            [_noeval_ring(self._TRACK)], 2, busy, [1.0] * 9
+        )
+        est = (np.maximum(state.busy, 0.0) + state.fe_fixed) + entry.Q
+        makespans = est[entry.owners[0]].max(axis=0)
+        assert makespans[-1] < makespans[:-1].min()
+        self._assert_walk(state, entry, [(1, 0, 2), (2, 0, 5), (5, 0, 8)])
+
+    #: six configs, all evaluated at pq=2; owners (point 0, point 1):
+    #: (0, 3) (1, 3) (1, 4) (2, 4) (3, 4) (3, 5)
+    _OPEN_STARTS = (0.0, 0.12, 0.2, 0.35, 0.66, 0.9)
+
+    @pytest.mark.parametrize(
+        "busy, jumps",
+        [
+            # witness 1 wins at a jump target (config 2), then is rejected
+            # on its last owner and jumps to n_configs
+            ([0.0, 0.0, 0.0, 1.0, 0.0, 0.0], [(1, 1, 2), (3, 1, 5), (5, 1, 6)]),
+            # a scan hit at config 3 makes point 1 the witness; its jump
+            # lands on the winner, config 5, the table's last
+            ([0.25, 1.0, 0.0, 0.0, 1.0, 0.0], [(1, 0, 3), (3, 1, 5)]),
+        ],
+    )
+    def test_jump_at_the_end_of_the_table(self, busy, jumps):
+        ring = Ring(RingNode(f"e-{j}", s) for j, s in enumerate(self._OPEN_STARTS))
+        table, state, entry = _sweep_case([ring], 2, busy, [1.0] * 6)
+        assert table.evaluated.all() and entry.n_configs == 6
+        self._assert_walk(state, entry, jumps)
+
+    @pytest.mark.parametrize("b_first", [False, True])
+    def test_only_one_rings_owner_changes_at_the_target(self, b_first):
+        # ring A (2 nodes) never changes owner during the sweep; ring B's
+        # owner of point 1 turns idle at config 3, which wins.  An index
+        # built from either ring alone would jump past it.
+        ring_a = Ring.uniform(2, name_prefix="a", ring_id=0)
+        starts = (0.0, 0.1, 0.2, 0.3, 0.75)
+        ring_b = Ring(RingNode(f"b-{j}", s, ring_id=1) for j, s in enumerate(starts))
+        busy_a, busy_b = [0.0, 1.0], [0.0, 0.0, 0.0, 1.0, 0.0]
+        rings, busy = [ring_a, ring_b], busy_a + busy_b
+        if b_first:
+            rings, busy = [ring_b, ring_a], busy_b + busy_a
+        table, state, entry = _sweep_case(rings, 2, busy, [1.0] * 7)
+        owners = table.kernel_pack().owner_stack
+        a = 1 if b_first else 0
+        assert (owners[a] == owners[a][:, :1]).all()  # ring A is constant
+        assert table.evaluated.all() and entry.n_configs == 5
+        self._assert_walk(state, entry, [(1, 1, 3), (4, 1, 5)])
+
+    @pytest.mark.parametrize("bad", ["dtype", "shape", "layout"])
+    def test_malformed_next_change_is_refused(self, bad):
+        table, state, entry = _sweep_case([_noeval_ring()], 2, [0.0] * 5, [1.0] * 5)
+        pack = table.kernel_pack()
+        good = pack.next_change
+        pack.next_change = {
+            "dtype": good.astype(np.int32),
+            "shape": good[:, :-1].copy(),
+            "layout": np.asfortranarray(good),
+        }[bad]
+        with pytest.raises(ValueError, match="KernelPack.next_change"):
+            CompiledKernel().select(state, entry, 0.0)
 
 
 class TestApproxKernel:

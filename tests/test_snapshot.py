@@ -227,6 +227,27 @@ class TestSnapshotFile:
         with pytest.raises(SnapshotError, match="schema"):
             Snapshot.load(path)
 
+    @pytest.mark.parametrize(
+        "kind, problem",
+        [("truncated", "not a readable snapshot"), ("no-meta", "'meta_json' is missing")],
+    )
+    def test_malformed_file_names_file_and_fix(self, tmp_path, kind, problem):
+        path = str(tmp_path / "state.npz")
+        if kind == "truncated":
+            capture_deployment(_build()).save(path)
+            with open(path, "rb") as fh:
+                head = fh.read()
+            with open(path, "wb") as fh:
+                fh.write(head[: len(head) // 2])
+        else:
+            np.savez_compressed(path, columns=np.arange(3.0))
+        with pytest.raises(SnapshotError) as info:
+            Snapshot.load(path)
+        msg = str(info.value)
+        assert msg.startswith(f"{path}: ")
+        assert problem in msg
+        assert "truncated or is not a snapshot; write it again" in msg
+
     def test_store_objects_refused(self):
         dep = Deployment(
             DeploymentConfig(

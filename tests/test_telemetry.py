@@ -388,6 +388,56 @@ class TestArchive:
             read_archive(path)
 
 
+def _malformed_npz(path, kind, write):
+    """Write a *kind* ("truncated" or "no-meta") malformed ``.npz`` at *path*."""
+    if kind == "truncated":
+        write(path)
+        with open(path, "rb") as fh:
+            head = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(head[: len(head) // 2])
+    else:
+        np.savez_compressed(path, log_arrival=np.arange(3.0))
+    return path
+
+
+def _write_small_archive(path):
+    dep = _build()
+    dep.run_queries_fast(PoissonArrivals(40.0, seed=3).times(64), 4)
+    write_archive(path, dep)
+
+
+class TestMalformedArchive:
+    @pytest.mark.parametrize(
+        "kind, problem",
+        [("truncated", "not a readable run archive"), ("no-meta", "'meta_json' is missing")],
+    )
+    def test_read_archive_names_file_and_fix(self, tmp_path, kind, problem):
+        path = _malformed_npz(str(tmp_path / "bad.npz"), kind, _write_small_archive)
+        with pytest.raises(ValueError) as info:
+            read_archive(path)
+        msg = str(info.value)
+        assert msg.startswith(f"{path}: ")
+        assert problem in msg
+        assert "truncated or is not a run archive; write it again" in msg
+
+    @pytest.mark.parametrize("kind", ["truncated", "no-meta"])
+    def test_cli_exits_2_naming_the_file(self, tmp_path, capsys, kind):
+        from repro.cli import main
+
+        good = str(tmp_path / "good.npz")
+        _write_small_archive(good)
+        bad = _malformed_npz(str(tmp_path / "bad.npz"), kind, _write_small_archive)
+        for argv, prefix in (
+            (["archive", "info", bad], f"cannot read {bad}: "),
+            (["archive", "diff", good, bad], f"cannot read {bad}: "),
+            (["explain", bad], f"cannot explain {bad}: "),
+        ):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(prefix) and "write it again" in err
+
+
 class TestArchiveCli:
     def test_info_diff_and_gate(self, tmp_path, capsys):
         from repro.cli import main

@@ -267,6 +267,18 @@ class TestArchiveAndRecordingLoaders:
         assert trace.updates == ()
         assert trace.meta["loader"] == "archive"
 
+    def test_archive_loader_refuses_truncated_archive(self, tmp_path):
+        from repro.telemetry.archive import write_archive
+
+        path = str(tmp_path / "run.npz")
+        write_archive(path, execute_scenario(small(seed=11)).deployment)
+        with open(path, "rb") as fh:
+            head = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(head[: len(head) // 2])
+        with pytest.raises(TraceFormatError, match="write it again"):
+            load_trace(path, loader="archive")
+
     def test_recording_loader_reoffers_full_stimulus(self, tmp_path):
         rec_path = str(tmp_path / "run.rec.npz")
         scenario = small(seed=7, updates=UpdateSpec(rate=4.0))
