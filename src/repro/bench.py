@@ -286,15 +286,14 @@ def run_sweep(
 
     # per-kernel dimension: the default run above *is* the exact_numpy row.
     # "sweep_us_per_query" is the in-kernel wall (scheduling wallclock):
-    # bench traces are action-free, so every kernel runs the bulk seam and
-    # this covers sweep + commit for all of them -- python-looped for
-    # unfused kernels, one C call per chunk for fused ones (that contrast
-    # is the fusion win).  "commit_us_per_query" is the engine residual
+    # every kernel commits through commit_batch, so this covers sweep +
+    # commit for all of them -- python-looped for the python kernels, one
+    # C call per chunk for the compiled one (that contrast is the fusion
+    # win).  "commit_us_per_query" is the engine residual
     # (us_per_query - sweep_us_per_query): numpy flush + span bookkeeping.
     kernel_rows: dict[str, dict] = {
         DEFAULT_KERNEL: {
             "available": True,
-            "fused_commit": False,
             "us_per_query": round(fast_us, 3),
             "sweep_us_per_query": round(exact_sweep_us, 3),
             "commit_us_per_query": round(fast_us - exact_sweep_us, 3),
@@ -319,7 +318,6 @@ def run_sweep(
         sweep_us = 1e6 * dep.scheduling_wallclock / n_queries
         kernel_rows[name] = {
             "available": True,
-            "fused_commit": bool(getattr(kernel, "fused_commit", False)),
             "us_per_query": round(us, 3),
             "sweep_us_per_query": round(sweep_us, 3),
             "commit_us_per_query": round(us - sweep_us, 3),
@@ -550,13 +548,12 @@ def render_report(snapshot: dict, baseline: Optional[dict] = None) -> str:
                     f"({k.get('reason', 'unknown')})"
                 )
                 continue
-            fused = "fused" if k.get("fused_commit") else "     "
             commit = k.get("commit_us_per_query")
             commit_txt = f"commit {commit:>5.1f} us/q  " if commit is not None else ""
             vs_exact = k.get("speedup_vs_exact")
             vs_txt = f"{vs_exact:>5.2f}x e2e  " if vs_exact is not None else ""
             lines.append(
-                f"  kernel {kname:12s} {fused} {k['us_per_query']:>7.1f} us/q  "
+                f"  kernel {kname:12s} {k['us_per_query']:>7.1f} us/q  "
                 f"kernel {k['sweep_us_per_query']:>5.1f} us/q  "
                 f"{commit_txt}"
                 f"{vs_txt}"

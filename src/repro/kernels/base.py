@@ -43,15 +43,18 @@ with the sweep over a whole chunk of queries per call: the kernel advances
 the live mirrors (``state.busy``, ``plan.spd``, ``entry.Q``) in place and
 returns the per-sub-query chunk-buffer rows in bulk through a
 :class:`CommitBuffers`, which the engine flushes with a handful of numpy
-reductions.  The default implementation is the reference python loop
-(bit-identical to the engine's inline commit by construction); the
-compiled kernel overrides it with a single C call per chunk and sets
-``fused_commit = True`` so the engine prefers the bulk seam even for
-short spans.  The engine only enters the bulk seam outside failure
-windows and with a span-constant ``pq``, so ``commit_batch`` never needs
-to delegate or re-plan; the exactness contract extends to it unchanged
-(``exact = True`` kernels must produce bit-identical *state*, not just
-decisions).
+reductions.  It is the only place the engine commits a query.  The
+default implementation is the reference python loop; the compiled kernel
+overrides it with a single C call per chunk.  The exactness contract
+extends to it unchanged (``exact = True`` kernels must produce
+bit-identical *state*, not just decisions).
+
+**The failure stop.**  Inside a failure window the engine passes the
+failed-server mask.  ``commit_batch`` then stops before committing the
+first scheduled query whose pick touches a failed server, leaves every
+mirror as the last committed query left it, and reports the stopped
+query's index and pick in ``bufs.stop_*``; the engine hands that query to
+the reference path's fall-back and resumes the seam after it.
 
 **The admission pre-check.**  An :class:`AdmissionGate` passed to
 ``commit_batch`` decides, per arriving query and before any scheduling
@@ -61,8 +64,8 @@ holds less than one token.  Both checks read only the arrival time, the
 live ``busy`` mirror, and the gate's own scalars, so they run inside the
 same fused call; shed queries consume no RTT draw and emit one shed row
 each.  Policies whose decision needs per-query delay feedback
-(``delay_gated``) cannot use the gate and stay on the engine's per-query
-path.
+(``delay_gated``) cannot use the gate: the engine admits each query
+itself and calls ``commit_batch`` for one query at a time.
 """
 
 from __future__ import annotations
@@ -90,6 +93,7 @@ __all__ = [
     "SweepKernel",
     "SweepState",
     "assignment_at",
+    "check_commit_args",
 ]
 
 
@@ -285,8 +289,12 @@ class CommitBuffers:
     kernels can cache the raw pointers.  ``rtts`` is an *input*: the
     engine pre-draws the span's RTT samples in arrival order (the rng
     stream must advance exactly as the per-query path would).  ``res_*``
-    report the *last* query's reserve map -- the one piece of front-end
-    state the reference path leaves holding a prediction.
+    report the *last* committed query's reserve map -- the one piece of
+    front-end state the reference path leaves holding a prediction.
+    ``stop_idx[0]`` is the index of the query a failed-server mask
+    stopped the call at (-1 when it ran to the end); ``stop_g`` and
+    ``stop_start_id[0]`` hold that query's pick: global server indices in
+    point order, and the chosen start id.
     """
 
     __slots__ = (
@@ -304,6 +312,9 @@ class CommitBuffers:
         "res_g",
         "res_v",
         "res_n",
+        "stop_idx",
+        "stop_g",
+        "stop_start_id",
     )
 
     def __init__(self, cap: int, pq: int) -> None:
@@ -321,6 +332,9 @@ class CommitBuffers:
         self.res_g = np.empty(pq, dtype=np.int64)
         self.res_v = np.empty(pq, dtype=np.float64)
         self.res_n = np.zeros(1, dtype=np.int64)
+        self.stop_idx = np.full(1, -1, dtype=np.int64)
+        self.stop_g = np.empty(pq, dtype=np.int64)
+        self.stop_start_id = np.empty(1, dtype=np.float64)
 
 
 class AdmissionGate:
@@ -338,6 +352,8 @@ class AdmissionGate:
     ``accrued_at`` is NaN until the bucket first accrues.  ``adm_idx``
     lists the admitted query indices in arrival order: admitted query
     ``j`` uses ``bufs.rtts[j]`` and fills row ``j`` of the out buffers.
+    A query the failure stop ends the call at has passed the pre-check:
+    it is the last entry of ``adm_idx`` and counts in ``n_admitted``.
     ``shed_*`` hold one row per shed query, with the token count as the
     signal (NaN without a bucket).
     """
@@ -379,6 +395,58 @@ class AdmissionGate:
         self.shed_signal = np.empty(cap, dtype=np.float64)
         #: scratch for kernels (e.g. a compiled struct), keyed by kernel name.
         self.ext: dict[str, object] = {}
+
+
+def check_commit_args(
+    state: SweepState,
+    entry: PqEntry,
+    plan: CommitPlan,
+    bufs: CommitBuffers,
+    start: int,
+    nq: int,
+    gate: "AdmissionGate | None",
+    failed: "np.ndarray | None",
+) -> None:
+    """Refuse a ``commit_batch`` call before any mirror moves.
+
+    The compiled kernel reads and writes through raw pointers, so an
+    index past ``plan.arrivals``, a span longer than the out buffers, or
+    buffers sized for another ``pq`` would corrupt memory instead of
+    raising; the python loop would fail part-way, after it had moved
+    ``busy``.  Each check names the argument at fault.
+    """
+    if start < 0:
+        raise ValueError(f"commit_batch: start={start} must be >= 0")
+    if nq < 0:
+        raise ValueError(f"commit_batch: nq={nq} must be >= 0")
+    n_arr = len(plan.arrivals)
+    if start + nq > n_arr:
+        raise ValueError(
+            f"commit_batch: start + nq = {start + nq} runs past the "
+            f"{n_arr} arrivals in plan.arrivals"
+        )
+    if nq > bufs.cap:
+        raise ValueError(f"commit_batch: nq={nq} exceeds bufs.cap={bufs.cap}")
+    if bufs.pq != entry.pq:
+        raise ValueError(
+            f"commit_batch: bufs.pq={bufs.pq} does not match entry.pq={entry.pq}"
+        )
+    if gate is not None and gate.adm_idx.size < nq:
+        raise ValueError(
+            f"commit_batch: gate holds {gate.adm_idx.size} rows; nq={nq}"
+        )
+    if failed is not None and not (
+        isinstance(failed, np.ndarray)
+        and failed.dtype == np.bool_
+        and failed.shape == (state.n,)
+        and failed.flags.c_contiguous
+    ):
+        raise ValueError(
+            "commit_batch: failed must be a C-contiguous bool array of "
+            f"shape ({state.n},); got "
+            f"{getattr(failed, 'dtype', type(failed).__name__)} "
+            f"{getattr(failed, 'shape', '')}"
+        )
 
 
 def assignment_at(
@@ -441,10 +509,6 @@ class SweepKernel:
     exact: ClassVar[bool] = False
     #: one-line human description for ``repro kernels``.
     description: ClassVar[str] = ""
-    #: kernels whose :meth:`commit_batch` beats a python loop even on
-    #: short spans (the compiled kernel) set this so the engine prefers
-    #: the bulk seam regardless of span length.
-    fused_commit: ClassVar[bool] = False
 
     def bind(self, state: SweepState) -> None:  # pragma: no cover - hook
         """Called when the engine (re)builds its mirrors."""
@@ -471,23 +535,32 @@ class SweepKernel:
         start: int,
         nq: int,
         gate: "AdmissionGate | None" = None,
+        failed: "np.ndarray | None" = None,
     ) -> int:
         """Fused sweep+commit over queries ``start .. start + nq``.
 
         Contract: on return the live mirrors (``state.busy``, ``plan.spd``,
-        ``entry.Q``) hold exactly the state the per-query path would have
-        produced after the span's last query, and *bufs* holds the span's
-        chunk-buffer rows (sub-query rows in submit order, per-query
-        totals, the last admitted query's reserve map; ``res_*`` are left
-        alone when nothing was admitted).  The engine guarantees no
-        failed server can be scheduled (it never enters the bulk seam
-        inside a failure window), a span-constant ``pq`` matching *entry*,
-        and ``bufs.rtts[:nq]`` pre-drawn in arrival order.
+        ``entry.Q``) hold exactly the state the per-query reference path
+        would have produced after the last committed query, and *bufs*
+        holds the committed queries' chunk-buffer rows (sub-query rows in
+        submit order, per-query totals, the last committed query's
+        reserve map; ``res_*`` are left alone when nothing was
+        committed).  The caller guarantees a span-constant ``pq`` matching
+        *entry* and ``bufs.rtts[:nq]`` pre-drawn in arrival order; the
+        arguments are checked (:func:`check_commit_args`) before any
+        mirror moves.  Returns the number of committed queries.
 
         With a *gate* each query first passes the admission pre-check
         (see :class:`AdmissionGate`); only admitted queries are scheduled,
-        and they fill the out buffers densely in arrival order.  Returns
-        the number of admitted queries (``nq`` without a gate).
+        and they fill the out buffers densely in arrival order.
+
+        *failed* is the failed-server mask (a bool array over the global
+        server index), or None outside failure windows.  With a mask the
+        call stops before committing the first scheduled query whose pick
+        touches a failed server: ``bufs.stop_idx[0]`` is that query's
+        index (-1 when the call ran to the end) and ``bufs.stop_g`` /
+        ``bufs.stop_start_id`` its pick, which the engine hands to the
+        reference path's fall-back.  The stopped query draws no RTT.
 
         The engine times this call as one opaque span: its wall is what
         the chunk accounting charges to scheduling and what the phase
@@ -495,13 +568,15 @@ class SweepKernel:
         -- kernels must not do unrelated work here or the per-phase
         attribution in ``repro profile`` / ``BENCH_<rev>.json`` lies.
 
-        This default implementation is the reference python commit loop --
-        the same scalar float operations in the same order as the engine's
-        inline per-query path (and as ``roar_commit_batch`` in
-        ``csrc/sweep.c``; the three are pinned together by the
-        differential tests).  Override it only with something
-        bit-identical, or set ``exact = False`` and document the bound.
+        This default implementation is the reference python commit loop
+        -- the same scalar float operations in the same order as
+        ``Deployment.run_query`` and as ``roar_commit_batch`` in
+        ``csrc/sweep.c`` (the two are pinned together by the differential
+        tests).  Override it only with something bit-identical, or set
+        ``exact = False`` and document the bound.
         """
+        check_commit_args(state, entry, plan, bufs, start, nq, gate, failed)
+        bufs.stop_idx[0] = -1
         select = self.select
         busy_np = state.busy
         spd_np = plan.spd
@@ -521,6 +596,7 @@ class SweepKernel:
         dataset = plan.dataset
         arr_l = plan.arr_l
         rtt_l = bufs.rtts[:nq].tolist()
+        failed_l = failed.tolist() if failed is not None else None
         fmod = math.fmod
 
         sg: list[int] = []
@@ -588,6 +664,12 @@ class SweepKernel:
                     tokens -= 1.0
                 adm_idx.append(q)
             g_list, pts, start_id = select(state, entry, now)
+            if failed_l is not None and any(failed_l[g] for g in g_list):
+                # the reference path's fall-back owns this query
+                bufs.stop_idx[0] = q
+                bufs.stop_g[:] = g_list
+                bufs.stop_start_id[0] = start_id
+                break
             rtt = rtt_l[j]
             j += 1
 
@@ -689,8 +771,8 @@ class SweepKernel:
             gate.accrued_at = accrued_at
             gate.backlog_hwm = hwm
             gate.max_admitted_backlog = max_adm
-            gate.n_admitted = j
-            gate.adm_idx[:j] = adm_idx
+            gate.n_admitted = len(adm_idx)
+            gate.adm_idx[: len(adm_idx)] = adm_idx
             n_shed = len(shed_rows)
             gate.n_shed = n_shed
             if n_shed:

@@ -48,6 +48,7 @@ from .base import (
     PqEntry,
     SweepKernel,
     SweepState,
+    check_commit_args,
 )
 
 __all__ = [
@@ -58,7 +59,7 @@ __all__ = [
 ]
 
 _SOURCE = Path(__file__).with_name("csrc") / "sweep.c"
-_ABI_VERSION = 5
+_ABI_VERSION = 6
 
 #: memoised library handle / failure reason (one build attempt per process).
 _lib: Optional[ctypes.CDLL] = None
@@ -249,6 +250,10 @@ class _CommitArgs(ctypes.Structure):
         ("q_mw", ctypes.c_void_p),
         ("q_ms", ctypes.c_void_p),
         ("gate", ctypes.c_void_p),
+        ("failed", ctypes.c_void_p),
+        ("stop", ctypes.c_void_p),
+        ("stop_g", ctypes.c_void_p),
+        ("stop_start_id", ctypes.c_void_p),
     ]
 
 
@@ -428,6 +433,9 @@ class _CommitBlock:
             q_total=bufs.q_total.ctypes.data,
             q_mw=bufs.q_mw.ctypes.data,
             q_ms=bufs.q_ms.ctypes.data,
+            stop=bufs.stop_idx.ctypes.data,
+            stop_g=bufs.stop_g.ctypes.data,
+            stop_start_id=bufs.stop_start_id.ctypes.data,
         )
         self._hold = (
             args,
@@ -455,17 +463,15 @@ class CompiledKernel(SweepKernel):
     with a graceful fallback when none exists.  ``exact = True``: any
     divergence from the oracle is a bug, not a documented trade.
 
-    Two entry points: :meth:`select` is the per-query sweep (used by the
-    engine's per-query path, e.g. inside failure windows), and
+    Two entry points: :meth:`select` is the per-query sweep, and
     :meth:`commit_batch` is the fused sweep+commit -- one C call per
     chunk of queries, advancing the live mirrors in place and returning
-    the chunk-buffer rows in bulk (``fused_commit = True`` so the engine
-    prefers the bulk seam at any span length).
+    the chunk-buffer rows in bulk.  The engine commits through
+    :meth:`commit_batch` only, failure windows included.
     """
 
     name = "compiled"
     exact = True
-    fused_commit = True
     description = "fused C sweep+commit via ctypes (needs a C toolchain)"
 
     def __init__(self) -> None:
@@ -514,7 +520,9 @@ class CompiledKernel(SweepKernel):
         start: int,
         nq: int,
         gate: Optional[AdmissionGate] = None,
+        failed: Optional["np.ndarray"] = None,
     ) -> int:
+        check_commit_args(state, entry, plan, bufs, start, nq, gate, failed)
         if state is not self._state:
             self.bind(state)
         block = entry.ext.get("compiled_commit")
@@ -526,13 +534,10 @@ class CompiledKernel(SweepKernel):
         ):
             block = _CommitBlock(state, entry, plan, bufs, self._starts_flat)
             entry.ext["compiled_commit"] = block
+        block.args.failed = None if failed is None else failed.ctypes.data
         if gate is None:
             block.args.gate = None
             return self._commit_fn(block.args_ptr, start, nq)
-        if gate.adm_idx.size < nq:
-            raise ValueError(
-                f"admission gate holds {gate.adm_idx.size} rows; the span has {nq}"
-            )
         g = _GateArgs.for_gate(gate)
         g.queue_cap = gate.queue_cap
         g.rate = gate.rate
@@ -543,11 +548,12 @@ class CompiledKernel(SweepKernel):
         g.max_admitted_backlog = gate.max_admitted_backlog
         g.bucket = int(gate.bucket)
         block.args.gate = ctypes.addressof(g)
-        n_admitted = self._commit_fn(block.args_ptr, start, nq)
+        n_committed = self._commit_fn(block.args_ptr, start, nq)
         gate.tokens = g.tokens
         gate.accrued_at = g.accrued_at
         gate.backlog_hwm = g.backlog_hwm
         gate.max_admitted_backlog = g.max_admitted_backlog
-        gate.n_admitted = n_admitted
+        # a stopped query passed the pre-check: it counts as admitted
+        gate.n_admitted = n_committed + (int(bufs.stop_idx[0]) >= 0)
         gate.n_shed = g.n_shed
-        return n_admitted
+        return n_committed

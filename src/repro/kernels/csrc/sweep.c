@@ -12,27 +12,33 @@
  * each -- sub-query widths, the front-end reserve, queue submit, EWMA
  * speed observation, and the q_over_s write-through -- against the live
  * mirror arrays, emitting the per-sub-query chunk-buffer rows in bulk
- * for the engine's numpy flush.  Every float operation replicates the
- * python engine's order exactly (IEEE-754 doubles, same comparisons,
- * same tie-breaking; the build passes -ffp-contract=off so the EWMA's
- * a*b + c*d cannot be contracted into an FMA), so the results are
- * bit-identical; the speedup comes from fusing per-query python
- * interpretation and ~10 numpy dispatches into one pass per chunk.
+ * for the engine's numpy flush.  It is the engine's only commit when
+ * the compiled kernel runs: inside a failure window it stops at the
+ * first query whose pick touches a failed server and reports that pick,
+ * and the engine hands the query to the reference path's fall-back.
+ * Every float operation replicates the python oracle's order exactly
+ * (IEEE-754 doubles, same comparisons, same tie-breaking; the build
+ * passes -ffp-contract=off so the EWMA's a*b + c*d cannot be contracted
+ * into an FMA), so the results are bit-identical; the speedup comes from
+ * fusing per-query python interpretation and ~10 numpy dispatches into
+ * one pass per chunk.
  *
  * The library is plain C with no Python.h dependency: it is built with
  * the system C compiler into a shared object and driven through ctypes
  * (see repro/kernels/compiled.py), which is what lets `repro[fast]`
  * degrade gracefully to the pure-python oracle when no toolchain exists.
  *
- * ABI notes (revision 5): `owners` is the (n_rings, pq, n_configs)
+ * ABI notes (revision 6): `owners` is the (n_rings, pq, n_configs)
  * C-contiguous owner timeline of ring-LOCAL node indices; `ring_lo[r]`
  * maps them to global server indices (the order of `busy` / `q_over_s` /
  * `starts_flat`).  `next_change` is the (pq, n_configs) C-contiguous
  * next-owner-change index (KernelPack.next_change), and `n_eval` the
  * length of the evaluated prefix: revision 5 replaced the per-config
  * `evaluated` byte mask with these two.  `starts_flat` holds each ring's
- * sorted node start positions in the global order.  All int buffers are
- * int64 (numpy intp on LP64).
+ * sorted node start positions in the global order.  Revision 6 added the
+ * failed-server mask (`failed`, one byte per server, NULL outside failure
+ * windows) and the stop report (`stop`, `stop_g`, `stop_start_id`) to
+ * roar_commit_args.  All int buffers are int64 (numpy intp on LP64).
  */
 
 #include <math.h>
@@ -249,12 +255,17 @@ int64_t roar_sweep_select(const roar_sweep_args *a, double now)
  * per-query reductions (total delay, max wait, max service) into the
  * engine-owned out buffers consumed by the numpy flush.
  *
- * Exactness: each operation replicates the python engine's scalar float
- * ops in the same order (see _Engine._run_span in sim/fastpath.py and
- * SweepKernel.commit_batch in kernels/base.py); any divergence from the
- * exact_numpy oracle is a bug.  The caller guarantees no server in the
- * span's schedules is failed (the engine never enters the fused path
- * inside a failure window) and that pq is constant across the span.
+ * Exactness: each operation replicates the python oracle's scalar float
+ * ops in the same order (SweepKernel.commit_batch in kernels/base.py);
+ * any divergence from the exact_numpy oracle is a bug.  The caller
+ * guarantees that pq is constant across the span and that start, nq and
+ * the buffers are in bounds (kernels/compiled.py checks them first).
+ *
+ * Failure stop: with a non-NULL `failed` mask, a scheduled query whose
+ * pick holds a failed server is not committed.  Its index goes to
+ * *stop, its pick to stop_g / *stop_start_id, and the call returns the
+ * number committed before it; the mirrors and res_* are as that last
+ * committed query left them.  *stop is -1 when the call ran to the end.
  *
  * Admission pre-check: with a non-NULL `gate`, each arrival first sees
  * backlog = max(busy) - now (clipped at 0), kept as a running max that
@@ -311,6 +322,10 @@ typedef struct {
     double *q_mw;                  /* [cap] out: max sub-query wait       */
     double *q_ms;                  /* [cap] out: max sub-query service    */
     roar_gate *gate;               /* admission pre-check, NULL = none    */
+    const uint8_t *failed;         /* [n] failed-server mask, NULL = none */
+    int64_t *stop;                 /* [1] out: stopped query, -1 = none   */
+    int64_t *stop_g;               /* [pq] out: the stopped query's pick  */
+    double *stop_start_id;         /* [1] out: its start id               */
 } roar_commit_args;
 
 int64_t roar_commit_batch(const roar_commit_args *a, int64_t start,
@@ -332,6 +347,7 @@ int64_t roar_commit_batch(const roar_commit_args *a, int64_t start,
     int64_t *res_g = a->res_g;
     double *res_v = a->res_v;
     roar_gate *gate = a->gate;
+    const uint8_t *failed = a->failed;
     int64_t si = 0, adm = 0, ns = 0;
     int64_t k, i, j;
     double bmax = 0.0, hwm = 0.0, max_adm = 0.0, tokens = 0.0;
@@ -348,6 +364,7 @@ int64_t roar_commit_batch(const roar_commit_args *a, int64_t start,
         tokens = gate->tokens;
         accrued_at = gate->accrued_at;
     }
+    *a->stop = -1;
 
     for (k = 0; k < nq; k++) {
         const double now = a->arrivals[start + k];
@@ -394,9 +411,23 @@ int64_t roar_commit_batch(const roar_commit_args *a, int64_t start,
             }
             gate->adm_idx[adm] = start + k;
         }
-        const double rtt = a->rtts[adm];
         (void)roar_sweep_select(sw, now);
         const double start_id = sw->start_id_out[0];
+        if (failed != NULL) {
+            int64_t hit = 0;
+            for (i = 0; i < pq; i++) {
+                hit |= failed[g_list[i]];
+            }
+            if (hit) {  /* the reference path's fall-back owns it */
+                *a->stop = start + k;
+                for (i = 0; i < pq; i++) {
+                    a->stop_g[i] = g_list[i];
+                }
+                *a->stop_start_id = start_id;
+                break;
+            }
+        }
+        const double rtt = a->rtts[adm];
 
         /* widths + reserve (FIFO over sub-queries; the first occurrence
          * of a server syncs the live queue, repeats accumulate) */
@@ -506,4 +537,4 @@ int64_t roar_commit_batch(const roar_commit_args *a, int64_t start,
 }
 
 /* Build-probe symbol so the loader can verify the ABI revision it built. */
-int64_t roar_sweep_abi_version(void) { return 5; }
+int64_t roar_sweep_abi_version(void) { return 6; }

@@ -57,13 +57,12 @@ __all__ = ["PHASES", "PhaseProfiler", "resolve_profile"]
 #: is left at its default (None).
 PROFILE_ENV = "REPRO_PROFILE"
 
-#: The engine phases, in hot-path order.  ``commit`` is the inline
-#: per-query python commit (short spans, failure windows, per-query
-#: ``pq_fn``); ``reference`` is the per-query reference path.
+#: The engine phases, in hot-path order.  ``sweep_commit`` is the
+#: kernel's ``commit_batch`` call, the only place the batched engine
+#: commits a query; ``reference`` is the per-query reference path.
 PHASES = (
     "arrival_draw",
     "sweep_commit",
-    "commit",
     "flush",
     "listeners",
     "actions",

@@ -2,65 +2,64 @@
 
 ``Deployment.run_query`` costs milliseconds of interpreter time per query:
 it re-syncs every node's statistics, rebuilds owner views, and walks the
-rotation sweep heap with a Python estimator closure.  PR 2 replaced the
-sweep with a precomputed :class:`~repro.core.covertable.CoverTable`, which
-made *scheduling* nearly free but left ~70 us/query of per-query Python in
-the accounting loop (reserve/submit/EWMA).  This module removes that loop:
+rotation sweep heap with a Python estimator closure.  This module runs
+the same system with no per-query python on its hot path:
 
 * **Always-fresh mirrors.**  Every quantity scheduling depends on lives in
-  flat arrays ordered by ring position: ``busy`` (live server queues) and
-  ``speed`` (EWMA speed estimates), shadowed by plain Python lists so the
-  per-query closed-form updates cost scalar float arithmetic, not numpy
-  scalar boxing.  The next query's estimates are therefore always exact --
+  flat numpy arrays ordered by ring position: ``busy`` (live server
+  queues), ``spd`` (EWMA speed estimates) and ``failed`` (the failed
+  servers).  The next query's estimates are therefore always exact --
   freshness is what makes the batched schedule provably bit-identical.
 
-* **Chunked accounting.**  The expensive half of the old loop -- writing
-  ``SimServer``/``NodeStats`` objects, building ``QueryRecord``s, feeding
-  listeners and the traffic ledger -- commutes into per-server reductions.
-  Queries accumulate into flat chunk buffers; a chunk is flushed with a
-  handful of numpy ops (``np.add.at`` preserves per-server float addition
-  order, so even busy-time sums are bit-exact) whenever an action fires, a
-  failure-window query must be delegated, the buffer cap is reached, or the
-  batch ends.  The topological cut points of the arrival order are exactly
-  the points where some consumer could observe intermediate state.
+* **One commit path.**  Between two cut points (exact-time actions, the
+  chunk cap) the engine hands the kernel a whole chunk of queries at once
+  through :meth:`~repro.kernels.base.SweepKernel.commit_batch`: the kernel
+  runs sweep *and* commit -- widths, reserve, queue submit, EWMA
+  observation, write-through -- for every query of the chunk, advancing
+  the live mirrors in place and returning the per-sub-query rows in bulk.
+  It is the only place a query is committed.  The default
+  ``commit_batch`` is the reference python loop (so every kernel takes
+  the seam); the compiled kernel fuses the whole chunk into one C call.
+  The per-query scheduling decision inside it is a pluggable
+  :class:`~repro.kernels.base.SweepKernel` selected by ``kernel=`` (see
+  :mod:`repro.kernels`).
 
-* **Pluggable scheduling kernels.**  The per-query decision itself --
-  estimate evaluation, the precomputed rotation sweep, the final
-  assignment -- is delegated to a :class:`~repro.kernels.base.SweepKernel`
-  selected by the ``kernel=`` parameter.  The default ``exact_numpy`` is
-  this engine's original inline code and stays the bit-identical oracle;
-  ``compiled`` runs the same arithmetic as one fused C call, and
-  ``approx_topk`` trades a documented deviation bound for a smaller sweep
-  (see :mod:`repro.kernels`).  Accounting, mirrors, actions, and the
-  failure fall-back are shared across kernels.
+* **Chunked accounting.**  Writing ``SimServer``/``NodeStats`` objects,
+  building columnar records, feeding listeners and the traffic ledger
+  commutes into per-server reductions: each chunk is flushed straight
+  from the kernel's out buffers with a handful of numpy ops
+  (``np.add.at`` preserves per-server float addition order, so even
+  busy-time sums are bit-exact).  Objects are materialised only where
+  some consumer could observe intermediate state: before an action
+  callback, a failure delegation, and at the end of the batch.
 
-* **The bulk commit seam.**  Between two cut points (exact-time actions,
-  failure windows, the chunk cap) the engine hands the kernel a whole
-  span of queries at once through
-  :meth:`~repro.kernels.base.SweepKernel.commit_batch`: the kernel runs
-  sweep *and* commit -- widths, reserve, queue submit, EWMA observation,
-  write-through -- for every query of the chunk, advancing the live
-  mirrors in place and returning the per-sub-query rows in bulk, which
-  :meth:`_Engine._flush_bulk` turns into the same numpy reductions the
-  buffered path uses.  The default ``commit_batch`` is the reference
-  python loop (so every kernel takes the seam); the compiled kernel
-  fuses the whole span into one C call, which removes the last
-  per-query python from the hot path.  Admission policies whose
-  decisions need only the arrival time, the busiest-server backlog and
-  their own token state (the queue cap, AIMD's token bucket) run inside
-  the same call through an :class:`~repro.kernels.base.AdmissionGate`.
-  Failure windows, per-query ``pq_fn`` callables and delay-fed policies
-  (``delay_gated``) stay on the inline per-query loop, where the
-  delegation machinery and rng draw order live.
+* **Stop, delegate, resume.**  Inside a failure window the engine passes
+  the failed-server mask; ``commit_batch`` stops before the first query
+  whose pick touches a failed server, the engine delegates that query to
+  the reference path (:meth:`Deployment.run_query
+  <repro.cluster.deployment.Deployment.run_query>`), which owns the
+  rng-consuming fall-back, and the seam resumes after it.  An exact
+  kernel's pick is the decision the reference sweep would make, so the
+  engine hands it over and the fall-back skips its own sweep; an inexact
+  kernel's pick is not handed over.  A callable ``pq_fn`` is evaluated
+  once per query before the span, and each constant-``pq`` run goes
+  through the seam.
+
+* **Admission.**  Policies whose decisions need only the arrival time,
+  the busiest-server backlog and their own token state (the queue cap,
+  AIMD's token bucket) run inside the same ``commit_batch`` call through
+  an :class:`~repro.kernels.base.AdmissionGate`.  A policy that feeds on
+  per-query delays (``delay_gated``) is asked per query, and the seam
+  commits one admitted query at a time.
 
 * **Exact-time action queue.**  :class:`Action` schedules work *between
   two specific queries* (before ``arrival_times[index]``): a callback,
-  object updates given as data, or both.  The engine flushes and
-  materialises full object state before each callback -- so a mid-batch
-  failure, membership change, or control tick sees precisely the state
-  the per-query reference path would have produced, and is visible to
-  the very next query.  Update data needs no materialise: the engine
-  applies each ``(time, position)`` write on its mirrors
+  object updates given as data, or both.  The engine materialises full
+  object state before each callback -- so a mid-batch failure,
+  membership change, or control tick sees precisely the state the
+  per-query reference path would have produced, and is visible to the
+  very next query.  Update data needs no materialise: the engine applies
+  each ``(time, position)`` write on its mirrors
   (:meth:`_Engine._apply_updates`), with the replica-holder rule
   :meth:`Deployment.apply_update <repro.cluster.deployment.Deployment.
   apply_update>` uses.
@@ -68,13 +67,7 @@ the accounting loop (reserve/submit/EWMA).  This module removes that loop:
 The batched path is only landable because it is *provably the same system*:
 for equal seeds it produces bit-identical per-query server sets, latencies,
 traces, statistics, and scheduler work counters as the per-query reference
-path -- ``tests/test_fastpath.py`` holds that line.  Queries whose schedule
-touches a failed server are delegated, one at a time, to the reference path
-so the (rare, rng-consuming) failure fall-back machinery stays the single
-source of truth.  An exact kernel's pick for such a query is the decision
-the reference sweep would make, so the engine hands it to the fall-back,
-which then skips its own sweep; an inexact kernel's pick is not handed
-over.
+path -- ``tests/test_fastpath.py`` holds that line.
 
 Requires the deployment's front-end to run the default configuration
 (``method="heap"``, no range adjustment, no splitting); other configurations
@@ -83,9 +76,9 @@ raise and should use :meth:`Deployment.run_queries`.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 try:
@@ -118,18 +111,10 @@ __all__ = [
     "run_queries_reference",
 ]
 
-#: Queries buffered before a chunk is force-flushed (bounds buffer memory;
-#: the flush itself is O(chunk) numpy work, so larger is mildly better).
-#: Also the span size of one bulk ``commit_batch`` call, so chunk cuts are
-#: identical between the buffered and bulk paths.
+#: The most queries one ``commit_batch`` call (one accounting chunk)
+#: takes; bounds the out-buffer memory.  The flush is O(chunk) numpy work,
+#: so larger is mildly better.
 CHUNK_CAP = 8192
-
-#: Minimum span length for which a python-commit kernel is routed through
-#: the bulk seam; shorter spans use the inline per-query loop (results are
-#: bit-identical either way -- the bulk machinery just carries fixed
-#: per-span costs that want amortising).  Kernels with
-#: ``fused_commit = True`` (one C call per span) always take the seam.
-BULK_MIN_SPAN = 32
 
 #: How much of the deployment an action callback may have touched, from the
 #: engine's point of view -- picks the cheapest sufficient mirror refresh.
@@ -207,8 +192,9 @@ class BatchResult:
     fast_scheduled: int
     delegated: int
     wall_seconds: float
-    #: sizes of the accounting chunks that were flushed (cut at actions,
-    #: delegations, the buffer cap, and batch end).
+    #: committed queries per flushed accounting chunk (one per
+    #: ``commit_batch`` call that committed any; cut at actions,
+    #: delegations and the chunk cap).
     chunk_sizes: list[int] = field(default_factory=list)
     #: actions fired from the exact-time queue during this run.
     actions_applied: int = 0
@@ -244,9 +230,9 @@ def _sorted_actions(actions) -> list[Action]:
 
 
 class _Engine:
-    """One batched run: mirrors, chunk buffers, the action queue, and a
-    pluggable :class:`~repro.kernels.base.SweepKernel` doing the per-query
-    scheduling decision."""
+    """One batched run: mirrors, the action queue, and a pluggable
+    :class:`~repro.kernels.base.SweepKernel` that schedules and commits
+    every query through its ``commit_batch``."""
 
     def __init__(
         self,
@@ -262,7 +248,7 @@ class _Engine:
         self.dep = deployment
         #: admission controller, or None (the default).  Like the
         #: profiler, every site below guards on ``is not None`` (and the
-        #: bulk seam passes no gate), so an admission-free run takes
+        #: seam then passes no gate), so an admission-free run takes
         #: exactly the pre-admission code path, bit for bit.
         self.admission = admission
         #: phase profiler, or None (the default).  Every instrumentation
@@ -283,7 +269,6 @@ class _Engine:
         self.one_minus_alpha = 1.0 - self.alpha
         self.pq_fn = pq_fn
         self.pq_override: Optional[int] = None
-        self.record_assignments = record_assignments
         self.actions = actions
         self.kernel = kernel
 
@@ -315,13 +300,13 @@ class _Engine:
         #: prediction rather than a synced server value.
         self.last_res: Optional[list[tuple[int, float]]] = None
         self.st_sync_pending = False
-        #: the queue shadow as that last fast query left it, snapshotted
-        #: when a data update moves the queues before the sync is written
-        #: (None: ``busy_l`` is still that state).
+        #: the queues as that last fast query left them, snapshotted when
+        #: a data update moves them before the sync is written (None:
+        #: ``busy`` still holds that state).
         self.st_busy: Optional[list[float]] = None
 
-        #: per-pq bulk-commit out buffers (stable objects, so compiled
-        #: kernels can cache raw pointers against them for the whole run).
+        #: per-pq commit out buffers (stable objects, so compiled kernels
+        #: can cache raw pointers against them for the whole run).
         self.commit_bufs: dict[int, CommitBuffers] = {}
         self.bulk_cap = min(CHUNK_CAP, max(1, n_q))
         #: the kernel-facing admission state, when the policy's decisions
@@ -334,7 +319,6 @@ class _Engine:
         )
 
         self._build()
-        self._reset_buffers()
 
     # -- mirrors -----------------------------------------------------------
     def _build(self) -> None:
@@ -355,18 +339,22 @@ class _Engine:
         self.names_flat = [nd.name for nd in nodes_flat]
         self.stats_flat = [fe.stats_for(nd) for nd in nodes_flat]
         self.servers_flat = [dep.servers[nd.name] for nd in nodes_flat]
-        self.single_ring = len(self.rings) == 1
         self.trace_any = any(s.keep_trace for s in dep.servers.values())
         self.multi_lane = any(s.cores != 1 for s in self.servers_flat)
 
         n = len(nodes_flat)
-        self.busy_l = [s.busy_until for s in self.servers_flat]
-        self.spd_l = [st.speed_estimate for st in self.stats_flat]
-        self.srv_speed_l = [s.speed for s in self.servers_flat]
-        self.srv_fixed_l = [s.fixed_overhead for s in self.servers_flat]
-        self.failed_l = [s.failed for s in self.servers_flat]
-        self.busy = np.array(self.busy_l, dtype=np.float64)
-        self.spd = np.array(self.spd_l, dtype=np.float64)
+        srv_speed_l = [s.speed for s in self.servers_flat]
+        srv_fixed_l = [s.fixed_overhead for s in self.servers_flat]
+        self.busy = np.array(
+            [s.busy_until for s in self.servers_flat], dtype=np.float64
+        )
+        self.spd = np.array(
+            [st.speed_estimate for st in self.stats_flat], dtype=np.float64
+        )
+        #: the failed-server mask ``commit_batch`` stops on (passed only
+        #: while ``any_failed``).
+        self.failed = np.array([s.failed for s in self.servers_flat], dtype=bool)
+        self.any_failed = bool(self.failed.any())
         self.est = np.empty(n, dtype=np.float64)
         # absolute per-server accumulator mirrors (flushed chunks land here,
         # materialise copies them back onto the objects)
@@ -377,9 +365,9 @@ class _Engine:
         )
         # one object update's work and service time per server, in
         # SimServer.submit's float ops (work = cost * speed)
-        srv_speed = np.array(self.srv_speed_l, dtype=np.float64)
+        srv_speed = np.array(srv_speed_l, dtype=np.float64)
         self.upd_work = self.cfg.update_cost * srv_speed
-        self.upd_svc = np.array(self.srv_fixed_l, dtype=np.float64) + (
+        self.upd_svc = np.array(srv_fixed_l, dtype=np.float64) + (
             self.upd_work / srv_speed
         )
         self.cc = np.array(
@@ -406,31 +394,23 @@ class _Engine:
             self.arrivals,
             self.arr_l,
             self.spd,
-            self.srv_fixed_l,
-            self.srv_speed_l,
+            srv_fixed_l,
+            srv_speed_l,
             self.alpha,
             self.one_minus_alpha,
             self.dataset,
         )
 
         self.tables: dict[int, PqEntry] = {}
-        self.any_failed = any(s.failed for s in dep.servers.values())
         self.p_store_cur = dep.p_store
         self.qid_last = fe._query_counter
-        self.it_acc = 0
-        self.est_acc = 0
-        self.qs_acc = 0
-        self.wall_acc = 0.0
-        self.led_qmsg = 0
-        self.led_rmsg = 0
 
     def _refresh_busy(self) -> None:
         """Re-read server queues *and* execution counters (a "busy"-scoped
         action submits work, which moves busy_time/tasks_run/objects too).
         Also re-reads p_store: any action may pump the discrete-event
         simulation, which can complete an in-flight repartition."""
-        self.busy_l = [s.busy_until for s in self.servers_flat]
-        self.busy[:] = self.busy_l
+        self.busy[:] = [s.busy_until for s in self.servers_flat]
         self.bt[:] = [s.busy_time for s in self.servers_flat]
         self.om[:] = [s.objects_matched for s in self.servers_flat]
         self.tasks[:] = [s.tasks_run for s in self.servers_flat]
@@ -438,132 +418,34 @@ class _Engine:
 
     def _refresh_values(self) -> None:
         self._refresh_busy()
-        self.spd_l = [st.speed_estimate for st in self.stats_flat]
-        self.spd[:] = self.spd_l
-        self.failed_l = [s.failed for s in self.servers_flat]
+        self.spd[:] = [st.speed_estimate for st in self.stats_flat]
+        self.failed[:] = [s.failed for s in self.servers_flat]
+        self.any_failed = bool(self.failed.any())
         self.cc[:] = [st.completed for st in self.stats_flat]
         self.ls[:] = [st.last_seen for st in self.stats_flat]
         for entry in self.tables.values():
             np.divide(entry.wd, self.spd, out=entry.Q)
-        self.any_failed = any(s.failed for s in self.dep.servers.values())
-        self.p_store_cur = self.dep.p_store
 
-    # -- chunk buffers -----------------------------------------------------
-    def _reset_buffers(self) -> None:
-        #: per sub-query rows ``(g, service, work, finish, start)``,
-        #: flattened across the chunk's queries in submit order.
-        self.subs: list[tuple] = []
-        #: per query rows ``(q_i, now, pq, qid, rtt, sched, total, mw, ms)``.
-        self.qrows: list[tuple] = []
-
-    def _flush(self) -> None:
-        """Account the buffered chunk with array reductions + one record pass."""
-        nq = len(self.qrows)
-        if nq == 0:
-            return
-        prof = self.prof
-        if prof is not None:
-            prof.begin("flush")
-        sg_t, ssv_t, swk_t, sf_t, sst_t = zip(*self.subs)
-        sg = np.array(sg_t, dtype=np.intp)
-        ssv = np.array(ssv_t)
-        swk = np.array(swk_t)
-        sf = np.array(sf_t)
-        # np.add.at applies unbuffered, element-by-element in index order,
-        # so repeated-server float sums keep the reference addition order.
-        np.add.at(self.bt, sg, ssv)
-        np.add.at(self.om, sg, swk)
-        counts = np.bincount(sg, minlength=len(self.tasks))
-        self.tasks += counts
-        self.cc += counts
-        # per-server finishes are monotone, so last-in-order == max
-        np.maximum.at(self.ls, sg, sf)
-        self.touched[sg] = True
-
-        qidx_t, qnow_t, qpq_t, qqid_t, qrtt_t, qsched_t, qtotal_t, qmw_t, qms_t = zip(
-            *self.qrows
-        )
-        qidx = np.array(qidx_t, dtype=np.intp)
-        qnow = np.array(qnow_t)
-        qtotal = np.array(qtotal_t)
-        fr = qnow + qtotal
-        delay = fr - qnow
-        self.latencies[qidx] = delay
-        self.finishes[qidx] = fr
-        qqid = np.array(qqid_t, dtype=np.int64)
-        qpq = np.array(qpq_t, dtype=np.int64)
-        self.query_ids[qidx] = qqid
-        self.pqs[qidx] = qpq
-
-        self._emit_records(
-            qqid,
-            qnow,
-            fr,
-            qpq,
-            np.array(qrtt_t),
-            np.array(qsched_t),
-            qtotal,
-            np.array(qmw_t),
-            np.array(qms_t),
-            sg_t,
-            sst_t,
-            sf_t,
-            swk_t,
-        )
-
-        dep = self.dep
-        fe = self.fe
-        fe.total_iterations += self.it_acc
-        fe.total_estimates += self.est_acc
-        fe.queries_scheduled += self.qs_acc
-        fe._query_counter = self.qid_last
-        self.it_acc = self.est_acc = self.qs_acc = 0
-        dep.scheduling_wallclock += self.wall_acc
-        self.wall_acc = 0.0
-        # accumulate through the ledger's own methods so the per-message
-        # byte constants live in exactly one place (network.py)
-        self.ledger.record_query(self.led_qmsg)
-        self.ledger.record_result(self.led_rmsg)
-        self.led_qmsg = self.led_rmsg = 0
-
-        self.chunk_sizes.append(nq)
-        self._reset_buffers()
-        if prof is not None:
-            prof.end()
-
-    def _emit_records(
-        self,
-        qqid,
-        qnow,
-        fr,
-        qpq,
-        qrtt,
-        qsched,
-        qtotal,
-        qmw,
-        qms,
-        sg_l,
-        sst_l,
-        sf_l,
-        swk_l,
-    ) -> None:
+    # -- accounting ----------------------------------------------------------
+    def _emit_records(self, qqid, qnow, fr, qsched, qtotal, pq, bufs) -> None:
         """Land one chunk's per-query telemetry as columns.
 
-        All ``q*`` arguments are equal-length per-query float64/int64
-        arrays; they append to the deployment's columnar logs in a
-        handful of array copies -- zero per-query python on listener-free
-        runs.  Chunk listeners receive the arrays directly (one
+        The ``q*`` arguments are equal-length per-query float64/int64
+        arrays; with the chunk's RTT, wait and service rows from *bufs*
+        they append to the deployment's columnar logs in a handful of
+        array copies -- zero per-query python on listener-free runs.
+        Chunk listeners receive the arrays directly (one
         ``observe_chunk`` call per flushed chunk); legacy per-query
         ``query_listeners``, when any are registered, are driven off the
         same columns by materialising each row as the exact
-        :class:`QueryRecord` the per-query path would have built.
-        Shared by the buffered flush (tuple rows) and the bulk flush
-        (kernel out buffers), so the two paths cannot drift in what they
-        record.  ``s*`` are flat per-sub-query sequences in submit order,
-        consumed ``qpq[k]`` at a time (only read when tracing is on).
+        :class:`QueryRecord` the per-query path would have built.  Server
+        traces read the chunk's sub-query rows from *bufs* (submit
+        order, *pq* rows per query).
         """
         dep = self.dep
         nq = len(qnow)
+        qpq = np.full(nq, pq, dtype=np.int64)
+        qrtt, qmw, qms = bufs.rtts[:nq], bufs.q_mw[:nq], bufs.q_ms[:nq]
         log_start = self.log.n_records
         self.log.append_columns(qqid, qnow, fr, qpq, qpq, qsched)
         dep.breakdowns.append_columns(qsched, qrtt, qmw, qms, qtotal)
@@ -608,50 +490,57 @@ class _Engine:
             prof.end()
 
         if self.trace_any:
+            m = nq * pq
+            sg_l = bufs.sub_g[:m].tolist()
+            sst_l = bufs.sub_start[:m].tolist()
+            sf_l = bufs.sub_finish[:m].tolist()
+            swk_l = bufs.sub_work[:m].tolist()
             servers_flat = self.servers_flat
-            qpq_l = qpq.tolist()
-            qnow_l = qnow.tolist()
-            qrtt_l = qrtt.tolist()
-            qqid_l = qqid.tolist()
-            off = 0
-            for k in range(nq):
-                pq = qpq_l[k]
-                arr_t = qnow_l[k] + qrtt_l[k] / 2.0
-                qid = qqid_l[k]
-                for j in range(off, off + pq):
+            rows = zip(qqid.tolist(), qnow.tolist(), qrtt.tolist())
+            for k, (qid, now, rtt) in enumerate(rows):
+                arr_t = now + rtt / 2.0
+                for j in range(k * pq, (k + 1) * pq):
                     server = servers_flat[sg_l[j]]
                     if server.keep_trace:
                         server.trace.append(
                             TaskRecord(qid, arr_t, sst_l[j], sf_l[j], swk_l[j])
                         )
-                off += pq
 
     def _materialise(self) -> None:
-        """Flush, then write exact object state (servers + node stats)."""
+        """Write exact object state (servers + node stats) from the mirrors."""
         prof = self.prof
         if prof is not None:
             prof.begin("materialise")
-        self._flush()
         self.fe._query_counter = self.qid_last
-        idx = np.nonzero(self.touched)[0]
+        idx = np.flatnonzero(self.touched)
         if idx.size:
-            for g in idx.tolist():
-                server = self.servers_flat[g]
-                server._lane_busy_until[0] = self.busy_l[g]
-                server.busy_time = float(self.bt[g])
-                server.tasks_run = int(self.tasks[g])
-                server.objects_matched = float(self.om[g])
-                st = self.stats_flat[g]
-                st.speed_estimate = self.spd_l[g]
-                st.completed = int(self.cc[g])
-                st.last_seen = float(self.ls[g])
+            servers_flat, stats_flat = self.servers_flat, self.stats_flat
+            for g, busy, bt, tasks, om, spd, cc, ls in zip(
+                idx.tolist(),
+                self.busy[idx].tolist(),
+                self.bt[idx].tolist(),
+                self.tasks[idx].tolist(),
+                self.om[idx].tolist(),
+                self.spd[idx].tolist(),
+                self.cc[idx].tolist(),
+                self.ls[idx].tolist(),
+            ):
+                server = servers_flat[g]
+                server._lane_busy_until[0] = busy
+                server.busy_time = bt
+                server.tasks_run = tasks
+                server.objects_matched = om
+                st = stats_flat[g]
+                st.speed_estimate = spd
+                st.completed = cc
+                st.last_seen = ls
             self.touched[:] = False
         # NodeStats.busy_until parity: after the last fast query, every node
         # reads the server value it synced (the queues as they stood
         # before any later data update) except that query's reservations,
         # which keep the reserve prediction (reference-path behaviour).
         if self.st_sync_pending and self.last_res is not None:
-            synced = self.st_busy if self.st_busy is not None else self.busy_l
+            synced = self.st_busy if self.st_busy is not None else self.busy.tolist()
             for g, st in enumerate(self.stats_flat):
                 st.busy_until = synced[g]
             for g, val in self.last_res:
@@ -693,17 +582,15 @@ class _Engine:
         (:meth:`~repro.core.ring.Ring.replica_holders`), skipping failed
         servers: the queue, busy-time, task and object mirrors move in
         ``SimServer.submit``'s float ops, and ``touched`` hands them to
-        the next materialise.  The pending chunk is flushed first, so
-        per-server sums keep the reference addition order and chunks are
-        cut where they always were.
+        the next materialise.  Every chunk before the update is already
+        flushed, so per-server sums keep the reference addition order.
         """
-        self._flush()
         if self.st_sync_pending and self.st_busy is None:
-            self.st_busy = self.busy_l[:]
+            self.st_busy = self.busy.tolist()
         dep = self.dep
         r = max(1, round(dep.n / dep.p_store))
         holders_of = self.rings[0].replica_holders
-        failed_l = self.failed_l if self.any_failed else None
+        failed = self.failed if self.any_failed else None
         busy, bt, om, tasks = self.busy, self.bt, self.om, self.tasks
         upd_svc, upd_work = self.upd_svc, self.upd_work
         record_update = self.ledger.record_update
@@ -712,13 +599,13 @@ class _Engine:
             if not holders:
                 continue  # an all-dead ring takes no write traffic
             record_update(r)
-            if failed_l is not None:
-                holders = [g for g in holders if not failed_l[g]]
-                if not holders:
-                    continue
             # one update's holders are distinct servers, so fancy-indexed
             # writes give each exactly SimServer.submit's float ops
             h = np.array(holders, dtype=np.intp)
+            if failed is not None:
+                h = h[~failed[h]]
+                if not h.size:
+                    continue
             start = busy[h]
             np.maximum(start, t, out=start)
             svc = upd_svc[h]
@@ -730,13 +617,12 @@ class _Engine:
             self.touched[h] = True
             if self.trace_any:
                 # the rows SimServer.submit appends for a traced server
-                for g, s0, f0 in zip(holders, start.tolist(), finish.tolist()):
+                for g, s0, f0 in zip(h.tolist(), start.tolist(), finish.tolist()):
                     server = self.servers_flat[g]
                     if server.keep_trace:
                         server.trace.append(
                             TaskRecord(-1, t, s0, f0, float(upd_work[g]))
                         )
-        self.busy_l = busy.tolist()
 
     # -- tables ------------------------------------------------------------
     def _table_for(self, pq: int) -> PqEntry:
@@ -755,39 +641,36 @@ class _Engine:
             self.tables[pq] = entry
         return entry
 
-    # -- the hot loop ------------------------------------------------------
+    def _bufs_for(self, pq: int) -> CommitBuffers:
+        bufs = self.commit_bufs.get(pq)
+        if bufs is None:
+            bufs = CommitBuffers(self.bulk_cap, pq)
+            self.commit_bufs[pq] = bufs
+        return bufs
+
+    # -- the run -----------------------------------------------------------
     def run(self) -> BatchResult:
         """Drive the batch as spans between cut points.
 
         A span is a maximal run of queries with no exact-time action
-        inside it.  Spans outside failure windows (and without a
-        per-query ``pq_fn`` callable or an admission policy that needs
-        per-query delay feedback) go through the kernel's bulk
-        sweep+commit seam (:meth:`_run_span_bulk`); everything else takes
-        the inline per-query path (:meth:`_run_span`), which owns the
-        failure-delegation machinery.  Both produce bit-identical state.
+        inside it.  Every span goes through the kernel's sweep+commit
+        seam (:meth:`_run_seam`); inside a failure window the seam stops
+        at each query that touches a failed server, :meth:`_delegate`
+        hands it to the reference path, and the seam resumes after it.
         """
         wall_start = time.perf_counter()
         n_q = len(self.arr_l)
         acts = self.actions
         n_act = len(acts)
         ai = 0
-        pq_callable = callable(self.pq_fn)
         pos = 0
         while pos < n_q:
             while ai < n_act and acts[ai].index <= pos:
                 self._fire(acts[ai])
                 ai += 1
             end = n_q if ai >= n_act else min(n_q, acts[ai].index)
-            if (
-                not pq_callable
-                and not self.any_failed
-                and (self.admission is None or self.gate is not None)
-                and (self.kernel.fused_commit or end - pos >= BULK_MIN_SPAN)
-            ):
-                pos = self._run_span_bulk(pos, end)
-            else:
-                pos = self._run_span(pos, end)
+            self._run_seam(pos, end)
+            pos = end
         while ai < n_act:
             self._fire(acts[ai])
             ai += 1
@@ -814,32 +697,39 @@ class _Engine:
             shed=self.shed_n,
         )
 
-    # -- the bulk seam -----------------------------------------------------
-    def _bufs_for(self, pq: int) -> CommitBuffers:
-        bufs = self.commit_bufs.get(pq)
-        if bufs is None:
-            bufs = CommitBuffers(self.bulk_cap, pq)
-            self.commit_bufs[pq] = bufs
-        return bufs
+    # -- the seam ----------------------------------------------------------
+    def _run_seam(self, span_start: int, span_end: int) -> None:
+        """Process ``[span_start, span_end)``, cut into constant-``pq`` runs.
 
-    def _run_span_bulk(self, span_start: int, span_end: int) -> int:
-        """Process ``[span_start, span_end)`` through the fused seam.
-
-        Chunks of up to :data:`CHUNK_CAP` queries go to the kernel's
-        ``commit_batch`` (the span is failure-free and pq-constant by the
-        caller's checks), which advances the live mirror arrays in place;
-        each chunk is flushed straight from the bulk out buffers.  After
-        the span the scalar list shadows and any sibling pq tables are
-        re-derived from the arrays.
-
-        With an admission gate the kernel also makes the span's admission
-        decisions.  Shed queries draw no RTT, so the chunk pre-draws one
-        RTT per query from a snapshot of the network rng and, after the
-        call, rewinds it and re-draws exactly one per admitted query: the
-        stream advances draw for draw as on the per-query path.
+        A callable ``pq_fn`` is evaluated once per query, in arrival
+        order, before the span; otherwise the whole span shares the
+        action-set or fixed level.
         """
-        pq = self.pq_override if self.pq_override is not None else self.pq_fn
-        pq = pq or self.cfg.p
+        if callable(self.pq_fn):
+            pq_fn, default = self.pq_fn, self.cfg.p
+            pqs = [pq_fn(now) or default for now in self.arr_l[span_start:span_end]]
+            pos = span_start
+            for pq, run in groupby(pqs):
+                end = pos + sum(1 for _ in run)
+                self._commit_run(pos, end, pq)
+                pos = end
+        else:
+            pq = self.pq_override if self.pq_override is not None else self.pq_fn
+            self._commit_run(span_start, span_end, pq or self.cfg.p)
+
+    def _commit_run(self, pos: int, end: int, pq: int) -> None:
+        """Commit ``[pos, end)`` at partitioning level *pq*.
+
+        Chunks of up to :data:`CHUNK_CAP` queries go to ``commit_batch``
+        (:meth:`_commit_chunk`).  A policy that is not
+        :meth:`~repro.admission.base.AdmissionPolicy.bulk_capable` keeps
+        its per-query ``admit``/``observe`` hooks: the engine admits each
+        query itself, off the busiest-server backlog of the queue mirror,
+        and drives the seam one admitted query at a time.  After the run,
+        sibling pq tables are re-derived from the speed mirror the kernel
+        advanced in place (elementwise division is pure, so a full
+        recompute matches the scatter updates bit-wise).
+        """
         if pq < self.p_store_cur - 1e-9:
             self._materialise()
             raise ValueError(
@@ -847,78 +737,124 @@ class _Engine:
                 f"{self.p_store_cur}; reconfigure first (Section 4.5)"
             )
         entry = self._table_for(pq)
-        plan = self.plan
         bufs = self._bufs_for(pq)
-        gate = self.gate
-        commit = self.kernel.commit_batch
-        sample_rtts = self.network.sample_rtts
-        rng = self.network.rng
-        perf = time.perf_counter
-        perf_ns = time.perf_counter_ns
-        prof = self.prof
-        cap = bufs.cap
-        admitted = 0
-        pos = span_start
-        while pos < span_end:
-            nq = min(span_end - pos, cap)
-            if gate is not None:
-                self.admission.export_bulk(gate)
-                snapshot = rng.getstate()
-            if prof is None:
-                # pre-draw the span's RTTs in arrival order: the rng stream
-                # must advance exactly as the per-query path would
-                bufs.rtts[:nq] = sample_rtts(nq)
-                t0 = perf()
-                n_adm = commit(self.state, entry, plan, bufs, pos, nq, gate)
-                chunk_wall = perf() - t0
-                if gate is not None:
-                    self._close_gate(nq, n_adm, snapshot)
-                self._flush_bulk(pos, nq, n_adm, pq, chunk_wall, entry, bufs)
-            else:
-                # same statements bracketed by clock reads only -- the rng
-                # stream and the float sequence are untouched
-                c0 = perf_ns()
-                bufs.rtts[:nq] = sample_rtts(nq)
-                draw_ns = perf_ns() - c0
-                prof.add_ns("arrival_draw", draw_ns)
-                t0 = perf()
-                n_adm = commit(self.state, entry, plan, bufs, pos, nq, gate)
-                chunk_wall = perf() - t0
-                prof.add_s("sweep_commit", chunk_wall)
-                prof.begin("flush")
-                if gate is not None:
-                    self._close_gate(nq, n_adm, snapshot)
-                self._flush_bulk(pos, nq, n_adm, pq, chunk_wall, entry, bufs)
-                flush_ns = prof.end()
-                prof.record_chunk(
-                    pos, nq, c0, draw_ns, int(chunk_wall * 1e9), flush_ns
-                )
-            admitted += n_adm
-            pos += nq
-        # re-derive the scalar shadows and sibling pq tables from the
-        # arrays the kernel advanced in place (elementwise division is
-        # pure, so a full recompute matches the scatter updates bit-wise)
-        self.busy_l = self.busy.tolist()
-        self.spd_l = self.spd.tolist()
+        admission = self.admission
+        if admission is None or self.gate is not None:
+            # a stop wastes the chunk's unused RTT pre-draws, so inside a
+            # failure window chunks start at one query and double while
+            # calls run to their end
+            step = 1 if self.any_failed else bufs.cap
+            while pos < end:
+                nq = min(end - pos, step)
+                nxt = self._commit_chunk(pos, nq, pq, entry, bufs)
+                step = min(2 * step, bufs.cap) if nxt == pos + nq else 1
+                pos = nxt
+        else:
+            arr_l, busy = self.arr_l, self.busy
+            while pos < end:
+                now = arr_l[pos]
+                backlog = float(busy.max()) - now
+                if backlog < 0.0:
+                    backlog = 0.0
+                if admission.admit(pos, now, backlog) is None:
+                    pos = self._commit_chunk(pos, 1, pq, entry, bufs)
+                    continue
+                self.pqs[pos] = pq
+                self.shed_n += 1
+                if self.assignments is not None:
+                    self.assignments.append(())
+                pos += 1
         for tb in self.tables.values():
             if tb is not entry:
                 np.divide(tb.wd, self.spd, out=tb.Q)
-        if admitted:
+
+    def _commit_chunk(
+        self, pos: int, nq: int, pq: int, entry: PqEntry, bufs: CommitBuffers
+    ) -> int:
+        """One ``commit_batch`` call over ``[pos, pos + nq)``; returns the
+        index to resume at.
+
+        The chunk's RTTs are pre-drawn in arrival order.  A gate (sheds
+        draw no RTT) or a failed-server mask (the stopped query draws
+        none either) can leave some unused, so then the network rng is
+        snapshotted first and, after the call, rewound and re-drawn once
+        per committed query: the stream advances draw for draw as on the
+        reference path.  The committed queries are flushed straight from
+        the out buffers; a stopped query then goes to :meth:`_delegate`.
+        """
+        gate = self.gate
+        failed = self.failed if self.any_failed else None
+        network = self.network
+        prof = self.prof
+        if gate is not None:
+            self.admission.export_bulk(gate)
+        snapshot = (
+            network.rng.getstate() if gate is not None or failed is not None else None
+        )
+        # the profiler only brackets these statements with clock reads:
+        # the rng stream and the float sequence are untouched
+        c0 = time.perf_counter_ns()
+        bufs.rtts[:nq] = network.sample_rtts(nq)
+        draw_ns = time.perf_counter_ns() - c0
+        t0 = time.perf_counter()
+        n = self.kernel.commit_batch(
+            self.state, entry, self.plan, bufs, pos, nq, gate, failed
+        )
+        wall = time.perf_counter() - t0
+        if prof is None:
+            seen = self._close_chunk(pos, nq, n, pq, wall, entry, bufs, snapshot)
+        else:
+            prof.add_ns("arrival_draw", draw_ns)
+            prof.add_s("sweep_commit", wall)
+            prof.begin("flush")
+            seen = self._close_chunk(pos, nq, n, pq, wall, entry, bufs, snapshot)
+            flush_ns = prof.end()
+            prof.record_chunk(pos, seen, c0, draw_ns, int(wall * 1e9), flush_ns)
+        if seen == nq:
+            return pos + nq
+        stop = pos + seen
+        self._delegate(
+            stop,
+            self.arr_l[stop],
+            pq,
+            entry,
+            bufs.stop_g.tolist(),
+            float(bufs.stop_start_id[0]),
+        )
+        return stop + 1
+
+    def _close_chunk(
+        self,
+        pos: int,
+        nq: int,
+        n: int,
+        pq: int,
+        chunk_wall: float,
+        entry: PqEntry,
+        bufs: CommitBuffers,
+        snapshot,
+    ) -> int:
+        """Settle one ``commit_batch`` call: fix the rng stream, hand a
+        gate's outcome to the policy, flush the *n* committed queries.
+        Returns how many of the chunk's queries the call settled (the
+        stopped query, if any, is the next one)."""
+        stop = int(bufs.stop_idx[0])
+        seen = nq if stop < 0 else stop - pos
+        if n < nq and snapshot is not None:
+            self.network.rng.setstate(snapshot)
+            self.network.sample_rtts(n)
+        if self.gate is not None:
+            self.admission.import_bulk(self.gate)
+            self.shed_n += seen - n
+        self._flush_bulk(pos, seen, n, pq, chunk_wall, entry, bufs)
+        if n:
             rn = int(bufs.res_n[0])
             self.last_res = list(
                 zip(bufs.res_g[:rn].tolist(), bufs.res_v[:rn].tolist())
             )
             self.st_sync_pending = True
             self.st_busy = None
-        return span_end
-
-    def _close_gate(self, nq: int, n_adm: int, snapshot) -> None:
-        """Hand a gated chunk's outcome to the policy; fix the rng stream."""
-        if n_adm < nq:
-            self.network.rng.setstate(snapshot)
-            self.network.sample_rtts(n_adm)
-        self.admission.import_bulk(self.gate)
-        self.shed_n += nq - n_adm
+        return seen
 
     def _flush_bulk(
         self,
@@ -930,17 +866,17 @@ class _Engine:
         entry: PqEntry,
         bufs: CommitBuffers,
     ) -> None:
-        """Account one bulk chunk straight from the kernel's out buffers.
+        """Account one chunk straight from the kernel's out buffers.
 
-        The same reductions as :meth:`_flush`, minus the tuple-buffer
-        transposition: the kernel already delivered flat arrays in submit
+        ``np.add.at`` applies unbuffered, element by element in index
+        order, so repeated-server float sums keep the reference addition
         order.  Per-query ``scheduling_delay`` is the chunk's kernel wall
-        time amortised over its admitted queries (the fused call does not
-        observe per-query boundaries; with ``charge_scheduling`` the
+        time amortised over its committed queries (the fused call does
+        not observe per-query boundaries; with ``charge_scheduling`` the
         amortised value is what lands in the latency).
 
         Of the chunk's *nq* queries the first *n_adm* rows of the out
-        buffers belong to the admitted ones; without a gate that is all
+        buffers belong to the committed ones; without a gate that is all
         of them, in order.  Gated chunks scatter by the gate's admitted
         indices and leave shed slots as shed: NaN latency, ``-1`` id, the
         recorded ``pq``, and ``()`` assignments.
@@ -959,6 +895,7 @@ class _Engine:
         counts = np.bincount(sg, minlength=len(self.tasks))
         self.tasks += counts
         self.cc += counts
+        # per-server finishes are monotone, so last-in-order == max
         np.maximum.at(self.ls, sg, bufs.sub_finish[:m])
         self.touched[sg] = True
 
@@ -978,28 +915,12 @@ class _Engine:
         if gated:
             # the same (arrival, total) pairs the per-query path observes
             self.admission.observe_chunk(qnow, qtotal)
+        elif self.admission is not None:
+            # the one-query drive: the policy's own per-query hook
+            self.admission.observe(float(qnow[0]), float(qtotal[0]))
 
-        if self.trace_any:
-            sg_l = sg.tolist()
-            sst_l = bufs.sub_start[:m].tolist()
-            sf_l = bufs.sub_finish[:m].tolist()
-            swk_l = bufs.sub_work[:m].tolist()
-        else:
-            sg_l = sst_l = sf_l = swk_l = ()
         self._emit_records(
-            qqid,
-            qnow,
-            fr,
-            np.full(n_adm, pq, dtype=np.int64),
-            bufs.rtts[:n_adm],
-            np.full(n_adm, sched_each),
-            qtotal,
-            bufs.q_mw[:n_adm],
-            bufs.q_ms[:n_adm],
-            sg_l,
-            sst_l,
-            sf_l,
-            swk_l,
+            qqid, qnow, fr, np.full(n_adm, sched_each), qtotal, pq, bufs
         )
 
         fe = self.fe
@@ -1028,244 +949,6 @@ class _Engine:
             out[slot] = sel
         return out
 
-    # -- the per-query path ------------------------------------------------
-    def _run_span(self, span_start: int, span_end: int) -> int:
-        """Process ``[span_start, span_end)`` one query at a time.
-
-        This is the path that owns failure delegation (select first, check
-        the schedule against the failed set, hand the query to the
-        reference path when it hits), per-query ``pq_fn`` evaluation, and
-        admission policies that feed on per-query delays; it is also what
-        short spans use when the kernel's bulk commit is a python loop
-        anyway.  Commit arithmetic here, the kernel's default
-        ``commit_batch``, and ``roar_commit_batch`` in ``csrc/sweep.c``
-        are three copies of the same float-op sequence, pinned together by
-        the differential tests.
-        """
-        cfg = self.cfg
-        dataset = self.dataset
-        fe_fixed = self.fe_fixed
-        alpha = self.alpha
-        om_alpha = self.one_minus_alpha
-        fmod = math.fmod
-        perf = time.perf_counter
-        pq_fn = self.pq_fn
-        pq_callable = callable(pq_fn)
-        charge = self.charge
-        sample_rtt = self.network.sample_rtt
-        record_assignments = self.assignments is not None
-        select = self.kernel.select
-        arr = self.arr_l
-        admission = self.admission
-
-        # aliases refreshed whenever mirrors rebuild (delegation)
-        def local_state():
-            return (
-                self.busy_l,
-                self.spd_l,
-                self.busy,
-                self.spd,
-                self.state,
-                self.srv_fixed_l,
-                self.srv_speed_l,
-                self.any_failed,
-                self.failed_l,
-            )
-
-        (
-            busy_l,
-            spd_l,
-            busy_np,
-            spd_np,
-            state,
-            srv_fixed_l,
-            srv_speed_l,
-            any_failed,
-            failed_l,
-        ) = local_state()
-        last_pq = -1
-        entry = None
-        prof = self.prof
-        span_sched = 0.0
-        if prof is not None:
-            prof.begin("commit")
-        # busiest-server queue, kept as a running max (a commit only ever
-        # raises busy_l[g]; a delegation rebuilds the mirrors, so recompute)
-        bmax = max(busy_l) if admission is not None else 0.0
-
-        for q_i in range(span_start, span_end):
-            now = arr[q_i]
-            if pq_callable:
-                pq = pq_fn(now)
-            else:
-                pq = self.pq_override if self.pq_override is not None else pq_fn
-            pq = pq or cfg.p
-
-            # -- admission: decide before any scheduling work or rng draw,
-            # off the busiest-server backlog the queue mirror exposes -----
-            if admission is not None:
-                backlog = bmax - now
-                if backlog < 0.0:
-                    backlog = 0.0
-                if admission.admit(q_i, now, backlog) is not None:
-                    self.pqs[q_i] = pq
-                    self.shed_n += 1
-                    if record_assignments:
-                        self.assignments.append(())
-                    continue
-
-            if pq != last_pq:
-                if pq < self.p_store_cur - 1e-9:
-                    self._materialise()
-                    raise ValueError(
-                        f"pq={pq} below stored partitioning level "
-                        f"{self.p_store_cur}; reconfigure first (Section 4.5)"
-                    )
-                entry = self._table_for(pq)
-                last_pq = pq
-
-            # -- the scheduling decision: estimates + sweep + assignment,
-            # delegated to the pluggable kernel (exact_numpy by default;
-            # see repro.kernels for the ABI and the alternatives) ----------
-            t0 = perf()
-            g_list, pts, start_id = select(state, entry, now)
-            sched_wall = perf() - t0
-
-            # -- failure window: the reference path owns the fall-back -----
-            if any_failed and any(failed_l[g] for g in g_list):
-                self._delegate(q_i, now, pq, entry, g_list, start_id)
-                (
-                    busy_l,
-                    spd_l,
-                    busy_np,
-                    spd_np,
-                    state,
-                    srv_fixed_l,
-                    srv_speed_l,
-                    any_failed,
-                    failed_l,
-                ) = local_state()
-                if admission is not None:
-                    bmax = max(busy_l)
-                continue
-
-            # -- commit (identical arithmetic to run_query) ----------------
-            self.qid_last += 1
-            qid = self.qid_last
-            self.wall_acc += sched_wall
-            if prof is not None:
-                span_sched += sched_wall
-            rtt = sample_rtt()
-
-            # widths + reserve (FIFO over sub-queries, first occurrence
-            # syncs the live queue, repeats accumulate)
-            v = fmod(start_id + entry.off0, 1.0)
-            if v < 0.0:
-                v += 1.0
-            if v >= 1.0:
-                v -= 1.0
-            prev = v
-            w_list = []
-            res: dict[int, float] = {}
-            res_get = res.get
-            for i in range(pq):
-                d = pts[i]
-                w = fmod(d - prev, 1.0)
-                if w < 0.0:
-                    w += 1.0
-                if w >= 1.0:
-                    w -= 1.0
-                w_list.append(w)
-                prev = d
-                g = g_list[i]
-                spd_g = spd_l[g]
-                service = fe_fixed + (w * dataset) / (
-                    spd_g if spd_g > 1e-9 else 1e-9
-                )
-                base = res_get(g)
-                if base is None:
-                    base = busy_l[g]
-                res[g] = (base if base > now else now) + service
-            self.last_res = list(res.items())
-            self.st_sync_pending = True
-            self.st_busy = None
-
-            finish = now
-            mw = 0.0
-            ms = 0.0
-            half = rtt / 2.0
-            arr_t = now + half
-            subs = self.subs
-            subs_append = subs.append
-            # submit + EWMA observe (LIFO: the reference path pops)
-            for i in range(pq - 1, -1, -1):
-                g = g_list[i]
-                work = w_list[i] * dataset
-                b = busy_l[g]
-                wait = b - now
-                if wait < 0.0:
-                    wait = 0.0
-                start = arr_t if arr_t > b else b
-                service = srv_fixed_l[g] + work / srv_speed_l[g]
-                f = start + service
-                busy_l[g] = f
-                if f > bmax:
-                    bmax = f
-                subs_append((g, service, work, f, start))
-                eff = service - fe_fixed
-                if eff > 0.0 and work > 0.0:
-                    spd_l[g] = om_alpha * spd_l[g] + alpha * (work / eff)
-                fh = f + half
-                if fh > finish:
-                    finish = fh
-                if wait > mw:
-                    mw = wait
-                if service > ms:
-                    ms = service
-
-            # write-through the final per-server values (only the last
-            # value per server matters to the next query's estimates)
-            tables = self.tables
-            one_table = entry if len(tables) == 1 else None
-            for g in res:
-                busy_np[g] = busy_l[g]
-                s_g = spd_l[g]
-                if spd_np[g] != s_g:
-                    spd_np[g] = s_g
-                    if one_table is not None:
-                        one_table.Q[g] = one_table.wd / s_g
-                    else:
-                        for tb in tables.values():
-                            tb.Q[g] = tb.wd / s_g
-
-            total = finish - now + (sched_wall if charge else 0.0)
-            self.qrows.append(
-                (q_i, now, pq, qid, rtt, sched_wall, total, mw, ms)
-            )
-            if admission is not None:
-                # same delay the reference path's QueryRecord carries
-                # (wall-free unless charge_scheduling is on)
-                admission.observe(now, total)
-            self.completed += 1
-            self.fast_scheduled += 1
-            self.led_qmsg += pq
-            self.led_rmsg += pq
-            self.it_acc += entry.iterations
-            self.est_acc += entry.estimates
-            self.qs_acc += 1
-            if record_assignments:
-                names = self.names_flat
-                self.assignments.append(tuple(names[g] for g in g_list))
-            if len(self.qrows) >= CHUNK_CAP:
-                self._flush()
-
-        if prof is not None:
-            # the kernel's select time goes to sweep_commit; the rest of
-            # the inline loop (reserve/submit/EWMA python) is "commit"
-            prof.add_s("sweep_commit", span_sched)
-            prof.end()
-        return span_end
-
     def _delegate(
         self,
         q_i: int,
@@ -1277,10 +960,12 @@ class _Engine:
     ) -> None:
         """Route one failure-window query through the reference path.
 
-        An exact kernel's pick (*g_list*, *start_id*) is the decision the
-        reference sweep would make on this state, so it is handed over
-        and the reference path does not sweep again; an inexact kernel's
-        pick is not, and the reference path runs its own sweep.
+        ``commit_batch`` stopped at this query because its pick touches a
+        failed server.  An exact kernel's pick (*g_list*, *start_id*) is
+        the decision the reference sweep would make on this state, so it
+        is handed over and the reference path does not sweep again; an
+        inexact kernel's pick is not, and the reference path runs its own
+        sweep.
         """
         prof = self.prof
         if prof is not None:
@@ -1382,8 +1067,9 @@ def run_queries_fast(
     is bit-identical to the pre-admission engine.  Policies whose
     decisions depend only on the arrival time, the busiest-server backlog
     and their own token state (``aimd``, or a queue cap alone) are made
-    inside the kernel's bulk ``commit_batch`` call; ``delay_gated`` reads
-    the windowed p99 before every query and keeps the per-query path.
+    inside the kernel's ``commit_batch`` call; ``delay_gated`` reads the
+    windowed p99 before every query, so the engine admits each query
+    itself and commits one admitted query per ``commit_batch`` call.
     Either way the results are bit-identical.
     """
     require_numpy()

@@ -390,9 +390,20 @@ def archive_info(archive: RunArchive) -> dict:
     return info
 
 
+def _same_bytes(a: "np.ndarray", b: "np.ndarray") -> bool:
+    """Byte-for-byte column equality: dtype, shape and bytes.  A NaN
+    column equals itself, and ``0.0`` and ``-0.0`` differ."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def _first_divergence(a: "np.ndarray", b: "np.ndarray") -> int:
+    """The first index whose element bytes differ (0 for a dtype change;
+    the shorter length when one column is a byte-equal prefix)."""
     k = min(a.size, b.size)
-    neq = a[:k] != b[:k]
+    if a.dtype != b.dtype:
+        return 0
+    elem = np.dtype((np.void, a.dtype.itemsize))
+    neq = np.ascontiguousarray(a[:k]).view(elem) != np.ascontiguousarray(b[:k]).view(elem)
     idx = np.nonzero(neq)[0]
     if idx.size:
         return int(idx[0])
@@ -403,8 +414,10 @@ def archive_diff(a: RunArchive, b: RunArchive) -> dict:
     """Column-by-column comparison of two archives.
 
     Returns ``{"identical": bool, "gated_identical": bool, "columns":
-    {name: {...}}}``.  ``identical`` requires every shared column equal
-    and no column present on one side only; ``gated_identical`` applies
+    {name: {...}}}``.  Columns compare byte for byte (dtype, shape and
+    bytes), so a NaN column -- ``adm_rate`` of a rateless policy -- equals
+    itself.  ``identical`` requires every shared column equal and no
+    column present on one side only; ``gated_identical`` applies
     the differential-test exclusion of wall-clock-derived columns
     (``log_scheduling``/``bd_scheduling``) and of the engine-chunking
     admission counters (``shedchunk_*``) -- the right predicate for CI
@@ -424,7 +437,7 @@ def archive_diff(a: RunArchive, b: RunArchive) -> dict:
                 gated_identical = False
             out["columns"][name] = entry
             continue
-        equal = ca.shape == cb.shape and bool(np.array_equal(ca, cb))
+        equal = _same_bytes(ca, cb)
         entry = {"equal": equal, "n_a": int(ca.size), "n_b": int(cb.size)}
         if not equal:
             entry["first_divergence"] = _first_divergence(ca, cb)

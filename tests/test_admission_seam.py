@@ -1,14 +1,15 @@
-"""Admission on the bulk commit seam: every path makes the same decisions.
+"""Admission on the commit seam: every path makes the same decisions.
 
 Bulk-capable policies (the queue cap alone, and AIMD's token bucket) run
-their per-query pre-check inside ``commit_batch``.  Four paths must agree
-byte for byte:
+their per-query pre-check inside ``commit_batch``; ``delay_gated`` and
+any policy that overrides a per-query hook are asked per query by the
+engine, which then commits one admitted query per ``commit_batch`` call.
+Three paths must agree byte for byte:
 
 * ``reference`` -- :func:`run_queries_reference`, one ``run_query`` each;
-* ``inline`` -- the batched engine's per-query loop (``_run_span``);
-* ``python_seam`` -- the bulk seam with the python ``commit_batch``
+* ``python_seam`` -- the seam with the python ``commit_batch``
   (``exact_numpy``);
-* ``compiled`` -- the bulk seam with ``roar_commit_batch`` in C.
+* ``compiled`` -- the seam with ``roar_commit_batch`` in C.
 
 Compared: the ``BatchResult`` arrays and counts, the ``shed_*``/``adm_*``
 ShedLog columns and reason table, the policy's counters and token state,
@@ -35,7 +36,7 @@ from repro.sim import PoissonArrivals
 from repro.sim import fastpath
 from repro.sim.fastpath import Action, run_queries_reference
 
-PATHS = ["reference", "inline", "python_seam", "compiled"]
+PATHS = ["reference", "python_seam", "compiled"]
 
 AIMD = "aimd:slo=0.5,cap_multiple=2,floor=5,capacity=40,burst=4"
 
@@ -46,6 +47,22 @@ def _aimd():
 
 def _cap_only():
     return AdmissionPolicy(slo=0.5, cap_multiple=1.0)
+
+
+def _delay_gated():
+    return get_policy("delay_gated:slo=0.5,cap_multiple=2,window=0.5")
+
+
+class _ScaledDelayGated(DelayGatedAdmission):
+    """Overrides a per-query hook: the engine must call this ``observe``
+    (not the base ``observe_chunk``) for every committed query."""
+
+    def observe(self, now, delay):
+        super().observe(now, 3.0 * delay)
+
+
+def _scaled_delay_gated():
+    return _ScaledDelayGated(slo=0.5, cap_multiple=2, window=0.5)
 
 
 def _run(path, make_policy, monkeypatch, n_q=600, rate=90.0, tick_every=97):
@@ -65,10 +82,6 @@ def _run(path, make_policy, monkeypatch, n_q=600, rate=90.0, tick_every=97):
             admission=policy,
         )
         return dep, result, policy
-    if path == "inline":
-        monkeypatch.setattr(fastpath, "BULK_MIN_SPAN", 10**9)
-    elif path == "python_seam":
-        monkeypatch.setattr(fastpath, "BULK_MIN_SPAN", 0)
     kernel = "compiled" if path == "compiled" else "exact_numpy"
     result = dep.run_queries_fast(
         arrivals, 4, record_assignments=True, actions=actions, kernel=kernel,
@@ -129,7 +142,11 @@ def _run_all(monkeypatch, make_policy, **kw):
 
 
 class TestPathsAgree:
-    @pytest.mark.parametrize("make_policy", [_aimd, _cap_only], ids=["aimd", "cap"])
+    @pytest.mark.parametrize(
+        "make_policy",
+        [_aimd, _cap_only, _delay_gated, _scaled_delay_gated],
+        ids=["aimd", "cap", "delay_gated", "scaled-delay"],
+    )
     def test_ticks_mid_span(self, monkeypatch, make_policy):
         runs = _run_all(monkeypatch, make_policy)
         _assert_paths_agree(runs)
@@ -138,6 +155,8 @@ class TestPathsAgree:
         assert pol.log.n_ticks == 6
         if make_policy is _aimd:
             assert set(pol.log.meta()["reasons"]) == {"queue-cap", "rate"}
+        if make_policy in (_delay_gated, _scaled_delay_gated):
+            assert "p99" in pol.log.meta()["reasons"]
 
     def test_chunks_crossing_a_small_chunk_cap(self, monkeypatch):
         monkeypatch.setattr(fastpath, "CHUNK_CAP", 16)
@@ -185,7 +204,6 @@ class TestPathsAgree:
             assert_deployments_identical(plain_dep, dep)
 
     def test_profiled_seam_is_identical(self, monkeypatch):
-        monkeypatch.setattr(fastpath, "BULK_MIN_SPAN", 0)
         prints = []
         for profile in (False, True):
             dep = _build(n=12, seed=5)
@@ -211,13 +229,13 @@ class TestPathsAgree:
         assert res.shed > 0 and calls == []
 
     def test_no_compiled_kernel_subprocess(self):
-        """The pure-python build: inline loop, python seam and reference
-        path agree without the C kernel anywhere."""
+        """The pure-python build: python seam and reference path agree
+        without the C kernel anywhere."""
         code = """
 import numpy as np
 from repro.admission import get_policy
 from repro.kernels.compiled import compiled_available
-from repro.sim import PoissonArrivals, fastpath
+from repro.sim import PoissonArrivals
 from repro.sim.fastpath import run_queries_reference
 from repro.cluster import Deployment, DeploymentConfig, hen_testbed
 
@@ -231,7 +249,6 @@ def run(path):
     if path == "reference":
         res = run_queries_reference(dep, arr, 4, admission=pol)
     else:
-        fastpath.BULK_MIN_SPAN = 10**9 if path == "inline" else 0
         res = dep.run_queries_fast(arr, 4, admission=pol)
     cols = pol.log.columns()
     return (res.latencies.tobytes(), res.shed, pol._tokens,
@@ -240,7 +257,6 @@ def run(path):
 
 ref = run("reference")
 assert ref[1] > 0
-assert run("inline") == ref
 assert run("python_seam") == ref
 print("gated-seam-fallback-ok")
 """
@@ -339,8 +355,8 @@ class TestRecordSheds:
 
 class TestAdmissionWithFailureWindow:
     """Admission x failure window: sustained overload under AIMD with a
-    rack failure and rebuild.  Spans outside the window take the seam,
-    the window itself runs inline with delegation, and both engines land
+    rack failure and rebuild.  The seam runs before, inside and after the
+    window, stopping at each query it delegates, and both engines land
     on the same latencies, shed count and ShedLog columns."""
 
     def _scenario(self):
@@ -363,14 +379,13 @@ class TestAdmissionWithFailureWindow:
 
         if kernel == "compiled" and not compiled_available():
             pytest.skip("compiled kernel unavailable")
-        monkeypatch.setattr(fastpath, "BULK_MIN_SPAN", 0)
         starts = []
         owner = type(fastpath.get_kernel(kernel))
         original = owner.commit_batch
 
-        def spy(self, state, entry, plan, bufs, start, nq, gate=None):
+        def spy(self, state, entry, plan, bufs, start, nq, gate=None, failed=None):
             starts.append(start)
-            return original(self, state, entry, plan, bufs, start, nq, gate)
+            return original(self, state, entry, plan, bufs, start, nq, gate, failed)
 
         monkeypatch.setattr(owner, "commit_batch", spy)
         scenario = self._scenario()
@@ -383,6 +398,7 @@ class TestAdmissionWithFailureWindow:
         first_rebuilt = int(np.searchsorted(arrivals, rebuild_at, side="right"))
         assert fast.batch.delegated > 0
         assert min(starts) < first_fail and max(starts) >= first_rebuilt
+        assert any(first_fail <= s < first_rebuilt for s in starts)
         assert fast.batch.shed > 0
 
         assert fast.batch.latencies.tobytes() == ref.batch.latencies.tobytes()

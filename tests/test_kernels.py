@@ -40,7 +40,13 @@ from repro.kernels import (
     register_kernel,
 )
 from repro.kernels.approx import ApproxTopKKernel
-from repro.kernels.base import PqEntry, SweepState
+from repro.kernels.base import (
+    AdmissionGate,
+    CommitBuffers,
+    CommitPlan,
+    PqEntry,
+    SweepState,
+)
 from repro.kernels.compiled import (
     CompiledKernel,
     compiled_available,
@@ -516,6 +522,262 @@ class TestCompiledSelectDifferential:
             CompiledKernel().select(state, entry, 0.0)
 
 
+def _commit_case(
+    rings, pq, busy, spd, arrivals, rtts, cap=None, fixed=0.004, dataset=0.1
+):
+    """``(state, entry, plan, bufs)`` for a ``commit_batch`` call over *rings*.
+
+    Every call builds fresh arrays, so two kernels can run on equal copies.
+    The small *dataset* keeps service times near the busy values drawn.
+    """
+    _, state, entry = _sweep_case(rings, pq, busy, spd, fe_fixed=fixed, dataset=dataset)
+    arrivals = np.asarray(arrivals, dtype=np.float64)
+    plan = CommitPlan(
+        arrivals,
+        arrivals.tolist(),
+        np.array(spd, dtype=np.float64),
+        [fixed] * state.n,
+        [1.0 + 0.5 * (g % 3) for g in range(state.n)],
+        0.25,
+        0.75,
+        dataset,
+    )
+    bufs = CommitBuffers(len(arrivals) if cap is None else cap, pq)
+    bufs.rtts[: len(rtts)] = rtts
+    return state, entry, plan, bufs
+
+
+def _gate(cap, queue_cap, bucket, rate):
+    gate = AdmissionGate(cap)
+    gate.queue_cap = queue_cap
+    if bucket:
+        gate.bucket = True
+        gate.rate, gate.burst, gate.tokens = rate, 2.0, 2.0
+    return gate
+
+
+def _commit_outcome(kernel, case, start, nq, gate, failed):
+    """Run one ``commit_batch``; everything the stop contract pins, as bytes."""
+    state, entry, plan, bufs = case
+    n = kernel.commit_batch(state, entry, plan, bufs, start, nq, gate, failed)
+    stop = int(bufs.stop_idx[0])
+    rn = int(bufs.res_n[0])
+    m = n * entry.pq
+    out = {
+        "n": n,
+        "stop": stop,
+        "pick": (bufs.stop_g.tolist(), float(bufs.stop_start_id[0])) if stop >= 0 else None,
+        "rows": [
+            a[:m].tobytes()
+            for a in (bufs.sub_g, bufs.sub_service, bufs.sub_work, bufs.sub_finish, bufs.sub_start)
+        ]
+        + [a[:n].tobytes() for a in (bufs.q_total, bufs.q_mw, bufs.q_ms)],
+        "res": (rn, bufs.res_g[:rn].tobytes(), bufs.res_v[:rn].tobytes()),
+        "mirrors": (state.busy.tobytes(), plan.spd.tobytes(), entry.Q.tobytes()),
+    }
+    if gate is not None:
+        k, ns = gate.n_admitted, gate.n_shed
+        out["gate"] = (
+            np.array(
+                [gate.tokens, gate.accrued_at, gate.backlog_hwm, gate.max_admitted_backlog]
+            ).tobytes(),
+            k,
+            ns,
+            gate.adm_idx[:k].tobytes(),
+            [
+                a[:ns].tobytes()
+                for a in (
+                    gate.shed_time,
+                    gate.shed_idx,
+                    gate.shed_reason,
+                    gate.shed_backlog,
+                    gate.shed_signal,
+                )
+            ],
+        )
+    return out
+
+
+class TestCommitArgumentChecks:
+    """``commit_batch`` refuses out-of-bounds spans and mismatched buffers
+    before any mirror moves, on both kernels (the C kernel would otherwise
+    read and write through its raw pointers past the arrays)."""
+
+    def _kernels(self):
+        kernels = [ExactNumpyKernel()]
+        if compiled_available():
+            kernels.append(CompiledKernel())
+        return kernels
+
+    def _case(self, cap=2, pq=4, n_arr=400):
+        arrivals = np.arange(n_arr) * 0.01
+        return _commit_case(
+            [Ring.uniform(12)], pq, [0.0] * 12, [1.0] * 12, arrivals,
+            np.full(min(cap, n_arr), 0.0005), cap=cap,
+        )
+
+    @pytest.mark.parametrize(
+        "start, nq, match",
+        [
+            (0, 300, "nq=300 exceeds bufs.cap=2"),
+            (-1, 1, "start=-1"),
+            (399, 2, "runs past the 400 arrivals"),
+            (0, -1, "nq=-1"),
+        ],
+    )
+    def test_span_out_of_bounds(self, start, nq, match):
+        for kernel in self._kernels():
+            state, entry, plan, bufs = self._case()
+            before = state.busy.copy()
+            with pytest.raises(ValueError, match=match):
+                kernel.commit_batch(state, entry, plan, bufs, start, nq)
+            assert state.busy.tobytes() == before.tobytes(), kernel.name
+
+    def test_buffers_for_another_pq(self):
+        for kernel in self._kernels():
+            state, entry, plan, _ = self._case()
+            bufs = CommitBuffers(2, 3)
+            with pytest.raises(ValueError, match="bufs.pq=3 does not match entry.pq=4"):
+                kernel.commit_batch(state, entry, plan, bufs, 0, 1)
+
+    @pytest.mark.parametrize(
+        "failed",
+        [np.zeros(11, dtype=bool), np.zeros(12, dtype=np.uint8), [False] * 12],
+        ids=["length", "dtype", "list"],
+    )
+    def test_malformed_failed_mask(self, failed):
+        for kernel in self._kernels():
+            state, entry, plan, bufs = self._case()
+            with pytest.raises(ValueError, match="failed must be a C-contiguous bool"):
+                kernel.commit_batch(state, entry, plan, bufs, 0, 1, None, failed)
+
+    def test_gate_smaller_than_span(self):
+        for kernel in self._kernels():
+            state, entry, plan, bufs = self._case(cap=8)
+            with pytest.raises(ValueError, match="gate holds 4 rows"):
+                kernel.commit_batch(state, entry, plan, bufs, 0, 8, AdmissionGate(4))
+
+
+@needs_compiled
+class TestCommitStopDifferential:
+    """The failure stop: the python oracle and C agree on the committed
+    count, the stop index and the stopped query's pick, every out row,
+    ``res_*``, the gate's scalars and shed rows, and the mirrors -- which
+    must be exactly as after the last committed query."""
+
+    @staticmethod
+    def _both(make_case, start, nq, make_gate, failed):
+        out = []
+        for kernel in (ExactNumpyKernel(), CompiledKernel()):
+            gate = make_gate() if make_gate is not None else None
+            out.append(_commit_outcome(kernel, make_case(), start, nq, gate, failed))
+        assert out[0] == out[1]
+        return out[0]
+
+    @staticmethod
+    def _prefix_mirrors(make_case, start, stop, make_gate):
+        """Mirrors after committing ``[start, stop)`` with no mask."""
+        state, entry, plan, bufs = make_case()
+        gate = make_gate() if make_gate is not None else None
+        ExactNumpyKernel().commit_batch(state, entry, plan, bufs, start, stop - start, gate)
+        return (state.busy.tobytes(), plan.spd.tobytes(), entry.Q.tobytes())
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        data=st.data(),
+        rings=_ring_sets(min_size=2).filter(lambda rs: sum(len(r) for r in rs) <= 40),
+        pq=st.integers(min_value=1, max_value=5),
+        gated=st.booleans(),
+    )
+    def test_matches_python_oracle(self, data, rings, pq, gated):
+        n = sum(len(r) for r in rings)
+        busy = data.draw(st.lists(_BUSY, min_size=n, max_size=n))
+        spd = data.draw(st.lists(_SPEED, min_size=n, max_size=n))
+        # zero to two failed servers: stops at the first query, mid-chunk
+        # and not at all all stay common
+        failed = np.zeros(n, dtype=bool)
+        failed[data.draw(st.lists(st.integers(0, n - 1), max_size=2))] = True
+        n_arr = data.draw(st.integers(min_value=1, max_value=30))
+        gaps = data.draw(
+            st.lists(st.sampled_from([0.0, 0.01, 0.05, 0.2]), min_size=n_arr, max_size=n_arr)
+        )
+        arrivals = np.cumsum(gaps)
+        start = data.draw(st.integers(min_value=0, max_value=n_arr - 1))
+        nq = data.draw(st.integers(min_value=0, max_value=n_arr - start))
+        rtts = data.draw(
+            st.lists(st.sampled_from([0.0, 0.0004, 0.0006]), min_size=nq, max_size=nq)
+        )
+        make_gate = None
+        if gated:
+            queue_cap = data.draw(st.sampled_from([0.3, 1.0, float("inf")]))
+            bucket = data.draw(st.booleans())
+            rate = data.draw(st.sampled_from([5.0, 50.0]))
+            make_gate = lambda: _gate(n_arr, queue_cap, bucket, rate)  # noqa: E731
+
+        def make_case():
+            return _commit_case(rings, pq, busy, spd, arrivals, rtts, cap=n_arr)
+
+        got = self._both(make_case, start, nq, make_gate, failed)
+        stop = got["stop"]
+        if stop >= 0:
+            assert start <= stop < start + nq
+            assert any(failed[g] for g in got["pick"][0])
+        end = stop if stop >= 0 else start + nq
+        assert got["mirrors"] == self._prefix_mirrors(make_case, start, end, make_gate)
+        if make_gate is not None and stop >= 0:
+            # the stopped query passed the pre-check: last admitted entry
+            _, k, _, adm, _ = got["gate"]
+            assert k == got["n"] + 1
+            assert np.frombuffer(adm, dtype=np.int64)[-1] == stop
+
+    def _spread_case(self):
+        """24 idle servers, pq=2, five well-spaced queries: each query's
+        pick holds a server no earlier query touched."""
+        arrivals = [0.0, 0.001, 0.002, 0.003, 0.004]
+        return lambda: _commit_case(
+            [Ring.uniform(24)], 2, [0.0] * 24, [1.0] * 24, arrivals, [0.0005] * 5
+        )
+
+    def _picks(self, make_case):
+        state, entry, plan, bufs = make_case()
+        n = ExactNumpyKernel().commit_batch(state, entry, plan, bufs, 0, 5)
+        rows = bufs.sub_g[: n * 2].reshape(n, 2)[:, ::-1].tolist()
+        return [set(r) for r in rows]
+
+    @pytest.mark.parametrize("gated", [False, True])
+    def test_stop_at_the_first_query(self, gated):
+        make_case = self._spread_case()
+        failed = np.zeros(24, dtype=bool)
+        failed[sorted(self._picks(make_case)[0])[0]] = True
+        make_gate = (lambda: _gate(5, 10.0, True, 1e4)) if gated else None
+        got = self._both(make_case, 0, 5, make_gate, failed)
+        assert (got["n"], got["stop"]) == (0, 0)
+        assert got["res"][0] == 0  # nothing committed: res_* untouched
+        state, entry, plan, _ = make_case()
+        assert got["mirrors"] == (state.busy.tobytes(), plan.spd.tobytes(), entry.Q.tobytes())
+        if gated:
+            assert got["gate"][1:3] == (1, 0)  # admitted, not shed
+
+    @pytest.mark.parametrize("gated", [False, True])
+    def test_stop_at_the_last_query(self, gated):
+        make_case = self._spread_case()
+        picks = self._picks(make_case)
+        fresh = picks[4] - set().union(*picks[:4])
+        assert fresh, "the last query must pick a server of its own"
+        failed = np.zeros(24, dtype=bool)
+        failed[min(fresh)] = True
+        make_gate = (lambda: _gate(5, 10.0, True, 1e4)) if gated else None
+        got = self._both(make_case, 0, 5, make_gate, failed)
+        assert (got["n"], got["stop"]) == (4, 4)
+        assert set(got["pick"][0]) == picks[4]
+        assert got["mirrors"] == self._prefix_mirrors(make_case, 0, 4, make_gate)
+
+    def test_no_failed_server_runs_to_the_end(self):
+        make_case = self._spread_case()
+        got = self._both(make_case, 0, 5, None, np.zeros(24, dtype=bool))
+        assert (got["n"], got["stop"]) == (5, -1)
+
+
 class TestApproxKernel:
     def test_dense_fallback_is_exact_on_small_fleets(self):
         """Below the dense cutoff (4*stride configs) the sampled kernel
@@ -682,13 +944,13 @@ def _result_bytes(result):
 
 
 class TestFusedCommitSeam:
-    """The bulk sweep+commit seam: one `commit_batch` call per chunk.
+    """The sweep+commit seam: one `commit_batch` call per chunk.
 
-    The seam has three implementations of the same float-op sequence --
-    the engine's inline per-query loop, the kernel base class's python
-    `commit_batch`, and `roar_commit_batch` in C -- and they must be
-    byte-interchangeable: identical `BatchResult` arrays, identical
-    deployment state, identical chunk cuts.
+    The seam has two implementations of the same float-op sequence --
+    the kernel base class's python `commit_batch` and `roar_commit_batch`
+    in C -- and they must be byte-interchangeable: identical
+    `BatchResult` arrays, identical deployment state, identical chunk
+    cuts.
     """
 
     def _run(self, kernel, *, with_actions=False, n=16, queries=400):
@@ -712,22 +974,6 @@ class TestFusedCommitSeam:
             arrivals, 5, record_assignments=True, actions=actions, kernel=kernel
         )
         return dep, result
-
-    def test_python_seam_byte_identical_to_inline_loop(self, monkeypatch):
-        """The bulk seam vs the inline per-query loop, pure python both
-        sides: this is the 'without the C kernel' half of the fused-commit
-        contract, and it runs under REPRO_NO_COMPILED_KERNEL unchanged."""
-        from repro.sim import fastpath
-
-        monkeypatch.setattr(fastpath, "BULK_MIN_SPAN", 10**9)  # force inline
-        dep_inline, r_inline = self._run("exact_numpy")
-        monkeypatch.setattr(fastpath, "BULK_MIN_SPAN", 0)  # force the seam
-        dep_bulk, r_bulk = self._run("exact_numpy")
-
-        assert _result_bytes(r_inline) == _result_bytes(r_bulk)
-        assert r_inline.assignments == r_bulk.assignments
-        assert r_inline.chunk_sizes == r_bulk.chunk_sizes
-        assert_deployments_identical(dep_inline, dep_bulk)
 
     @needs_compiled
     def test_fused_c_byte_identical_to_python_seam(self):
@@ -770,14 +1016,6 @@ class TestFusedCommitSeam:
         run(a, "exact_numpy")
         run(b, "compiled")
         assert_deployments_identical(a, b)
-
-    def test_fused_commit_flag_shape(self):
-        """The seam's routing flag: compiled fuses, the python kernels
-        don't (they take the seam only when the span amortises it)."""
-        assert SweepKernel.fused_commit is False
-        assert get_kernel("exact_numpy").fused_commit is False
-        if compiled_available():
-            assert get_kernel("compiled").fused_commit is True
 
     def test_bulk_seam_under_forced_pure_python_fallback(self):
         """End-to-end under REPRO_NO_COMPILED_KERNEL: the bulk-commit seam

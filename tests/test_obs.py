@@ -165,7 +165,7 @@ class TestPhaseProfiler:
         # the documented phase vocabulary is the engine's contract; a
         # rename must update both
         assert set(PHASES) == {
-            "arrival_draw", "sweep_commit", "commit", "flush", "listeners",
+            "arrival_draw", "sweep_commit", "flush", "listeners",
             "actions", "delegate", "materialise", "reference",
         }
 

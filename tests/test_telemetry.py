@@ -377,6 +377,68 @@ class TestArchive:
         assert not diff["identical"]
         assert diff["gated_identical"]  # wall-clock divergence only
 
+    @staticmethod
+    def _admission_archive(tmp_path, policy):
+        """A sustained-overload archive whose ``adm_rate`` column is NaN:
+        ``delay_gated`` through the scenario runner, or the base queue cap
+        alone through the engine with ticks every 40 queries."""
+        import dataclasses
+
+        from repro.admission.base import AdmissionPolicy
+        from repro.scenarios import builtin_scenarios, run_scenario_spec
+        from repro.sim.fastpath import Action
+        from repro.telemetry.archive import collect_columns, write_archive_columns
+
+        path = tmp_path / f"{policy}.npz"
+        if policy == "delay_gated":
+            scens = {
+                s.name: s
+                for s in builtin_scenarios(n_servers=10, duration=8.0, p=4, seed=2)
+            }
+            base = scens["sustained-overload"]
+            scenario = dataclasses.replace(
+                base, admission=dataclasses.replace(base.admission, policy=policy)
+            )
+            run_scenario_spec(scenario, archive_path=str(path))
+            return path
+        dep = _build()
+        arrivals = PoissonArrivals(200.0, seed=3).times(400)
+        pol = AdmissionPolicy(slo=0.2, cap_multiple=1.0)
+        ticks = [
+            Action(i, arrivals[i - 1], lambda now, i=i: pol.tick(now, i), scope="none")
+            for i in range(40, 400, 40)
+        ]
+        dep.run_queries_fast(arrivals, 4, actions=ticks, admission=pol)
+        columns = {**collect_columns(dep), **pol.log.columns()}
+        write_archive_columns(path, columns, meta={"admission": pol.meta()})
+        return path
+
+    @pytest.mark.parametrize("policy", ["delay_gated", "cap"])
+    def test_self_diff_with_nan_columns_is_identical(self, tmp_path, capsys, policy):
+        from repro.cli import main
+
+        path = self._admission_archive(tmp_path, policy)
+        a = read_archive(path)
+        rate = a.columns["adm_rate"]
+        assert rate.size and np.isnan(rate).all()
+        diff = archive_diff(a, read_archive(path))
+        assert diff["identical"] and diff["gated_identical"]
+        assert main(["archive", "diff", str(path), str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "DIFFERS" not in out and out.rstrip().endswith("identical (simulated-time columns)")
+
+    def test_diff_is_byte_for_byte(self, tmp_path):
+        _, path = self._archived(tmp_path)
+        a, b = read_archive(path), read_archive(path)
+        b.columns["log_arrival"] = b.columns["log_arrival"].copy()
+        b.columns["log_arrival"][5] = -0.0 if a.columns["log_arrival"][5] == 0.0 else np.nan
+        b.columns["log_pq"] = b.columns["log_pq"].astype(np.int32)
+        diff = archive_diff(a, b)
+        assert diff["columns"]["log_arrival"]["first_divergence"] == 5
+        assert not diff["columns"]["log_pq"]["equal"]
+        assert diff["columns"]["log_pq"]["first_divergence"] == 0
+        assert not diff["gated_identical"]
+
     def test_schema_mismatch_refused(self, tmp_path):
         import json
 

@@ -10,8 +10,8 @@ task and object counters, traces in order, every ``NodeStats`` field
 (``busy_until`` included), the front-end work counters and the ledger.
 
 Paths: the reference engine, the batched engine with ``exact_numpy`` on
-its inline loop and on the python bulk seam, and with ``compiled``; a
-subprocess repeats the battery with ``REPRO_NO_COMPILED_KERNEL=1``.
+the python commit seam, and with ``compiled``; a subprocess repeats the
+battery with ``REPRO_NO_COMPILED_KERNEL=1``.
 
 Mechanism checks, each with a monkeypatch that raises or counts: data
 updates never reach ``Deployment.apply_update`` or ``_refresh_busy`` on
@@ -36,7 +36,7 @@ from repro.sim import PoissonArrivals, fastpath
 from repro.sim.fastpath import Action, run_queries_reference
 from repro.telemetry.archive import collect_columns
 
-PATHS = ["reference", "inline", "python_seam", "compiled"]
+PATHS = ["reference", "python_seam", "compiled"]
 
 #: the largest double below 1.0 -- the last position an update can take.
 BELOW_ONE = math.nextafter(1.0, 0.0)
@@ -208,18 +208,13 @@ def run_path(path, name, profile=None):
     if path == "reference":
         res = run_queries_reference(dep, arrivals, pq, actions=acts)
     else:
-        saved = fastpath.BULK_MIN_SPAN
-        fastpath.BULK_MIN_SPAN = 0 if path == "python_seam" else saved
-        try:
-            res = dep.run_queries_fast(
-                arrivals,
-                pq,
-                actions=acts,
-                kernel="compiled" if path == "compiled" else "exact_numpy",
-                profile=profile,
-            )
-        finally:
-            fastpath.BULK_MIN_SPAN = saved
+        res = dep.run_queries_fast(
+            arrivals,
+            pq,
+            actions=acts,
+            kernel="compiled" if path == "compiled" else "exact_numpy",
+            profile=profile,
+        )
     return _fingerprint(dep, res), res
 
 
@@ -256,14 +251,14 @@ class TestDataUpdatesMatchTheReference:
         assert tasks["node-2"] == 0 and tasks["node-1"] > 0
 
     def test_cases_reach_what_they_name(self):
-        _, res = run_path("inline", "failure-window")
+        _, res = run_path("python_seam", "failure-window")
         assert res.delegated > 0
-        fp, res = run_path("inline", "r-over-alive")
+        fp, res = run_path("python_seam", "r-over-alive")
         assert res.delegated > 0
         # every alive server took every update: r = n exceeds the alive count
         tasks = {name: s[2] for name, s in fp["servers"].items()}
         assert tasks["node-2"] < tasks["node-0"]
-        fp, _ = run_path("inline", "keep-trace-some")
+        fp, _ = run_path("python_seam", "keep-trace-some")
         traced = [s[5] for s in fp["servers"].values()]
         assert any(traced) and not all(traced)
         assert any(t[0] == -1 for rows in traced for t in rows)
@@ -271,8 +266,8 @@ class TestDataUpdatesMatchTheReference:
     def test_profiled_run_is_identical_and_adds_no_phase(self):
         from repro.obs.profiler import PHASES
 
-        plain, _ = run_path("inline", "coalesced")
-        profiled, res = run_path("inline", "coalesced", profile=True)
+        plain, _ = run_path("python_seam", "coalesced")
+        profiled, res = run_path("python_seam", "coalesced", profile=True)
         assert profiled == plain
         assert "actions" in res.profile.totals_ns
         assert set(res.profile.totals_ns) <= set(PHASES)
@@ -287,8 +282,7 @@ from repro.kernels.compiled import compiled_available
 assert not compiled_available()
 for name in t.CASES:
     base, _ = t.run_path("reference", name)
-    for path in ("inline", "python_seam"):
-        assert t.run_path(path, name)[0] == base, (name, path)
+    assert t.run_path("python_seam", name)[0] == base, name
 print("update-seam-fallback-ok")
 """
         env = {
