@@ -3,7 +3,7 @@
 Policies are looked up by name wherever an admission knob exists (the
 engine's ``admission=`` parameter, the scenario ``AdmissionSpec.policy``
 field, ``repro matrix --admission``).  Names accept the same optional
-parameter suffix as scheduling kernels -- ``name:key=value[,...]`` --
+parameter suffix as trace loaders -- ``name:key=value[,...]`` --
 forwarded to the policy constructor, e.g. ``aimd:floor=5,decrease=0.25``.
 Third-party policies register through :func:`register_policy`.
 
@@ -24,6 +24,7 @@ from __future__ import annotations
 import inspect
 from typing import Callable, Optional, Union
 
+from .._spec import parse_spec
 from .base import AdmissionPolicy
 
 __all__ = [
@@ -67,30 +68,6 @@ def policy_names() -> tuple[str, ...]:
     return tuple(_FACTORIES)
 
 
-def _parse_spec(spec: str) -> tuple[str, dict[str, object]]:
-    name, _, params = spec.partition(":")
-    name = name.strip()
-    kwargs: dict[str, object] = {}
-    if params:
-        for item in params.split(","):
-            key, sep, raw = item.partition("=")
-            if not sep:
-                raise ValueError(
-                    f"bad admission parameter {item!r} in {spec!r}; "
-                    "expected key=value"
-                )
-            raw = raw.strip()
-            try:
-                value: object = int(raw)
-            except ValueError:
-                try:
-                    value = float(raw)
-                except ValueError:
-                    value = raw
-            kwargs[key.strip()] = value
-    return name, kwargs
-
-
 def get_policy(spec: Union[str, AdmissionPolicy, None]) -> AdmissionPolicy:
     """Resolve *spec* to a policy instance.
 
@@ -103,7 +80,7 @@ def get_policy(spec: Union[str, AdmissionPolicy, None]) -> AdmissionPolicy:
         spec = DEFAULT_POLICY
     if isinstance(spec, AdmissionPolicy):
         return spec
-    name, kwargs = _parse_spec(spec)
+    name, kwargs = parse_spec(spec, "admission")
     name = _ALIASES.get(name, name)
     factory = _FACTORIES.get(name)
     if factory is None:
@@ -137,7 +114,7 @@ def build_admission(spec) -> Optional[AdmissionPolicy]:
     """
     if spec is None:
         return None
-    name, kwargs = _parse_spec(spec.policy)
+    name, kwargs = parse_spec(spec.policy, "admission")
     name = _ALIASES.get(name, name)
     factory = _FACTORIES.get(name)
     if factory is None:
@@ -172,7 +149,7 @@ def build_admission(spec) -> Optional[AdmissionPolicy]:
 def is_known_policy(spec: str) -> bool:
     """Cheap name-only validation (no instantiation)."""
     try:
-        name, _ = _parse_spec(spec)
+        name, _ = parse_spec(spec, "admission")
     except ValueError:
         return False
     return name in _FACTORIES or name in _ALIASES
@@ -180,7 +157,7 @@ def is_known_policy(spec: str) -> bool:
 
 def canonical_spec(spec: str) -> str:
     """Normalise *spec*: resolve aliases, keep any parameter suffix."""
-    name, _ = _parse_spec(spec)  # validates the k=v syntax
+    name, _ = parse_spec(spec, "admission")  # validates the k=v syntax
     resolved = _ALIASES.get(name, name)
     if resolved not in _FACTORIES:
         raise ValueError(

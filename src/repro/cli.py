@@ -14,8 +14,8 @@ notebooks should import :mod:`repro` directly):
   optionally export a chrome://tracing JSON (``docs/observability.md``);
 * ``explain``  -- reconstruct the control-decision and admission-shed
   timelines of an archived run, cross-checked against its delay columns;
-* ``kernels``  -- list scheduling kernels, optionally measure divergence
-  against the exact oracle (``docs/kernels.md``);
+* ``kernels``  -- list scheduling kernels and their availability
+  (``docs/kernels.md``);
 * ``admission`` -- list admission-control policies
   (``docs/admission.md``);
 * ``archive``  -- inspect/diff compressed telemetry archives written by
@@ -45,8 +45,8 @@ The parser is plain argparse and safe to drive programmatically::
     'smoke'
     >>> parser.parse_args(["matrix", "--kernel", "compiled"]).kernel
     'compiled'
-    >>> parser.parse_args(["kernels"]).divergence
-    False
+    >>> parser.parse_args(["kernels"]).command
+    'kernels'
     >>> parser.parse_args(["archive", "info", "run.npz"]).archive_command
     'info'
     >>> parser.parse_args(["archive", "info", "run.npz",
@@ -185,8 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="batched fast path or per-query reference path")
     mtx.add_argument("--kernel", default=None, metavar="NAME",
                      help="scheduling kernel for the batched engine "
-                          "(exact_numpy, compiled, approx_topk[:k=v,...]; "
-                          "see `repro kernels`)")
+                          "(exact_numpy, compiled; see `repro kernels`)")
     mtx.add_argument("--seed", type=int, default=1)
     mtx.add_argument("--csv", default=None, metavar="PATH",
                      help="also write the table as CSV")
@@ -262,18 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
     expl.add_argument("--json", default=None, metavar="PATH",
                       help="also write the decision records as JSON")
 
-    kern = sub.add_parser(
+    sub.add_parser(
         "kernels",
-        help="list scheduling kernels (availability, exactness, "
-             "optionally battery divergence)",
+        help="list scheduling kernels (availability, description)",
     )
-    kern.add_argument("--divergence", action="store_true",
-                      help="also run the differential harness against the "
-                           "exact oracle over the builtin battery")
-    kern.add_argument("--servers", type=int, default=40,
-                      help="battery fleet size for --divergence")
-    kern.add_argument("--duration", type=float, default=15.0,
-                      help="battery duration for --divergence")
 
     sub.add_parser(
         "admission",
@@ -924,28 +915,11 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 def _cmd_kernels(args: argparse.Namespace) -> int:
     from .kernels import kernel_specs
 
-    print(f"{'kernel':14s} {'exact':6s} {'available':10s} description")
+    print(f"{'kernel':14s} {'available':10s} description")
     for row in kernel_specs():
-        exact = "-" if row["exact"] is None else ("yes" if row["exact"] else "no")
         avail = "yes" if row["available"] else "NO"
         desc = row["description"] or row["reason"] or ""
-        print(f"{row['name']:14s} {exact:6s} {avail:10s} {desc}")
-    if args.divergence:
-        from .kernels.divergence import battery_divergence, render_divergence
-
-        if args.servers < 2:
-            print("--servers must be >= 2", file=sys.stderr)
-            return 2
-        p = min(5, args.servers)  # scenarios require p <= n_servers
-        for row in kernel_specs():
-            if not row["available"] or row["name"] == "exact_numpy":
-                continue
-            print(f"\n[{row['name']}] vs exact_numpy over the builtin battery "
-                  f"(n={args.servers}, p={p}, {args.duration:g}s):")
-            print(render_divergence(battery_divergence(
-                row["name"], n_servers=args.servers, duration=args.duration,
-                p=p,
-            )))
+        print(f"{row['name']:14s} {avail:10s} {desc}")
     return 0
 
 

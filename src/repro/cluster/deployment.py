@@ -33,7 +33,7 @@ from ..core.ring import Ring, RingNode
 from ..sim.energy import EnergyReport, measure_energy
 from ..sim.network import NetworkModel, TrafficLedger
 from ..sim.server import SimServer
-from ..telemetry.listeners import ChunkListener, ListenerList
+from ..telemetry.listeners import ChunkListener
 from ..telemetry.records import (
     BreakdownLog,
     DelayLog,
@@ -128,9 +128,6 @@ class Deployment:
         #: known-dead bookkeeping: name -> time the front-end learned of it.
         self._known_dead: dict[str, float] = {}
 
-        #: legacy per-query callbacks (deprecated -- appending warns once;
-        #: prefer chunk_listeners, which see whole flushed chunks as arrays).
-        self.query_listeners: ListenerList = ListenerList()
         #: chunk-array subscribers (:class:`~repro.telemetry.ChunkListener`):
         #: one ``observe_chunk`` call per flushed chunk on the batched path,
         #: ``observe_record`` per query on the reference path.
@@ -294,7 +291,7 @@ class Deployment:
         query point, the start id, and the sweep's work counters.  The
         front-end adopts it instead of sweeping again
         (:meth:`~repro.core.frontend.FrontEnd.adopt_schedule`); the
-        batched engine passes its exact kernel's pick when it hands a
+        batched engine passes its kernel's pick when it hands a
         failure-window query to this path.
         """
         pq = pq or self.config.p
@@ -369,8 +366,6 @@ class Deployment:
             scheduling_delay=sched_wall,
         )
         self.log.add(record)
-        for listener in self.query_listeners:
-            listener(record)
         breakdown = QueryBreakdown(
             scheduling=sched_wall,
             network=rtt,

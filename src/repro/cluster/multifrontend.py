@@ -24,7 +24,7 @@ from typing import Sequence
 from ..core.frontend import FrontEnd, FrontEndConfig
 from ..core.membership import MembershipServer
 from ..sim.server import SimServer
-from ..telemetry.listeners import ChunkListener, ListenerList
+from ..telemetry.listeners import ChunkListener
 from ..telemetry.records import DelayLog, QueryRecord
 
 __all__ = ["MultiFrontEndDeployment"]
@@ -83,9 +83,6 @@ class MultiFrontEndDeployment:
         self.log = DelayLog()
         self._counter = 0
         self._fe_seed = seed + n_frontends
-        #: legacy per-query callbacks (deprecated -- appending warns once;
-        #: prefer chunk_listeners).
-        self.query_listeners: ListenerList = ListenerList()
         #: chunk-array subscribers; fed via ``observe_record`` here (the
         #: multi-front-end path has no batched engine).
         self.chunk_listeners: list[ChunkListener] = []
@@ -160,8 +157,6 @@ class MultiFrontEndDeployment:
             subqueries=len(plan.subs),
         )
         self.log.add(record)
-        for listener in self.query_listeners:
-            listener(record)
         for chunk_listener in self.chunk_listeners:
             chunk_listener.observe_record(record)
         return record

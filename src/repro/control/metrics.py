@@ -288,18 +288,12 @@ class MetricsCollector(ChunkListener):
     def attach(self, deployment) -> "MetricsCollector":
         """Subscribe to a deployment's completion stream.
 
-        Prefers the chunk-array hook (``chunk_listeners``): the batched
-        engine then feeds whole flushed chunks through
-        :meth:`observe_chunk` and the reference path feeds single records
-        through :meth:`observe_record` -- identical statistics either
-        way.  Hosts exposing only the legacy per-query ``query_listeners``
-        list still work unchanged.
+        Registers on ``chunk_listeners``: the batched engine then feeds
+        whole flushed chunks through :meth:`observe_chunk` and the
+        reference path feeds single records through
+        :meth:`observe_record` -- identical statistics either way.
         """
-        hook = getattr(deployment, "chunk_listeners", None)
-        if hook is not None:
-            hook.append(self)
-        else:
-            deployment.query_listeners.append(self.observe_query)
+        deployment.chunk_listeners.append(self)
         return self
 
     def observe_query(self, record: QueryRecord) -> None:

@@ -210,7 +210,7 @@ class FrontEnd:
     ) -> tuple[int, QueryPlan, ScheduleResult]:
         """:meth:`schedule_query` for a decision made elsewhere.
 
-        The batched engine's exact kernels run Algorithm 1 on mirrors of
+        The batched engine's kernels run Algorithm 1 on mirrors of
         these statistics; when such a query has to fall back to the
         per-query path, its pick (the nodes per query point, the start id
         and the sweep's work counters) is adopted here instead of being

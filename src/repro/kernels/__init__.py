@@ -3,26 +3,21 @@
 The batched query engine evaluates Algorithm 1's rotation sweep once per
 query; this package turns that evaluation into a swappable component with
 a narrow ABI (:class:`~repro.kernels.base.SweepKernel`), a registry, and
-three built-in implementations:
+two built-in implementations:
 
 * ``exact_numpy`` -- the engine's original vectorised sweep, byte for
   byte; bit-identical to the per-query reference path and therefore the
   **oracle** every other kernel is measured against (the default);
 * ``compiled``    -- the same arithmetic fused into one C call (built on
-  first use against the system toolchain, graceful fallback without one);
-* ``approx_topk`` -- a strided/refined sampled argmin with a documented
-  deviation bound.
+  first use against the system toolchain, graceful fallback without one).
 
-:mod:`repro.kernels.divergence` is the differential harness: it runs any
-kernel against ``exact_numpy`` over the 8-scenario builtin battery and
-reports config divergence and latency-deviation percentiles, which is how
-inexact kernels prove they stay inside their stated contract.
+Every kernel is exact: ``tests/test_kernels.py`` compares ``compiled``
+with ``exact_numpy`` byte for byte, the builtin scenario battery included.
 """
 
 from .base import (
     CommitBuffers,
     CommitPlan,
-    DeviationBound,
     KernelUnavailableError,
     PqEntry,
     SweepKernel,
@@ -43,7 +38,6 @@ __all__ = [
     "DEFAULT_KERNEL",
     "CommitBuffers",
     "CommitPlan",
-    "DeviationBound",
     "KernelUnavailableError",
     "PqEntry",
     "SweepKernel",

@@ -7,8 +7,8 @@ rings, max across points, first-wins argmin across evaluated
 configurations), and re-derive the final assignment at the winning start
 id.  Everything else in the engine is accounting.  This module names that
 block as an interface -- :class:`SweepKernel` -- so implementations can
-compete on speed or trade exactness for speed *behind a stated contract*,
-while the engine, the accounting, and the failure fall-back stay shared.
+compete on speed while the engine, the accounting, and the failure
+fall-back stay shared.
 
 The ABI (``SweepKernel.select(state, entry, now) -> (server_set, points,
 start_id)``) is deliberately narrow:
@@ -26,13 +26,10 @@ start_id)``) is deliberately narrow:
   engine commits it without re-deriving anything, so a kernel's choice is
   exactly what executes.
 
-Exactness contract: a kernel with ``exact = True`` promises bit-identical
-decisions to :class:`~repro.kernels.exact.ExactNumpyKernel` (the oracle,
-which is byte-for-byte the engine's original inline code).  A kernel with
-``exact = False`` must document its deviation bound in its docstring as a
-:class:`DeviationBound`, and the differential harness
-(:mod:`repro.kernels.divergence`) measures it against the oracle on the
-builtin scenario battery.
+Exactness contract: every kernel makes bit-identical decisions to
+:class:`~repro.kernels.exact.ExactNumpyKernel` (the oracle, which is
+byte-for-byte the engine's original inline code).  The differential tests
+hold each in-tree kernel to it, the builtin scenario battery included.
 
 **The fused sweep+commit entry point.**  Scheduling is no longer the
 engine's wall: once the sweep is compiled, the remaining per-query python
@@ -46,8 +43,8 @@ returns the per-sub-query chunk-buffer rows in bulk through a
 reductions.  It is the only place the engine commits a query.  The
 default implementation is the reference python loop; the compiled kernel
 overrides it with a single C call per chunk.  The exactness contract
-extends to it unchanged (``exact = True`` kernels must produce
-bit-identical *state*, not just decisions).
+extends to it unchanged (an override must produce bit-identical *state*,
+not just decisions).
 
 **The failure stop.**  Inside a failure window the engine passes the
 failed-server mask.  ``commit_batch`` then stops before committing the
@@ -72,7 +69,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar, Sequence
 
 try:
@@ -87,7 +83,6 @@ __all__ = [
     "AdmissionGate",
     "CommitBuffers",
     "CommitPlan",
-    "DeviationBound",
     "KernelUnavailableError",
     "PqEntry",
     "SweepKernel",
@@ -99,42 +94,6 @@ __all__ = [
 
 class KernelUnavailableError(RuntimeError):
     """A kernel cannot run in this environment (e.g. no C toolchain)."""
-
-
-@dataclass(frozen=True)
-class DeviationBound:
-    """The documented contract of an inexact kernel.
-
-    Measured by :mod:`repro.kernels.divergence` on the 8-scenario builtin
-    battery; the kernel's tests assert every scenario stays inside it.
-    Two kinds of guarantee, because they behave very differently:
-
-    **Per-decision** (the approximation itself, measured shadow-style on
-    identical engine state):
-
-    * ``decision_divergence`` -- maximum fraction of per-query decisions
-      that pick a different server set than the oracle *given the same
-      mirrors*;
-    * ``makespan_regret_p99`` -- maximum 99th percentile of the relative
-      predicted-makespan excess of the kernel's choice over the oracle's
-      on the same state (>= 0 by construction when the kernel examines a
-      subset of the oracle's candidates).
-
-    **End-to-end trajectory** (what a user of the approximate mode
-    experiences; necessarily looser, since one divergent choice perturbs
-    queue state and compounds):
-
-    * ``latency_rel_p99`` -- maximum 99th percentile of per-query relative
-      completion-latency deviation ``|d_k - d_oracle| / d_oracle`` between
-      independent runs of the two kernels;
-    * ``mean_delay_rel`` -- maximum relative deviation of the run-level
-      mean completion latency.
-    """
-
-    decision_divergence: float
-    makespan_regret_p99: float
-    latency_rel_p99: float
-    mean_delay_rel: float
 
 
 class SweepState:
@@ -498,15 +457,14 @@ def assignment_at(
 class SweepKernel:
     """Base class of every scheduling kernel.
 
-    Subclasses set ``name`` (the registry key) and ``exact`` (the
-    bit-identical promise), and implement :meth:`select`.  ``bind`` is an
+    Subclasses set ``name`` (the registry key) and implement
+    :meth:`select`, bit-identical to the oracle.  ``bind`` is an
     optional hook called whenever the engine's :class:`SweepState` is
     rebuilt -- kernels holding derived caches (pointers, strided views)
     refresh them there.
     """
 
     name: ClassVar[str] = "abstract"
-    exact: ClassVar[bool] = False
     #: one-line human description for ``repro kernels``.
     description: ClassVar[str] = ""
 
@@ -572,8 +530,7 @@ class SweepKernel:
         -- the same scalar float operations in the same order as
         ``Deployment.run_query`` and as ``roar_commit_batch`` in
         ``csrc/sweep.c`` (the two are pinned together by the differential
-        tests).  Override it only with something bit-identical, or set
-        ``exact = False`` and document the bound.
+        tests).  Override it only with something bit-identical.
         """
         check_commit_args(state, entry, plan, bufs, start, nq, gate, failed)
         bufs.stop_idx[0] = -1

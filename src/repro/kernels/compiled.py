@@ -114,8 +114,8 @@ def _build_library() -> Path:
         # candidate, and both gcc and clang contract by default at -O3,
         # which would change the float results and break the bit-identity
         # contract.  A compiler that rejects the flag therefore cannot
-        # build an `exact = True` kernel -- refuse and fall back to the
-        # oracle rather than ship silently-drifting floats.
+        # build this kernel -- refuse and fall back to the oracle rather
+        # than ship silently-drifting floats.
         base = [compiler, "-O3", "-fPIC", "-shared", "-o", tmp, str(_SOURCE), "-lm"]
         attempts = (
             base[:1] + ["-march=native", "-ffp-contract=off"] + base[1:],
@@ -460,8 +460,8 @@ class CompiledKernel(SweepKernel):
     Replicates :class:`~repro.kernels.exact.ExactNumpyKernel`'s float
     arithmetic operation-for-operation in C (verified by the differential
     tests); ships as an on-first-use build against the system C compiler
-    with a graceful fallback when none exists.  ``exact = True``: any
-    divergence from the oracle is a bug, not a documented trade.
+    with a graceful fallback when none exists.  Any divergence from the
+    oracle is a bug.
 
     Two entry points: :meth:`select` is the per-query sweep, and
     :meth:`commit_batch` is the fused sweep+commit -- one C call per
@@ -471,7 +471,6 @@ class CompiledKernel(SweepKernel):
     """
 
     name = "compiled"
-    exact = True
     description = "fused C sweep+commit via ctypes (needs a C toolchain)"
 
     def __init__(self) -> None:

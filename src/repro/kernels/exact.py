@@ -32,7 +32,6 @@ class ExactNumpyKernel(SweepKernel):
     """
 
     name = "exact_numpy"
-    exact = True
     description = "bit-exact vectorised sweep (the oracle; default)"
 
     def select(

@@ -1,11 +1,9 @@
 """The scheduling-kernel registry.
 
-Kernels are looked up by name wherever a kernel knob exists (the engine's
-``kernel=`` parameter, the scenario ``kernel:`` field, ``repro matrix
---kernel``, the bench sweeps).  Names accept an optional parameter suffix
-``name:key=value[,key=value...]`` forwarded to the kernel constructor,
-e.g. ``approx_topk:stride=8``.  Third-party kernels register through
-:func:`register_kernel`.
+Kernels are looked up by name or alias wherever a kernel knob exists
+(the engine's ``kernel=`` parameter, the scenario ``kernel:`` field,
+``repro matrix --kernel``, the bench sweeps).  Third-party kernels
+register through :func:`register_kernel`.
 """
 
 from __future__ import annotations
@@ -53,36 +51,11 @@ def kernel_names() -> tuple[str, ...]:
     return tuple(_FACTORIES)
 
 
-def _parse_spec(spec: str) -> tuple[str, dict[str, object]]:
-    name, _, params = spec.partition(":")
-    name = name.strip()
-    kwargs: dict[str, object] = {}
-    if params:
-        for item in params.split(","):
-            key, sep, raw = item.partition("=")
-            if not sep:
-                raise ValueError(
-                    f"bad kernel parameter {item!r} in {spec!r}; "
-                    "expected key=value"
-                )
-            raw = raw.strip()
-            try:
-                value: object = int(raw)
-            except ValueError:
-                try:
-                    value = float(raw)
-                except ValueError:
-                    value = raw
-            kwargs[key.strip()] = value
-    return name, kwargs
-
-
 def get_kernel(spec: Union[str, SweepKernel, None]) -> SweepKernel:
     """Resolve *spec* to a kernel instance.
 
     ``None`` means the default (:data:`DEFAULT_KERNEL`); an instance
-    passes through; a string is looked up in the registry, with an
-    optional ``:key=value,...`` parameter suffix.  Raises
+    passes through; a string is a registered name or alias.  Raises
     :class:`~repro.kernels.base.KernelUnavailableError` when the kernel
     exists but cannot run here (e.g. ``compiled`` without a C toolchain)
     and :class:`ValueError` for unknown names.
@@ -91,42 +64,30 @@ def get_kernel(spec: Union[str, SweepKernel, None]) -> SweepKernel:
         spec = DEFAULT_KERNEL
     if isinstance(spec, SweepKernel):
         return spec
-    name, kwargs = _parse_spec(spec)
-    name = _ALIASES.get(name, name)
-    factory = _FACTORIES.get(name)
-    if factory is None:
-        raise ValueError(
-            f"unknown scheduling kernel {name!r}; registered: "
-            f"{', '.join(kernel_names())}"
-        )
-    return factory(**kwargs)
+    return _FACTORIES[canonical_spec(spec)]()
 
 
 def is_known_kernel(spec: str) -> bool:
     """Cheap name-only validation (no instantiation, no build attempt)."""
-    try:
-        name, _ = _parse_spec(spec)
-    except ValueError:
-        return False
+    name = spec.strip()
     return name in _FACTORIES or name in _ALIASES
 
 
 def canonical_spec(spec: str) -> str:
-    """Normalise *spec*: resolve aliases, keep any parameter suffix.
+    """Normalise *spec*: resolve an alias to its canonical name.
 
     Validates the name (raises :class:`ValueError` for unknown kernels)
     without instantiating the kernel -- no build attempt, so it is safe
     to call up front before expensive work.
     """
-    name, _ = _parse_spec(spec)  # validates the k=v syntax
+    name = spec.strip()
     resolved = _ALIASES.get(name, name)
     if resolved not in _FACTORIES:
         raise ValueError(
             f"unknown scheduling kernel {name!r}; registered: "
             f"{', '.join(kernel_names())}"
         )
-    _, _, params = spec.partition(":")
-    return f"{resolved}:{params}" if params else resolved
+    return resolved
 
 
 def kernel_available(name: str) -> bool:
@@ -144,7 +105,7 @@ def available_kernels() -> tuple[str, ...]:
 
 
 def kernel_specs() -> list[dict[str, object]]:
-    """Inspection rows for ``repro kernels``: name, exactness, availability."""
+    """Inspection rows for ``repro kernels``: name, availability, description."""
     rows: list[dict[str, object]] = []
     for name in kernel_names():
         try:
@@ -152,7 +113,6 @@ def kernel_specs() -> list[dict[str, object]]:
             rows.append(
                 {
                     "name": name,
-                    "exact": kernel.exact,
                     "available": True,
                     "description": kernel.description,
                     "reason": None,
@@ -162,7 +122,6 @@ def kernel_specs() -> list[dict[str, object]]:
             rows.append(
                 {
                     "name": name,
-                    "exact": None,
                     "available": False,
                     "description": "",
                     "reason": str(exc),
@@ -172,13 +131,11 @@ def kernel_specs() -> list[dict[str, object]]:
 
 
 def _register_builtins() -> None:
-    from .approx import ApproxTopKKernel
     from .compiled import CompiledKernel
     from .exact import ExactNumpyKernel
 
     register_kernel("exact_numpy", ExactNumpyKernel, aliases=("exact",))
     register_kernel("compiled", CompiledKernel, aliases=("c",))
-    register_kernel("approx_topk", ApproxTopKKernel, aliases=("approx",))
 
 
 _register_builtins()

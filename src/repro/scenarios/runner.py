@@ -204,7 +204,7 @@ def _generate_updates(scenario: Scenario, horizon: float):
 class ScenarioExecution:
     """Raw outcome of one scenario execution (pre-summary).
 
-    What the differential kernel harness consumes: the live deployment,
+    What the differential tests consume: the live deployment,
     the engine's array-backed :class:`~repro.sim.fastpath.BatchResult`
     (including per-query assignments when requested), and the execution
     bookkeeping the summary layer folds into a :class:`ScenarioResult`.
@@ -286,7 +286,7 @@ def execute_scenario(
 
     *kernel* overrides ``scenario.kernel`` (batched engine only).  With
     *record_assignments* the batch result carries every query's server
-    set -- what the kernel divergence harness compares.  *archive_path*
+    set -- what the kernel differential tests compare.  *archive_path*
     streams the run's telemetry columns into a compressed archive as the
     run progresses (:class:`repro.telemetry.archive.ArchiveWriter`).
 
@@ -613,9 +613,8 @@ def execute_scenario(
             from ..kernels import get_kernel
             from ..kernels.registry import canonical_spec
 
-            # resolve once (the engine reuses the instance) and keep any
-            # parameter suffix in the reported name, so a stride=32 run is
-            # distinguishable from a stride=8 run in the matrix table
+            # resolve once (the engine reuses the instance) and report the
+            # registry name, aliases resolved
             kernel_obj = get_kernel(kernel)
             kernel_name = (
                 canonical_spec(kernel) if isinstance(kernel, str) else kernel_obj.name

@@ -331,10 +331,10 @@ class Scenario:
     #: keep real object replicas (needed by repartition; costs memory).
     store_objects: bool | None = None
     n_objects_stored: int = 200
-    #: scheduling kernel for the batched engine (a registry name such as
-    #: "exact_numpy", "compiled", "approx_topk:stride=8"); None uses the
-    #: engine default (the bit-exact oracle).  Ignored by the reference
-    #: engine, which schedules through the original heap.
+    #: scheduling kernel for the batched engine (a registry name or alias
+    #: such as "exact_numpy" or "compiled"); None uses the engine default
+    #: (the bit-exact oracle).  Ignored by the reference engine, which
+    #: schedules through the original heap.
     kernel: str | None = None
     #: admission control at the engine's arrival seam; None (or
     #: policy="none") accepts every query, bit-identical to the

@@ -38,12 +38,11 @@ the same system with no per-query python on its hot path:
   whose pick touches a failed server, the engine delegates that query to
   the reference path (:meth:`Deployment.run_query
   <repro.cluster.deployment.Deployment.run_query>`), which owns the
-  rng-consuming fall-back, and the seam resumes after it.  An exact
-  kernel's pick is the decision the reference sweep would make, so the
-  engine hands it over and the fall-back skips its own sweep; an inexact
-  kernel's pick is not handed over.  A callable ``pq_fn`` is evaluated
-  once per query before the span, and each constant-``pq`` run goes
-  through the seam.
+  rng-consuming fall-back, and the seam resumes after it.  The kernel's
+  pick is the decision the reference sweep would make, so the engine
+  hands it over and the fall-back skips its own sweep.  A callable
+  ``pq_fn`` is evaluated once per query before the span, and each
+  constant-``pq`` run goes through the seam.
 
 * **Admission.**  Policies whose decisions need only the arrival time,
   the busiest-server backlog and their own token state (the queue cap,
@@ -97,7 +96,7 @@ from ..kernels.base import (
 )
 from ..kernels.registry import get_kernel
 from ..obs.profiler import resolve_profile
-from ..telemetry.listeners import ChunkArrays, drive_legacy_listeners
+from ..telemetry.listeners import ChunkArrays
 from .server import TaskRecord
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -433,14 +432,10 @@ class _Engine:
         The ``q*`` arguments are equal-length per-query float64/int64
         arrays; with the chunk's RTT, wait and service rows from *bufs*
         they append to the deployment's columnar logs in a handful of
-        array copies -- zero per-query python on listener-free runs.
-        Chunk listeners receive the arrays directly (one
-        ``observe_chunk`` call per flushed chunk); legacy per-query
-        ``query_listeners``, when any are registered, are driven off the
-        same columns by materialising each row as the exact
-        :class:`QueryRecord` the per-query path would have built.  Server
-        traces read the chunk's sub-query rows from *bufs* (submit
-        order, *pq* rows per query).
+        array copies -- zero per-query python.  Chunk listeners receive
+        the arrays directly (one ``observe_chunk`` call per flushed
+        chunk).  Server traces read the chunk's sub-query rows from
+        *bufs* (submit order, *pq* rows per query).
         """
         dep = self.dep
         nq = len(qnow)
@@ -453,11 +448,9 @@ class _Engine:
             self.admission.log.record_chunk(log_start, nq, self.admission.shed)
 
         prof = self.prof
-        has_listeners = bool(dep.chunk_listeners or dep.query_listeners)
-        if prof is not None and has_listeners:
-            prof.begin("listeners")
-
         if dep.chunk_listeners:
+            if prof is not None:
+                prof.begin("listeners")
             chunk = ChunkArrays(
                 query_ids=qqid,
                 arrivals=qnow,
@@ -472,22 +465,8 @@ class _Engine:
             )
             for chunk_listener in dep.chunk_listeners:
                 chunk_listener.observe_chunk(chunk, log_start, nq)
-
-        if dep.query_listeners:
-            # tolist() only on the legacy path: callbacks see python
-            # scalars, exactly as the per-query reference path built them
-            drive_legacy_listeners(
-                dep.query_listeners,
-                qqid.tolist(),
-                qnow.tolist(),
-                fr.tolist(),
-                qpq.tolist(),
-                qpq.tolist(),
-                qsched.tolist(),
-            )
-
-        if prof is not None and has_listeners:
-            prof.end()
+            if prof is not None:
+                prof.end()
 
         if self.trace_any:
             m = nq * pq
@@ -961,11 +940,9 @@ class _Engine:
         """Route one failure-window query through the reference path.
 
         ``commit_batch`` stopped at this query because its pick touches a
-        failed server.  An exact kernel's pick (*g_list*, *start_id*) is
-        the decision the reference sweep would make on this state, so it
-        is handed over and the reference path does not sweep again; an
-        inexact kernel's pick is not, and the reference path runs its own
-        sweep.
+        failed server.  The pick (*g_list*, *start_id*) is the decision
+        the reference sweep would make on this state, so it is handed
+        over and the reference path does not sweep again.
         """
         prof = self.prof
         if prof is not None:
@@ -978,15 +955,13 @@ class _Engine:
                 for name, s in self.servers.items()
                 if s.keep_trace
             }
-        pick = None
-        if self.kernel.exact:
-            nodes = self.nodes_flat
-            pick = (
-                [nodes[g] for g in g_list],
-                start_id,
-                entry.iterations,
-                entry.estimates,
-            )
+        nodes = self.nodes_flat
+        pick = (
+            [nodes[g] for g in g_list],
+            start_id,
+            entry.iterations,
+            entry.estimates,
+        )
         record = self.dep.run_query(now, pq, pick)
         self.delegated += 1
         self.last_res = None
@@ -1046,12 +1021,11 @@ def run_queries_fast(
     support) and leaves the deployment in the same state the reference path
     would have.  *actions* schedules callbacks at exact query indices; see
     :class:`Action`.  *kernel* picks the scheduling kernel by registry name
-    (or instance); the default ``exact_numpy`` is bit-identical to the
-    reference path, others trade exactness or portability for speed (see
-    :mod:`repro.kernels`).  Failure-window queries delegate to the
+    (or instance); every kernel is bit-identical to the reference path
+    (see :mod:`repro.kernels`).  Failure-window queries delegate to the
     per-query reference path, so fall-back semantics stay exact
-    everywhere; exact kernels hand their pick to the fall-back, which
-    then does not sweep again, while inexact ones let it sweep.
+    everywhere; the kernel's pick is handed to the fall-back, which then
+    does not sweep again.
 
     *profile* enables the engine-phase profiler: pass ``True`` (or a
     :class:`~repro.obs.profiler.PhaseProfiler` to accumulate across runs);

@@ -11,8 +11,7 @@ engine's flat chunk arrays the *primary* representation:
   :class:`BreakdownLog` with lazy :class:`QueryRecord` /
   :class:`QueryBreakdown` materialisation;
 * :mod:`~repro.telemetry.listeners` -- the :class:`ChunkListener` API
-  (one call per flushed chunk) plus the deprecation shim that keeps legacy
-  per-query ``query_listeners`` bit-identical;
+  (one call per flushed chunk);
 * :mod:`~repro.telemetry.snapshot` -- capture/restore of full deployment
   state, byte-identical continuation;
 * :mod:`~repro.telemetry.archive` -- compressed columnar run archives
@@ -23,12 +22,7 @@ See ``docs/telemetry.md`` for the contracts.
 """
 
 from .columns import GrowArray, array_percentile
-from .listeners import (
-    ChunkArrays,
-    ChunkListener,
-    ListenerList,
-    drive_legacy_listeners,
-)
+from .listeners import ChunkArrays, ChunkListener
 from .records import (
     EXPLODING_SLOPE,
     BreakdownLog,
@@ -45,8 +39,6 @@ __all__ = [
     "array_percentile",
     "ChunkArrays",
     "ChunkListener",
-    "ListenerList",
-    "drive_legacy_listeners",
     "EXPLODING_SLOPE",
     "BreakdownLog",
     "DelayLog",

@@ -357,8 +357,9 @@ def read_archive(path) -> RunArchive:
     schema = meta.get("schema")
     if schema != ARCHIVE_SCHEMA:
         raise ValueError(
-            f"archive schema {schema!r} not supported "
-            f"(this build reads schema {ARCHIVE_SCHEMA})"
+            f"{path}: archive schema {schema!r} not supported "
+            f"(this build reads schema {ARCHIVE_SCHEMA}); write the archive "
+            "again with this build"
         )
     return RunArchive(meta=meta, columns=columns, path=str(path))
 

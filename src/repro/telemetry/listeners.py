@@ -1,4 +1,4 @@
-"""The chunk-array listener API and the legacy per-query adapter.
+"""The chunk-array listener API.
 
 The batched engine accounts queries in chunks (see
 :mod:`repro.sim.fastpath`): between two cut points it produces flat arrays
@@ -15,18 +15,11 @@ per-query python from the hot path.
   the same subscribers through :meth:`ChunkListener.observe_record`, whose
   default adapts a single record into a one-row chunk -- so a listener
   written against arrays works identically under either engine.
-* :class:`ListenerList` is the deprecation shim for the legacy per-query
-  ``deployment.query_listeners`` hook: appending a callback still works
-  bit-identically (the flush drives legacy callbacks off the same arrays,
-  via :func:`drive_legacy_listeners`) but emits a one-time
-  ``DeprecationWarning`` pointing at the chunk API.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
 
 try:
     import numpy as np
@@ -35,14 +28,9 @@ except ImportError:  # pragma: no cover - the image bakes numpy in
 
 from .records import QueryRecord
 
-if TYPE_CHECKING:  # pragma: no cover
-    pass
-
 __all__ = [
     "ChunkArrays",
     "ChunkListener",
-    "ListenerList",
-    "drive_legacy_listeners",
 ]
 
 
@@ -122,66 +110,3 @@ class ChunkListener:
     def observe_record(self, record: QueryRecord, breakdown=None) -> None:
         self.observe_chunk(ChunkArrays.from_record(record, breakdown), -1, 1)
 
-
-# -- legacy per-query listeners ---------------------------------------------
-_DEPRECATION_EMITTED = False
-
-
-def _reset_deprecation_warning() -> None:
-    """Test hook: re-arm the one-time deprecation warning."""
-    global _DEPRECATION_EMITTED
-    _DEPRECATION_EMITTED = False
-
-
-class ListenerList(list):
-    """``query_listeners`` container that deprecates per-query callbacks.
-
-    Still a real list (legacy code may iterate, clear, or index it), but
-    the first ``append`` in the process emits a ``DeprecationWarning``
-    steering new code to ``deployment.chunk_listeners``.  Behaviour is
-    unchanged: callbacks receive every completed :class:`QueryRecord`, in
-    completion order, driven off the columnar chunks by
-    :func:`drive_legacy_listeners`.
-    """
-
-    def append(self, listener) -> None:
-        global _DEPRECATION_EMITTED
-        if not _DEPRECATION_EMITTED:
-            _DEPRECATION_EMITTED = True
-            warnings.warn(
-                "per-query query_listeners are deprecated; subscribe a "
-                "ChunkListener on deployment.chunk_listeners instead "
-                "(see docs/telemetry.md)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        super().append(listener)
-
-
-def drive_legacy_listeners(
-    listeners: Iterable,
-    query_ids,
-    arrivals,
-    finishes,
-    pqs,
-    subqueries,
-    scheduling,
-) -> None:
-    """Feed legacy per-query callbacks from one chunk's columns.
-
-    Materialises each row as a :class:`QueryRecord` -- exactly the object
-    the per-query path would have built -- and calls every listener with
-    it, in completion order.  Only invoked when legacy listeners exist, so
-    listener-free runs pay nothing per query.
-    """
-    for k in range(len(arrivals)):
-        record = QueryRecord(
-            query_id=query_ids[k],
-            arrival=arrivals[k],
-            finish=finishes[k],
-            pq=pqs[k],
-            subqueries=subqueries[k],
-            scheduling_delay=scheduling[k],
-        )
-        for listener in listeners:
-            listener(record)

@@ -84,8 +84,9 @@ class Snapshot:
         schema = meta.get("schema")
         if schema != SNAPSHOT_SCHEMA:
             raise SnapshotError(
-                f"snapshot schema {schema!r} not supported "
-                f"(this build reads schema {SNAPSHOT_SCHEMA})"
+                f"{path}: snapshot schema {schema!r} not supported "
+                f"(this build reads schema {SNAPSHOT_SCHEMA}); take the "
+                "snapshot again with this build"
             )
         return cls(meta=meta, columns=columns)
 
@@ -337,7 +338,6 @@ def restore_deployment(snapshot: Snapshot):
     from ..core.ring import Ring, RingNode
     from ..sim.energy import PowerProfile
     from ..sim.network import NetworkModel, TrafficLedger
-    from ..telemetry.listeners import ListenerList
     from ..telemetry.records import BreakdownLog, DelayLog
 
     meta = snapshot.meta
@@ -467,7 +467,6 @@ def restore_deployment(snapshot: Snapshot):
     dep.stores = {}
     dep.reconfig = None
     dep._known_dead = dict(meta["known_dead"])
-    dep.query_listeners = ListenerList()
     dep.chunk_listeners = []
     dep.retired = {
         s["name"]: _restore_server(s) for s in meta["retired"]

@@ -13,7 +13,7 @@ workloads (see ``docs/traces.md``):
 * :mod:`~repro.traces.record` -- record-then-replay:
   ``execute_scenario(record_path=...)`` freezes the drawn stimulus,
   :func:`replay_recording` re-drives it bit-identically on either engine
-  and any exact kernel, verified by the archive differential oracle.
+  and any kernel, verified by the archive differential oracle.
 """
 
 from .loaders import (

@@ -246,10 +246,8 @@ class ArchiveTraceLoader(TraceLoader):
             arch = read_archive(source)
         except OSError as exc:
             raise TraceFormatError(f"{source}: cannot open: {exc}") from exc
-        except (ValueError, KeyError) as exc:
-            raise TraceFormatError(
-                f"{source}: not a readable run archive: {exc}"
-            ) from exc
+        except ValueError as exc:  # names the file, the problem and the fix
+            raise TraceFormatError(str(exc)) from exc
         if "log_arrival" not in arch.columns:
             raise TraceFormatError(
                 f"{source}: archive has no log_arrival column"
@@ -290,10 +288,8 @@ class RecordingTraceLoader(TraceLoader):
             rec = read_recording(source)
         except OSError as exc:
             raise TraceFormatError(f"{source}: cannot open: {exc}") from exc
-        except (ValueError, KeyError) as exc:
-            raise TraceFormatError(
-                f"{source}: not a readable recording: {exc}"
-            ) from exc
+        except ValueError as exc:  # names the file, the problem and the fix
+            raise TraceFormatError(str(exc)) from exc
         stim = rec.stimulus
         meta = {
             "source": str(source),

@@ -20,6 +20,8 @@ traces through the ``recording`` dataloader.
 from __future__ import annotations
 
 import json
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 
 try:
@@ -42,6 +44,9 @@ __all__ = [
 
 #: Version of the recording layout; readers refuse what they cannot parse.
 RECORDING_SCHEMA = 1
+
+#: The drawn-stimulus columns every recording carries.
+_STIMULUS_COLUMNS = ("stim_arrivals", "stim_update_times", "stim_update_pos")
 
 #: The simulated-time telemetry columns a recording stores as its baseline
 #: (the archive columns minus the wall-clock pair).
@@ -187,42 +192,57 @@ def write_recording(
 
 
 def is_recording(path) -> bool:
-    """True when *path* is a readable recording ``.npz`` (cheap peek)."""
+    """True when *path* is a readable recording ``.npz`` (cheap peek).
+
+    Reads only the metadata.  Anything unreadable -- a missing,
+    truncated, empty or non-zip file, or one without ``meta_json`` -- is
+    not a recording: the peek returns False and leaves naming the
+    problem to the reader the caller picks next.
+    """
     try:
         with np.load(path) as data:
             if "meta_json" not in data.files:
                 return False
             meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
-    except (OSError, ValueError, KeyError):
+    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile, zlib.error):
         return False
-    return meta.get("kind") == "recording"
+    return isinstance(meta, dict) and meta.get("kind") == "recording"
 
 
 def read_recording(path) -> Recording:
-    """Read a recording written by :func:`write_recording`."""
-    with np.load(path) as data:
-        if "meta_json" not in data.files:
-            raise ValueError(f"{path}: not a recording (no meta_json)")
-        meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
-        if meta.get("kind") != "recording":
+    """Read a recording written by :func:`write_recording`.
+
+    A malformed file raises :class:`ValueError` naming the path, the
+    problem (the column, where one is missing or corrupt) and the fix; a
+    missing file raises ``OSError``.
+    """
+    from ..telemetry.archive import read_meta_npz
+
+    meta, columns = read_meta_npz(path, "recording")
+    if meta.get("kind") != "recording":
+        raise ValueError(
+            f"{path}: not a recording (kind={meta.get('kind')!r}); "
+            "run archives replay through the 'archive' trace loader"
+        )
+    schema = meta.get("schema")
+    if schema != RECORDING_SCHEMA:
+        raise ValueError(
+            f"{path}: recording schema {schema!r} not supported "
+            f"(this build reads schema {RECORDING_SCHEMA}); record the run "
+            "again with this build"
+        )
+    for column in _STIMULUS_COLUMNS:
+        if column not in columns:
             raise ValueError(
-                f"{path}: not a recording (kind={meta.get('kind')!r}); "
-                "run archives replay through the 'archive' trace loader"
+                f"{path}: column {column!r} is missing; the recording is "
+                "corrupt -- record the run again"
             )
-        schema = meta.get("schema")
-        if schema != RECORDING_SCHEMA:
-            raise ValueError(
-                f"recording schema {schema!r} not supported "
-                f"(this build reads schema {RECORDING_SCHEMA})"
-            )
-        arrivals = np.asarray(data["stim_arrivals"], dtype=np.float64)
-        times = data["stim_update_times"]
-        pos = data["stim_update_pos"]
-        baseline = {
-            k[len("base_") :]: data[k]
-            for k in data.files
-            if k.startswith("base_")
-        }
+    arrivals = np.asarray(columns["stim_arrivals"], dtype=np.float64)
+    times = columns["stim_update_times"]
+    pos = columns["stim_update_pos"]
+    baseline = {
+        k[len("base_") :]: v for k, v in columns.items() if k.startswith("base_")
+    }
     if times.shape != pos.shape:
         raise ValueError(
             f"{path}: columns 'stim_update_times' {times.shape} and "
@@ -302,10 +322,10 @@ def replay_recording(
 
     *recording* is a :class:`Recording` or a path.  *engine* / *kernel*
     default to what was recorded, which is the bit-identity contract; any
-    other exact engine/kernel combination must match too (that is the
-    point of replay -- the differential oracle across configurations).
-    Approximate kernels will report mismatches honestly.  *archive_path*
-    writes the replayed run's wall-free archive for external diffing.
+    other engine/kernel combination must match too (that is the point of
+    replay -- the differential oracle across configurations).
+    *archive_path* writes the replayed run's wall-free archive for
+    external diffing.
     """
     if not isinstance(recording, Recording):
         recording = read_recording(recording)

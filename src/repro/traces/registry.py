@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from typing import Callable, Union
 
+from .._spec import parse_spec
 from .loaders import (
     ArchiveTraceLoader,
     CsvTraceLoader,
@@ -79,30 +80,6 @@ def loader_names() -> tuple[str, ...]:
     return tuple(_FACTORIES)
 
 
-def _parse_spec(spec: str) -> tuple[str, dict[str, object]]:
-    name, _, params = spec.partition(":")
-    name = name.strip()
-    kwargs: dict[str, object] = {}
-    if params:
-        for item in params.split(","):
-            key, sep, raw = item.partition("=")
-            if not sep:
-                raise ValueError(
-                    f"bad loader parameter {item!r} in {spec!r}; "
-                    "expected key=value"
-                )
-            raw = raw.strip()
-            try:
-                value: object = int(raw)
-            except ValueError:
-                try:
-                    value = float(raw)
-                except ValueError:
-                    value = raw
-            kwargs[key.strip()] = value
-    return name, kwargs
-
-
 def get_loader(spec: Union[str, TraceLoader]) -> TraceLoader:
     """Resolve *spec* to a loader instance.
 
@@ -112,7 +89,7 @@ def get_loader(spec: Union[str, TraceLoader]) -> TraceLoader:
     """
     if isinstance(spec, TraceLoader):
         return spec
-    name, kwargs = _parse_spec(spec)
+    name, kwargs = parse_spec(spec, "loader")
     name = _ALIASES.get(name, name)
     factory = _FACTORIES.get(name)
     if factory is None:
@@ -126,7 +103,7 @@ def get_loader(spec: Union[str, TraceLoader]) -> TraceLoader:
 def is_known_loader(spec: str) -> bool:
     """Cheap name-only validation (no instantiation, no file access)."""
     try:
-        name, _ = _parse_spec(spec)
+        name, _ = parse_spec(spec, "loader")
     except ValueError:
         return False
     return name in _FACTORIES or name in _ALIASES
@@ -134,7 +111,7 @@ def is_known_loader(spec: str) -> bool:
 
 def canonical_spec(spec: str) -> str:
     """Normalise *spec*: resolve aliases, keep any parameter suffix."""
-    name, _ = _parse_spec(spec)  # validates the k=v syntax
+    name, _ = parse_spec(spec, "loader")  # validates the k=v syntax
     resolved = _ALIASES.get(name, name)
     if resolved not in _FACTORIES:
         raise ValueError(

@@ -53,3 +53,23 @@ def work_estimator():
         return fraction / node.speed
 
     return estimate
+
+
+@pytest.fixture
+def twin_kernel(monkeypatch):
+    """Register ``twin``, a non-default kernel that always runs.
+
+    A renamed :class:`~repro.kernels.exact.ExactNumpyKernel`: it needs no
+    C toolchain, so tests of the kernel knob also run with the compiled
+    kernel disabled.  Unregistered when the test ends.
+    """
+    pytest.importorskip("numpy")
+    from repro.kernels import registry
+    from repro.kernels.exact import ExactNumpyKernel
+
+    class TwinKernel(ExactNumpyKernel):
+        name = "twin"
+        description = "test-registered copy of the oracle"
+
+    monkeypatch.setitem(registry._FACTORIES, "twin", TwinKernel)
+    return "twin"

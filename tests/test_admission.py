@@ -334,7 +334,7 @@ class TestNonePolicyBitIdentity:
 
         _, base = _run_batch("batched", admission=None)
         for row in kernel_specs():
-            if not row["available"] or row["exact"] is not True:
+            if not row["available"]:
                 continue
             _, run = _run_batch("batched", admission="none", kernel=row["name"])
             assert run.shed == 0, row["name"]

@@ -409,3 +409,56 @@ class TestAdmissionWithFailureWindow:
             if not name.startswith("shedchunk_"):
                 assert col.tobytes() == cols_f[name].tobytes(), name
         assert fast.admission.log.meta() == ref.admission.log.meta()
+
+
+class TestAdmissionWithElasticity:
+    """Admission x the SLO-elasticity loop: builtin sustained-overload (16
+    servers, 60 s, seed 3) under each admission policy, with an
+    elasticity loop whose SLO the overload breaks, so the run both sheds
+    and resizes the fleet.  Each engine configuration writes the same
+    archive, the decision (``dec_*``), shed (``shed_*``) and admission
+    (``adm_*``) columns included."""
+
+    def _scenario(self, policy):
+        from repro.scenarios import ControlSpec, builtin_scenarios
+
+        scens = {
+            s.name: s
+            for s in builtin_scenarios(n_servers=16, duration=60.0, seed=3)
+        }
+        base = scens["sustained-overload"]
+        return dataclasses.replace(
+            base,
+            admission=dataclasses.replace(base.admission, policy=policy),
+            # at slo_p99=1.0 the loop never acts under this overload
+            control=ControlSpec(policies=("elasticity",), slo_p99=0.25),
+        )
+
+    def _archive(self, tmp_path, scenario, engine, kernel):
+        from repro.scenarios.runner import execute_scenario
+        from repro.telemetry.archive import read_archive
+
+        path = str(tmp_path / f"{engine}-{kernel}.npz")
+        ex = execute_scenario(
+            scenario, engine=engine, kernel=kernel, archive_path=path
+        )
+        assert ex.batch.shed > 0
+        assert sum(len(c.actions) for c in ex.controllers) > 0
+        return read_archive(path)
+
+    @pytest.mark.parametrize("kernel", ["exact_numpy", "compiled"])
+    @pytest.mark.parametrize("policy", ["aimd", "delay_gated"])
+    def test_engines_write_identical_archives(self, tmp_path, policy, kernel):
+        from repro.telemetry.archive import archive_diff
+
+        if kernel == "compiled" and not compiled_available():
+            pytest.skip("compiled kernel unavailable")
+        scenario = self._scenario(policy)
+        ref = self._archive(tmp_path, scenario, "reference", None)
+        fast = self._archive(tmp_path, scenario, "batched", kernel)
+        for prefix in ("dec_", "shed_", "adm_"):
+            assert any(name.startswith(prefix) for name in ref.columns), prefix
+        diff = archive_diff(ref, fast)
+        assert diff["gated_identical"], sorted(
+            name for name, entry in diff["columns"].items() if not entry["equal"]
+        )

@@ -99,21 +99,12 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "exact_numpy" in out
         assert "compiled" in out
-        assert "approx_topk" in out
 
-    def test_kernels_divergence_table(self, capsys):
-        rc = main(["kernels", "--divergence", "--servers", "10",
-                   "--duration", "6"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "vs exact_numpy over the builtin battery" in out
-        assert "decision%" in out
-
-    def test_matrix_kernel_flag(self, capsys):
+    def test_matrix_kernel_flag(self, capsys, twin_kernel):
         rc = main([
             "matrix", "--servers", "8", "-p", "3", "--duration", "5",
-            "--scenario", "steady", "--kernel", "approx_topk",
+            "--scenario", "steady", "--kernel", twin_kernel,
         ])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "approx_topk" in out
+        assert twin_kernel in out

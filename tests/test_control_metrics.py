@@ -99,11 +99,12 @@ class TestMetricsCollector:
 
     def test_attach_subscribes_to_listeners(self):
         class Host:
-            query_listeners = []
+            chunk_listeners = []
 
         host = Host()
         c = MetricsCollector().attach(host)
-        host.query_listeners[0](record(1, 0.0, 0.1))
+        assert host.chunk_listeners == [c]
+        host.chunk_listeners[0].observe_record(record(1, 0.0, 0.1))
         assert c.queries_seen == 1
 
     def test_first_sample_has_no_utilisation(self):

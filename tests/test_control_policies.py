@@ -11,6 +11,15 @@ from repro.control.controllers import (
     SLOElasticityController,
 )
 from repro.control.metrics import MetricsSnapshot
+from repro.telemetry.listeners import ChunkListener
+
+
+class _RecordingListener(ChunkListener):
+    def __init__(self):
+        self.rows = []
+
+    def observe_chunk(self, arrays, start, nq):
+        self.rows += zip(arrays.query_ids.tolist(), arrays.arrivals.tolist())
 
 
 def snap(
@@ -323,9 +332,9 @@ class TestMultiFrontendPoolSurface:
         with pytest.raises(ValueError):
             dep.remove_frontend()
 
-    def test_query_listeners_fire(self):
+    def test_chunk_listeners_fire(self):
         dep = MultiFrontEndDeployment([1.0] * 4, p=2, n_frontends=2, seed=1)
-        seen = []
-        dep.query_listeners.append(seen.append)
+        seen = _RecordingListener()
+        dep.chunk_listeners.append(seen)
         dep.run_query(0.0)
-        assert len(seen) == 1
+        assert seen.rows == [(1, 0.0)]

@@ -27,6 +27,7 @@ from repro.scenarios import (
 )
 from repro.scenarios.runner import _vector_rate_fn
 from repro.sim.engine import Simulation
+from repro.telemetry.listeners import ChunkListener
 
 
 def small(kind="flash-crowd", **kw):
@@ -144,13 +145,20 @@ class TestDeploymentElasticity:
         assert victim not in dep.servers
         dep.rings[0].validate()
 
-    def test_query_listeners_invoked(self):
+    def test_chunk_listeners_invoked(self):
+        class Delays(ChunkListener):
+            def __init__(self):
+                self.seen = []
+
+            def observe_chunk(self, arrays, start, nq):
+                self.seen += arrays.delays().tolist()
+
         dep = self.make()
-        seen = []
-        dep.query_listeners.append(seen.append)
+        listener = Delays()
+        dep.chunk_listeners.append(listener)
         dep.run_query(0.0, 3)
-        assert len(seen) == 1
-        assert seen[0].delay > 0
+        assert len(listener.seen) == 1
+        assert listener.seen[0] > 0
 
 
 class TestScenarioRunner:

@@ -2,7 +2,7 @@
 
 Three layers of guarantee:
 
-* **registry** -- names resolve, parameters parse, unknown kernels fail
+* **registry** -- names and aliases resolve, unknown kernels fail
   loudly, availability is reported honestly;
 * **exact kernels** -- ``exact_numpy`` (the oracle) is bit-identical to the
   per-query reference path (i.e. to the pre-refactor inline sweep), and
@@ -11,10 +11,8 @@ Three layers of guarantee:
   changes, varying pq) plus the full builtin scenario battery, and pick
   for pick on drawn sweep states (makespan ties, pq up to 32, the
   evaluated mask) and on states built to steer its owner-change jumps;
-* **bounded kernels** -- ``approx_topk`` stays inside the deviation bound
-  its docstring documents, measured by the divergence harness on all 8
-  builtin scenarios at the size the contract names, and degenerates to
-  the oracle on small fleets (the dense fallback).
+* **the kernel knob** -- a non-default kernel reaches the scenario,
+  matrix and bench layers.
 """
 
 import subprocess
@@ -39,7 +37,6 @@ from repro.kernels import (
     kernel_specs,
     register_kernel,
 )
-from repro.kernels.approx import ApproxTopKKernel
 from repro.kernels.base import (
     AdmissionGate,
     CommitBuffers,
@@ -52,13 +49,8 @@ from repro.kernels.compiled import (
     compiled_available,
     compiled_unavailable_reason,
 )
-from repro.kernels.divergence import (
-    battery_divergence,
-    render_divergence,
-    scenario_divergence,
-)
 from repro.kernels.exact import ExactNumpyKernel
-from repro.kernels.registry import is_known_kernel
+from repro.kernels.registry import canonical_spec, is_known_kernel
 from repro.sim import PoissonArrivals
 
 needs_compiled = pytest.mark.skipif(
@@ -70,30 +62,29 @@ needs_compiled = pytest.mark.skipif(
 class TestRegistry:
     def test_builtins_registered(self):
         names = kernel_names()
-        assert ("exact_numpy", "compiled", "approx_topk") == names
+        assert ("exact_numpy", "compiled") == names
 
     def test_default_is_exact(self):
         assert DEFAULT_KERNEL == "exact_numpy"
         kernel = get_kernel(None)
         assert kernel.name == "exact_numpy"
-        assert kernel.exact
 
     def test_aliases(self):
         assert get_kernel("exact").name == "exact_numpy"
-        assert get_kernel("approx").name == "approx_topk"
+        # resolved without instantiating, so no build is attempted
+        assert canonical_spec("c") == "compiled"
 
     def test_instance_passthrough(self):
-        kernel = get_kernel("approx_topk")
+        kernel = get_kernel("exact_numpy")
         assert get_kernel(kernel) is kernel
 
-    def test_parameter_suffix(self):
-        kernel = get_kernel("approx_topk:stride=16,top_k=3")
-        assert kernel.stride == 16
-        assert kernel.top_k == 3
-
     def test_bad_parameter_suffix(self):
-        with pytest.raises(ValueError, match="key=value"):
-            get_kernel("approx_topk:stride")
+        """Kernels take no ``name:key=value`` parameters: a suffix makes
+        the name unknown."""
+        with pytest.raises(ValueError, match="unknown scheduling kernel"):
+            get_kernel("exact_numpy:stride=8")
+        with pytest.raises(ValueError, match="unknown scheduling kernel"):
+            canonical_spec("exact_numpy:stride=8")
 
     def test_unknown_kernel(self):
         with pytest.raises(ValueError, match="unknown scheduling kernel"):
@@ -101,7 +92,8 @@ class TestRegistry:
 
     def test_is_known_kernel(self):
         assert is_known_kernel("exact_numpy")
-        assert is_known_kernel("approx_topk:stride=8")
+        assert is_known_kernel("exact")
+        assert not is_known_kernel("exact_numpy:stride=8")
         assert not is_known_kernel("quantum")
 
     def test_duplicate_registration_rejected(self):
@@ -113,7 +105,6 @@ class TestRegistry:
 
         class Custom(SweepKernel):
             name = "custom-test"
-            exact = True
 
         register_kernel("custom-test", Custom, replace=True)
         try:
@@ -127,8 +118,7 @@ class TestRegistry:
     def test_kernel_specs_rows(self):
         rows = {r["name"]: r for r in kernel_specs()}
         assert rows["exact_numpy"]["available"]
-        assert rows["exact_numpy"]["exact"] is True
-        assert rows["approx_topk"]["exact"] is False
+        assert rows["exact_numpy"]["description"]
         # compiled is either available or carries a reason, never silent
         comp = rows["compiled"]
         assert comp["available"] or comp["reason"]
@@ -137,12 +127,6 @@ class TestRegistry:
         avail = available_kernels()
         assert "exact_numpy" in avail
         assert set(avail) <= set(kernel_names())
-
-    def test_bad_approx_parameters(self):
-        with pytest.raises(ValueError, match="stride"):
-            ApproxTopKKernel(stride=0)
-        with pytest.raises(ValueError, match="top_k"):
-            ApproxTopKKernel(top_k=0)
 
 
 class TestExactKernelIsOracle:
@@ -232,11 +216,30 @@ class TestCompiledKernel:
         self._compare(run)
 
     def test_zero_divergence_on_battery(self):
-        for report in battery_divergence("compiled"):
-            assert report.identical, (
-                f"compiled diverged on {report.scenario}: "
-                f"{report.diverged} queries"
+        """The builtin battery, byte for byte: every query's server set,
+        its latency, and every simulated-time telemetry column."""
+        from repro.scenarios.matrix import builtin_scenarios
+        from repro.scenarios.runner import execute_scenario
+        from repro.telemetry.archive import collect_columns
+
+        for scen in builtin_scenarios(n_servers=12, duration=15.0, p=4, seed=2):
+            exact, compiled = (
+                execute_scenario(
+                    scen, engine="batched", kernel=k, record_assignments=True
+                )
+                for k in ("exact_numpy", "compiled")
             )
+            assert exact.batch.assignments, scen.name
+            assert compiled.batch.assignments == exact.batch.assignments, scen.name
+            assert (
+                np.asarray(compiled.batch.latencies).tobytes()
+                == np.asarray(exact.batch.latencies).tobytes()
+            ), scen.name
+            want = collect_columns(exact.deployment, wall_columns=False)
+            got = collect_columns(compiled.deployment, wall_columns=False)
+            assert got.keys() == want.keys(), scen.name
+            for name, col in want.items():
+                assert got[name].tobytes() == col.tobytes(), (scen.name, name)
 
 
 def _noeval_ring(track=()):
@@ -778,87 +781,6 @@ class TestCommitStopDifferential:
         assert (got["n"], got["stop"]) == (5, -1)
 
 
-class TestApproxKernel:
-    def test_dense_fallback_is_exact_on_small_fleets(self):
-        """Below the dense cutoff (4*stride configs) the sampled kernel
-        degenerates to the oracle by construction -- the whole builtin
-        battery at its default test size must be bit-identical."""
-        for report in battery_divergence("approx_topk"):
-            assert report.identical, (
-                f"approx_topk diverged on the dense-fallback battery "
-                f"({report.scenario})"
-            )
-
-    def test_within_documented_bound_on_battery(self):
-        """The docstring contract, measured at the size it names."""
-        bound = ApproxTopKKernel.bound
-        reports = battery_divergence(
-            "approx_topk", n_servers=40, p=5, duration=15.0
-        )
-        for report in reports:
-            assert report.within(bound), (
-                f"approx_topk broke its documented bound on "
-                f"{report.scenario}: decision={report.decision_divergence:.3f} "
-                f"regret_p99={report.makespan_regret_p99:.3f} "
-                f"lat_p99={report.latency_rel_p99:.3f} "
-                f"mean={report.mean_delay_rel:.3f} vs {bound}"
-            )
-
-    def test_makespan_regret_never_negative(self):
-        """The examined set is a subset of the oracle's candidates, so the
-        kernel can never *beat* the oracle's predicted makespan."""
-        from repro.scenarios.matrix import builtin_scenarios
-
-        scen = [
-            s
-            for s in builtin_scenarios(n_servers=40, duration=10.0, p=5)
-            if s.name == "flash-crowd"
-        ][0]
-        report = scenario_divergence(scen, "approx_topk")
-        assert report.decisions > 0
-        assert report.makespan_regret_p99 >= 0.0
-
-    def test_bound_matches_docstring(self):
-        """The docstring numbers and the programmatic bound must agree."""
-        doc = ApproxTopKKernel.__doc__
-        bound = ApproxTopKKernel.bound
-        assert f"{bound.decision_divergence * 100:.0f}%" in doc
-        assert f"{bound.makespan_regret_p99 * 100:.0f}%" in doc
-        assert f"{bound.latency_rel_p99 * 100:.0f}%" in doc
-        assert f"{bound.mean_delay_rel * 100:.0f}%" in doc
-
-
-class TestDivergenceHarness:
-    def test_exact_vs_itself_reports_identity(self):
-        from repro.scenarios.matrix import builtin_scenarios
-
-        scen = builtin_scenarios(n_servers=10, duration=8.0, p=4)[0]
-        report = scenario_divergence(scen, "exact_numpy")
-        assert report.identical
-        assert report.config_divergence == 0.0
-        assert report.decision_divergence == 0.0
-        assert report.makespan_regret_p99 == 0.0
-        assert report.queries > 0
-        assert report.compared == report.queries
-
-    def test_render_divergence_table(self):
-        reports = battery_divergence(
-            "exact_numpy",
-            scenarios=None,
-            n_servers=10,
-            duration=8.0,
-            p=4,
-        )
-        table = render_divergence(reports)
-        assert "steady" in table
-        assert "decision%" in table
-        assert len(table.splitlines()) == len(reports) + 2
-
-    def test_unknown_kernel_fails_fast(self):
-        with pytest.raises(ValueError, match="unknown scheduling kernel"):
-            battery_divergence("quantum")
-
-
 class TestScenarioKernelKnob:
     def test_spec_rejects_unknown_kernel(self):
         from repro.scenarios import Scenario
@@ -866,21 +788,21 @@ class TestScenarioKernelKnob:
         with pytest.raises(ValueError, match="unknown scheduling kernel"):
             Scenario(name="x", kernel="quantum")
 
-    def test_scenario_kernel_flows_to_result(self):
+    def test_scenario_kernel_flows_to_result(self, twin_kernel):
         from repro.scenarios import Scenario, WorkloadSpec, run_scenario_spec
 
         scen = Scenario(
             name="k",
             n_servers=8,
             p=3,
-            kernel="approx_topk",
+            kernel=twin_kernel,
             workload=WorkloadSpec(rate=20.0, duration=4.0),
         )
         res = run_scenario_spec(scen)
-        assert res.kernel == "approx_topk"
+        assert res.kernel == twin_kernel
         assert res.completed > 0
 
-    def test_run_matrix_kernel_override(self):
+    def test_run_matrix_kernel_override(self, twin_kernel):
         from repro.scenarios import Scenario, WorkloadSpec, run_matrix
 
         scen = Scenario(
@@ -889,10 +811,10 @@ class TestScenarioKernelKnob:
             p=3,
             workload=WorkloadSpec(rate=20.0, duration=4.0),
         )
-        res = run_matrix([scen], kernel="approx_topk")
-        assert res.results[0].kernel == "approx_topk"
+        res = run_matrix([scen], kernel=twin_kernel)
+        assert res.results[0].kernel == twin_kernel
         assert "kernel" in res.COLUMNS
-        assert "approx_topk" in res.table()
+        assert twin_kernel in res.table()
 
     def test_reference_engine_reports_reference(self):
         from repro.scenarios import Scenario, WorkloadSpec, run_scenario_spec
@@ -908,15 +830,16 @@ class TestScenarioKernelKnob:
 
 
 class TestBenchKernelDimension:
-    def test_run_sweep_reports_kernels(self):
+    def test_run_sweep_reports_kernels(self, twin_kernel):
         from repro.bench import PROFILES, run_sweep
 
-        sweep = run_sweep(PROFILES["smoke"][0], kernels=["approx_topk"])
+        sweep = run_sweep(PROFILES["smoke"][0], kernels=[twin_kernel])
         rows = sweep["kernels"]
         assert rows["exact_numpy"]["available"]
         assert rows["exact_numpy"]["sweep_speedup_vs_exact"] == 1.0
         assert rows["exact_numpy"]["identical_to_exact"]
-        assert "approx_topk" in rows
+        assert rows[twin_kernel]["available"]
+        assert rows[twin_kernel]["identical_to_exact"]
 
     def test_unavailable_kernel_recorded_not_fatal(self, monkeypatch):
         from repro.bench import PROFILES, run_sweep

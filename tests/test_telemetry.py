@@ -7,10 +7,10 @@ Four contracts under test:
   column with amortised growth;
 * **lazy logs** -- ``DelayLog``/``RecordView`` present the legacy
   list-of-records API over columns, materialising records only on access;
-* **listeners** -- chunk listeners observe whole flushed chunks; the
-  legacy per-query ``query_listeners`` shim is driven off the same arrays
-  bit-identically (and warns once, it is deprecated); listener-free runs
-  execute zero per-query python;
+* **listeners** -- chunk listeners observe whole flushed chunks, with
+  the same statistics as the reference path's per-query
+  ``observe_record`` feed; listener-free runs execute zero per-query
+  python;
 * **archives** -- ``write_archive``/``read_archive`` round-trip the
   columns exactly, and ``archive_diff`` applies the wall-clock gate the
   differential tests use.
@@ -18,7 +18,6 @@ Four contracts under test:
 
 import math
 import random
-import warnings
 
 import pytest
 
@@ -28,12 +27,7 @@ from repro.cluster import Deployment, DeploymentConfig, hen_testbed
 from repro.control.metrics import LatencyHistogram, MetricsCollector, SlidingWindow
 from repro.sim import PoissonArrivals
 from repro.telemetry.columns import GrowArray, array_percentile
-from repro.telemetry.listeners import (
-    ChunkArrays,
-    ChunkListener,
-    ListenerList,
-    _reset_deprecation_warning,
-)
+from repro.telemetry.listeners import ChunkArrays, ChunkListener
 from repro.telemetry.records import (
     BreakdownLog,
     DelayLog,
@@ -240,20 +234,20 @@ class TestChunkListeners:
         assert observed.tolist() == dep.log.column("arrival").tolist()
 
     def test_metrics_collector_chunk_vs_per_query_identical(self):
-        dep_chunk, dep_legacy = _build(seed=5), _build(seed=5)
-        mc_chunk = MetricsCollector(window=30.0)
-        mc_legacy = MetricsCollector(window=30.0)
-        mc_chunk.attach(dep_chunk)  # modern: chunk_listeners
-        dep_legacy.query_listeners.append(mc_legacy.observe_query)
+        """The batched engine's chunk feed and the reference path's
+        per-query ``observe_record`` feed give identical statistics."""
+        dep_chunk, dep_ref = _build(seed=5), _build(seed=5)
+        mc_chunk = MetricsCollector(window=30.0).attach(dep_chunk)
+        mc_ref = MetricsCollector(window=30.0).attach(dep_ref)
         arrivals = PoissonArrivals(50.0, seed=4).times(400)
         dep_chunk.run_queries_fast(arrivals, 4)
-        dep_legacy.run_queries_fast(arrivals, 4)
-        assert mc_chunk.queries_seen == mc_legacy.queries_seen == 400
-        assert mc_chunk.window.values() == mc_legacy.window.values()
-        assert mc_chunk.histogram.counts == mc_legacy.histogram.counts
+        dep_ref.run_queries(arrivals, 4)
+        assert mc_chunk.queries_seen == mc_ref.queries_seen == 400
+        assert mc_chunk.window.values() == mc_ref.window.values()
+        assert mc_chunk.histogram.counts == mc_ref.histogram.counts
         now = arrivals[-1]
         snap_a = mc_chunk.snapshot(now, record=False)
-        snap_b = mc_legacy.snapshot(now, record=False)
+        snap_b = mc_ref.snapshot(now, record=False)
         assert snap_a == snap_b
 
     def test_chunkarrays_delays_and_len(self):
@@ -266,62 +260,19 @@ class TestChunkListeners:
         assert chunk.delays().tolist() == [0.8 - 0.5]
 
 
-class TestDeprecationShim:
-    def test_legacy_listener_bit_identical_to_reference_path(self):
-        _reset_deprecation_warning()
-        slow, fast = _build(seed=9), _build(seed=9)
-        seen_slow, seen_fast = [], []
-        with pytest.warns(DeprecationWarning, match="query_listeners"):
-            slow.query_listeners.append(
-                lambda r: seen_slow.append(
-                    (r.query_id, r.arrival, r.finish, r.pq, r.subqueries))
-            )
-        # the warning fires once per process, not once per append
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            fast.query_listeners.append(
-                lambda r: seen_fast.append(
-                    (r.query_id, r.arrival, r.finish, r.pq, r.subqueries))
-            )
-        arrivals = PoissonArrivals(40.0, seed=6).times(250)
-        slow.run_queries(arrivals, 4)
-        fast.run_queries_fast(arrivals, 4)
-        assert seen_fast == seen_slow
-        assert len(seen_fast) == 250
-
-    def test_multifrontend_listener_list_is_typed(self):
-        from repro.cluster.multifrontend import MultiFrontEndDeployment
-
-        assert isinstance(
-            getattr(MultiFrontEndDeployment, "__init__", None), object
-        )
-        # the constructor annotation went through the same shim; the
-        # instance check is done structurally to avoid building a full
-        # multi-frontend cluster here
-        import inspect
-
-        src = inspect.getsource(MultiFrontEndDeployment.__init__)
-        assert "ListenerList()" in src
-
-    def test_listener_list_is_a_list(self):
-        _reset_deprecation_warning()
-        ll = ListenerList()
-        with pytest.warns(DeprecationWarning):
-            ll.append(lambda r: None)
-        assert isinstance(ll, list) and len(ll) == 1
-
-
 class TestZeroPerQueryTelemetry:
     def test_listener_free_run_never_materialises_records(self, monkeypatch):
-        """Action-free, listener-free spans run zero per-query python."""
+        """Action-free, listener-free spans run zero per-query python: no
+        chunk bundle is built and no record is materialised."""
         import repro.sim.fastpath as fastpath
 
         def boom(*a, **kw):  # pragma: no cover - the assert is the point
             raise AssertionError(
-                "drive_legacy_listeners called on a listener-free run"
+                "per-query telemetry built on a listener-free run"
             )
 
-        monkeypatch.setattr(fastpath, "drive_legacy_listeners", boom)
+        monkeypatch.setattr(fastpath, "ChunkArrays", boom)
+        monkeypatch.setattr(QueryRecord, "__init__", boom)
         dep = _build()
         arrivals = PoissonArrivals(60.0, seed=8).times(500)
         result = dep.run_queries_fast(arrivals, 4)

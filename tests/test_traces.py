@@ -355,6 +355,91 @@ class TestArchiveAndRecordingLoaders:
             read_recording(arch_path)
 
 
+def _malformed_recording(tmp_path, kind):
+    """Write a recording at ``<kind>.rec.npz``, then break it as *kind* says."""
+    import json
+
+    path = str(tmp_path / f"{kind}.rec.npz")
+    execute_scenario(small(seed=7, updates=UpdateSpec(rate=4.0)), record_path=path)
+    if kind == "truncated":
+        with open(path, "rb") as fh:
+            head = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(head[: len(head) // 2])
+    elif kind == "empty":
+        open(path, "wb").close()
+    else:
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        if kind == "no-meta":
+            del arrays["meta_json"]
+        elif kind == "no-stim-arrivals":
+            del arrays["stim_arrivals"]
+        else:  # "schema-7"
+            meta = json.loads(bytes(arrays["meta_json"]).decode("utf-8"))
+            meta["schema"] = 7
+            arrays["meta_json"] = np.frombuffer(
+                json.dumps(meta).encode("utf-8"), dtype=np.uint8
+            )
+        np.savez_compressed(path, **arrays)
+    return path
+
+
+class TestMalformedRecording:
+    """Every malformed recording fails with a message that names the file,
+    the missing column where there is one, and the fix; ``repro replay``
+    exits 2 on all of them."""
+
+    #: kind -> (missing column or None, read_recording's fix, load_trace's
+    #: fix).  load_trace infers the loader: a file that does not read as a
+    #: recording goes to the run-archive loader.
+    CASES = {
+        "truncated": (None, "write it again", "write it again"),
+        "empty": (None, "write it again", "write it again"),
+        "no-meta": ("meta_json", "write it again", "write it again"),
+        "no-stim-arrivals": (
+            "stim_arrivals", "record the run again", "record the run again"
+        ),
+        "schema-7": (None, "record the run again", "record the run again"),
+    }
+
+    @staticmethod
+    def _check(msg, path, column, fix):
+        assert path in msg
+        if column is not None:
+            assert f"column {column!r} is missing" in msg
+        assert fix in msg
+
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_read_recording(self, tmp_path, kind):
+        path = _malformed_recording(tmp_path, kind)
+        column, fix, _ = self.CASES[kind]
+        with pytest.raises(ValueError) as info:
+            read_recording(path)
+        assert str(info.value).startswith(f"{path}: ")
+        self._check(str(info.value), path, column, fix)
+
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_load_trace(self, tmp_path, kind):
+        path = _malformed_recording(tmp_path, kind)
+        column, _, fix = self.CASES[kind]
+        assert is_recording(path) == (kind in ("no-stim-arrivals", "schema-7"))
+        with pytest.raises(TraceFormatError) as info:
+            load_trace(path)
+        self._check(str(info.value), path, column, fix)
+
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_replay_exits_2(self, tmp_path, capsys, kind):
+        from repro.cli import main
+
+        path = _malformed_recording(tmp_path, kind)
+        column, fix, _ = self.CASES[kind]
+        assert main(["replay", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot replay {path}: ")
+        self._check(err, path, column, fix)
+
+
 class TestStreamingArchive:
     def assert_stream_matches_buffered(self, scenario, engine, tmp_path):
         from repro.telemetry.archive import archive_diff, read_archive, write_archive

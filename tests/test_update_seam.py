@@ -310,8 +310,10 @@ class TestMechanism:
             _, res = run_path(path, "coalesced")
             assert res.actions_applied > 0
 
-    @pytest.mark.parametrize("kernel", ["exact_numpy", "compiled", "approx_topk"])
-    def test_exact_kernels_hand_their_pick_to_the_fall_back(self, monkeypatch, kernel):
+    @pytest.mark.parametrize("kernel", ["exact_numpy", "compiled", "twin"])
+    def test_exact_kernels_hand_their_pick_to_the_fall_back(
+        self, monkeypatch, twin_kernel, kernel
+    ):
         if kernel == "compiled" and not compiled_available():
             pytest.skip("compiled kernel unavailable")
         sweeps = []
@@ -330,10 +332,7 @@ class TestMechanism:
         ]
         res = dep.run_queries_fast(arrivals, 4, actions=acts, kernel=kernel)
         assert res.delegated > 0
-        if kernel == "approx_topk":
-            assert len(sweeps) == res.delegated
-        else:
-            assert sweeps == []
+        assert sweeps == []
 
 
 class TestPumpOnlyWhereSimulationWorkExists:
