@@ -3,13 +3,13 @@
 
 Walks the full record-then-replay loop from docs/traces.md:
 
-1. run a scenario and *record* it -- freeze the drawn stimulus (every
-   arrival, every exact-time update) plus the baseline telemetry;
+1. run a scenario and *record* it -- its run archive plus the drawn
+   stimulus (every arrival, every exact-time update);
 2. *replay* the recording on the same engine, then cross-engine on the
    per-query reference path -- both must reproduce every simulated-time
    telemetry column byte for byte;
-3. extract archives from both runs and diff them with the same oracle
-   `repro archive diff --strict` uses;
+3. diff the recording against the replay's archive (a recording too)
+   with the same oracle `repro archive diff --strict` uses;
 4. feed a real CSV request log through the trace-dataloader registry and
    run it as a first-class workload.
 
@@ -22,7 +22,7 @@ import tempfile
 from repro.scenarios import Scenario, UpdateSpec, WorkloadSpec, execute_scenario
 from repro.scenarios import trace_scenario
 from repro.telemetry.archive import archive_diff, read_archive
-from repro.traces import load_trace, read_recording, recording_to_archive, replay_recording
+from repro.traces import load_trace, read_recording, replay_recording
 
 
 def main() -> None:
@@ -55,11 +55,9 @@ def main() -> None:
     assert same.identical and cross.identical, "replay must be bit-identical"
 
     # --- 3. Archive-level diff (what `repro archive diff --strict` runs) -
-    base_arch = os.path.join(workdir, "recorded.npz")
     replay_arch = os.path.join(workdir, "replayed.npz")
-    recording_to_archive(rec, base_arch)
     replay_recording(rec_path, archive_path=replay_arch)
-    diff = archive_diff(read_archive(base_arch), read_archive(replay_arch))
+    diff = archive_diff(read_archive(rec_path), read_archive(replay_arch))
     print(f"\nArchive diff: identical={diff['identical']} "
           f"({len(diff['columns'])} columns compared, wall-clock omitted)")
     assert diff["identical"]

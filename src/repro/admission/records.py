@@ -17,14 +17,14 @@ skips wall-clock columns.
 Example -- a log round-trips through the archive layer::
 
     >>> import tempfile, os
-    >>> from repro.telemetry.archive import write_archive_columns, read_archive
+    >>> from repro.telemetry.archive import ArchiveWriter, read_archive
     >>> log = ShedLog()
     >>> log.record_shed(4.0, 120, "queue-cap", backlog=9.5, signal=1.2)
     >>> log.record_tick(5.0, 130, rate=40.0, p99=1.2, backlog_hwm=9.5,
     ...                 accepted=129, shed=1, cap_queries=38.0)
     >>> path = os.path.join(tempfile.mkdtemp(), "shed.npz")
-    >>> write_archive_columns(path, log.columns(),
-    ...                       meta={"admission": log.meta(policy="aimd")})
+    >>> ArchiveWriter(path).close(meta={"admission": log.meta(policy="aimd")},
+    ...                           extra_columns=log.columns())
     >>> sheds, ticks, meta = admission_from_archive(read_archive(path))
     >>> (sheds[0].reason, sheds[0].query_index, ticks[0].rate)
     ('queue-cap', 120, 40.0)

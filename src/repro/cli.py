@@ -22,8 +22,8 @@ notebooks should import :mod:`repro` directly):
   ``matrix --archive-dir`` / ``bench --archive-dir`` (``docs/telemetry.md``);
 * ``traces``   -- list trace dataloaders / summarise a trace file
   (``docs/traces.md``);
-* ``record``   -- run a scenario and freeze its drawn stimulus + baseline
-  telemetry as a recording (``.npz``);
+* ``record``   -- run a scenario and write its archive plus its drawn
+  stimulus as a recording (``.npz``);
 * ``replay``   -- re-drive a recording bit-identically on either engine /
   any kernel, verified by the archive differential oracle;
 * ``pps-demo`` -- encrypted-search application demo.
@@ -310,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     rec = sub.add_parser(
         "record",
-        help="run a scenario and freeze its stimulus + baseline telemetry "
-             "as a recording (.npz)",
+        help="run a scenario and write its archive plus its drawn "
+             "stimulus as a recording (.npz)",
     )
     rec.add_argument("--scenario", default="steady", metavar="NAME",
                      help="builtin scenario to record (see `repro matrix "
@@ -324,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--out", required=True, metavar="PATH",
                      help="recording path (.npz)")
     rec.add_argument("--archive", default=None, metavar="PATH",
-                     help="also extract the recorded baseline as a plain "
-                          "run archive (for `repro archive diff`)")
+                     help="also write the recording to PATH (a recording "
+                          "is a run archive: `repro archive` reads both)")
     rec.add_argument("--engine", default="batched",
                      choices=["batched", "reference"])
     rec.add_argument("--kernel", default=None, metavar="NAME",
@@ -350,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--kernel", default=None, metavar="NAME",
                      help="scheduling kernel (default: as recorded)")
     rep.add_argument("--archive", default=None, metavar="PATH",
-                     help="write the replayed run's archive "
-                          "(wall-clock columns omitted)")
+                     help="write the replayed run's archive, itself a "
+                          "recording (wall-clock columns omitted)")
     rep.add_argument("--no-verify", action="store_true",
                      help="skip the bit-identity check (just re-run)")
 
@@ -841,7 +841,7 @@ def _cmd_traces(args: argparse.Namespace) -> int:
 def _cmd_record(args: argparse.Namespace) -> int:
     from .scenarios import builtin_scenarios
     from .scenarios.runner import execute_scenario
-    from .traces import TraceFormatError, read_recording, recording_to_archive
+    from .traces import TraceFormatError
 
     if args.trace:
         from .scenarios.matrix import trace_scenario
@@ -864,7 +864,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
     try:
         ex = execute_scenario(
             scenario, engine=args.engine, kernel=args.kernel,
-            record_path=args.out,
+            record_path=args.out, archive_path=args.archive,
         )
     except TraceFormatError as exc:
         print(f"trace error: {exc}", file=sys.stderr)
@@ -876,7 +876,6 @@ def _cmd_record(args: argparse.Namespace) -> int:
     print(f"updates        : {ex.updates_applied} applied")
     print(f"horizon        : {ex.horizon:g} s")
     if args.archive:
-        recording_to_archive(read_recording(args.out), args.archive)
         print(f"archive        : {args.archive}")
     return 0
 

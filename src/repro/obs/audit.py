@@ -16,7 +16,7 @@ bit-identical across engines, unlike wall-clock columns.
 Example -- a log round-trips through the archive layer::
 
     >>> import tempfile, os
-    >>> from repro.telemetry.archive import write_archive_columns, read_archive
+    >>> from repro.telemetry.archive import ArchiveWriter, read_archive
     >>> log = DecisionLog()
     >>> log.record_hold(5.0, 120, "slo-elasticity", "steady")
     >>> class _A:
@@ -24,8 +24,8 @@ Example -- a log round-trips through the archive layer::
 "grow", "p99 1.80 > slo", 2.0
     >>> log.record_action(_A(), query_index=250)
     >>> path = os.path.join(tempfile.mkdtemp(), "dec.npz")
-    >>> write_archive_columns(path, log.columns(),
-    ...                       meta={"decisions": log.meta(window=20.0)})
+    >>> ArchiveWriter(path).close(meta={"decisions": log.meta(window=20.0)},
+    ...                           extra_columns=log.columns())
     >>> [r.kind for r in decisions_from_archive(read_archive(path))]
     ['hold', 'grow']
     >>> decisions_from_archive(read_archive(path))[1].query_index

@@ -31,8 +31,10 @@ are identical.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
+import shutil
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -290,13 +292,16 @@ def execute_scenario(
     streams the run's telemetry columns into a compressed archive as the
     run progresses (:class:`repro.telemetry.archive.ArchiveWriter`).
 
-    *record_path* freezes the drawn stimulus (arrivals + exact-time
-    updates) and the run's baseline telemetry as a recording
-    (:mod:`repro.traces.record`); *stimulus* injects a previously
-    recorded :class:`~repro.traces.record.Stimulus` instead of drawing
-    one -- the replay half of record-then-replay.  Archives written while
+    *record_path* writes the run's archive as a recording
+    (:mod:`repro.traces.record`): the drawn stimulus (arrivals +
+    exact-time updates) rides in it as ``stim_*`` columns.  *stimulus*
+    injects a previously recorded :class:`~repro.traces.record.Stimulus`
+    instead of drawing one -- the replay half of record-then-replay --
+    and the replay's archive is a recording too.  Archives written while
     recording or replaying omit the wall-clock-derived columns, so two
-    such archives of the same stimulus diff byte-identically.
+    such archives of the same stimulus diff byte-identically.  Given both
+    *archive_path* and *record_path*, the one file is compressed once and
+    copied to the second path.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; pick one of {ENGINES}")
@@ -591,11 +596,12 @@ def execute_scenario(
     # this machine, not the simulated system, and would break the
     # bit-identity diff between a recorded run and its replay.
     archive_writer = None
-    if archive_path is not None:
+    as_recording = record_path is not None or stimulus is not None
+    if archive_path is not None or record_path is not None:
         from ..telemetry.archive import ArchiveWriter
 
         archive_writer = ArchiveWriter(
-            archive_path,
+            record_path if record_path is not None else archive_path,
             meta={
                 "scenario": scenario.name,
                 "engine": engine,
@@ -603,7 +609,7 @@ def execute_scenario(
                 "n_servers": scenario.n_servers,
                 "p": scenario.p,
             },
-            wall_columns=(record_path is None and stimulus is None),
+            wall_columns=not as_recording,
         )
         deployment.chunk_listeners.append(archive_writer)
 
@@ -671,28 +677,30 @@ def execute_scenario(
                 **admission_controller.log.columns(),
             }
             close_meta["admission"] = admission_controller.meta()
-        archive_writer.close(
-            dropped=deployment.log.dropped,
-            meta=close_meta,
-            extra_columns=extra_columns,
-        )
+        if as_recording:
+            from ..traces.record import Stimulus, write_recording
 
-    if record_path is not None:
-        from ..traces.record import Stimulus, write_recording
-
-        write_recording(
-            record_path,
-            scenario,
-            Stimulus(
-                arrivals=arrivals,
-                updates=tuple(update_stream),
-                horizon=horizon,
-            ),
-            deployment,
-            engine=engine,
-            kernel=kernel_name,
-            manifest=manifest,
-        )
+            write_recording(
+                archive_writer,
+                scenario,
+                stimulus
+                if stimulus is not None
+                else Stimulus(
+                    arrivals=arrivals, updates=tuple(update_stream), horizon=horizon
+                ),
+                dropped=deployment.log.dropped,
+                meta=close_meta,
+                extra_columns=extra_columns,
+            )
+        else:
+            archive_writer.close(
+                dropped=deployment.log.dropped,
+                meta=close_meta,
+                extra_columns=extra_columns,
+            )
+        if archive_path is not None and record_path is not None:
+            with contextlib.suppress(shutil.SameFileError):  # one path for both
+                shutil.copyfile(record_path, archive_path)
 
     return ScenarioExecution(
         scenario=scenario,

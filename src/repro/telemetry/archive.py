@@ -7,7 +7,8 @@ scenario name / engine / kernel).  Columns compress well -- float64 delay
 series run a few bytes per query -- so whole experiment matrices can be
 kept and diffed instead of re-run.
 
-* :func:`write_archive` / :func:`read_archive` -- writer and reader;
+* :func:`write_archive` / :func:`read_archive` -- writer and reader (a
+  recording, :mod:`repro.traces.record`, is an archive too);
 * :class:`ArchiveWriter` -- a streaming chunk-listener writer: columns
   spool to disk append-per-chunk during the run, so archiving a day-scale
   trace replay never holds the telemetry in memory twice;
@@ -351,9 +352,34 @@ def read_meta_npz(path, kind: str, error: type = ValueError) -> tuple[dict, dict
     return meta, columns
 
 
-def read_archive(path) -> RunArchive:
-    """Read an archive written by :func:`write_archive`."""
-    meta, columns = read_meta_npz(path, "run archive")
+def check_columns(path, columns: dict, fix: str, error: type = ValueError) -> None:
+    """Refuse *columns* that do not hold one run's per-query telemetry.
+
+    The nine wall-free ``log_*``/``bd_*`` columns must be present and
+    every ``log_*``/``bd_*`` column must hold as many values as
+    ``log_query_id``; otherwise raise *error* naming *path*, the column
+    and *fix* -- not a ``KeyError`` or a numpy shape error downstream.
+    """
+    for name in _archive_columns(wall_columns=False):
+        if name not in columns:
+            raise error(f"{path}: column {name!r} is missing; {fix}")
+    n = columns["log_query_id"].size
+    for name, col in columns.items():
+        if name.startswith(("log_", "bd_")) and col.size != n:
+            raise error(
+                f"{path}: column {name!r} has {col.size} values, "
+                f"'log_query_id' has {n}; {fix}"
+            )
+
+
+def read_archive(path, kind: str = "run archive") -> RunArchive:
+    """Read an archive written by :func:`write_archive` or
+    :class:`ArchiveWriter` -- a recording is one too.
+
+    *kind* names what the file should be in the error an unreadable file
+    raises.
+    """
+    meta, columns = read_meta_npz(path, kind)
     schema = meta.get("schema")
     if schema != ARCHIVE_SCHEMA:
         raise ValueError(
@@ -361,6 +387,7 @@ def read_archive(path) -> RunArchive:
             f"(this build reads schema {ARCHIVE_SCHEMA}); write the archive "
             "again with this build"
         )
+    check_columns(path, columns, "the archive is corrupt -- write it again")
     return RunArchive(meta=meta, columns=columns, path=str(path))
 
 

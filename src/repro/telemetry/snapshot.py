@@ -40,7 +40,7 @@ except ImportError:  # pragma: no cover - the image bakes numpy in
     np = None  # type: ignore[assignment]
 
 from .. import _rng
-from .archive import read_meta_npz
+from .archive import check_columns, read_meta_npz
 
 __all__ = [
     "SNAPSHOT_SCHEMA",
@@ -88,6 +88,9 @@ class Snapshot:
                 f"(this build reads schema {SNAPSHOT_SCHEMA}); take the "
                 "snapshot again with this build"
             )
+        check_columns(
+            path, columns, "the snapshot is corrupt -- take it again", SnapshotError
+        )
         return cls(meta=meta, columns=columns)
 
 

@@ -11,7 +11,8 @@ workloads (see ``docs/traces.md``):
   :class:`~repro.scenarios.spec.WorkloadSpec` is; arrivals and updates
   drive the engines through the exact-time action queue;
 * :mod:`~repro.traces.record` -- record-then-replay:
-  ``execute_scenario(record_path=...)`` freezes the drawn stimulus,
+  ``execute_scenario(record_path=...)`` writes the run archive plus the
+  drawn stimulus (``stim_*`` columns) as one recording, and
   :func:`replay_recording` re-drives it bit-identically on either engine
   and any kernel, verified by the archive differential oracle.
 """
@@ -24,14 +25,13 @@ from .loaders import (
     TraceLoader,
 )
 from .record import (
-    RECORDING_SCHEMA,
+    RECORDING_LAYOUT,
     Recording,
     ReplayReport,
     Stimulus,
     StimulusError,
     is_recording,
     read_recording,
-    recording_to_archive,
     replay_recording,
     write_recording,
 )
@@ -64,14 +64,13 @@ __all__ = [
     "loader_names",
     "loader_specs",
     "register_loader",
-    "RECORDING_SCHEMA",
+    "RECORDING_LAYOUT",
     "Recording",
     "ReplayReport",
     "Stimulus",
     "StimulusError",
     "is_recording",
     "read_recording",
-    "recording_to_archive",
     "replay_recording",
     "write_recording",
 ]

@@ -227,13 +227,14 @@ class JsonlTraceLoader(TraceLoader):
 
 
 class ArchiveTraceLoader(TraceLoader):
-    """Replays the arrival stream of a PR 6 telemetry run archive.
+    """Replays the arrival stream of a telemetry run archive.
 
     The archive's ``log_arrival`` column (every serviced query's arrival
-    time) becomes the trace; update stimulus is not stored in archives,
-    so the update stream is empty.  To re-drive a run's *exact* stimulus
-    including updates, record it (``repro record``) and use the
-    ``recording`` loader instead.
+    time) becomes the trace; the update stream is empty.  To re-drive a
+    run's *exact* stimulus including updates, record it (``repro
+    record``) and use the ``recording`` loader instead.  A recording is
+    a run archive too, so an unreadable ``.npz`` -- which cannot tell
+    which it was -- lands here and is named as either.
     """
 
     name = "archive"
@@ -243,15 +244,11 @@ class ArchiveTraceLoader(TraceLoader):
         from repro.telemetry.archive import read_archive
 
         try:
-            arch = read_archive(source)
+            arch = read_archive(source, kind="run archive or recording")
         except OSError as exc:
             raise TraceFormatError(f"{source}: cannot open: {exc}") from exc
         except ValueError as exc:  # names the file, the problem and the fix
             raise TraceFormatError(str(exc)) from exc
-        if "log_arrival" not in arch.columns:
-            raise TraceFormatError(
-                f"{source}: archive has no log_arrival column"
-            )
         arrivals = np.sort(
             np.asarray(arch.columns["log_arrival"], dtype=np.float64),
             kind="stable",
@@ -295,7 +292,7 @@ class RecordingTraceLoader(TraceLoader):
             "source": str(source),
             "loader": self.name,
             "format": "recording",
-            "scenario": rec.meta.get("scenario", {}).get("name"),
+            "scenario": rec.meta.get("scenario"),
         }
         return Trace(
             arrivals=np.asarray(stim.arrivals, dtype=np.float64),

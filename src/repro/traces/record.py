@@ -1,20 +1,24 @@
 """Record-then-replay: capture a run's drawn stimulus, re-drive it bit-exactly.
 
-A *recording* freezes everything a scenario execution drew from its seeds
--- the full arrival trace, the exact-time update stream -- plus the
-scenario itself and the baseline telemetry columns the recorded run
-produced.  :func:`replay_recording` rebuilds the scenario, injects the
-frozen stimulus (no re-drawing), runs it on any engine/kernel combination,
-and verifies the replay against the baseline with the same differential
+A *recording* is the run archive of one scenario execution plus
+everything the run drew from its seeds -- the full arrival trace and the
+exact-time update stream, stored as ``stim_*`` columns -- with
+``kind="recording"``, the horizon and the scenario itself in its
+metadata.  The archive's own simulated-time columns are the baseline:
+:func:`replay_recording` rebuilds the scenario, injects the frozen
+stimulus (no re-drawing), runs it on any engine/kernel combination, and
+verifies the replay against the baseline with the same differential
 oracle the CI bit-identity gate uses (:func:`repro.telemetry.archive.
 archive_diff`): every simulated-time column must match byte for byte.
 Wall-clock-derived columns (``log_scheduling``/``bd_scheduling``) are
 measurements of *this machine right now*, not of the simulated system, so
 recordings do not store them and replays do not compare them.
 
-``repro record`` / ``repro replay`` are the CLI veneer; recordings are
-``.npz`` files readable by :func:`numpy.load` and replayable as plain
-traces through the ``recording`` dataloader.
+Being a run archive, a recording reads as one: ``repro archive info``,
+``repro archive diff`` and ``repro explain`` take it as it is.  ``repro
+record`` / ``repro replay`` are the CLI veneer; recordings are ``.npz``
+files readable by :func:`numpy.load` and replayable as plain traces
+through the ``recording`` dataloader.
 """
 
 from __future__ import annotations
@@ -30,26 +34,28 @@ except ImportError:  # pragma: no cover - the image bakes numpy in
     np = None  # type: ignore[assignment]
 
 __all__ = [
-    "RECORDING_SCHEMA",
+    "RECORDING_LAYOUT",
     "Recording",
     "ReplayReport",
     "Stimulus",
     "StimulusError",
     "is_recording",
     "read_recording",
-    "recording_to_archive",
     "replay_recording",
     "write_recording",
 ]
 
-#: Version of the recording layout; readers refuse what they cannot parse.
-RECORDING_SCHEMA = 1
+#: Version of the recording layout (meta ``recording_layout``); readers
+#: refuse what they cannot parse.  Recordings from before the layout was
+#: versioned kept a second copy of the baseline as ``base_*`` columns;
+#: they are refused too.
+RECORDING_LAYOUT = 2
 
 #: The drawn-stimulus columns every recording carries.
 _STIMULUS_COLUMNS = ("stim_arrivals", "stim_update_times", "stim_update_pos")
 
-#: The simulated-time telemetry columns a recording stores as its baseline
-#: (the archive columns minus the wall-clock pair).
+#: The simulated-time telemetry columns replay verifies against: the
+#: archive's per-query columns minus the wall-clock pair.
 _BASELINE_COLUMNS = (
     "log_query_id",
     "log_arrival",
@@ -115,6 +121,11 @@ class Stimulus:
         object.__setattr__(self, "arrivals", arr)
         object.__setattr__(self, "updates", ups)
 
+    def columns(self) -> dict:
+        """The ``stim_*`` columns a recording stores this stimulus as."""
+        ups = np.asarray(self.updates, dtype=np.float64).reshape(-1, 2)
+        return dict(zip(_STIMULUS_COLUMNS, (self.arrivals, ups[:, 0], ups[:, 1])))
+
 
 @dataclass
 class Recording:
@@ -127,7 +138,7 @@ class Recording:
 
     @property
     def scenario_dict(self) -> dict:
-        return self.meta["scenario"]
+        return self.meta["scenario_spec"]
 
     @property
     def engine(self) -> str:
@@ -139,56 +150,37 @@ class Recording:
 
 
 def write_recording(
-    path,
+    writer,
     scenario,
     stimulus: Stimulus,
-    deployment,
-    engine: str,
-    kernel: str,
-    manifest: dict | None = None,
+    dropped: int = 0,
+    meta: dict | None = None,
+    extra_columns: dict | None = None,
 ) -> None:
-    """Freeze one executed run at *path* (``.npz``).
+    """Close a run's streaming archive *writer* as a recording.
 
-    *scenario* is the executed :class:`~repro.scenarios.spec.Scenario`,
-    *stimulus* the drawn arrival/update streams, *deployment* the
-    post-run deployment whose telemetry becomes the baseline.  *manifest*
-    is the provenance dict (:func:`repro.obs.manifest.build_manifest`);
-    when omitted one is built in place, so every recording carries its
-    provenance.
+    *writer* is the :class:`~repro.telemetry.archive.ArchiveWriter` that
+    streamed the executed *scenario*'s telemetry; *stimulus* is what the
+    run drew or was given.  The ``stim_*`` columns ride beside
+    *extra_columns*, and the archive *meta* gains ``kind="recording"``,
+    the layout version, the horizon and the scenario dict
+    (``scenario_spec``), so the one file is compressed once.  *dropped*
+    and *meta* are as for :meth:`~repro.telemetry.archive.ArchiveWriter.
+    close`.
     """
-    from ..obs.manifest import build_manifest
     from ..scenarios.spec import scenario_to_dict
 
-    scenario_dict = scenario_to_dict(scenario)
-    if manifest is None:
-        manifest = build_manifest(
-            kernel=kernel, config=scenario_dict, extra={"engine": engine}
-        )
-    from ..telemetry.archive import collect_columns
-
-    meta = {
-        "schema": RECORDING_SCHEMA,
-        "kind": "recording",
-        "scenario": scenario_dict,
-        "engine": engine,
-        "kernel": kernel,
-        "dropped": deployment.log.dropped,
-        "horizon": stimulus.horizon,
-        "manifest": manifest,
-    }
-    payload = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    baseline = collect_columns(deployment, wall_columns=False)
-    arrays = {
-        "stim_arrivals": np.asarray(stimulus.arrivals, dtype=np.float64),
-        "stim_update_times": np.asarray(
-            [t for t, _ in stimulus.updates], dtype=np.float64
-        ),
-        "stim_update_pos": np.asarray(
-            [p for _, p in stimulus.updates], dtype=np.float64
-        ),
-    }
-    arrays.update({f"base_{k}": v for k, v in baseline.items()})
-    np.savez_compressed(path, meta_json=payload, **arrays)
+    writer.close(
+        dropped=dropped,
+        meta={
+            **(meta or {}),
+            "kind": "recording",
+            "recording_layout": RECORDING_LAYOUT,
+            "horizon": stimulus.horizon,
+            "scenario_spec": scenario_to_dict(scenario),
+        },
+        extra_columns={**(extra_columns or {}), **stimulus.columns()},
+    )
 
 
 def is_recording(path) -> bool:
@@ -210,13 +202,13 @@ def is_recording(path) -> bool:
 
 
 def read_recording(path) -> Recording:
-    """Read a recording written by :func:`write_recording`.
+    """Read a recording: the run archive of a recorded or replayed run.
 
     A malformed file raises :class:`ValueError` naming the path, the
-    problem (the column, where one is missing or corrupt) and the fix; a
-    missing file raises ``OSError``.
+    problem (the column or meta key, where one is missing or corrupt) and
+    the fix; a missing file raises ``OSError``.
     """
-    from ..telemetry.archive import read_meta_npz
+    from ..telemetry.archive import ARCHIVE_SCHEMA, check_columns, read_meta_npz
 
     meta, columns = read_meta_npz(path, "recording")
     if meta.get("kind") != "recording":
@@ -224,30 +216,29 @@ def read_recording(path) -> Recording:
             f"{path}: not a recording (kind={meta.get('kind')!r}); "
             "run archives replay through the 'archive' trace loader"
         )
-    schema = meta.get("schema")
-    if schema != RECORDING_SCHEMA:
-        raise ValueError(
-            f"{path}: recording schema {schema!r} not supported "
-            f"(this build reads schema {RECORDING_SCHEMA}); record the run "
-            "again with this build"
-        )
+    for key, version in (
+        ("recording_layout", RECORDING_LAYOUT),
+        ("schema", ARCHIVE_SCHEMA),
+    ):
+        if meta.get(key) != version:
+            raise ValueError(
+                f"{path}: {key} {meta.get(key)!r} not supported (this build "
+                f"reads {version}); record the run again with this build"
+            )
+    fix = "the recording is corrupt -- record the run again"
+    if "scenario_spec" not in meta:
+        raise ValueError(f"{path}: meta key 'scenario_spec' is missing; {fix}")
+    check_columns(path, columns, fix)
     for column in _STIMULUS_COLUMNS:
         if column not in columns:
-            raise ValueError(
-                f"{path}: column {column!r} is missing; the recording is "
-                "corrupt -- record the run again"
-            )
+            raise ValueError(f"{path}: column {column!r} is missing; {fix}")
     arrivals = np.asarray(columns["stim_arrivals"], dtype=np.float64)
     times = columns["stim_update_times"]
     pos = columns["stim_update_pos"]
-    baseline = {
-        k[len("base_") :]: v for k, v in columns.items() if k.startswith("base_")
-    }
     if times.shape != pos.shape:
         raise ValueError(
             f"{path}: columns 'stim_update_times' {times.shape} and "
-            f"'stim_update_pos' {pos.shape} disagree; the recording is "
-            "corrupt -- record the run again"
+            f"'stim_update_pos' {pos.shape} disagree; {fix}"
         )
     updates = tuple(zip(times.tolist(), pos.tolist()))
     try:
@@ -257,36 +248,10 @@ def read_recording(path) -> Recording:
             horizon=float(meta.get("horizon", arrivals[-1] if arrivals.size else 0.0)),
         )
     except StimulusError as exc:
-        raise ValueError(
-            f"{path}: column {exc.column!r}: {exc}; the recording is corrupt "
-            "-- record the run again"
-        ) from exc
+        raise ValueError(f"{path}: column {exc.column!r}: {exc}; {fix}") from exc
+    baseline = {name: columns[name] for name in _BASELINE_COLUMNS}
     return Recording(
         meta=meta, stimulus=stimulus, baseline=baseline, path=str(path)
-    )
-
-
-def recording_to_archive(recording: Recording, path) -> None:
-    """Extract a recording's baseline columns as a plain run archive.
-
-    The result reads/diffs like any :func:`~repro.telemetry.archive.
-    write_archive` output (wall-clock columns absent on both sides of any
-    record/replay diff, so ``--strict`` comparisons stay meaningful).
-    """
-    from ..telemetry.archive import write_archive_columns
-
-    meta = {
-        "scenario": recording.scenario_dict.get("name"),
-        "engine": recording.engine,
-        "kernel": recording.kernel,
-        "wall_columns": False,
-        "recorded": True,
-    }
-    write_archive_columns(
-        path,
-        dict(recording.baseline),
-        meta=meta,
-        dropped=recording.meta.get("dropped", 0),
     )
 
 
@@ -324,8 +289,8 @@ def replay_recording(
     default to what was recorded, which is the bit-identity contract; any
     other engine/kernel combination must match too (that is the point of
     replay -- the differential oracle across configurations).
-    *archive_path* writes the replayed run's wall-free archive for
-    external diffing.
+    *archive_path* writes the replayed run's archive, which is itself a
+    recording of the same stimulus.
     """
     if not isinstance(recording, Recording):
         recording = read_recording(recording)

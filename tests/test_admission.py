@@ -127,7 +127,7 @@ class TestRegistry:
 
 class TestShedLog:
     def test_roundtrip_through_archive(self, tmp_path):
-        from repro.telemetry.archive import read_archive, write_archive_columns
+        from repro.telemetry.archive import ArchiveWriter, read_archive
 
         log = ShedLog()
         log.record_shed(1.0, 10, "rate", backlog=0.5, signal=0.0)
@@ -136,8 +136,8 @@ class TestShedLog:
         log.record_tick(3.0, 25, rate=8.0, p99=1.5, backlog_hwm=3.0,
                         accepted=23, shed=3, cap_queries=16.0)
         path = tmp_path / "shed.npz"
-        write_archive_columns(
-            str(path), log.columns(), meta={"admission": log.meta(policy="aimd")}
+        ArchiveWriter(str(path)).close(
+            meta={"admission": log.meta(policy="aimd")}, extra_columns=log.columns()
         )
         sheds, ticks, meta = admission_from_archive(read_archive(str(path)))
         assert [s.reason for s in sheds] == ["rate", "queue-cap", "rate"]
@@ -154,14 +154,13 @@ class TestShedLog:
         assert cols["shedchunk_accepted"].tolist() == [10, 6]
 
     def test_no_admission_columns_raises(self, tmp_path):
-        from repro.telemetry.archive import read_archive, write_archive_columns
+        from repro.telemetry.archive import ArchiveWriter, read_archive
 
         path = tmp_path / "plain.npz"
-        write_archive_columns(
-            str(path), {"log_arrival": np.array([1.0])}, meta={}
-        )
+        ArchiveWriter(str(path)).close()
+        archive = read_archive(str(path))
         with pytest.raises(ValueError):
-            admission_from_archive(read_archive(str(path)))
+            admission_from_archive(archive)
 
     def test_render_admission(self):
         log = ShedLog()

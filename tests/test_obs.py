@@ -43,7 +43,7 @@ from repro.obs.manifest import build_manifest, config_hash, git_revision
 from repro.obs.profiler import PHASES, PhaseProfiler, resolve_profile
 from repro.sim import PoissonArrivals
 from repro.sim.fastpath import Action, run_queries_reference
-from repro.telemetry.archive import read_archive, write_archive_columns
+from repro.telemetry.archive import ArchiveWriter, read_archive
 
 
 def _build(n=16, seed=1, p=4):
@@ -382,8 +382,9 @@ class TestDecisionLog:
         log.record_action(_FakeAction(9.0), query_index=250,
                          snapshot=_FakeSnapshot())
         path = tmp_path / "dec.npz"
-        write_archive_columns(path, log.columns(),
-                              meta={"decisions": log.meta(window=20.0)})
+        ArchiveWriter(path).close(
+            meta={"decisions": log.meta(window=20.0)}, extra_columns=log.columns()
+        )
         arch = read_archive(path)
         records = decisions_from_archive(arch)
         assert [dataclass_tuple(r) for r in records] == [
@@ -394,9 +395,7 @@ class TestDecisionLog:
 
     def test_archive_without_decisions_raises(self, tmp_path):
         path = tmp_path / "plain.npz"
-        write_archive_columns(
-            path, {"log_arrival": np.zeros(3)}, meta={}
-        )
+        ArchiveWriter(path).close()
         with pytest.raises(ValueError, match="no decision columns"):
             decisions_from_archive(read_archive(path))
 
@@ -731,7 +730,7 @@ class TestObsCLI:
         from repro.cli import main
 
         path = tmp_path / "plain.npz"
-        write_archive_columns(path, {"log_arrival": np.zeros(2)}, meta={})
+        ArchiveWriter(path).close()
         rc = main(["explain", str(path)])
         assert rc == 2
         assert "neither control decisions" in capsys.readouterr().err
@@ -746,11 +745,7 @@ class TestObsCLI:
         assert "manifest" in capsys.readouterr().out
 
         bare = tmp_path / "bare.npz"
-        write_archive_columns(
-            bare,
-            {"log_arrival": np.zeros(2), "log_finish": np.ones(2)},
-            meta={},
-        )
+        ArchiveWriter(bare).close()
         rc = main(["archive", "info", str(bare), "--require-manifest"])
         assert rc == 1
         assert "no provenance manifest" in capsys.readouterr().err

@@ -451,6 +451,90 @@ class TestMalformedArchive:
             assert err.startswith(prefix) and "write it again" in err
 
 
+def _short_or_missing(path, kind):
+    """Rewrite the ``.npz`` at *path* with ``log_finish`` deleted
+    ("missing") or three rows short ("short"); returns its row count."""
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    if kind == "missing":
+        del arrays["log_finish"]
+    else:
+        arrays["log_finish"] = arrays["log_finish"][:-3]
+    np.savez_compressed(path, **arrays)
+    return arrays["log_query_id"].size
+
+
+def _recorded(path):
+    from repro.scenarios import Scenario, WorkloadSpec, execute_scenario
+
+    scenario = Scenario(
+        name="cols", n_servers=8, p=3, dataset_size=1e6, seed=5,
+        workload=WorkloadSpec(kind="poisson", rate=8.0, duration=6.0),
+    )
+    execute_scenario(scenario, record_path=path)
+
+
+class TestMalformedColumns:
+    """A missing or length-mismatched telemetry column is refused by every
+    reader with the file, the column and the fix -- not a ``KeyError`` or
+    a numpy shape error downstream."""
+
+    @staticmethod
+    def _readers():
+        from repro.telemetry.snapshot import Snapshot, SnapshotError, capture_deployment
+        from repro.traces import read_recording
+
+        def snapshot(path):
+            dep = _build()
+            dep.run_queries_fast(PoissonArrivals(40.0, seed=3).times(64), 4)
+            capture_deployment(dep).save(path)
+
+        return {
+            "read_archive": (_write_small_archive, read_archive, ValueError,
+                             "write it again"),
+            "read_recording": (_recorded, read_recording, ValueError,
+                               "record the run again"),
+            "Snapshot.load": (snapshot, Snapshot.load, SnapshotError,
+                              "take it again"),
+        }
+
+    @pytest.mark.parametrize("reader", ["read_archive", "read_recording", "Snapshot.load"])
+    @pytest.mark.parametrize("kind", ["missing", "short"])
+    def test_reader_names_file_column_and_fix(self, tmp_path, reader, kind):
+        write, read, error, fix = self._readers()[reader]
+        path = str(tmp_path / "bad.npz")
+        write(path)
+        n = _short_or_missing(path, kind)
+        with pytest.raises(error) as info:
+            read(path)
+        msg = str(info.value)
+        assert msg.startswith(f"{path}: ")
+        if kind == "missing":
+            assert "column 'log_finish' is missing" in msg
+        else:
+            assert f"column 'log_finish' has {n - 3} values, 'log_query_id' has {n}" in msg
+        assert fix in msg
+
+    @pytest.mark.parametrize("kind", ["missing", "short"])
+    def test_cli_exits_2_naming_the_file(self, tmp_path, capsys, kind):
+        from repro.cli import main
+
+        good = str(tmp_path / "good.npz")
+        _write_small_archive(good)
+        bad = str(tmp_path / "bad.npz")
+        _write_small_archive(bad)
+        _short_or_missing(bad, kind)
+        for argv, prefix in (
+            (["archive", "info", bad], f"cannot read {bad}: "),
+            (["archive", "diff", good, bad], f"cannot read {bad}: "),
+            (["explain", bad], f"cannot explain {bad}: "),
+        ):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(prefix)
+            assert "'log_finish'" in err and "write it again" in err
+
+
 class TestArchiveCli:
     def test_info_diff_and_gate(self, tmp_path, capsys):
         from repro.cli import main

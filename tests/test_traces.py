@@ -34,7 +34,6 @@ from repro.traces import (
     loader_names,
     loader_specs,
     read_recording,
-    recording_to_archive,
     register_loader,
     replay_recording,
 )
@@ -375,9 +374,12 @@ def _malformed_recording(tmp_path, kind):
             del arrays["meta_json"]
         elif kind == "no-stim-arrivals":
             del arrays["stim_arrivals"]
-        else:  # "schema-7"
+        else:  # "schema-7" or "no-scenario"
             meta = json.loads(bytes(arrays["meta_json"]).decode("utf-8"))
-            meta["schema"] = 7
+            if kind == "schema-7":
+                meta["schema"] = 7
+            else:
+                del meta["scenario_spec"]
             arrays["meta_json"] = np.frombuffer(
                 json.dumps(meta).encode("utf-8"), dtype=np.uint8
             )
@@ -401,6 +403,13 @@ class TestMalformedRecording:
             "stim_arrivals", "record the run again", "record the run again"
         ),
         "schema-7": (None, "record the run again", "record the run again"),
+        "no-scenario": (
+            None,
+            "meta key 'scenario_spec' is missing; the recording is corrupt -- "
+            "record the run again",
+            "meta key 'scenario_spec' is missing; the recording is corrupt -- "
+            "record the run again",
+        ),
     }
 
     @staticmethod
@@ -423,10 +432,13 @@ class TestMalformedRecording:
     def test_load_trace(self, tmp_path, kind):
         path = _malformed_recording(tmp_path, kind)
         column, _, fix = self.CASES[kind]
-        assert is_recording(path) == (kind in ("no-stim-arrivals", "schema-7"))
+        readable = kind in ("no-stim-arrivals", "schema-7", "no-scenario")
+        assert is_recording(path) == readable
         with pytest.raises(TraceFormatError) as info:
             load_trace(path)
         self._check(str(info.value), path, column, fix)
+        if not readable:  # the run-archive loader cannot tell which it was
+            assert "run archive or recording" in str(info.value)
 
     @pytest.mark.parametrize("kind", sorted(CASES))
     def test_replay_exits_2(self, tmp_path, capsys, kind):
@@ -514,17 +526,22 @@ class TestRecordReplay:
     def test_replay_archive_matches_recording_baseline(self, recording, tmp_path):
         from repro.telemetry.archive import archive_diff, read_archive
 
-        base_path = str(tmp_path / "base.npz")
-        recording_to_archive(read_recording(recording), base_path)
         replayed_path = str(tmp_path / "replayed.npz")
         report = replay_recording(recording, archive_path=replayed_path)
         assert report.identical
-        diff = archive_diff(read_archive(base_path), read_archive(replayed_path))
+        diff = archive_diff(read_archive(recording), read_archive(replayed_path))
         assert diff["identical"], diff
         # wall-clock columns are omitted on both sides -- that is what
         # keeps record/replay diffs --strict-meaningful across machines
-        assert "log_scheduling" not in read_archive(base_path).columns
+        assert "log_scheduling" not in read_archive(recording).columns
         assert "log_scheduling" not in read_archive(replayed_path).columns
+
+    def test_replay_archive_is_a_recording(self, recording, tmp_path):
+        replayed_path = str(tmp_path / "replayed.npz")
+        replay_recording(recording, archive_path=replayed_path)
+        assert is_recording(replayed_path)
+        again = replay_recording(replayed_path)
+        assert again.verified and again.identical, again.mismatching_columns
 
     def test_replay_without_verify(self, recording):
         report = replay_recording(recording, verify=False)
@@ -546,6 +563,95 @@ class TestRecordReplay:
         )
         assert proc.returncode == 0, proc.stderr
         assert "replay-ok" in proc.stdout
+
+
+class TestOneArtifact:
+    """A recording is the run archive plus its stimulus, written once."""
+
+    def test_read_archive_accepts_a_recording(self, tmp_path):
+        from repro.telemetry.archive import archive_diff, read_archive
+
+        scenario = small(seed=21, updates=UpdateSpec(rate=3.0))
+        rec_path = str(tmp_path / "run.rec.npz")
+        arch_path = str(tmp_path / "run.npz")
+        plain_path = str(tmp_path / "plain.npz")
+        execute_scenario(scenario, record_path=rec_path, archive_path=arch_path)
+        execute_scenario(scenario, archive_path=plain_path)
+        rec = read_archive(rec_path)
+        assert rec.meta["kind"] == "recording"
+        assert rec.meta["scenario"] == scenario.name
+        assert archive_diff(rec, read_archive(arch_path))["identical"]
+        stim = read_recording(rec_path).stimulus
+        assert np.array_equal(rec.columns["stim_arrivals"], stim.arrivals)
+        # a run that neither records nor replays keeps its wall-clock
+        # columns and carries no stimulus; its simulated-time columns are
+        # the recording's baseline
+        plain = read_archive(plain_path)
+        assert "kind" not in plain.meta and "log_scheduling" in plain.columns
+        assert not any(name.startswith("stim_") for name in plain.columns)
+        diff = archive_diff(rec, plain)
+        assert sorted(n for n, e in diff["columns"].items() if not e["equal"]) == [
+            "bd_scheduling", "log_scheduling",
+            "stim_arrivals", "stim_update_pos", "stim_update_times",
+        ]
+
+    def test_both_paths_close_the_writer_once(self, tmp_path, monkeypatch):
+        from repro.telemetry.archive import ArchiveWriter
+
+        closed = []
+        close = ArchiveWriter.close
+
+        def spy(self, *args, **kwargs):
+            closed.append(self.path)
+            return close(self, *args, **kwargs)
+
+        monkeypatch.setattr(ArchiveWriter, "close", spy)
+        rec_path = str(tmp_path / "run.rec.npz")
+        arch_path = str(tmp_path / "run.npz")
+        execute_scenario(small(seed=21), record_path=rec_path, archive_path=arch_path)
+        assert closed == [rec_path]
+        with open(rec_path, "rb") as rec, open(arch_path, "rb") as arch:
+            assert rec.read() == arch.read()
+
+    def test_one_path_for_both_keeps_the_recording(self, tmp_path):
+        path = str(tmp_path / "run.rec.npz")
+        execute_scenario(small(seed=21), record_path=path, archive_path=path)
+        assert replay_recording(path).identical
+
+    def test_old_layout_recording_is_refused(self, tmp_path, capsys):
+        """A recording from before the layout was versioned: meta schema 1,
+        the scenario dict under ``scenario``, the baseline copied as
+        ``base_*`` columns, no ``recording_layout``."""
+        import json
+
+        from repro.cli import main
+
+        path = str(tmp_path / "old.rec.npz")
+        execute_scenario(small(seed=7, updates=UpdateSpec(rate=4.0)), record_path=path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(bytes(arrays.pop("meta_json")).decode("utf-8"))
+        old_meta = {
+            "schema": 1,
+            "kind": "recording",
+            "scenario": meta["scenario_spec"],
+            **{k: meta[k] for k in ("engine", "kernel", "dropped", "horizon", "manifest")},
+        }
+        old = {
+            (k if k.startswith("stim_") else f"base_{k}"): v for k, v in arrays.items()
+        }
+        payload = np.frombuffer(json.dumps(old_meta).encode("utf-8"), dtype=np.uint8)
+        np.savez_compressed(path, meta_json=payload, **old)
+        assert is_recording(path)
+        with pytest.raises(ValueError) as info:
+            read_recording(path)
+        msg = str(info.value)
+        assert msg.startswith(f"{path}: ") and "record the run again" in msg
+        with pytest.raises(TraceFormatError, match="record the run again"):
+            load_trace(path)
+        assert main(["replay", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot replay {path}: ") and "record the run again" in err
 
 
 class TestTraceWorkloads:
