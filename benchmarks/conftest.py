@@ -1,9 +1,8 @@
 """Shared helpers for the benchmark harness.
 
 Every file in this directory regenerates one table or figure from the
-paper's evaluation (see DESIGN.md's per-experiment index).  Benchmarks print
-the same rows/series the paper reports; EXPERIMENTS.md records the
-paper-vs-measured comparison.  Run with::
+paper's evaluation (README.md maps each file to its figure).  Benchmarks
+print the same rows/series the paper reports.  Run with::
 
     pytest benchmarks/ --benchmark-only
 """

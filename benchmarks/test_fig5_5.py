@@ -4,7 +4,7 @@ Paper: near-linear speedup up to 4 threads (one per core on the Dell 1950,
 400 ms for 1M items), then a plateau / slight degradation from locking and
 scheduling costs.
 
-Substitution note (DESIGN.md): CPython's GIL serialises small-buffer HMAC
+Substitution note: CPython's GIL serialises small-buffer HMAC
 work, so *real* threads cannot reproduce the speedup; we measure the real
 single-thread matching rate and drive the paper's own cost model (perfect
 scaling to the core count, then a lock-contention penalty) -- the same model

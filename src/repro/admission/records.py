@@ -46,6 +46,17 @@ __all__ = [
 ]
 
 
+#: One value per shed query.
+_SHED_COLUMNS = (
+    "shed_time", "shed_query_index", "shed_reason", "shed_backlog", "shed_signal",
+)
+#: One value per controller tick.
+_TICK_COLUMNS = (
+    "adm_time", "adm_query_index", "adm_rate", "adm_p99", "adm_backlog_hwm",
+    "adm_accepted", "adm_shed", "adm_cap_queries",
+)
+
+
 @dataclass(frozen=True)
 class ShedRecord:
     """One shed query, reconstructed from archive columns."""
@@ -280,14 +291,23 @@ def admission_from_archive(archive) -> tuple[list, list, dict]:
 
     *archive* is the object ``repro.telemetry.archive.read_archive``
     returns; raises ``ValueError`` when it carries no admission columns
-    (the scenario ran without an admission controller).
+    (the scenario ran without an admission controller), and when a
+    ``shed_*`` or ``adm_*`` column is missing, ragged, or indexes past
+    its interned table.
     """
-    if "shed_time" not in archive.columns:
+    from ..telemetry.archive import check_row_columns
+
+    if not any(name.startswith(("shed_", "adm_")) for name in archive.columns):
         raise ValueError(
             "archive has no admission columns (shed_*): the run had no "
             "admission controller"
         )
     meta = archive.meta.get("admission", {})
+    check_row_columns(
+        archive.path, archive.columns, _SHED_COLUMNS,
+        interned={"shed_reason": meta.get("reasons", [])},
+    )
+    check_row_columns(archive.path, archive.columns, _TICK_COLUMNS)
     sheds, ticks = _build_records(archive.columns, meta)
     return sheds, ticks, meta
 

@@ -8,8 +8,6 @@ notebooks should import :mod:`repro` directly):
 * ``plan``     -- recommend a (p, r) configuration for a workload;
 * ``control``  -- closed-loop control-plane scenario (elastic ROAR);
 * ``matrix``   -- sweep the builtin scenario battery, print one table;
-* ``bench``    -- the standard performance sweeps + ``BENCH_<rev>.json``
-  snapshot, optionally gated against a baseline (``docs/benchmarks.md``);
 * ``profile``  -- run one profiled sweep, print the engine-phase table,
   optionally export a chrome://tracing JSON (``docs/observability.md``);
 * ``explain``  -- reconstruct the control-decision and admission-shed
@@ -19,7 +17,7 @@ notebooks should import :mod:`repro` directly):
 * ``admission`` -- list admission-control policies
   (``docs/admission.md``);
 * ``archive``  -- inspect/diff compressed telemetry archives written by
-  ``matrix --archive-dir`` / ``bench --archive-dir`` (``docs/telemetry.md``);
+  ``matrix --archive-dir`` or ``record`` (``docs/telemetry.md``);
 * ``traces``   -- list trace dataloaders / summarise a trace file
   (``docs/traces.md``);
 * ``record``   -- run a scenario and write its archive plus its drawn
@@ -33,7 +31,7 @@ Usage (after installation)::
     repro compare --algorithm roar --n 90 -p 9 --rate 12
     repro deploy --nodes 24 -p 4 --queries 100
     repro plan --servers 24 --dataset 5e6 --target-delay 0.4
-    repro bench --profile quick
+    repro matrix --servers 24 --duration 60
     repro pps-demo --files 200
 
 (Without installing: ``PYTHONPATH=src python -m repro ...``.)
@@ -41,8 +39,6 @@ Usage (after installation)::
 The parser is plain argparse and safe to drive programmatically::
 
     >>> parser = build_parser()
-    >>> parser.parse_args(["bench", "--profile", "smoke"]).profile
-    'smoke'
     >>> parser.parse_args(["matrix", "--kernel", "compiled"]).kernel
     'compiled'
     >>> parser.parse_args(["kernels"]).command
@@ -88,6 +84,20 @@ import sys
 from typing import Sequence
 
 __all__ = ["main", "build_parser"]
+
+
+def _kernel_name(spec: str) -> str:
+    """``--kernel`` values: resolve an alias, refuse an unknown name.
+
+    As an argparse ``type=`` this fails at parse time (exit 2, one usage
+    line) before any scenario runs; it never builds the kernel.
+    """
+    from .kernels.registry import canonical_spec
+
+    try:
+        return canonical_spec(spec)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -183,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     mtx.add_argument("--engine", default="batched",
                      choices=["batched", "reference"],
                      help="batched fast path or per-query reference path")
-    mtx.add_argument("--kernel", default=None, metavar="NAME",
+    mtx.add_argument("--kernel", type=_kernel_name, default=None, metavar="NAME",
                      help="scheduling kernel for the batched engine "
                           "(exact_numpy, compiled; see `repro kernels`)")
     mtx.add_argument("--seed", type=int, default=1)
@@ -199,43 +209,13 @@ def build_parser() -> argparse.ArgumentParser:
                      help="dataloader for --trace "
                           "(name[:key=value,...]; default: inferred)")
 
-    bench = sub.add_parser(
-        "bench",
-        help="run the standard benchmark sweeps, emit BENCH_<rev>.json "
-             "(optionally gate against a committed baseline)",
-    )
-    bench.add_argument("--profile", default="full",
-                       choices=["full", "quick", "smoke"],
-                       help="sweep sizes: full (the committed trajectory), "
-                            "quick (development), smoke (tests)")
-    bench.add_argument("--out", default=None, metavar="PATH",
-                       help="snapshot path (default BENCH_<rev>.json)")
-    bench.add_argument("--check", default=None, metavar="BASELINE",
-                       help="gate speedup ratios against this baseline JSON; "
-                            "exits 1 on regression")
-    bench.add_argument("--max-regression", type=float, default=0.30,
-                       help="tolerated relative speedup regression vs the "
-                            "baseline (default 0.30)")
-    bench.add_argument("--kernels", default=None, metavar="LIST",
-                       help="comma list of scheduling kernels to time per "
-                            "sweep (default: every available kernel)")
-    bench.add_argument("--archive-dir", default=None, metavar="DIR",
-                       help="write one compressed telemetry archive "
-                            "(<sweep>.npz) per sweep into DIR")
-    bench.add_argument("--trace", default=None, metavar="SRC",
-                       help="add a real-trace sweep replaying SRC "
-                            "(csv/jsonl/npz; never gated against the "
-                            "baseline)")
-    bench.add_argument("--trace-loader", default=None, metavar="NAME",
-                       help="dataloader for --trace (default: inferred)")
-
     prof = sub.add_parser(
         "profile",
         help="run one profiled sweep and print the engine-phase breakdown "
              "(optionally export a chrome://tracing JSON)",
     )
     prof.add_argument("--servers", type=int, default=1000,
-                      help="fleet size (default: the 1k-server bench sweep)")
+                      help="fleet size (default 1000)")
     prof.add_argument("--queries", type=int, default=50_000)
     prof.add_argument("--rate", type=float, default=1500.0, help="queries/s")
     prof.add_argument("--pq", type=int, default=5,
@@ -244,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--seed", type=int, default=2)
     prof.add_argument("--engine", default="batched",
                       choices=["batched", "reference"])
-    prof.add_argument("--kernel", default=None, metavar="NAME",
+    prof.add_argument("--kernel", type=_kernel_name, default=None,
+                      metavar="NAME",
                       help="scheduling kernel (batched engine)")
     prof.add_argument("--chrome-trace", default=None, metavar="PATH",
                       help="write per-chunk spans as chrome://tracing JSON "
@@ -328,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "is a run archive: `repro archive` reads both)")
     rec.add_argument("--engine", default="batched",
                      choices=["batched", "reference"])
-    rec.add_argument("--kernel", default=None, metavar="NAME",
+    rec.add_argument("--kernel", type=_kernel_name, default=None, metavar="NAME",
                      help="scheduling kernel (batched engine)")
     rec.add_argument("--servers", type=int, default=20)
     rec.add_argument("-p", type=int, default=4)
@@ -347,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--engine", default=None,
                      choices=["batched", "reference"],
                      help="engine to replay on (default: as recorded)")
-    rep.add_argument("--kernel", default=None, metavar="NAME",
+    rep.add_argument("--kernel", type=_kernel_name, default=None, metavar="NAME",
                      help="scheduling kernel (default: as recorded)")
     rep.add_argument("--archive", default=None, metavar="PATH",
                      help="write the replayed run's archive, itself a "
@@ -557,14 +538,18 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         from .traces import TraceFormatError
 
         try:
-            scenarios.append(trace_scenario(
+            trace_row = trace_scenario(
                 args.trace, loader=args.trace_loader,
                 n_servers=args.servers, p=args.p,
                 dataset_size=args.dataset, seed=args.seed,
-            ))
+            )
+            # the trace row runs last: read the file now, so a bad one
+            # fails before the battery instead of after it
+            trace_row.workload.load()
         except (TraceFormatError, ValueError) as exc:
             print(f"bad --trace: {exc}", file=sys.stderr)
             return 2
+        scenarios.append(trace_row)
 
     def progress(scenario, result):
         print(f"[{scenario.name}] {result.offered} queries, "
@@ -572,30 +557,16 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
               f"p99 {result.p99_delay * 1000:.0f} ms, "
               f"{result.wall_seconds:.2f}s wall", file=sys.stderr)
 
-    try:
-        res = run_matrix(
-            scenarios, engine=args.engine, kernel=args.kernel,
-            progress=progress, archive_dir=args.archive_dir,
-        )
-    except Exception as exc:
-        from .traces import TraceFormatError
-
-        if isinstance(exc, TraceFormatError):  # bad --trace file
-            print(f"trace error: {exc}", file=sys.stderr)
-            return 2
-        raise
+    res = run_matrix(
+        scenarios, engine=args.engine, kernel=args.kernel,
+        progress=progress, archive_dir=args.archive_dir,
+    )
     print(res.table())
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write(res.to_csv())
         print(f"\ncsv written to {args.csv}")
     return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import main_bench
-
-    return main_bench(args)
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -671,14 +642,19 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"cannot explain {args.path}: {exc}", file=sys.stderr)
         return 2
+    names = archive.columns
     try:
-        records = decisions_from_archive(archive)
-    except ValueError:
-        records = None  # no dec_* columns: maybe an admission-only run
-    try:
-        admission = admission_from_archive(archive)
-    except ValueError:
-        admission = None
+        records = (
+            decisions_from_archive(archive)
+            if any(n.startswith("dec_") for n in names) else None
+        )
+        admission = (
+            admission_from_archive(archive)
+            if any(n.startswith(("shed_", "adm_")) for n in names) else None
+        )
+    except ValueError as exc:  # a malformed decision or admission table
+        print(f"cannot explain {exc}", file=sys.stderr)
+        return 2
     if records is None and admission is None:
         print(f"cannot explain {args.path}: archive has neither control "
               "decisions (dec_*) nor admission columns (shed_*)",
@@ -826,7 +802,7 @@ def _cmd_traces(args: argparse.Namespace) -> int:
         trace = load_trace(args.info, loader=args.loader)
     except (TraceFormatError, ValueError) as exc:
         print(f"trace error: {exc}", file=sys.stderr)
-        return 1
+        return 2
     print(f"source         : {args.info}")
     print(f"loader         : {trace.meta.get('loader', '?')}")
     print(f"queries        : {trace.n_queries}")
@@ -846,10 +822,14 @@ def _cmd_record(args: argparse.Namespace) -> int:
     if args.trace:
         from .scenarios.matrix import trace_scenario
 
-        scenario = trace_scenario(
-            args.trace, loader=args.trace_loader, n_servers=args.servers,
-            p=args.p, dataset_size=args.dataset, seed=args.seed,
-        )
+        try:
+            scenario = trace_scenario(
+                args.trace, loader=args.trace_loader, n_servers=args.servers,
+                p=args.p, dataset_size=args.dataset, seed=args.seed,
+            )
+        except ValueError as exc:  # e.g. an unknown --trace-loader
+            print(f"bad --trace: {exc}", file=sys.stderr)
+            return 2
     else:
         scenarios = builtin_scenarios(
             n_servers=args.servers, duration=args.duration, p=args.p,
@@ -968,7 +948,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "plan": _cmd_plan,
         "control": _cmd_control,
         "matrix": _cmd_matrix,
-        "bench": _cmd_bench,
         "profile": _cmd_profile,
         "explain": _cmd_explain,
         "kernels": _cmd_kernels,

@@ -11,8 +11,8 @@ calibrated from the paper's own measurements (Section 5.7):
 * Dell PowerEdge 1850: older 2-core box, CPU-bound around 350k/s;
 * Sun X4100: the slowest pool member, ~250k/s (Fig 5.7).
 
-Absolute values only set the time scale; every benchmark statement in
-EXPERIMENTS.md is about shapes and ratios.
+Absolute values only set the time scale; every assertion in
+``benchmarks/`` is about shapes and ratios.
 """
 
 from __future__ import annotations

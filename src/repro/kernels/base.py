@@ -524,7 +524,7 @@ class SweepKernel:
         the chunk accounting charges to scheduling and what the phase
         profiler (:mod:`repro.obs.profiler`) reports as ``sweep_commit``
         -- kernels must not do unrelated work here or the per-phase
-        attribution in ``repro profile`` / ``BENCH_<rev>.json`` lies.
+        attribution in ``repro profile`` lies.
 
         This default implementation is the reference python commit loop
         -- the same scalar float operations in the same order as

@@ -2,7 +2,7 @@
 
 Kernels are looked up by name or alias wherever a kernel knob exists
 (the engine's ``kernel=`` parameter, the scenario ``kernel:`` field,
-``repro matrix --kernel``, the bench sweeps).  Third-party kernels
+``repro matrix|profile|record|replay --kernel``).  Third-party kernels
 register through :func:`register_kernel`.
 """
 

@@ -13,7 +13,7 @@ Three layers the rest of the toolkit plugs into:
   Archived alongside run archives; ``repro explain`` reconstructs it.
 * :mod:`repro.obs.manifest` -- provenance manifests (git revision, config
   hash, kernel, seeds, host) stamped into archives, recordings, and
-  ``BENCH_<rev>.json`` snapshots.
+  ``repro profile --json`` summaries.
 """
 
 _EXPORTS = {

@@ -56,6 +56,18 @@ _SNAPSHOT_FIELDS = (
     ("dec_qps", "qps"),
 )
 
+#: Every ``dec_*`` column: one value per decision row.
+_COLUMNS = (
+    "dec_time",
+    "dec_query_index",
+    "dec_controller",
+    "dec_kind",
+    "dec_value",
+    *(col for col, _ in _SNAPSHOT_FIELDS),
+    "dec_n_queries",
+    "dec_n_servers",
+)
+
 
 @dataclass(frozen=True)
 class DecisionRecord:
@@ -239,13 +251,31 @@ def decisions_from_archive(archive) -> list:
 
     *archive* is the object ``repro.telemetry.archive.read_archive``
     returns; raises ``ValueError`` when it carries no decision columns
-    (the scenario ran without a control plane).
+    (the scenario ran without a control plane), and when a ``dec_*``
+    column is missing, ragged, or indexes past its interned table, or the
+    ``details`` table in meta does not hold one entry per row.
     """
-    if "dec_time" not in archive.columns:
+    from ..telemetry.archive import check_row_columns
+
+    if not any(name.startswith("dec_") for name in archive.columns):
         raise ValueError(
             "archive has no decision columns (dec_*): the run had no control plane"
         )
     meta = archive.meta.get("decisions", {})
+    check_row_columns(
+        archive.path, archive.columns, _COLUMNS,
+        interned={
+            "dec_controller": meta.get("controllers", []),
+            "dec_kind": meta.get("kinds", []),
+        },
+    )
+    n, details = archive.columns["dec_time"].size, meta.get("details", [])
+    if len(details) != n:  # free text, one entry per row
+        raise ValueError(
+            f"{archive.path}: meta table 'details' has {len(details)} "
+            f"entries, 'dec_time' has {n}; the archive is corrupt -- write "
+            "it again"
+        )
     return _build_records(archive.columns, meta)
 
 

@@ -1,14 +1,12 @@
 """Run manifests: provenance meta stamped into every generated artifact.
 
-A BENCH snapshot, a run archive, or a stimulus recording is only
+A run archive, a stimulus recording, or a profile summary is only
 interpretable if you know what produced it: which commit, which
 configuration, which kernel, which seeds, on which host.  The manifest is
 a small JSON-safe dict answering exactly that, written into archive meta
-(``meta["manifest"]``), recording meta, and the top level of
-``BENCH_<rev>.json`` files.  ``repro archive info --require-manifest``
-gates on its presence; the bench ``--check`` gate *warns* (never fails)
-when baseline and current came from different hosts, since absolute
-numbers are machine-dependent.
+(``meta["manifest"]``), recording meta, and the ``repro profile --json``
+summary.  ``repro archive info --require-manifest`` gates on its
+presence.
 
 Example::
 

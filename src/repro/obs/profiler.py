@@ -190,7 +190,7 @@ class PhaseProfiler:
         }
 
     def phase_us_per_query(self, n_queries: int) -> dict[str, float]:
-        """Per-phase microseconds per query (the bench snapshot columns)."""
+        """Per-phase microseconds per query (``repro profile --json``)."""
         n = max(int(n_queries), 1)
         return {
             name: round(1e-3 * ns / n, 4)

@@ -372,6 +372,42 @@ def check_columns(path, columns: dict, fix: str, error: type = ValueError) -> No
             )
 
 
+def check_row_columns(
+    path,
+    columns: dict,
+    names,
+    interned: dict | None = None,
+    fix: str = "the archive is corrupt -- write it again",
+) -> None:
+    """Refuse a table of event rows (decisions, sheds, ticks) that an
+    archive carries beside its per-query columns.
+
+    Every column in *names* must be present and hold as many values as
+    the first; every column named in *interned* must hold indexes into
+    its side table (a list from archive meta).  Otherwise raise
+    ``ValueError`` naming *path*, the column and *fix* -- not a
+    ``KeyError`` or an ``IndexError`` while the records are rebuilt.
+    """
+    for name in names:
+        if name not in columns:
+            raise ValueError(f"{path}: column {name!r} is missing; {fix}")
+    n = columns[names[0]].size
+    for name in names[1:]:
+        if columns[name].size != n:
+            raise ValueError(
+                f"{path}: column {name!r} has {columns[name].size} values, "
+                f"{names[0]!r} has {n}; {fix}"
+            )
+    for name, table in (interned or {}).items():
+        col = columns[name]
+        bad = col[~((col >= 0) & (col < len(table)))]
+        if bad.size:
+            raise ValueError(
+                f"{path}: column {name!r} holds index {bad[0]:g}, outside "
+                f"its {len(table)}-entry table in meta; {fix}"
+            )
+
+
 def read_archive(path, kind: str = "run archive") -> RunArchive:
     """Read an archive written by :func:`write_archive` or
     :class:`ArchiveWriter` -- a recording is one too.

@@ -2,7 +2,7 @@
 
 Loaders are looked up by name wherever a trace knob exists (the
 ``TraceSpec.loader`` field, ``repro traces --info``, ``repro matrix
---trace``, the bench sweeps).  Names accept an optional parameter suffix
+--trace``, ``repro record --trace``).  Names accept an optional parameter suffix
 ``name:key=value[,key=value...]`` forwarded to the loader constructor,
 e.g. ``csv:time_col=ts,delimiter=;``.  Third-party loaders register
 through :func:`register_loader`; when no loader is named,

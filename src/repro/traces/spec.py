@@ -7,9 +7,9 @@ query stream exactly like a :class:`~repro.scenarios.spec.WorkloadSpec`;
 updates land as exact-time actions exactly like an
 :class:`~repro.scenarios.spec.UpdateSpec` stream).  A :class:`TraceSpec`
 is the declarative handle -- a file path plus a loader name -- accepted
-anywhere a ``WorkloadSpec`` is (``Scenario.workload``, the matrix, the
-bench sweeps), so every external request log becomes a workload with no
-new code.
+anywhere a ``WorkloadSpec`` is (``Scenario.workload``, the matrix,
+``repro record``), so every external request log becomes a workload with
+no new code.
 
 Examples::
 
@@ -145,7 +145,7 @@ class TraceSpec:
 
     Accepted anywhere a :class:`~repro.scenarios.spec.WorkloadSpec` is:
     as ``Scenario.workload``, through ``repro matrix --trace`` and
-    ``repro bench --trace``.  *loader* is a registry spec
+    ``repro record --trace``.  *loader* is a registry spec
     (``name[:key=value,...]``, see :mod:`repro.traces.registry`); ``None``
     infers the loader from the file itself.  The normalisation knobs
     (*time_scale*, *rebase*, *limit*) are loader-independent and applied

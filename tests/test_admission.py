@@ -145,6 +145,47 @@ class TestShedLog:
         assert ticks[0].accepted == 23 and ticks[0].shed == 3
         assert meta["policy"] == "aimd"
 
+    @pytest.mark.parametrize("corrupt, column", [
+        ("missing", "shed_backlog"),
+        ("missing", "adm_p99"),
+        ("ragged", "adm_shed"),
+        ("index", "shed_reason"),
+    ])
+    def test_malformed_archive_names_path_column_and_fix(
+        self, tmp_path, capsys, corrupt, column
+    ):
+        from repro.cli import main
+        from repro.telemetry.archive import ArchiveWriter, read_archive
+
+        log = ShedLog()
+        log.record_shed(1.0, 10, "rate", backlog=0.5, signal=0.0)
+        log.record_shed(2.0, 20, "queue-cap", backlog=3.0, signal=1.0)
+        log.record_tick(3.0, 25, rate=8.0, p99=1.5, backlog_hwm=3.0,
+                        accepted=23, shed=2, cap_queries=16.0)
+        log.record_tick(4.0, 30, rate=9.0, p99=1.2, backlog_hwm=2.0,
+                        accepted=28, shed=2, cap_queries=18.0)
+        cols, meta = log.columns(), log.meta(policy="aimd")
+        if corrupt == "missing":
+            del cols[column]
+        elif corrupt == "ragged":
+            cols[column] = cols[column][:1]
+        else:  # one past the end of the interned reason table
+            cols[column][1] = len(meta["reasons"])
+        path = tmp_path / "bad.npz"
+        ArchiveWriter(str(path)).close(
+            meta={"admission": meta}, extra_columns=cols
+        )
+        with pytest.raises(ValueError) as err:
+            admission_from_archive(read_archive(str(path)))
+        message = str(err.value)
+        assert str(path) in message and repr(column) in message
+        assert "write it again" in message
+
+        assert main(["explain", str(path)]) == 2
+        out, errout = capsys.readouterr()
+        assert out == ""
+        assert errout.strip() == f"cannot explain {message}"
+
     def test_chunk_rows_are_deltas(self):
         log = ShedLog()
         log.record_chunk(0, 10, 4)

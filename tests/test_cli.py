@@ -108,3 +108,41 @@ class TestCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert twin_kernel in out
+
+
+class TestInputFailsBeforeAnyRun:
+    """Bad CLI input exits 2 with one message before any work starts."""
+
+    @pytest.mark.parametrize("argv", [
+        ["matrix"],
+        ["profile"],
+        ["record", "--out", "run.rec.npz"],
+        ["replay", "run.rec.npz"],
+    ])
+    def test_unknown_kernel_exits_2_at_parse_time(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--kernel", "bogus"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unknown scheduling kernel 'bogus'" in err
+
+    def test_kernel_alias_resolves_to_its_name(self):
+        assert build_parser().parse_args(["matrix", "--kernel", "exact"]).kernel == (
+            "exact_numpy"
+        )
+        assert build_parser().parse_args(["matrix"]).kernel is None
+
+    def test_matrix_missing_trace_fails_before_the_battery(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        rc = main(["matrix", "--servers", "8", "-p", "3", "--duration", "5",
+                   "--trace", missing])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and missing in err  # no progress rows
+
+    def test_traces_info_missing_file_exits_2(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        assert main(["traces", "--info", missing]) == 2
+        assert missing in capsys.readouterr().err

@@ -11,7 +11,8 @@ dependency-free so tier-1 catches documentation rot on every run:
 * the README actually points into ``docs/`` (it is an overview now, not
   the manual);
 * code/doc cross-references that the docs lean on (module paths, CLI
-  sub-commands) exist in the tree.
+  sub-commands) exist in the tree, and every markdown file that the code
+  cites exists too.
 """
 
 import re
@@ -22,6 +23,10 @@ DOCS = REPO / "docs"
 
 #: [text](target) markdown links, ignoring images and fenced-code blocks.
 _LINK = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
+
+#: A cited markdown path: a name before ``.md``, so globs and bare
+#: suffixes do not count.
+_MD_CITATION = re.compile(r"[\w./-]*\w\.md\b")
 
 
 def _strip_fences(text: str) -> str:
@@ -114,8 +119,26 @@ def test_doc_code_references_exist():
         assert short.split(".")[0] in text, f"docs stopped mentioning {short}"
     from repro.cli import build_parser
 
-    subcommands = {"compare", "deploy", "plan", "control", "matrix", "bench",
+    subcommands = {"compare", "deploy", "plan", "control", "matrix",
                    "kernels", "pps-demo", "traces", "record", "replay"}
     help_text = build_parser().format_help()
     for sub in subcommands:
         assert sub in help_text
+
+
+def test_code_cites_only_existing_markdown():
+    """A ``*.md`` path named in code, tests, benchmarks or examples must
+    exist, either from the repository root or as a page of ``docs/``."""
+    problems = []
+    for top in ("src", "tests", "benchmarks", "examples"):
+        for path in sorted((REPO / top).rglob("*")):
+            if path.suffix not in (".py", ".c"):
+                continue
+            for lineno, line in enumerate(path.read_text().splitlines(), 1):
+                for cited in _MD_CITATION.findall(line):
+                    if not ((REPO / cited).exists() or (DOCS / cited).exists()):
+                        problems.append(
+                            f"{path.relative_to(REPO)}:{lineno}: cites {cited}, "
+                            "which does not exist"
+                        )
+    assert not problems, "\n".join(problems)

@@ -11,8 +11,8 @@ Three layers of guarantee:
   changes, varying pq) plus the full builtin scenario battery, and pick
   for pick on drawn sweep states (makespan ties, pq up to 32, the
   evaluated mask) and on states built to steer its owner-change jumps;
-* **the kernel knob** -- a non-default kernel reaches the scenario,
-  matrix and bench layers.
+* **the kernel knob** -- a non-default kernel reaches the scenario and
+  matrix layers.
 """
 
 import subprocess
@@ -827,32 +827,6 @@ class TestScenarioKernelKnob:
         )
         res = run_scenario_spec(scen, engine="reference")
         assert res.kernel == "reference"
-
-
-class TestBenchKernelDimension:
-    def test_run_sweep_reports_kernels(self, twin_kernel):
-        from repro.bench import PROFILES, run_sweep
-
-        sweep = run_sweep(PROFILES["smoke"][0], kernels=[twin_kernel])
-        rows = sweep["kernels"]
-        assert rows["exact_numpy"]["available"]
-        assert rows["exact_numpy"]["sweep_speedup_vs_exact"] == 1.0
-        assert rows["exact_numpy"]["identical_to_exact"]
-        assert rows[twin_kernel]["available"]
-        assert rows[twin_kernel]["identical_to_exact"]
-
-    def test_unavailable_kernel_recorded_not_fatal(self, monkeypatch):
-        from repro.bench import PROFILES, run_sweep
-        from repro.kernels import registry
-
-        def boom():
-            raise KernelUnavailableError("no toolchain (test)")
-
-        monkeypatch.setitem(registry._FACTORIES, "compiled", boom)
-        sweep = run_sweep(PROFILES["smoke"][0], kernels=["compiled"])
-        row = sweep["kernels"]["compiled"]
-        assert row["available"] is False
-        assert "toolchain" in row["reason"]
 
 
 def _result_bytes(result):

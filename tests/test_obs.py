@@ -13,10 +13,8 @@ Four contracts under test:
   the window inputs and the exact arrival-stream index it landed at; the
   records survive the archive round trip and ``repro explain``
   cross-checks them against the archived delay columns;
-* **manifests** -- archives, recordings, and bench snapshots carry
-  provenance (git revision, config hash, host); the bench ``--check``
-  gate warns (never fails) on host mismatch and attributes speedup drift
-  to a phase;
+* **manifests** -- archives and recordings carry provenance (git
+  revision, config hash, host);
 * **CLI** -- ``repro profile`` / ``repro explain`` /
   ``repro archive info --require-manifest`` exit codes and output.
 """
@@ -399,6 +397,46 @@ class TestDecisionLog:
         with pytest.raises(ValueError, match="no decision columns"):
             decisions_from_archive(read_archive(path))
 
+    @pytest.mark.parametrize("corrupt, column", [
+        ("missing", "dec_p50"),
+        ("ragged", "dec_qps"),
+        ("index", "dec_controller"),
+        ("index", "dec_kind"),
+        ("short", "details"),
+    ])
+    def test_malformed_archive_names_path_column_and_fix(
+        self, tmp_path, capsys, corrupt, column
+    ):
+        from repro.cli import main
+
+        log = DecisionLog()
+        log.record_hold(5.0, 120, "slo-elasticity", "steady",
+                        snapshot=_FakeSnapshot())
+        log.record_action(_FakeAction(9.0), query_index=250,
+                          snapshot=_FakeSnapshot())
+        cols, meta = log.columns(), log.meta(window=20.0)
+        if corrupt == "missing":
+            del cols[column]
+        elif corrupt == "ragged":
+            cols[column] = cols[column][:1]
+        elif corrupt == "short":  # a per-row meta table
+            meta[column] = meta[column][:1]
+        else:  # one past the end of the interned table
+            table = meta["controllers" if column == "dec_controller" else "kinds"]
+            cols[column][1] = len(table)
+        path = tmp_path / "bad.npz"
+        ArchiveWriter(path).close(meta={"decisions": meta}, extra_columns=cols)
+        with pytest.raises(ValueError) as err:
+            decisions_from_archive(read_archive(path))
+        message = str(err.value)
+        assert str(path) in message and repr(column) in message
+        assert "write it again" in message
+
+        assert main(["explain", str(path)]) == 2
+        out, errout = capsys.readouterr()
+        assert out == ""
+        assert errout.strip() == f"cannot explain {message}"
+
     def test_render_decisions_table(self):
         log = DecisionLog()
         log.record_action(_FakeAction(9.0), query_index=250,
@@ -581,99 +619,6 @@ class TestManifest:
         manifest = arch.meta["manifest"]
         assert manifest["git_revision"] == git_revision()
         assert "host" in manifest
-
-
-# ---------------------------------------------------------------------------
-# Bench provenance + phase attribution
-# ---------------------------------------------------------------------------
-
-
-def _bench_snapshot(speedup, phases=None, host="alpha"):
-    sweep = {
-        "servers": 200,
-        "queries": 1000,
-        "fast_us_per_query": 10.0,
-        "ref_us_per_query": 10.0 * speedup,
-        "speedup_vs_reference": speedup,
-        "identical_sample": True,
-        "chunks": 1,
-        "chunk_size_histogram": {"<=1024": 1},
-    }
-    if phases is not None:
-        sweep["phases"] = phases
-    return {
-        "schema": 1,
-        "revision": "deadbee",
-        "profile": "full",
-        "python": "3.x",
-        "machine": "x86_64",
-        "host": host,
-        "manifest": {"schema": 1, "host": host, "machine": "x86_64"},
-        "sweeps": {"a": sweep},
-    }
-
-
-class TestBenchProvenance:
-    def test_sweep_carries_phase_columns(self):
-        from repro.bench import SweepSpec, run_sweep
-
-        tiny = SweepSpec("tiny", servers=10, queries=200, rate=30.0, pq=4,
-                         ref_queries=60)
-        s = run_sweep(tiny)
-        assert s["phases"], "profiled sub-run produced no phase columns"
-        assert set(s["phases"]) <= set(PHASES)
-        assert all(v >= 0 for v in s["phases"].values())
-        assert 0.0 < s["profile_coverage"] <= 1.0
-
-    def test_collect_smoke_carries_manifest(self):
-        from repro.bench import collect
-
-        snap = collect("smoke")
-        assert snap["host"]
-        assert snap["manifest"]["git_revision"] == git_revision()
-        assert snap["manifest"]["bench_profile"] == "smoke"
-        for sweep in snap["sweeps"].values():
-            assert "phases" in sweep
-
-    def test_host_mismatch_warns_never_gates(self):
-        from repro.bench import baseline_warnings, check_against_baseline
-
-        cur = _bench_snapshot(10.0, host="runner-1")
-        base = _bench_snapshot(10.0, host="runner-2")
-        warnings = baseline_warnings(cur, base)
-        assert any("host mismatch" in w for w in warnings)
-        assert check_against_baseline(cur, base) == []
-        assert baseline_warnings(cur, cur) == []
-
-    def test_machine_mismatch_warns(self):
-        from repro.bench import baseline_warnings
-
-        cur = _bench_snapshot(10.0)
-        base = _bench_snapshot(10.0)
-        base["manifest"]["machine"] = base["machine"] = "aarch64"
-        assert any("machine mismatch" in w for w in baseline_warnings(cur, base))
-
-    def test_regression_names_the_grown_phase(self):
-        from repro.bench import check_against_baseline
-
-        base = _bench_snapshot(
-            20.0, phases={"sweep_commit": 5.0, "flush": 5.0}
-        )
-        cur = _bench_snapshot(
-            10.0, phases={"sweep_commit": 15.0, "flush": 5.0}
-        )
-        problems = check_against_baseline(cur, base)
-        assert problems
-        assert any("phase attribution: sweep_commit" in p for p in problems)
-
-    def test_no_attribution_without_phase_columns(self):
-        from repro.bench import check_against_baseline
-
-        base = _bench_snapshot(20.0)
-        cur = _bench_snapshot(10.0)
-        problems = check_against_baseline(cur, base)
-        assert problems
-        assert all("phase attribution" not in p for p in problems)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,7 @@
 """Property-based tests (hypothesis) for the core invariants.
 
-These are the invariants DESIGN.md section 6 calls out: ring partition
-exactness, sub-query coverage, scheduler optimality, failure fall-back
-coverage, arc algebra, and the PPS schemes' correctness.
+Ring partition exactness, sub-query coverage, scheduler optimality,
+failure fall-back coverage, arc algebra, and the PPS schemes' correctness.
 """
 
 import math

@@ -707,7 +707,7 @@ class TestTraceCli:
         from repro.cli import main
 
         src = write_csv(tmp_path, "ts,kind\n1.0,query\n")
-        assert main(["traces", "--info", src]) == 1
+        assert main(["traces", "--info", src]) == 2
         assert "time_col" in capsys.readouterr().err
 
     def test_record_replay_smoke(self, tmp_path, capsys):
