@@ -127,6 +127,9 @@ class Deployment:
 
         #: known-dead bookkeeping: name -> time the front-end learned of it.
         self._known_dead: dict[str, float] = {}
+        #: the servers the last :meth:`run_query` call submitted to, in
+        #: submission order (its callers re-read or report exactly these).
+        self.last_submitted: list[str] = []
 
         #: chunk-array subscribers (:class:`~repro.telemetry.ChunkListener`):
         #: one ``observe_chunk`` call per flushed chunk on the batched path,
@@ -286,13 +289,27 @@ class Deployment:
         fall-back cannot re-cover a dead node's range -- the objects are
         unavailable until re-replication.
 
+        Either way :attr:`last_submitted` then names the servers the
+        query submitted a piece to, in submission order (a server hit
+        twice is named twice): its live picks plus any fall-back
+        replacements, including those that ran before a drop.
+
+        Without a *pick*, every node's ``NodeStats.busy_until`` is first
+        synced to its server's queue, and the front-end sweeps.
+
         *pick* is an Algorithm 1 decision already made on identical state,
         ``(assignment, start_id, iterations, estimates)``: the node per
         query point, the start id, and the sweep's work counters.  The
         front-end adopts it instead of sweeping again
-        (:meth:`~repro.core.frontend.FrontEnd.adopt_schedule`); the
-        batched engine passes its kernel's pick when it hands a
-        failure-window query to this path.
+        (:meth:`~repro.core.frontend.FrontEnd.adopt_schedule`).  With a
+        pick, only the picked nodes' ``busy_until`` is synced: adoption
+        and :meth:`~repro.core.frontend.FrontEnd.reserve` read no other
+        node's.  Every other node keeps whatever it held, and the caller
+        owes it the sync a pick-less call would have written (its
+        server's queue as it stood before the query).  The batched
+        engine is the one caller that passes a pick, when it hands a
+        failure-window query to this path, and it writes that sync
+        lazily.
         """
         pq = pq or self.config.p
         p_store = self.p_store
@@ -304,11 +321,15 @@ class Deployment:
         # Sync the front-end's outstanding-work view with reality before
         # scheduling (its per-node busy_until predictions are what the
         # estimator consumes).
-        for ring in self.rings:
-            for node in ring:
-                self.frontend.stats_for(node).busy_until = self.servers[
-                    node.name
-                ].busy_until
+        if pick is None:
+            synced = [node for ring in self.rings for node in ring]
+        else:
+            synced = pick[0]
+        stats_for, servers = self.frontend.stats_for, self.servers
+        for node in synced:
+            stats_for(node).busy_until = servers[node.name].busy_until
+        submitted: list[str] = []
+        self.last_submitted = submitted
 
         sched_start = time.perf_counter()
         if pick is None:
@@ -349,6 +370,7 @@ class Deployment:
             work = sub.work_fraction() * self.config.dataset_size
             wait = server.queue_backlog(submit_at)
             f = server.submit(submit_at + rtt / 2.0, work, query_id=qid)
+            submitted.append(node.name)
             service = server.service_time(work)
             self.frontend.observe_completion(node, work, service, f)
             max_wait = max(max_wait, wait)

@@ -40,9 +40,14 @@ the same system with no per-query python on its hot path:
   <repro.cluster.deployment.Deployment.run_query>`), which owns the
   rng-consuming fall-back, and the seam resumes after it.  The kernel's
   pick is the decision the reference sweep would make, so the engine
-  hands it over and the fall-back skips its own sweep.  A callable
-  ``pq_fn`` is evaluated once per query before the span, and each
-  constant-``pq`` run goes through the seam.
+  hands it over and the fall-back skips its own sweep.  A delegation
+  costs O(servers it touches): it syncs only the picks' node stats
+  (every other node's sync stays pending, as after a bulk chunk), and
+  the engine re-reads only the servers ``run_query`` hands back as
+  submitted to -- the live picks plus any fall-back replacements, also
+  when the query dropped.  A callable ``pq_fn`` is evaluated once per
+  query before the span, and each constant-``pq`` run goes through the
+  seam.
 
 * **Admission.**  Policies whose decisions need only the arrival time,
   the busiest-server backlog and their own token state (the queue cap,
@@ -184,7 +189,10 @@ class BatchResult:
     pqs: "np.ndarray"
     completed: int
     dropped: int
-    #: per-query server name tuples, populated when record_assignments=True.
+    #: per-query server name tuples, populated when record_assignments=True:
+    #: a bulk-committed query's picks in query-point order; a query run by
+    #: ``Deployment.run_query`` names each server it submitted to once, in
+    #: submission order; ``()`` for shed and dropped queries.
     assignments: Optional[list[tuple[str, ...]]]
     #: queries scheduled through the cover table vs. delegated to the
     #: per-query reference path (failure handling).
@@ -260,7 +268,6 @@ class _Engine:
         self.network = deployment.network
         self.ledger = deployment.ledger
         self.log = deployment.log
-        self.servers = deployment.servers
         self.charge = self.cfg.charge_scheduling
         self.dataset = self.fe.dataset_size
         self.fe_fixed = self.fe.config.fixed_overhead
@@ -294,14 +301,15 @@ class _Engine:
         self.actions_applied = 0
         self.chunk_sizes: list[int] = []
 
-        #: NodeStats.busy_until reservation of the *last* fast query -- the
-        #: one piece of front-end state the reference path leaves holding a
-        #: prediction rather than a synced server value.
+        #: NodeStats.busy_until reservations of the *last* scheduled query
+        #: (bulk or delegated) -- the one piece of front-end state the
+        #: reference path leaves holding a prediction rather than a synced
+        #: server value.
         self.last_res: Optional[list[tuple[int, float]]] = None
         self.st_sync_pending = False
-        #: the queues as that last fast query left them, snapshotted when
-        #: a data update moves them before the sync is written (None:
-        #: ``busy`` still holds that state).
+        #: the queues that query's sync read, once ``busy`` no longer holds
+        #: them: snapshotted before a delegated query, or when a data update
+        #: moves them after a bulk chunk (None: ``busy`` still holds them).
         self.st_busy: Optional[list[float]] = None
 
         #: per-pq commit out buffers (stable objects, so compiled kernels
@@ -336,6 +344,7 @@ class _Engine:
             self.ring_starts.append([nd.start for nd in nodes])
         self.nodes_flat = nodes_flat
         self.names_flat = [nd.name for nd in nodes_flat]
+        self.index_of = {name: g for g, name in enumerate(self.names_flat)}
         self.stats_flat = [fe.stats_for(nd) for nd in nodes_flat]
         self.servers_flat = [dep.servers[nd.name] for nd in nodes_flat]
         self.trace_any = any(s.keep_trace for s in dep.servers.values())
@@ -485,8 +494,12 @@ class _Engine:
                             TaskRecord(qid, arr_t, sst_l[j], sf_l[j], swk_l[j])
                         )
 
-    def _materialise(self) -> None:
-        """Write exact object state (servers + node stats) from the mirrors."""
+    def _materialise(self, sync: bool = True) -> None:
+        """Write exact object state (servers + node stats) from the mirrors.
+
+        ``sync=False`` leaves a pending ``NodeStats.busy_until`` sync
+        unwritten; a delegated query's own sync supersedes it.
+        """
         prof = self.prof
         if prof is not None:
             prof.begin("materialise")
@@ -514,11 +527,11 @@ class _Engine:
                 st.completed = cc
                 st.last_seen = ls
             self.touched[:] = False
-        # NodeStats.busy_until parity: after the last fast query, every node
-        # reads the server value it synced (the queues as they stood
+        # NodeStats.busy_until parity: after the last scheduled query, every
+        # node reads the server value it synced (the queues as they stood
         # before any later data update) except that query's reservations,
         # which keep the reserve prediction (reference-path behaviour).
-        if self.st_sync_pending and self.last_res is not None:
+        if sync and self.st_sync_pending and self.last_res is not None:
             synced = self.st_busy if self.st_busy is not None else self.busy.tolist()
             for g, st in enumerate(self.stats_flat):
                 st.busy_until = synced[g]
@@ -943,18 +956,22 @@ class _Engine:
         failed server.  The pick (*g_list*, *start_id*) is the decision
         the reference sweep would make on this state, so it is handed
         over and the reference path does not sweep again.
+
+        The cost is O(servers the query touches), not O(fleet):
+        :meth:`Deployment.run_query
+        <repro.cluster.deployment.Deployment.run_query>` syncs only the
+        picked nodes' ``NodeStats.busy_until``, and every other node's
+        sync stays pending here, as after a bulk chunk (``st_busy``: the
+        queues before the query; ``last_res``: the picks' reservations).
+        Afterwards only the servers the query submitted to (its live
+        picks plus any fall-back replacements, also when it dropped) are
+        re-read into the mirrors and into each table's ``Q``.
         """
         prof = self.prof
         if prof is not None:
             prof.begin("delegate")
-        self._materialise()
-        pre_lens = None
-        if self.assignments is not None:
-            pre_lens = {
-                name: len(s.trace)
-                for name, s in self.servers.items()
-                if s.keep_trace
-            }
+        self._materialise(sync=False)
+        self.st_busy = self.busy.tolist()
         nodes = self.nodes_flat
         pick = (
             [nodes[g] for g in g_list],
@@ -962,11 +979,14 @@ class _Engine:
             entry.iterations,
             entry.estimates,
         )
-        record = self.dep.run_query(now, pq, pick)
+        dep = self.dep
+        record = dep.run_query(now, pq, pick)
         self.delegated += 1
-        self.last_res = None
-        self.st_sync_pending = False
-        self._refresh_values()
+        stats_flat = self.stats_flat
+        self.last_res = [(g, stats_flat[g].busy_until) for g in g_list]
+        self.st_sync_pending = True
+        executed = tuple(dict.fromkeys(dep.last_submitted))
+        self._reread([self.index_of[name] for name in executed])
         self.qid_last = self.fe._query_counter
         self.pqs[q_i] = pq
         if record is None:
@@ -978,21 +998,27 @@ class _Engine:
             self.latencies[q_i] = record.delay
             if self.admission is not None:
                 self.admission.observe(now, record.delay)
-        if pre_lens is not None:
-            # Delegated schedules (plus failure replacements) are only
-            # observable through server traces; only this query ran, so
-            # the executors are exactly the servers whose traces grew.
-            if record is not None:
-                executed = tuple(
-                    name
-                    for name, before in pre_lens.items()
-                    if len(self.servers[name].trace) > before
-                )
-            else:
-                executed = ()
-            self.assignments.append(executed)
+        if self.assignments is not None:
+            self.assignments.append(executed if record is not None else ())
         if prof is not None:
             prof.end()
+
+    def _reread(self, idx: list[int]) -> None:
+        """Re-read the servers at flat indices *idx* (and their node stats)
+        into the mirrors, and re-derive every table's ``Q`` there
+        (elementwise, so the same bits as a full recompute)."""
+        servers = [self.servers_flat[g] for g in idx]
+        stats = [self.stats_flat[g] for g in idx]
+        self.busy[idx] = [s.busy_until for s in servers]
+        self.bt[idx] = [s.busy_time for s in servers]
+        self.om[idx] = [s.objects_matched for s in servers]
+        self.tasks[idx] = [s.tasks_run for s in servers]
+        self.spd[idx] = [st.speed_estimate for st in stats]
+        self.cc[idx] = [st.completed for st in stats]
+        self.ls[idx] = [st.last_seen for st in stats]
+        spd = self.spd[idx]
+        for tb in self.tables.values():
+            tb.Q[idx] = tb.wd / spd
 
 
 def _check_frontend(deployment: "Deployment") -> None:
@@ -1160,11 +1186,6 @@ def run_queries_reference(
                 if assignments is not None:
                     assignments.append(())
                 continue
-        pre_lens = None
-        if assignments is not None:
-            pre_lens = {
-                name: len(s.trace) for name, s in servers.items() if s.keep_trace
-            }
         if prof is None:
             record = deployment.run_query(now, pq)
         else:
@@ -1180,16 +1201,9 @@ def run_queries_reference(
             latencies[q_i] = record.delay
             if admission is not None:
                 admission.observe(now, record.delay)
-        if pre_lens is not None:
-            if record is not None:
-                executed = tuple(
-                    name
-                    for name, before in pre_lens.items()
-                    if len(servers[name].trace) > before
-                )
-            else:
-                executed = ()
-            assignments.append(executed)
+        if assignments is not None:
+            executed = tuple(dict.fromkeys(deployment.last_submitted))
+            assignments.append(executed if record is not None else ())
     while ai < len(acts):
         if prof is None:
             new_pq = fire(acts[ai])

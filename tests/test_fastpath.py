@@ -487,6 +487,43 @@ class TestActionQueue:
         assert [x for x in ra.latencies] == [x for x in rb.latencies]
         assert rb.fast_scheduled == 0 and rb.delegated == len(arrivals)
 
+    def test_untraced_delegations_record_their_servers(self):
+        """No server keeps a trace, as in every scenario run: a completed
+        delegated query still records the servers it ran on, and every
+        engine names the same servers for every query."""
+        from repro.kernels.compiled import compiled_available
+
+        arrivals = PoissonArrivals(30.0, seed=1).times(300)
+        engines = ["reference", "exact_numpy"] + (
+            ["compiled"] if compiled_available() else []
+        )
+        runs = {}
+        for engine in engines:
+            dep = Deployment(
+                DeploymentConfig(
+                    models=hen_testbed(20), p=4, seed=3, charge_scheduling=False
+                )
+            )
+            victim = dep.rings[0].nodes()[5].name
+            acts = [
+                Action(50, arrivals[49], lambda now, dep=dep: dep.fail_node(victim, now), "values")
+            ]
+            if engine == "reference":
+                runs[engine] = run_queries_reference(
+                    dep, arrivals, 4, record_assignments=True, actions=acts
+                )
+            else:
+                runs[engine] = dep.run_queries_fast(
+                    arrivals, 4, record_assignments=True, actions=acts, kernel=engine
+                )
+        batched = runs["exact_numpy"]
+        assert batched.delegated > 0 and batched.dropped == 0
+        assert all(batched.assignments)
+        for engine, res in runs.items():
+            assert [set(a) for a in res.assignments] == [
+                set(a) for a in batched.assignments
+            ], engine
+
     def test_rejects_bad_actions(self):
         dep = _build(n=8)
         with pytest.raises(ValueError, match="scope"):
@@ -526,15 +563,24 @@ class TestChunkedAccounting:
     @given(
         seed=st.integers(min_value=0, max_value=2**10),
         n=st.integers(min_value=6, max_value=14),
-        idxs=st.lists(
-            st.integers(min_value=0, max_value=119), min_size=1, max_size=4
+        stimuli=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=119),
+                st.sampled_from(["update", "fail", "recover", "data", "fail-pair"]),
+            ),
+            min_size=1,
+            max_size=4,
         ),
     )
-    def test_random_action_schedules_differential(self, seed, n, idxs):
+    def test_random_action_schedules_differential(self, seed, n, stimuli):
+        """Callbacks that write, fail or recover, object updates given as
+        data, and the failure of two ring-adjacent nodes (whose joint
+        hole can drop queries), drawn at random query indices."""
         arrivals = PoissonArrivals(25.0, seed=seed).times(120)
-        kinds = ["update", "fail", "recover"]
         slow, fast = _build(n=n, seed=seed + 1), _build(n=n, seed=seed + 1)
         name = sorted(slow.servers)[seed % n]
+        ring = [nd.name for nd in slow.rings[0].nodes()]
+        pair = (ring[seed % n], ring[(seed + 1) % n])
 
         def mk(dep, i, kind):
             t = arrivals[i - 1] if i else 0.0
@@ -545,20 +591,36 @@ class TestChunkedAccounting:
                 ), "busy", t
             if kind == "fail":
                 return (lambda now: dep.fail_node(name, now)), "values", t
-            return (
-                lambda now: dep.recover_node(name, now)
-                if dep.servers[name].failed
-                else None
-            ), "values", t
+            if kind == "fail-pair":
 
-        stimuli, fast_actions = [], []
-        for j, i in enumerate(sorted(idxs)):
-            kind = kinds[(seed + j) % 3]
+                def fail_pair(now):
+                    for nm in pair:
+                        dep.fail_node(nm, now)
+
+                return fail_pair, "values", t
+
+            def recover(now):
+                for nm in sorted({name, *pair}):
+                    if dep.servers[nm].failed:
+                        dep.recover_node(nm, now)
+
+            return recover, "values", t
+
+        ref_stimuli, fast_actions = [], []
+        for j, (i, kind) in enumerate(sorted(stimuli, key=lambda s: s[0])):
+            if kind == "data":
+                t = arrivals[i - 1] if i else 0.0
+                pos = ((seed + 31 * j) % 97) / 97.0
+                ref_stimuli.append(
+                    (i, lambda t=t, pos=pos: slow.apply_update(t, at=pos))
+                )
+                fast_actions.append(Action(i, t, updates=((t, pos),)))
+                continue
             fn_s, _, t = mk(slow, i, kind)
-            stimuli.append((i, lambda fn=fn_s, tt=t: fn(tt)))
+            ref_stimuli.append((i, lambda fn=fn_s, tt=t: fn(tt)))
             fn_f, scope, t = mk(fast, i, kind)
             fast_actions.append(Action(i, t, fn_f, scope))
-        _interleaved_reference(slow, arrivals, 4, stimuli)
+        _interleaved_reference(slow, arrivals, 4, ref_stimuli)
         fast.run_queries_fast(arrivals, 4, actions=fast_actions)
         assert_deployments_identical(slow, fast)
 

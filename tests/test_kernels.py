@@ -230,6 +230,9 @@ class TestCompiledKernel:
                 for k in ("exact_numpy", "compiled")
             )
             assert exact.batch.assignments, scen.name
+            # every completed query names its servers, delegated ones too
+            done = np.flatnonzero(~np.isnan(exact.batch.latencies))
+            assert all(exact.batch.assignments[i] for i in done), scen.name
             assert compiled.batch.assignments == exact.batch.assignments, scen.name
             assert (
                 np.asarray(compiled.batch.latencies).tobytes()

@@ -7,7 +7,11 @@ own mirrors.  The two must leave the same bytes behind.  Compared: the
 ``BatchResult`` arrays and counts, the wall-free telemetry columns, every
 rng state, and the full deployment state -- server queues, busy time,
 task and object counters, traces in order, every ``NodeStats`` field
-(``busy_until`` included), the front-end work counters and the ledger.
+(``busy_until`` included), the front-end work counters and the ledger --
+at the end of the run and as each ``write`` callback observes it.  The
+delegation cases pin the ``NodeStats`` sync a delegated query leaves
+pending: to the end of the run, to a callback, past a data update, past
+a drop after a replacement piece ran, and on two rings.
 
 Paths: the reference engine, the batched engine with ``exact_numpy`` on
 the python commit seam, and with ``compiled``; a subprocess repeats the
@@ -15,8 +19,9 @@ battery with ``REPRO_NO_COMPILED_KERNEL=1``.
 
 Mechanism checks, each with a monkeypatch that raises or counts: data
 updates never reach ``Deployment.apply_update`` or ``_refresh_busy`` on
-the batched engine, and exact kernels hand their failure-window picks to
-the reference path, which then never calls ``FrontEnd.schedule_query``.
+the batched engine, exact kernels hand their failure-window picks to
+the reference path, which then never calls ``FrontEnd.schedule_query``,
+and each delegated query is one ``Deployment.run_query`` call.
 """
 
 import math
@@ -116,6 +121,33 @@ def _case(name):
         # a callback that itself writes, then data updates in one action
         plan = [(i, "write", (), _updates(arrivals, i, 2, rng)) for i in range(4, n_q, 9)]
         plan += [(i, None, (), _updates(arrivals, i, 1, rng)) for i in range(6, n_q, 9)]
+    elif name == "delegated-last":
+        # the window stays open to the end and the final query delegates,
+        # so only the end-of-run materialise writes its pending sync
+        plan = [(i, None, (), _updates(arrivals, i, 2, rng)) for i in every]
+        plan.append((60, "fail", (3, 7), ()))
+    elif name == "delegated-then-callback":
+        # inside the window: a busy-scope callback alone, and a data
+        # update followed by a callback, each right after a query
+        plan = [(40, "fail", (3, 7), ())]
+        for i in range(44, n_q, 6):
+            plan.append((i, None, (), _updates(arrivals, i, 2, rng)))
+            plan.append((i, "write", (), ()))
+            plan.append((i + 3, "write", (), ()))
+    elif name == "replacement-then-drop":
+        # two dead ring neighbours and a third hole: each affected query
+        # submits a replacement piece, then drops; the recovery lets the
+        # seam read the re-read mirrors again
+        dep_kw = {"n": 10, "seed": 5}
+        plan = [(i, None, (), _updates(arrivals, i, 1, rng)) for i in every]
+        plan.append((60, "fail", (0, 1, 4), ()))
+        plan.append((150, "recover", (0, 1, 4), ()))
+    elif name == "failure-multi-ring":
+        # one failed server on each ring; the fall-back covers from ring 0
+        dep_kw = {"n": 20, "n_rings": 2}
+        plan = [(i, None, (), _updates(arrivals, i, 2, rng)) for i in every]
+        plan.append((60, "fail", ("node-4", "node-3"), ()))
+        plan.append((180, "recover", ("node-4", "node-3"), ()))
     else:  # pragma: no cover
         raise KeyError(name)
     return dep_kw, pq, arrivals, plan
@@ -131,19 +163,46 @@ CASES = [
     "keep-trace-some",
     "multi-ring",
     "callback-and-data",
+    "delegated-last",
+    "delegated-then-callback",
+    "replacement-then-drop",
+    "failure-multi-ring",
 ]
 
 
-def _actions(dep, arrivals, plan):
+def _state(dep):
+    """Every ``NodeStats`` field, and every server's queue and counters."""
+    return (
+        {
+            name: (st.speed_estimate, st.busy_until, st.last_seen, st.outstanding, st.completed)
+            for name, st in dep.frontend.stats.items()
+        },
+        {
+            name: (tuple(s._lane_busy_until), s.busy_time, s.tasks_run, s.objects_matched)
+            for name, s in dep.servers.items()
+        },
+    )
+
+
+def _actions(dep, arrivals, plan, seen):
+    """One Action per plan row; an int among a row's server names is a
+    position on ring 0.  A ``write`` callback appends the state it
+    observes to *seen* before it writes."""
+    ring0 = [nd.name for nd in dep.rings[0].nodes()]
+
+    def resolve(names):
+        return [ring0[name] if isinstance(name, int) else name for name in names]
+
     def fail(now, names):
-        for name in names:
+        for name in resolve(names):
             dep.fail_node(name, now)
 
     def recover(now, names):
-        for name in names:
+        for name in resolve(names):
             dep.recover_node(name, now)
 
     def write(now, names):
+        seen.append(_state(dep))
         dep.apply_update(now, at=0.25)
 
     kinds = {"fail": (fail, "values"), "recover": (recover, "values"), "write": (write, "busy")}
@@ -204,7 +263,8 @@ def run_path(path, name, profile=None):
     """One run of case *name* on *path*: ``(fingerprint, result)``."""
     dep_kw, pq, arrivals, plan = _case(name)
     dep = _deployment(**dep_kw)
-    acts = _actions(dep, arrivals, plan)
+    seen = []
+    acts = _actions(dep, arrivals, plan, seen)
     if path == "reference":
         res = run_queries_reference(dep, arrivals, pq, actions=acts)
     else:
@@ -215,11 +275,33 @@ def run_path(path, name, profile=None):
             kernel="compiled" if path == "compiled" else "exact_numpy",
             profile=profile,
         )
-    return _fingerprint(dep, res), res
+    fingerprint = _fingerprint(dep, res)
+    fingerprint["seen by callbacks"] = seen
+    return fingerprint, res
 
 
 def _paths():
     return [p for p in PATHS if p != "compiled" or compiled_available()]
+
+
+def _delegations(monkeypatch, name, path="python_seam"):
+    """Run case *name* on a batched *path*; one ``(query index, dropped,
+    servers submitted to)`` row per ``Deployment.run_query`` call."""
+    arrivals = _case(name)[2]
+    index = {t: i for i, t in enumerate(arrivals)}
+    calls = []
+    original = Deployment.run_query
+
+    def recording(self, now, pq=None, pick=None):
+        record = original(self, now, pq, pick)
+        calls.append((index[now], record is None, len(self.last_submitted)))
+        return record
+
+    with monkeypatch.context() as m:
+        m.setattr(Deployment, "run_query", recording)
+        _, res = run_path(path, name)
+    assert len(calls) == res.delegated
+    return calls
 
 
 class TestDataUpdatesMatchTheReference:
@@ -250,7 +332,7 @@ class TestDataUpdatesMatchTheReference:
         tasks = {name: s[2] for name, s in prints[0]["servers"].items()}
         assert tasks["node-2"] == 0 and tasks["node-1"] > 0
 
-    def test_cases_reach_what_they_name(self):
+    def test_cases_reach_what_they_name(self, monkeypatch):
         _, res = run_path("python_seam", "failure-window")
         assert res.delegated > 0
         fp, res = run_path("python_seam", "r-over-alive")
@@ -262,6 +344,30 @@ class TestDataUpdatesMatchTheReference:
         traced = [s[5] for s in fp["servers"].values()]
         assert any(traced) and not all(traced)
         assert any(t[0] == -1 for rows in traced for t in rows)
+
+        # the lazy NodeStats sync around delegations
+        n_q = len(_case("delegated-last")[2])
+        calls = _delegations(monkeypatch, "delegated-last")
+        assert calls and calls[-1][0] == n_q - 1
+        assert max(row[0] for row in _case("delegated-last")[3]) < n_q
+
+        calls = _delegations(monkeypatch, "delegated-then-callback")
+        delegated = {q for q, _, _ in calls}
+        plan = _case("delegated-then-callback")[3]
+        data_at = {i for i, kind, _, _ in plan if kind is None}
+        callback_at = {i for i, kind, _, _ in plan if kind == "write"}
+        assert any(i - 1 in delegated for i in callback_at - data_at)
+        assert any(i - 1 in delegated for i in data_at & callback_at)
+
+        calls = _delegations(monkeypatch, "replacement-then-drop")
+        assert any(dropped and submitted for _, dropped, submitted in calls)
+        assert max(q for q, _, _ in calls) < 150  # the seam runs after recovery
+
+        calls = _delegations(monkeypatch, "failure-multi-ring")
+        assert calls
+        dep = _deployment(**_case("failure-multi-ring")[0])
+        ring_of = {nd.name: r for r, ring in enumerate(dep.rings) for nd in ring.nodes()}
+        assert {ring_of["node-4"], ring_of["node-3"]} == {0, 1}
 
     def test_profiled_run_is_identical_and_adds_no_phase(self):
         from repro.obs.profiler import PHASES
@@ -309,6 +415,14 @@ class TestMechanism:
         for path in _paths()[1:]:
             _, res = run_path(path, "coalesced")
             assert res.actions_applied > 0
+
+    @pytest.mark.parametrize("name", ["failure-window", "replacement-then-drop"])
+    @pytest.mark.parametrize("path", ["python_seam", "compiled"])
+    def test_each_delegation_is_one_run_query_call(self, monkeypatch, path, name):
+        """Delegations stay on the public entry point that traces see."""
+        if path == "compiled" and not compiled_available():
+            pytest.skip("compiled kernel unavailable")
+        assert _delegations(monkeypatch, name, path)
 
     @pytest.mark.parametrize("kernel", ["exact_numpy", "compiled", "twin"])
     def test_exact_kernels_hand_their_pick_to_the_fall_back(
