@@ -318,32 +318,17 @@ def explain_admission(archive) -> list:
     The admission window samples completed **admitted** queries by arrival
     time -- exactly the queries in the archived delay log (shed queries
     are logged in ``shed_*``, never in ``log_*``; dropped queries are in
-    neither).  Recomputing the p99 over the logged rows with
-    ``tick - window <= arrival <= tick`` must reproduce the recorded
-    input bit-for-bit, the same invariant
-    :func:`repro.obs.audit.explain_archive` holds for controller
-    decisions.
+    neither).  Recomputing the p99 over the logged rows
+    (:func:`repro.obs.audit.check_window_p99s`, the cross-check
+    :func:`repro.obs.audit.explain_archive` runs for controller
+    decisions) must reproduce the recorded input bit-for-bit.
 
     Returns ``[(tick, ok, recomputed_p99, n_window), ...]``.
     """
-    from ..telemetry.columns import array_percentile
+    from ..obs.audit import check_window_p99s
 
     _, ticks, meta = admission_from_archive(archive)
-    window = meta.get("window")
-    arrivals = archive.columns.get("log_arrival")
-    finishes = archive.columns.get("log_finish")
-    out = []
-    for tick in ticks:
-        if window is None or arrivals is None or finishes is None:
-            out.append((tick, False, float("nan"), -1))
-            continue
-        mask = (arrivals >= tick.time - window) & (arrivals <= tick.time)
-        vals = finishes[mask] - arrivals[mask]
-        n_window = int(vals.size)
-        p99 = float(array_percentile(vals, 99)) if n_window else float("nan")
-        ok = (p99 == tick.p99) or (math.isnan(p99) and math.isnan(tick.p99))
-        out.append((tick, ok, p99, n_window))
-    return out
+    return check_window_p99s(archive, meta.get("window"), ticks)
 
 
 def render_admission(sheds, ticks, checks=None, meta=None) -> str:

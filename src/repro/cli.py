@@ -8,8 +8,9 @@ notebooks should import :mod:`repro` directly):
 * ``plan``     -- recommend a (p, r) configuration for a workload;
 * ``control``  -- closed-loop control-plane scenario (elastic ROAR);
 * ``matrix``   -- sweep the builtin scenario battery, print one table;
-* ``profile``  -- run one profiled sweep, print the engine-phase table,
-  optionally export a chrome://tracing JSON (``docs/observability.md``);
+* ``profile``  -- run one builtin scenario under the span recorder, print
+  where its wall time went, optionally export a chrome://tracing JSON
+  (``docs/observability.md``);
 * ``explain``  -- reconstruct the control-decision and admission-shed
   timelines of an archived run, cross-checked against its delay columns;
 * ``kernels``  -- list scheduling kernels and their availability
@@ -48,7 +49,8 @@ The parser is plain argparse and safe to drive programmatically::
     >>> parser.parse_args(["archive", "info", "run.npz",
     ...                    "--require-manifest"]).require_manifest
     True
-    >>> parser.parse_args(["profile", "--servers", "64"]).servers
+    >>> parser.parse_args(["profile", "--scenario", "churn",
+    ...                    "--servers", "64"]).servers
     64
     >>> parser.parse_args(["profile", "--chrome-trace", "t.json"]).chrome_trace
     't.json'
@@ -106,6 +108,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="ROAR (SIGCOMM 2009) reproduction toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    # the sizing and engine flags of every command that runs builtin
+    # scenarios (matrix, profile, record)
+    sized = argparse.ArgumentParser(add_help=False)
+    sized.add_argument("--servers", type=int, default=20)
+    sized.add_argument("-p", type=int, default=4,
+                       help="stored partitioning level")
+    sized.add_argument("--duration", type=float, default=40.0,
+                       help="simulated seconds per scenario")
+    sized.add_argument("--rate", type=float, default=None,
+                       help="base queries/s (default: auto ~35%% load)")
+    sized.add_argument("--dataset", type=float, default=2e6)
+    sized.add_argument("--engine", default="batched",
+                       choices=["batched", "reference"],
+                       help="batched fast path or per-query reference path")
+    sized.add_argument("--kernel", type=_kernel_name, default=None,
+                       metavar="NAME",
+                       help="scheduling kernel for the batched engine "
+                            "(exact_numpy, compiled; see `repro kernels`)")
+    sized.add_argument("--seed", type=int, default=1)
 
     comp = sub.add_parser("compare", help="Chapter 6 algorithm comparison")
     comp.add_argument("--algorithm", default="roar",
@@ -168,7 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     ctrl.add_argument("--seed", type=int, default=1)
 
     mtx = sub.add_parser(
-        "matrix", help="sweep the scenario matrix and print a comparison table"
+        "matrix", parents=[sized],
+        help="sweep the scenario matrix and print a comparison table",
     )
     mtx.add_argument("--list", action="store_true",
                      help="list built-in scenarios and exit")
@@ -182,21 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma list of admission policies to sweep per "
                           "scenario (none, aimd[:key=value,...], "
                           "delay_gated; see `repro admission`)")
-    mtx.add_argument("--servers", type=int, default=20)
-    mtx.add_argument("-p", type=int, default=4,
-                     help="stored partitioning level")
-    mtx.add_argument("--duration", type=float, default=40.0,
-                     help="simulated seconds per scenario")
-    mtx.add_argument("--rate", type=float, default=None,
-                     help="base queries/s (default: auto ~35%% load)")
-    mtx.add_argument("--dataset", type=float, default=2e6)
-    mtx.add_argument("--engine", default="batched",
-                     choices=["batched", "reference"],
-                     help="batched fast path or per-query reference path")
-    mtx.add_argument("--kernel", type=_kernel_name, default=None, metavar="NAME",
-                     help="scheduling kernel for the batched engine "
-                          "(exact_numpy, compiled; see `repro kernels`)")
-    mtx.add_argument("--seed", type=int, default=1)
     mtx.add_argument("--csv", default=None, metavar="PATH",
                      help="also write the table as CSV")
     mtx.add_argument("--archive-dir", default=None, metavar="DIR",
@@ -210,28 +218,18 @@ def build_parser() -> argparse.ArgumentParser:
                           "(name[:key=value,...]; default: inferred)")
 
     prof = sub.add_parser(
-        "profile",
-        help="run one profiled sweep and print the engine-phase breakdown "
+        "profile", parents=[sized],
+        help="run one builtin scenario and print where its wall time went "
              "(optionally export a chrome://tracing JSON)",
     )
-    prof.add_argument("--servers", type=int, default=1000,
-                      help="fleet size (default 1000)")
-    prof.add_argument("--queries", type=int, default=50_000)
-    prof.add_argument("--rate", type=float, default=1500.0, help="queries/s")
-    prof.add_argument("--pq", type=int, default=5,
-                      help="query partitioning level")
-    prof.add_argument("--dataset", type=float, default=5e6)
-    prof.add_argument("--seed", type=int, default=2)
-    prof.add_argument("--engine", default="batched",
-                      choices=["batched", "reference"])
-    prof.add_argument("--kernel", type=_kernel_name, default=None,
-                      metavar="NAME",
-                      help="scheduling kernel (batched engine)")
+    prof.add_argument("--scenario", default="steady", metavar="NAME",
+                      help="builtin scenario to profile (see `repro matrix "
+                           "--list`; default steady)")
     prof.add_argument("--chrome-trace", default=None, metavar="PATH",
-                      help="write per-chunk spans as chrome://tracing JSON "
+                      help="write the spans as chrome://tracing JSON "
                            "(load via chrome://tracing or ui.perfetto.dev)")
     prof.add_argument("--json", default=None, metavar="PATH",
-                      help="write the phase summary + manifest as JSON")
+                      help="write the span summary + manifest as JSON")
 
     expl = sub.add_parser(
         "explain",
@@ -290,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(name[:key=value,...]; default: inferred)")
 
     rec = sub.add_parser(
-        "record",
+        "record", parents=[sized],
         help="run a scenario and write its archive plus its drawn "
              "stimulus as a recording (.npz)",
     )
@@ -307,17 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--archive", default=None, metavar="PATH",
                      help="also write the recording to PATH (a recording "
                           "is a run archive: `repro archive` reads both)")
-    rec.add_argument("--engine", default="batched",
-                     choices=["batched", "reference"])
-    rec.add_argument("--kernel", type=_kernel_name, default=None, metavar="NAME",
-                     help="scheduling kernel (batched engine)")
-    rec.add_argument("--servers", type=int, default=20)
-    rec.add_argument("-p", type=int, default=4)
-    rec.add_argument("--duration", type=float, default=40.0)
-    rec.add_argument("--rate", type=float, default=None,
-                     help="base queries/s (default: auto ~35%% load)")
-    rec.add_argument("--dataset", type=float, default=2e6)
-    rec.add_argument("--seed", type=int, default=1)
 
     rep = sub.add_parser(
         "replay",
@@ -435,8 +422,8 @@ def _cmd_control(args: argparse.Namespace) -> int:
     from .scenarios import control_scenario, execute_scenario, phase_p99s
 
     policies = tuple(x.strip() for x in args.policies.split(",") if x.strip())
-    ex = execute_scenario(
-        control_scenario(
+    try:
+        scenario = control_scenario(
             args.scenario,
             n_servers=args.servers,
             p=args.p,
@@ -447,7 +434,10 @@ def _cmd_control(args: argparse.Namespace) -> int:
             planner=args.planner,
             seed=args.seed,
         )
-    )
+    except ValueError as exc:
+        print(f"bad scenario: {exc}", file=sys.stderr)
+        return 2
+    ex = execute_scenario(scenario)
     dep = ex.deployment
     before, crisis, after = phase_p99s(dep.log, args.scenario, args.duration)
     actions = sorted((a for c in ex.controllers for a in c.actions),
@@ -472,17 +462,45 @@ def _cmd_control(args: argparse.Namespace) -> int:
     return 0 if actions else 1
 
 
-def _cmd_matrix(args: argparse.Namespace) -> int:
-    from .scenarios import builtin_scenarios, run_matrix
+def _battery(args: argparse.Namespace):
+    """The builtin scenarios at the command's sizing flags, or None after
+    one stderr line when a flag is out of range."""
+    from .scenarios import builtin_scenarios
 
-    scenarios = builtin_scenarios(
-        n_servers=args.servers,
-        duration=args.duration,
-        p=args.p,
-        dataset_size=args.dataset,
-        seed=args.seed,
-        rate=args.rate,
-    )
+    try:
+        return builtin_scenarios(
+            n_servers=args.servers,
+            duration=args.duration,
+            p=args.p,
+            dataset_size=args.dataset,
+            seed=args.seed,
+            rate=args.rate,
+        )
+    except ValueError as exc:
+        print(f"bad scenario: {exc}", file=sys.stderr)
+        return None
+
+
+def _named_scenario(args: argparse.Namespace):
+    """The builtin scenario ``--scenario`` names, or None after one stderr
+    line."""
+    scenarios = _battery(args)
+    if scenarios is None:
+        return None
+    by_name = {s.name: s for s in scenarios}
+    if args.scenario not in by_name:
+        print(f"unknown scenario {args.scenario!r}; "
+              f"known: {sorted(by_name)}", file=sys.stderr)
+        return None
+    return by_name[args.scenario]
+
+
+def _cmd_matrix(args: argparse.Namespace) -> int:
+    from .scenarios import run_matrix
+
+    scenarios = _battery(args)
+    if scenarios is None:
+        return 2
     if args.list:
         for s in scenarios:
             print(f"{s.name:16s} {s.description}")
@@ -570,58 +588,29 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from .cluster import Deployment, DeploymentConfig, hen_testbed
-    from .obs.manifest import build_manifest
-    from .sim import batched_poisson_times
+    from .obs.profiler import SpanRecorder
+    from .scenarios import runner
 
-    dep = Deployment(
-        DeploymentConfig(
-            models=hen_testbed(args.servers),
-            p=args.pq,
-            dataset_size=args.dataset,
-            seed=args.seed,
-            charge_scheduling=False,
+    scenario = _named_scenario(args)
+    if scenario is None:
+        return 2
+    with SpanRecorder() as rec:
+        ex = runner.execute_scenario(
+            scenario, engine=args.engine, kernel=args.kernel
         )
-    )
-    arrivals = batched_poisson_times(args.rate, args.queries, seed=4).tolist()
-    if args.engine == "reference":
-        from .sim.fastpath import run_queries_reference
-
-        result = run_queries_reference(dep, arrivals, args.pq, profile=True)
-    else:
-        result = dep.run_queries_fast(
-            arrivals, args.pq, kernel=args.kernel, profile=True
-        )
-    prof = result.profile
-    n_queries = len(arrivals)
-    print(f"engine         : {args.engine}"
-          + (f" / {args.kernel}" if args.kernel else ""))
-    print(f"fleet          : {args.servers} servers, pq={args.pq}, "
-          f"{n_queries} queries @ {args.rate:g}/s")
-    print(prof.render_table(n_queries))
+    log = ex.deployment.log
+    print(f"scenario       : {scenario.name} ({ex.engine}/{ex.kernel}), "
+          f"{scenario.n_servers} servers")
+    print(f"queries        : {log.n_records} completed, {log.dropped} dropped")
+    print(rec.render_table())
     if args.chrome_trace:
-        prof.write_chrome_trace(args.chrome_trace)
+        rec.write_chrome_trace(args.chrome_trace)
         print(f"chrome trace   : {args.chrome_trace} "
               "(open in chrome://tracing or ui.perfetto.dev)")
     if args.json:
         import json
 
-        payload = {
-            "summary": prof.summary(),
-            "phases_us_per_query": prof.phase_us_per_query(n_queries),
-            "manifest": build_manifest(
-                kernel=args.kernel,
-                seeds={"deployment": args.seed, "arrivals": 4},
-                config={
-                    "servers": args.servers,
-                    "queries": n_queries,
-                    "rate": args.rate,
-                    "pq": args.pq,
-                    "engine": args.engine,
-                },
-                profile=prof,
-            ),
-        }
+        payload = {"summary": rec.summary(), "manifest": ex.manifest}
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
         print(f"json summary   : {args.json}")
@@ -815,7 +804,6 @@ def _cmd_traces(args: argparse.Namespace) -> int:
 
 
 def _cmd_record(args: argparse.Namespace) -> int:
-    from .scenarios import builtin_scenarios
     from .scenarios.runner import execute_scenario
     from .traces import TraceFormatError
 
@@ -831,16 +819,9 @@ def _cmd_record(args: argparse.Namespace) -> int:
             print(f"bad --trace: {exc}", file=sys.stderr)
             return 2
     else:
-        scenarios = builtin_scenarios(
-            n_servers=args.servers, duration=args.duration, p=args.p,
-            dataset_size=args.dataset, seed=args.seed, rate=args.rate,
-        )
-        by_name = {s.name: s for s in scenarios}
-        if args.scenario not in by_name:
-            print(f"unknown scenario {args.scenario!r}; "
-                  f"known: {sorted(by_name)}", file=sys.stderr)
+        scenario = _named_scenario(args)
+        if scenario is None:
             return 2
-        scenario = by_name[args.scenario]
     try:
         ex = execute_scenario(
             scenario, engine=args.engine, kernel=args.kernel,

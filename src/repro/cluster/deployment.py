@@ -421,7 +421,6 @@ class Deployment:
         record_assignments: bool = False,
         actions: Sequence | None = None,
         kernel=None,
-        profile=None,
         admission=None,
     ):
         """Run an arrival trace through the batched query path.
@@ -436,9 +435,7 @@ class Deployment:
         selects the scheduling kernel by registry name (default
         ``exact_numpy``, the bit-exact oracle;
         ``compiled`` fuses sweep and commit into one C call per chunk --
-        see :mod:`repro.kernels` and ``docs/kernels.md``).  *profile*
-        enables the engine-phase profiler (results stay bit-identical;
-        see :mod:`repro.obs.profiler` and ``docs/observability.md``).
+        see :mod:`repro.kernels` and ``docs/kernels.md``).
         *admission* installs an admission controller at the arrival seam
         (policy name/spec or instance; the default ``None``/"none" is
         accept-all and bit-identical to the pre-admission engine -- see
@@ -468,7 +465,6 @@ class Deployment:
             record_assignments=record_assignments,
             actions=actions,
             kernel=kernel,
-            profile=profile,
             admission=admission,
         )
 

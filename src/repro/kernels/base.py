@@ -521,10 +521,10 @@ class SweepKernel:
         reference path's fall-back.  The stopped query draws no RTT.
 
         The engine times this call as one opaque span: its wall is what
-        the chunk accounting charges to scheduling and what the phase
-        profiler (:mod:`repro.obs.profiler`) reports as ``sweep_commit``
-        -- kernels must not do unrelated work here or the per-phase
-        attribution in ``repro profile`` lies.
+        the chunk accounting charges to scheduling, and ``repro profile``
+        (:mod:`repro.obs.profiler`) reports it as the
+        ``kernels.commit_batch`` span -- kernels must not do unrelated
+        work here or that attribution lies.
 
         This default implementation is the reference python commit loop
         -- the same scalar float operations in the same order as

@@ -1,12 +1,13 @@
-"""Observability: engine-phase profiling, decision audit logs, run manifests.
+"""Observability: wall-time spans, decision audit logs, run manifests.
 
 Three layers the rest of the toolkit plugs into:
 
-* :mod:`repro.obs.profiler` -- a near-zero-overhead phase profiler for the
-  batched engine (``perf_counter_ns`` accumulators around arrival draw,
-  kernel sweep+commit, flush, listeners, actions) with per-chunk samples
-  and a chrome://tracing export.  Off by default; ``profile=`` kwarg or
-  ``REPRO_PROFILE=1`` turns it on.
+* :mod:`repro.obs.profiler` -- the span recorder: ``with SpanRecorder()``
+  wraps a table of entry points (scenario runner, engine phases, kernel
+  ``commit_batch``, control, admission, telemetry and trace layers) from
+  outside for the block's duration, reports calls, total and self time
+  per span plus the unattributed rest of the wall, and exports
+  chrome://tracing JSON.  The engine carries no profiling code.
 * :mod:`repro.obs.audit` -- the columnar :class:`DecisionLog` every
   controller tick appends to: window inputs (p50/p95/p99/backlog), the
   decision, its magnitude, and the exact query index it landed at.
@@ -17,8 +18,7 @@ Three layers the rest of the toolkit plugs into:
 """
 
 _EXPORTS = {
-    "PhaseProfiler": "profiler",
-    "resolve_profile": "profiler",
+    "SpanRecorder": "profiler",
     "DecisionLog": "audit",
     "DecisionRecord": "audit",
     "decisions_from_archive": "audit",

@@ -279,39 +279,51 @@ def decisions_from_archive(archive) -> list:
     return _build_records(archive.columns, meta)
 
 
-def explain_archive(archive) -> list:
-    """Cross-check each decision's window inputs against the delay columns.
+def check_window_p99s(archive, window, rows) -> list:
+    """Recompute each row's windowed p99 from the archived delay columns.
 
-    The controller's sliding window samples by **arrival time**: at tick
-    ``t`` it holds every logged query with ``t - window <= arrival <= t``.
-    Recomputing the p99 over exactly those archived rows must reproduce
-    the recorded input bit-for-bit (dropped queries appear in neither the
-    log nor the collector, so the reconstruction is exact).
-
-    Returns ``[(record, ok, recomputed_p99, n_window), ...]``.
+    A window samples logged queries by **arrival time**: at ``row.time``
+    it holds every row with ``time - window <= arrival <= time``.  The
+    recomputed p99 must equal the recorded ``row.p99`` bit for bit (NaN
+    for an empty window).  Returns ``[(row, same, p99, n_window), ...]``;
+    without a *window* or the ``log_*`` columns every row reads
+    ``(row, False, nan, -1)``.
     """
     from ..telemetry.columns import array_percentile
 
-    records = decisions_from_archive(archive)
-    window = archive.meta.get("decisions", {}).get("window")
     arrivals = archive.columns.get("log_arrival")
     finishes = archive.columns.get("log_finish")
     out = []
-    for rec in records:
+    for row in rows:
         if window is None or arrivals is None or finishes is None:
-            out.append((rec, False, float("nan"), -1))
+            out.append((row, False, float("nan"), -1))
             continue
-        mask = (arrivals >= rec.time - window) & (arrivals <= rec.time)
-        vals = (finishes[mask] - arrivals[mask])
+        mask = (arrivals >= row.time - window) & (arrivals <= row.time)
+        vals = finishes[mask] - arrivals[mask]
         n_window = int(vals.size)
-        if n_window:
-            p99 = float(array_percentile(vals, 99))
-        else:
-            p99 = float("nan")
-        same_p99 = (p99 == rec.p99) or (math.isnan(p99) and math.isnan(rec.p99))
-        ok = same_p99 and (rec.n_queries in (-1, n_window))
-        out.append((rec, ok, p99, n_window))
+        p99 = float(array_percentile(vals, 99)) if n_window else float("nan")
+        same = (p99 == row.p99) or (math.isnan(p99) and math.isnan(row.p99))
+        out.append((row, same, p99, n_window))
     return out
+
+
+def explain_archive(archive) -> list:
+    """Cross-check each decision's window inputs against the delay columns.
+
+    The controller's sliding window samples by arrival time, and dropped
+    queries appear in neither the log nor the collector, so recomputing
+    the p99 over the archived rows (:func:`check_window_p99s`) must
+    reproduce the recorded input bit-for-bit, and the window's row count
+    must match the recorded ``n_queries``.
+
+    Returns ``[(record, ok, recomputed_p99, n_window), ...]``.
+    """
+    records = decisions_from_archive(archive)
+    window = archive.meta.get("decisions", {}).get("window")
+    return [
+        (rec, same and rec.n_queries in (-1, n_window), p99, n_window)
+        for rec, same, p99, n_window in check_window_p99s(archive, window, records)
+    ]
 
 
 def render_decisions(records, checks=None) -> str:

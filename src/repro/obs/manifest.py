@@ -66,14 +66,12 @@ def build_manifest(
     kernel: Optional[str] = None,
     seeds: Optional[dict] = None,
     config: Optional[dict] = None,
-    profile=None,
     extra: Optional[dict] = None,
 ) -> dict:
     """Assemble the provenance dict.
 
-    *profile* may be a :class:`~repro.obs.profiler.PhaseProfiler`, whose
-    per-phase totals land under ``profile_ns``.  No timestamps: manifests
-    of identical runs are identical, so they diff clean.
+    No timestamps: manifests of identical runs are identical, so they
+    diff clean.
     """
     manifest = {
         "schema": MANIFEST_SCHEMA,
@@ -88,8 +86,6 @@ def build_manifest(
         manifest["seeds"] = dict(seeds)
     if config is not None:
         manifest["config_hash"] = config_hash(config)
-    if profile is not None and getattr(profile, "totals_ns", None):
-        manifest["profile_ns"] = dict(sorted(profile.totals_ns.items()))
     if extra:
         manifest.update(extra)
     return manifest

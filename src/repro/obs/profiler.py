@@ -1,321 +1,265 @@
-"""Engine-phase profiler: where does a batched run's wall clock go?
+"""Span recorder: where does a run's wall clock go?
 
-The batched engine (:mod:`repro.sim.fastpath`) reports one end-to-end
-wall-clock number per run.  :class:`PhaseProfiler` splits that wall into
-the engine's phases -- the arrival-order rng draw, the kernel's fused
-sweep+commit, the numpy flush reductions, chunk listeners, exact-time
-action callbacks, failure delegation, mirror materialisation -- using
-``time.perf_counter_ns`` accumulators, plus per-chunk samples suitable
-for a chrome://tracing export.
+``with SpanRecorder() as rec:`` wraps every entry point named in
+:data:`SPANS` -- the scenario runner, the engine's phase methods, both
+kernels' ``commit_batch``, the RTT draw, and the cluster, control,
+admission, telemetry and trace layers -- at class or module level, and
+puts every original back on exit, also when the block raises.  Each
+wrapped call appends its start, end and enclosing span to ``array``
+columns.  Nothing in the engine knows it is measured: a recorded run is
+bit-identical to an unrecorded one, and an unrecorded run runs no
+recorder code at all (nothing on the scenario runner's import path
+imports this module).
 
-Two contracts the engine instrumentation holds:
+A span's *self* time is its duration minus the durations of its direct
+children.  Clock readings are integer nanoseconds, so the self times of
+every span plus ``unattributed`` -- the block's wall minus its root
+spans -- add up to the wall exactly.
 
-* **Zero cost when off.**  Every instrumentation site in the engine is
-  guarded by ``if prof is not None``; an unprofiled run makes no profiler
-  calls at all (``tests/test_obs.py`` proves it with the monkeypatch
-  trick).
-* **Bit-identity when on.**  Profiling only reads the monotonic clock; it
-  never touches an rng stream or reorders a float operation, so a
-  profiled run's results are byte-identical to an unprofiled one.
+Wrappers replace module and class attributes, so call a module function
+through its module (``runner.execute_scenario``); a reference bound
+before the block still calls the original.
 
-Attribution is *exclusive*: nested phases (the listener loop runs inside
-a flush, a flush inside an action's materialise) subtract their inclusive
-time from the enclosing frame, so phase totals are disjoint and sum to
-(at most) the measured wall.  The residual -- span bookkeeping, table
-builds, result assembly -- is reported as ``other``.
+Example -- profile a small scenario::
 
-Example -- profile a tiny batched run::
-
-    >>> from repro.cluster import Deployment, DeploymentConfig, hen_testbed
-    >>> dep = Deployment(DeploymentConfig(models=hen_testbed(8), p=4,
-    ...                                   seed=1, charge_scheduling=False))
-    >>> res = dep.run_queries_fast([i * 0.01 for i in range(64)], 4,
-    ...                            profile=True)
-    >>> sorted(res.profile.summary()["phases"])
-    ['arrival_draw', 'flush', 'materialise', 'sweep_commit']
-    >>> res.profile.summary()["n_chunks"]
+    >>> from repro.scenarios import builtin_scenarios, runner
+    >>> steady = builtin_scenarios(n_servers=8, duration=10.0)[0]
+    >>> with SpanRecorder() as rec:
+    ...     _ = runner.execute_scenario(steady)
+    >>> s = rec.summary()
+    >>> s["spans"]["scenarios.execute_scenario"]["calls"]
     1
-    >>> resolve_profile(False) is None
+    >>> s["spans"]["sim.engine"]["calls"], s["spans"]["sim.flush"]["calls"] > 0
+    (1, True)
+    >>> sum(v["self_ns"] for v in s["spans"].values()) + s["unattributed_ns"] == s["wall_ns"]
     True
+    >>> runner.execute_scenario.__name__, hasattr(runner.execute_scenario, "__wrapped__")
+    ('execute_scenario', False)
 """
 
 from __future__ import annotations
 
+import functools
+import importlib
 import json
-import os
 import time
-from typing import Optional
+from array import array
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    np = None  # type: ignore[assignment]
+__all__ = ["SPANS", "SpanRecorder", "span_owner"]
 
-__all__ = ["PHASES", "PhaseProfiler", "resolve_profile"]
+_ENGINE = ("repro.sim.fastpath", "_Engine")
 
-#: Environment variable that enables profiling when the ``profile=`` kwarg
-#: is left at its default (None).
-PROFILE_ENV = "REPRO_PROFILE"
-
-#: The engine phases, in hot-path order.  ``sweep_commit`` is the
-#: kernel's ``commit_batch`` call, the only place the batched engine
-#: commits a query; ``reference`` is the per-query reference path.
-PHASES = (
-    "arrival_draw",
-    "sweep_commit",
-    "flush",
-    "listeners",
-    "actions",
-    "delegate",
-    "materialise",
-    "reference",
+#: span name -> (module, class or None for a module function, attributes).
+#: One name may cover several callables.  The runner binds
+#: ``run_queries_reference`` at import, so that binding is the one wrapped.
+SPANS = (
+    ("scenarios.execute_scenario", "repro.scenarios.runner", None, ("execute_scenario",)),
+    ("sim.reference", "repro.scenarios.runner", None, ("run_queries_reference",)),
+    ("traces.replay_recording", "repro.traces.record", None, ("replay_recording",)),
+    ("traces.read_recording", "repro.traces.record", None, ("read_recording",)),
+    ("traces.write_recording", "repro.traces.record", None, ("write_recording",)),
+    ("obs.build_manifest", "repro.obs.manifest", None, ("build_manifest",)),
+    ("sim.engine", "repro.cluster.deployment", "Deployment", ("run_queries_fast",)),
+    ("sim.build", *_ENGINE, ("_build",)),
+    ("sim.refresh", *_ENGINE, ("_refresh_values", "_refresh_busy", "_reread")),
+    ("sim.commit_chunk", *_ENGINE, ("_commit_chunk",)),
+    ("sim.arrival_draw", "repro.sim.network", "NetworkModel", ("sample_rtts",)),
+    ("kernels.commit_batch", "repro.kernels.base", "SweepKernel", ("commit_batch",)),
+    ("kernels.commit_batch", "repro.kernels.compiled", "CompiledKernel", ("commit_batch",)),
+    ("kernels.select", "repro.kernels.compiled", "CompiledKernel", ("select",)),
+    ("sim.flush", *_ENGINE, ("_flush_bulk",)),
+    ("sim.emit_records", *_ENGINE, ("_emit_records",)),
+    ("sim.materialise", *_ENGINE, ("_materialise",)),
+    ("sim.actions", *_ENGINE, ("_fire",)),
+    ("sim.apply_updates", *_ENGINE, ("_apply_updates",)),
+    ("sim.delegate", *_ENGINE, ("_delegate",)),
+    ("cluster.run_query", "repro.cluster.deployment", "Deployment", ("run_query",)),
+    ("cluster.apply_update", "repro.cluster.deployment", "Deployment", ("apply_update",)),
+    (
+        "cluster.membership",
+        "repro.cluster.deployment",
+        "Deployment",
+        ("fail_node", "recover_node", "add_server", "remove_server"),
+    ),
+    ("core.cover_table.get", "repro.core.covertable", "CoverTableCache", ("get",)),
+    ("core.cover_table.build", "repro.core.covertable", "CoverTable", ("__init__",)),
+    ("admission.admit", "repro.admission.base", "AdmissionPolicy", ("admit",)),
+    ("admission.tick", "repro.admission.base", "AdmissionPolicy", ("tick",)),
+    ("control.observe_chunk", "repro.control.metrics", "MetricsCollector", ("observe_chunk",)),
+    ("control.snapshot", "repro.control.metrics", "MetricsCollector", ("snapshot",)),
+    ("control.step", "repro.control.controllers", "Controller", ("step",)),
+    (
+        "telemetry.archive_observe_chunk",
+        "repro.telemetry.archive",
+        "ArchiveWriter",
+        ("observe_chunk",),
+    ),
+    ("telemetry.archive_close", "repro.telemetry.archive", "ArchiveWriter", ("close",)),
 )
 
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
+#: chrome-trace events kept per span name; the totals cover every span.
+CHROME_EVENTS_PER_NAME = 20_000
+
+_MISSING = object()
 
 
-class PhaseProfiler:
-    """Accumulates exclusive per-phase wall time in nanoseconds.
+def span_owner(module: str, cls):
+    """The module, or the class in it, that holds a :data:`SPANS` row's
+    attributes."""
+    owner = importlib.import_module(module)
+    return owner if cls is None else getattr(owner, cls)
 
-    ``begin``/``end`` bracket a phase with proper nesting (a child's
-    inclusive time is subtracted from its parent's exclusive total);
-    ``add_ns``/``add_s`` fold an externally measured duration into a
-    phase (and out of the currently open frame, if any).  Per-chunk
-    samples land in append-only columns for the trace export.
+
+class SpanRecorder:
+    """Records one span per call of every :data:`SPANS` entry point while
+    its ``with`` block runs; read the results after the block.
+
+    *clock* returns integer nanoseconds; a test can pass a counter to
+    make every duration exact.
     """
 
-    __slots__ = (
-        "epoch_ns",
-        "totals_ns",
-        "counts",
-        "wall_ns",
-        "_stack",
-        "_chunk_start",
-        "_chunk_nq",
-        "_chunk_t0",
-        "_chunk_draw",
-        "_chunk_kernel",
-        "_chunk_flush",
-    )
-
-    def __init__(self) -> None:
-        from ..telemetry.columns import GrowArray
-
-        self.epoch_ns = time.perf_counter_ns()
-        self.totals_ns: dict[str, int] = {}
-        self.counts: dict[str, int] = {}
+    def __init__(self, clock=time.monotonic_ns) -> None:
+        self.clock = clock
+        self.names: list[str] = []
+        self.name_id = array("i")
+        self.start = array("q")
+        self.end = array("q")
+        self.parent = array("i")
         self.wall_ns = 0
-        #: open frames: [phase, t0_ns, child_ns]
-        self._stack: list[list] = []
-        self._chunk_start = GrowArray(dtype="int64")
-        self._chunk_nq = GrowArray(dtype="int64")
-        self._chunk_t0 = GrowArray(dtype="int64")
-        self._chunk_draw = GrowArray(dtype="int64")
-        self._chunk_kernel = GrowArray(dtype="int64")
-        self._chunk_flush = GrowArray(dtype="int64")
+        self._t0 = 0
+        self._stack: list[int] = []
+        self._saved: list[tuple] = []
 
-    # -- accumulation ------------------------------------------------------
-    def begin(self, phase: str) -> None:
-        self._stack.append([phase, time.perf_counter_ns(), 0])
+    def __enter__(self) -> "SpanRecorder":
+        ids: dict[str, int] = {}
+        try:
+            for name, module, cls, attrs in SPANS:
+                owner = span_owner(module, cls)
+                nid = ids.setdefault(name, len(ids))
+                for attr in attrs:
+                    self._wrap(owner, attr, nid)
+        except BaseException:
+            self._restore()
+            raise
+        self.names = list(ids)
+        self._t0 = self.clock()
+        return self
 
-    def end(self) -> int:
-        """Close the innermost frame; returns its *inclusive* duration (ns)."""
-        phase, t0, child = self._stack.pop()
-        dur = time.perf_counter_ns() - t0
-        self.totals_ns[phase] = self.totals_ns.get(phase, 0) + dur - child
-        self.counts[phase] = self.counts.get(phase, 0) + 1
-        if self._stack:
-            self._stack[-1][2] += dur
-        return dur
+    def __exit__(self, *exc) -> None:
+        self.wall_ns = self.clock() - self._t0
+        self._restore()
 
-    def add_ns(self, phase: str, ns: int) -> None:
-        """Fold an externally measured duration into *phase*.
+    def _wrap(self, owner, attr: str, nid: int) -> None:
+        fn = getattr(owner, attr)
+        clock, stack = self.clock, self._stack
+        name_ids, starts, ends, parents = self.name_id, self.start, self.end, self.parent
 
-        Also charged to the open frame's children, so a measurement taken
-        inside a ``begin``/``end`` bracket is not double counted.
-        """
-        self.totals_ns[phase] = self.totals_ns.get(phase, 0) + ns
-        self.counts[phase] = self.counts.get(phase, 0) + 1
-        if self._stack:
-            self._stack[-1][2] += ns
+        @functools.wraps(fn)
+        def span(*args, **kwargs):
+            i = len(starts)
+            name_ids.append(nid)
+            parents.append(stack[-1] if stack else -1)
+            ends.append(0)
+            stack.append(i)
+            starts.append(clock())
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                ends[i] = clock()
+                stack.pop()
 
-    def add_s(self, phase: str, seconds: float) -> None:
-        self.add_ns(phase, int(seconds * 1e9))
+        self._saved.append((owner, attr, vars(owner).get(attr, _MISSING)))
+        setattr(owner, attr, span)
 
-    def add_wall(self, seconds: float) -> None:
-        """Account one engine run's end-to-end wall clock."""
-        self.wall_ns += int(seconds * 1e9)
-
-    def record_chunk(
-        self,
-        start: int,
-        nq: int,
-        t0_ns: int,
-        draw_ns: int,
-        kernel_ns: int,
-        flush_ns: int,
-    ) -> None:
-        """One bulk chunk's sample: query range + phase durations."""
-        self._chunk_start.append(start)
-        self._chunk_nq.append(nq)
-        self._chunk_t0.append(t0_ns - self.epoch_ns)
-        self._chunk_draw.append(draw_ns)
-        self._chunk_kernel.append(kernel_ns)
-        self._chunk_flush.append(flush_ns)
+    def _restore(self) -> None:
+        """Put back every original callable, last wrapped first."""
+        while self._saved:
+            owner, attr, original = self._saved.pop()
+            if original is _MISSING:
+                delattr(owner, attr)
+            else:
+                setattr(owner, attr, original)
 
     # -- reporting ---------------------------------------------------------
-    @property
-    def n_chunks(self) -> int:
-        return self._chunk_start.n
-
-    def total_ns(self) -> int:
-        return sum(self.totals_ns.values())
-
-    def coverage(self) -> float:
-        """Fraction of the measured wall the phase totals explain."""
-        if self.wall_ns <= 0:
-            return float("nan")
-        return self.total_ns() / self.wall_ns
-
     def summary(self) -> dict:
-        """JSON-ready totals: per-phase ns + call counts, wall, coverage."""
+        """``wall_ns``, ``unattributed_ns`` (the wall minus the root spans)
+        and, per span name that was called, ``calls``, ``total_ns`` and
+        ``self_ns``."""
+        import numpy as np
+
+        ids = np.frombuffer(self.name_id, dtype=np.int32)
+        dur = np.frombuffer(self.end, dtype=np.int64) - np.frombuffer(
+            self.start, dtype=np.int64
+        )
+        parents = np.frombuffer(self.parent, dtype=np.int32)
+        nested = parents >= 0
+        selfs = dur.copy()
+        np.subtract.at(selfs, parents[nested], dur[nested])
+        k = len(self.names)
+        calls = np.bincount(ids, minlength=k)
+        total_ns = np.zeros(k, dtype=np.int64)
+        self_ns = np.zeros(k, dtype=np.int64)
+        np.add.at(total_ns, ids, dur)
+        np.add.at(self_ns, ids, selfs)
         return {
             "wall_ns": self.wall_ns,
-            "phases": {
-                name: {"ns": ns, "calls": self.counts.get(name, 0)}
-                for name, ns in sorted(self.totals_ns.items())
+            "unattributed_ns": self.wall_ns - int(dur[~nested].sum()),
+            "spans": {
+                name: {
+                    "calls": int(calls[i]),
+                    "total_ns": int(total_ns[i]),
+                    "self_ns": int(self_ns[i]),
+                }
+                for i, name in enumerate(self.names)
+                if calls[i]
             },
-            "coverage": self.coverage(),
-            "n_chunks": self.n_chunks,
         }
 
-    def phase_us_per_query(self, n_queries: int) -> dict[str, float]:
-        """Per-phase microseconds per query (``repro profile --json``)."""
-        n = max(int(n_queries), 1)
-        return {
-            name: round(1e-3 * ns / n, 4)
-            for name, ns in sorted(self.totals_ns.items())
-        }
-
-    def columns(self) -> dict:
-        """Per-chunk samples as archive-ready numpy columns."""
-        return {
-            "prof_chunk_start": self._chunk_start.copy(),
-            "prof_chunk_nq": self._chunk_nq.copy(),
-            "prof_chunk_t0_ns": self._chunk_t0.copy(),
-            "prof_chunk_draw_ns": self._chunk_draw.copy(),
-            "prof_chunk_kernel_ns": self._chunk_kernel.copy(),
-            "prof_chunk_flush_ns": self._chunk_flush.copy(),
-        }
-
-    def render_table(self, n_queries: int | None = None) -> str:
-        """Human-readable phase breakdown (the ``repro profile`` table)."""
-        wall = self.wall_ns
-        lines = [
-            f"{'phase':14s} {'calls':>8s} {'total ms':>10s} "
-            f"{'us/query':>10s} {'share':>7s}"
-        ]
-        order = [p for p in PHASES if p in self.totals_ns]
-        order += [p for p in sorted(self.totals_ns) if p not in order]
-        for name in order:
-            ns = self.totals_ns[name]
-            per_q = (
-                f"{1e-3 * ns / n_queries:>10.2f}"
-                if n_queries
-                else f"{'-':>10s}"
-            )
-            share = f"{ns / wall:>6.1%}" if wall > 0 else f"{'-':>7s}"
+    def render_table(self) -> str:
+        """The ``repro profile`` table: spans by self time, then the
+        unattributed rest and the wall."""
+        s = self.summary()
+        wall = max(s["wall_ns"], 1)
+        rows = sorted(s["spans"].items(), key=lambda kv: -kv[1]["self_ns"])
+        lines = [f"{'span':32s} {'calls':>8s} {'total ms':>10s} {'self ms':>10s} {'share':>7s}"]
+        for name, v in rows:
             lines.append(
-                f"{name:14s} {self.counts.get(name, 0):>8d} "
-                f"{ns / 1e6:>10.2f} {per_q} {share}"
+                f"{name:32s} {v['calls']:>8d} {v['total_ns'] / 1e6:>10.2f} "
+                f"{v['self_ns'] / 1e6:>10.2f} {v['self_ns'] / wall:>7.1%}"
             )
-        if wall > 0:
-            other = wall - self.total_ns()
-            per_q = (
-                f"{1e-3 * other / n_queries:>10.2f}"
-                if n_queries
-                else f"{'-':>10s}"
-            )
-            lines.append(
-                f"{'other':14s} {'-':>8s} {other / 1e6:>10.2f} "
-                f"{per_q} {other / wall:>6.1%}"
-            )
-            lines.append(
-                f"{'wall':14s} {'-':>8s} {wall / 1e6:>10.2f} "
-                f"{'':>10s} {self.coverage():>6.1%} covered"
-            )
+        rest = s["unattributed_ns"]
+        lines.append(
+            f"{'unattributed':32s} {'-':>8s} {rest / 1e6:>10.2f} "
+            f"{rest / 1e6:>10.2f} {rest / wall:>7.1%}"
+        )
+        lines.append(f"{'wall':32s} {'-':>8s} {s['wall_ns'] / 1e6:>10.2f}")
         return "\n".join(lines)
 
-    def chrome_trace(self) -> dict:
-        """The chunk spans as a chrome://tracing / Perfetto JSON object.
-
-        One "X" (complete) event per phase per bulk chunk, laid out
-        back-to-back from each chunk's real start timestamp; load the
-        file at ``chrome://tracing`` or https://ui.perfetto.dev.
-        """
+    def write_chrome_trace(self, path) -> None:
+        """Write the spans as chrome://tracing JSON (open it there or at
+        ui.perfetto.dev), at most :data:`CHROME_EVENTS_PER_NAME` events per
+        span name; ``otherData`` holds the full :meth:`summary`."""
+        t0 = self._t0
+        kept = [0] * len(self.names)
         events = []
-        starts = self._chunk_start.view().tolist()
-        nqs = self._chunk_nq.view().tolist()
-        t0s = self._chunk_t0.view().tolist()
-        draws = self._chunk_draw.view().tolist()
-        kernels = self._chunk_kernel.view().tolist()
-        flushes = self._chunk_flush.view().tolist()
-        for i in range(len(starts)):
-            ts = t0s[i] / 1e3  # chrome trace timestamps are microseconds
-            args = {"chunk": i, "start": starts[i], "nq": nqs[i]}
-            for name, dur_ns in (
-                ("arrival_draw", draws[i]),
-                ("sweep_commit", kernels[i]),
-                ("flush", flushes[i]),
-            ):
-                events.append(
-                    {
-                        "name": name,
-                        "cat": "engine",
-                        "ph": "X",
-                        "ts": round(ts, 3),
-                        "dur": round(dur_ns / 1e3, 3),
-                        "pid": 1,
-                        "tid": 1,
-                        "args": args,
-                    }
-                )
-                ts += dur_ns / 1e3
-        for name, ns in sorted(self.totals_ns.items()):
+        for nid, start, end in zip(self.name_id, self.start, self.end):
+            if kept[nid] >= CHROME_EVENTS_PER_NAME:
+                continue
+            kept[nid] += 1
             events.append(
                 {
-                    "name": f"total:{name}",
-                    "cat": "totals",
+                    "name": self.names[nid],
                     "ph": "X",
-                    "ts": 0.0,
-                    "dur": round(ns / 1e3, 3),
-                    "pid": 1,
-                    "tid": 2,
-                    "args": {"calls": self.counts.get(name, 0)},
+                    "pid": 0,
+                    "tid": 0,
+                    "ts": (start - t0) / 1e3,
+                    "dur": (end - start) / 1e3,
                 }
             )
-        return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-    def write_chrome_trace(self, path) -> None:
+        other = {"events_per_name_cap": CHROME_EVENTS_PER_NAME, **self.summary()}
         with open(path, "w") as fh:
-            json.dump(self.chrome_trace(), fh)
+            json.dump(
+                {"traceEvents": events, "displayTimeUnit": "ms", "otherData": other},
+                fh,
+            )
             fh.write("\n")
-
-
-def resolve_profile(profile) -> Optional[PhaseProfiler]:
-    """The engine-facing knob: kwarg beats environment beats off.
-
-    * ``None`` (the default) -- consult ``REPRO_PROFILE`` (truthy values:
-      1/true/yes/on, case-insensitive);
-    * an existing :class:`PhaseProfiler` -- use it (accumulates across
-      runs);
-    * any other truthy value -- a fresh profiler; falsy -- off.
-    """
-    if profile is None:
-        env = os.environ.get(PROFILE_ENV, "")
-        if env.strip().lower() in _TRUTHY:
-            return PhaseProfiler()
-        return None
-    if isinstance(profile, PhaseProfiler):
-        return profile
-    return PhaseProfiler() if profile else None

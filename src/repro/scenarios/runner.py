@@ -233,6 +233,9 @@ class ScenarioExecution:
     #: :class:`~repro.admission.records.ShedLog`); None when the scenario
     #: has no admission spec or the policy is accept-all.
     admission: object = None
+    #: the run's provenance manifest (:mod:`repro.obs.manifest`), as its
+    #: archive or recording carries it.
+    manifest: Optional[dict] = None
 
 
 @dataclass
@@ -718,6 +721,7 @@ def execute_scenario(
         wall_seconds=time.perf_counter() - wall_start,
         decisions=decision_log,
         admission=admission_controller,
+        manifest=manifest,
     )
 
 

@@ -100,7 +100,6 @@ from ..kernels.base import (
     SweepState,
 )
 from ..kernels.registry import get_kernel
-from ..obs.profiler import resolve_profile
 from ..telemetry.listeners import ChunkArrays
 from .server import TaskRecord
 
@@ -205,9 +204,6 @@ class BatchResult:
     chunk_sizes: list[int] = field(default_factory=list)
     #: actions fired from the exact-time queue during this run.
     actions_applied: int = 0
-    #: the run's :class:`~repro.obs.profiler.PhaseProfiler` when profiling
-    #: was enabled (``profile=`` / ``REPRO_PROFILE``); None otherwise.
-    profile: Optional[object] = None
     #: queries refused by the admission controller (``latencies`` holds
     #: NaN and ``query_ids`` -1 there, like drops -- but sheds never
     #: reached the scheduler, and the per-shed reasons live in the
@@ -249,20 +245,14 @@ class _Engine:
         record_assignments: bool,
         actions: Sequence[Action],
         kernel: SweepKernel,
-        profiler=None,
         admission=None,
     ) -> None:
         self.dep = deployment
-        #: admission controller, or None (the default).  Like the
-        #: profiler, every site below guards on ``is not None`` (and the
-        #: seam then passes no gate), so an admission-free run takes
-        #: exactly the pre-admission code path, bit for bit.
+        #: admission controller, or None (the default).  Every site below
+        #: guards on ``is not None`` (and the seam then passes no gate), so
+        #: an admission-free run takes exactly the pre-admission code
+        #: path, bit for bit.
         self.admission = admission
-        #: phase profiler, or None (the default).  Every instrumentation
-        #: site below guards on ``is not None`` so an unprofiled run makes
-        #: no profiler calls at all, and profiling only ever reads the
-        #: monotonic clock -- results stay bit-identical either way.
-        self.prof = profiler
         self.fe = deployment.frontend
         self.cfg = deployment.config
         self.network = deployment.network
@@ -456,10 +446,7 @@ class _Engine:
         if self.admission is not None:
             self.admission.log.record_chunk(log_start, nq, self.admission.shed)
 
-        prof = self.prof
         if dep.chunk_listeners:
-            if prof is not None:
-                prof.begin("listeners")
             chunk = ChunkArrays(
                 query_ids=qqid,
                 arrivals=qnow,
@@ -474,8 +461,6 @@ class _Engine:
             )
             for chunk_listener in dep.chunk_listeners:
                 chunk_listener.observe_chunk(chunk, log_start, nq)
-            if prof is not None:
-                prof.end()
 
         if self.trace_any:
             m = nq * pq
@@ -500,9 +485,6 @@ class _Engine:
         ``sync=False`` leaves a pending ``NodeStats.busy_until`` sync
         unwritten; a delegated query's own sync supersedes it.
         """
-        prof = self.prof
-        if prof is not None:
-            prof.begin("materialise")
         self.fe._query_counter = self.qid_last
         idx = np.flatnonzero(self.touched)
         if idx.size:
@@ -539,14 +521,9 @@ class _Engine:
                 self.stats_flat[g].busy_until = val
             self.st_sync_pending = False
             self.st_busy = None
-        if prof is not None:
-            prof.end()
 
     # -- actions -----------------------------------------------------------
     def _fire(self, action: Action) -> None:
-        prof = self.prof
-        if prof is not None:
-            prof.begin("actions")
         if action.fn is not None:
             self._materialise()
             new_pq = action.fn(action.time)
@@ -561,8 +538,6 @@ class _Engine:
         if action.updates:
             self._apply_updates(action.updates)
         self.actions_applied += 1
-        if prof is not None:
-            prof.end()
 
     def _apply_updates(self, updates) -> None:
         """Apply object updates on the mirrors, as
@@ -669,8 +644,6 @@ class _Engine:
         self._materialise()
 
         wall = time.perf_counter() - wall_start
-        if self.prof is not None:
-            self.prof.add_wall(wall)
         return BatchResult(
             arrivals=self.arrivals,
             latencies=self.latencies,
@@ -685,7 +658,6 @@ class _Engine:
             wall_seconds=wall,
             chunk_sizes=self.chunk_sizes,
             actions_applied=self.actions_applied,
-            profile=self.prof,
             shed=self.shed_n,
         )
 
@@ -777,31 +749,18 @@ class _Engine:
         gate = self.gate
         failed = self.failed if self.any_failed else None
         network = self.network
-        prof = self.prof
         if gate is not None:
             self.admission.export_bulk(gate)
         snapshot = (
             network.rng.getstate() if gate is not None or failed is not None else None
         )
-        # the profiler only brackets these statements with clock reads:
-        # the rng stream and the float sequence are untouched
-        c0 = time.perf_counter_ns()
         bufs.rtts[:nq] = network.sample_rtts(nq)
-        draw_ns = time.perf_counter_ns() - c0
         t0 = time.perf_counter()
         n = self.kernel.commit_batch(
             self.state, entry, self.plan, bufs, pos, nq, gate, failed
         )
         wall = time.perf_counter() - t0
-        if prof is None:
-            seen = self._close_chunk(pos, nq, n, pq, wall, entry, bufs, snapshot)
-        else:
-            prof.add_ns("arrival_draw", draw_ns)
-            prof.add_s("sweep_commit", wall)
-            prof.begin("flush")
-            seen = self._close_chunk(pos, nq, n, pq, wall, entry, bufs, snapshot)
-            flush_ns = prof.end()
-            prof.record_chunk(pos, seen, c0, draw_ns, int(wall * 1e9), flush_ns)
+        seen = self._close_chunk(pos, nq, n, pq, wall, entry, bufs, snapshot)
         if seen == nq:
             return pos + nq
         stop = pos + seen
@@ -967,9 +926,6 @@ class _Engine:
         picks plus any fall-back replacements, also when it dropped) are
         re-read into the mirrors and into each table's ``Q``.
         """
-        prof = self.prof
-        if prof is not None:
-            prof.begin("delegate")
         self._materialise(sync=False)
         self.st_busy = self.busy.tolist()
         nodes = self.nodes_flat
@@ -1000,8 +956,6 @@ class _Engine:
                 self.admission.observe(now, record.delay)
         if self.assignments is not None:
             self.assignments.append(executed if record is not None else ())
-        if prof is not None:
-            prof.end()
 
     def _reread(self, idx: list[int]) -> None:
         """Re-read the servers at flat indices *idx* (and their node stats)
@@ -1038,7 +992,6 @@ def run_queries_fast(
     record_assignments: bool = False,
     actions: Sequence[Action] | None = None,
     kernel: SweepKernel | str | None = None,
-    profile=None,
     admission=None,
 ) -> BatchResult:
     """Run a whole arrival trace through the batched path.
@@ -1052,13 +1005,6 @@ def run_queries_fast(
     per-query reference path, so fall-back semantics stay exact
     everywhere; the kernel's pick is handed to the fall-back, which then
     does not sweep again.
-
-    *profile* enables the engine-phase profiler: pass ``True`` (or a
-    :class:`~repro.obs.profiler.PhaseProfiler` to accumulate across runs);
-    the default ``None`` defers to the ``REPRO_PROFILE`` environment
-    variable.  When on, the result's ``profile`` attribute carries
-    per-phase totals and per-chunk samples; results are bit-identical to
-    an unprofiled run either way (see :mod:`repro.obs.profiler`).
 
     *admission* installs an admission controller at the arrival seam: a
     policy name/spec, an :class:`~repro.admission.base.AdmissionPolicy`
@@ -1078,7 +1024,6 @@ def run_queries_fast(
 
     arrivals = np.asarray(arrival_times, dtype=np.float64)
     acts = _sorted_actions(actions)
-    prof = resolve_profile(profile)
     adm = resolve_admission(admission)
     engine = _Engine(
         deployment,
@@ -1087,7 +1032,6 @@ def run_queries_fast(
         record_assignments,
         acts,
         get_kernel(kernel),
-        profiler=prof,
         admission=adm,
     )
     if engine.multi_lane:
@@ -1101,7 +1045,6 @@ def run_queries_fast(
             pq_fn,
             record_assignments=record_assignments,
             actions=acts,
-            profile=prof,
             admission=adm,
         )
     return engine.run()
@@ -1113,26 +1056,21 @@ def run_queries_reference(
     pq_fn: Callable[[float], int] | int | None = None,
     record_assignments: bool = False,
     actions: Sequence[Action] | None = None,
-    profile=None,
     admission=None,
 ) -> BatchResult:
     """The per-query reference path with the same exact-time action queue.
 
     Semantically interchangeable with :func:`run_queries_fast` -- the
     scenario runner uses it as the ``engine="reference"`` backend so both
-    engines share one definition of *when* an action lands.  *profile* is
-    the same knob as on the batched path; here the per-query work lands
-    in a single ``reference`` phase (plus ``actions``).  *admission* is
-    the same knob too, with the same backlog/delay signals (the busiest
+    engines share one definition of *when* an action lands.  *admission*
+    is the same knob as on the batched path, with the same backlog/delay signals (the busiest
     server's queued seconds, completed delays by arrival), so shed
     decisions are engine-independent.
     """
     require_numpy()
     from ..admission.registry import resolve_admission
 
-    prof = resolve_profile(profile)
     admission = resolve_admission(admission)
-    perf_ns = time.perf_counter_ns
     wall_start = time.perf_counter()
     arrivals = np.asarray(arrival_times, dtype=np.float64)
     acts = _sorted_actions(actions)
@@ -1160,12 +1098,7 @@ def run_queries_reference(
 
     for q_i in range(n_q):
         while ai < len(acts) and acts[ai].index <= q_i:
-            if prof is None:
-                new_pq = fire(acts[ai])
-            else:
-                a0 = perf_ns()
-                new_pq = fire(acts[ai])
-                prof.add_ns("actions", perf_ns() - a0)
+            new_pq = fire(acts[ai])
             if new_pq is not None:
                 pq_override = int(new_pq)
             actions_applied += 1
@@ -1186,12 +1119,7 @@ def run_queries_reference(
                 if assignments is not None:
                     assignments.append(())
                 continue
-        if prof is None:
-            record = deployment.run_query(now, pq)
-        else:
-            r0 = perf_ns()
-            record = deployment.run_query(now, pq)
-            prof.add_ns("reference", perf_ns() - r0)
+        record = deployment.run_query(now, pq)
         if record is None:
             dropped += 1
         else:
@@ -1205,19 +1133,12 @@ def run_queries_reference(
             executed = tuple(dict.fromkeys(deployment.last_submitted))
             assignments.append(executed if record is not None else ())
     while ai < len(acts):
-        if prof is None:
-            new_pq = fire(acts[ai])
-        else:
-            a0 = perf_ns()
-            new_pq = fire(acts[ai])
-            prof.add_ns("actions", perf_ns() - a0)
+        new_pq = fire(acts[ai])
         if new_pq is not None:
             pq_override = int(new_pq)
         actions_applied += 1
         ai += 1
     wall = time.perf_counter() - wall_start
-    if prof is not None:
-        prof.add_wall(wall)
     if admission is not None:
         # no chunks on this path: one whole-run summary row keeps the
         # shedchunk_* column totals comparable across engines
@@ -1236,6 +1157,5 @@ def run_queries_reference(
         wall_seconds=wall,
         chunk_sizes=[],
         actions_applied=actions_applied,
-        profile=prof,
         shed=shed,
     )

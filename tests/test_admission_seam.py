@@ -32,6 +32,7 @@ from repro.admission import AIMDAdmission, DelayGatedAdmission, ShedLog, get_pol
 from repro.admission.base import AdmissionPolicy
 from repro.kernels.base import AdmissionGate
 from repro.kernels.compiled import compiled_available
+from repro.obs.profiler import SpanRecorder
 from repro.sim import PoissonArrivals
 from repro.sim import fastpath
 from repro.sim.fastpath import Action, run_queries_reference
@@ -204,17 +205,20 @@ class TestPathsAgree:
             assert_deployments_identical(plain_dep, dep)
 
     def test_profiled_seam_is_identical(self, monkeypatch):
-        prints = []
-        for profile in (False, True):
-            dep = _build(n=12, seed=5)
-            pol = _aimd()
-            res = dep.run_queries_fast(
-                PoissonArrivals(90.0, seed=4).times(300), 4, profile=profile,
-                admission=pol,
-            )
-            assert (res.profile is not None) is profile
-            prints.append(_fingerprint(dep, res, pol))
-        assert prints[0] == prints[1]
+        """A run under the span recorder is the unrecorded run, byte for
+        byte, on every path: gated inside ``commit_batch`` (AIMD) and
+        asked per query (``delay_gated``)."""
+        for make_policy in (_aimd, _delay_gated):
+            for path in PATHS:
+                if path == "compiled" and not compiled_available():
+                    continue
+                dep, res, pol = _run(path, make_policy, monkeypatch)
+                with SpanRecorder() as rec:
+                    rdep, rres, rpol = _run(path, make_policy, monkeypatch)
+                assert _fingerprint(rdep, rres, rpol) == _fingerprint(dep, res, pol)
+                assert rres.assignments == res.assignments
+                assert_deployments_identical(dep, rdep)
+                assert rec.summary()["spans"]["admission.tick"]["calls"] == 6
 
     def test_seam_makes_no_per_query_admit_calls(self, monkeypatch):
         calls = []

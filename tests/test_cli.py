@@ -127,6 +127,27 @@ class TestInputFailsBeforeAnyRun:
         assert out == ""
         assert "unknown scheduling kernel 'bogus'" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["matrix", "--servers", "1", "--duration", "5", "--scenario", "steady"],
+        ["matrix", "-p", "0", "--duration", "5"],
+        ["matrix", "-p", "99", "--duration", "5"],
+        ["matrix", "--duration", "-3"],
+        ["matrix", "--rate", "-1", "--duration", "5"],
+        ["profile", "--servers", "1"],
+        ["profile", "-p", "0"],
+        ["profile", "-p", "99"],
+        ["profile", "--duration", "-3"],
+        ["profile", "--rate", "-1"],
+        ["record", "--servers", "0", "--out", "{tmp}/run.rec.npz"],
+        ["control", "--servers", "1"],
+    ])
+    def test_out_of_range_sizing_exits_2(self, argv, tmp_path, capsys):
+        assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("bad scenario: ")
+        assert not list(tmp_path.iterdir())  # nothing recorded
+
     def test_kernel_alias_resolves_to_its_name(self):
         assert build_parser().parse_args(["matrix", "--kernel", "exact"]).kernel == (
             "exact_numpy"

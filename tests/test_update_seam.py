@@ -259,7 +259,7 @@ def _fingerprint(dep, res):
     }
 
 
-def run_path(path, name, profile=None):
+def run_path(path, name):
     """One run of case *name* on *path*: ``(fingerprint, result)``."""
     dep_kw, pq, arrivals, plan = _case(name)
     dep = _deployment(**dep_kw)
@@ -273,7 +273,6 @@ def run_path(path, name, profile=None):
             pq,
             actions=acts,
             kernel="compiled" if path == "compiled" else "exact_numpy",
-            profile=profile,
         )
     fingerprint = _fingerprint(dep, res)
     fingerprint["seen by callbacks"] = seen
@@ -370,13 +369,21 @@ class TestDataUpdatesMatchTheReference:
         assert {ring_of["node-4"], ring_of["node-3"]} == {0, 1}
 
     def test_profiled_run_is_identical_and_adds_no_phase(self):
-        from repro.obs.profiler import PHASES
+        """Recorded, the batched paths are byte-identical, and data updates
+        stay on the mirrors: no ``Deployment.apply_update`` call."""
+        from repro.obs.profiler import SpanRecorder
 
-        plain, _ = run_path("python_seam", "coalesced")
-        profiled, res = run_path("python_seam", "coalesced", profile=True)
-        assert profiled == plain
-        assert "actions" in res.profile.totals_ns
-        assert set(res.profile.totals_ns) <= set(PHASES)
+        for path in _paths():
+            if path == "reference":
+                continue
+            plain, _ = run_path(path, "coalesced")
+            with SpanRecorder() as rec:
+                profiled, _ = run_path(path, "coalesced")
+            assert profiled == plain, path
+            spans = rec.summary()["spans"]
+            assert spans["sim.actions"]["calls"] > 0
+            assert spans["sim.apply_updates"]["calls"] > 0
+            assert "cluster.apply_update" not in spans
 
     def test_no_compiled_kernel_subprocess(self):
         code = """
