@@ -729,6 +729,7 @@ def _cmd_archive(args: argparse.Namespace) -> int:
         print(f"queries        : {info['n_queries']} "
               f"({info['dropped']} dropped)")
         print(f"columns        : {len(info['columns'])}")
+        print(f"derived        : {', '.join(info['derived']) or 'none'}")
         if "file_bytes" in info:
             print(f"file size      : {info['file_bytes']} B "
                   f"({info['bytes_per_query']:.1f} B/query)")

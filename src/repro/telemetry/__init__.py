@@ -64,7 +64,7 @@ __all__ = [
 ]
 
 
-def __getattr__(name):  # lazy: snapshot/archive pull in cluster/np.savez
+def __getattr__(name):  # lazy: snapshot/archive pull in cluster and numpy
     if name in (
         "SNAPSHOT_SCHEMA",
         "Snapshot",

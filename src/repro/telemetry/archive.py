@@ -3,9 +3,20 @@
 A run archive is the durable form of a run's telemetry: the delay-log and
 breakdown columns packed into one compressed ``.npz`` plus a JSON metadata
 blob (schema version, drop count, and caller-supplied context such as
-scenario name / engine / kernel).  Columns compress well -- float64 delay
-series run a few bytes per query -- so whole experiment matrices can be
-kept and diffed instead of re-run.
+scenario name / engine / kernel), at a few tens of bytes per query, so
+whole experiment matrices can be kept and diffed instead of re-run.
+
+Each fact is stored once.  :func:`write_meta_npz` -- the one writer of
+archives, recordings and snapshots -- leaves out a column that the file's
+other columns rebuild byte for byte (``bd_total`` is ``log_finish -
+log_arrival``; ``stim_arrivals``, ``log_subqueries`` and ``bd_scheduling``
+repeat ``log_arrival``, ``log_pq`` and ``log_scheduling``) and lists it in
+meta ``derived``; :func:`read_meta_npz` -- the one reader -- rebuilds it,
+so callers see every column either way.  The check runs per file: a run
+with drops, sheds or charged scheduling keeps whatever does not repeat.
+Every member deflates at :data:`DEFLATE_LEVEL`, and a writer writes
+exactly the path it is given, via a temporary file renamed over it once
+complete.  A raw :func:`numpy.load` sees only the stored columns.
 
 * :func:`write_archive` / :func:`read_archive` -- writer and reader (a
   recording, :mod:`repro.traces.record`, is an archive too);
@@ -35,6 +46,8 @@ Example -- write, read back, and diff a small run::
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import math
 import os
@@ -99,6 +112,21 @@ def _gate_exempt(name: str) -> bool:
     """
     return name in _WALL_COLUMNS or name.startswith("shedchunk_")
 
+#: zlib level of every member the writer deflates.  The float columns
+#: hardly compress at any level (to 75-92% of their size), and level 1
+#: deflates them in under half the time of zlib's default 6.
+DEFLATE_LEVEL = 1
+
+#: Columns the writer leaves out when the same file's stored columns
+#: rebuild them byte for byte: name -> (source columns, rebuild).  No
+#: source is itself derivable, so the reader rebuilds in any order.
+_DERIVED = {
+    "stim_arrivals": (("log_arrival",), lambda arrival: arrival.copy()),
+    "bd_total": (("log_finish", "log_arrival"), lambda finish, arrival: finish - arrival),
+    "log_subqueries": (("log_pq",), lambda pq: pq.copy()),
+    "bd_scheduling": (("log_scheduling",), lambda scheduling: scheduling.copy()),
+}
+
 #: storage dtype per archive column (little-endian, platform-independent).
 _COLUMN_DTYPES = {
     "log_query_id": "<i8",
@@ -135,11 +163,16 @@ def _archive_columns(wall_columns: bool = True) -> tuple[str, ...]:
 
 @dataclass
 class RunArchive:
-    """One archived run: JSON ``meta`` + named numpy columns."""
+    """One archived run: JSON ``meta`` + named numpy columns.
+
+    ``derived`` names the columns the file left out and the reader
+    rebuilt (every column is in ``columns`` either way).
+    """
 
     meta: dict
     columns: dict
     path: str | None = None
+    derived: tuple = ()
 
     @property
     def n_queries(self) -> int:
@@ -176,27 +209,81 @@ def collect_columns(deployment, wall_columns: bool = True) -> dict:
     }
 
 
+def write_meta_npz(path, meta: dict, columns: dict) -> None:
+    """Write *meta* and *columns* as one ``.npz`` at exactly *path*.
+
+    The one writer of archives, recordings and snapshots.  A column of
+    the derivation table (``_DERIVED``) that its sources in *columns*
+    rebuild byte for byte is left out and listed in the stored meta's
+    ``derived`` (a reserved key); :func:`read_meta_npz` rebuilds it.
+    Every member deflates at :data:`DEFLATE_LEVEL`.  A value in
+    *columns* may be a zero-argument callable that opens the array: it
+    is opened when needed and released right after, so a streamed
+    archive never maps all its spools at once.  The file is written
+    under a temporary name beside *path* and renamed over it once
+    complete; on any failure *path* is left as it was.
+    """
+    if "meta_json" in columns:
+        raise ValueError("column name 'meta_json' is reserved for the metadata")
+
+    def load(name):
+        col = columns[name]
+        return col() if callable(col) else np.asanyarray(col)
+
+    # derive only from sources shaped like log_query_id, as the reader checks
+    rows = load("log_query_id").shape if "log_query_id" in columns else None
+    derived = []
+    for name, (sources, rebuild) in _DERIVED.items():
+        if rows is not None and name in columns and all(s in columns for s in sources):
+            srcs = [load(s) for s in sources]
+            if all(s.shape == rows for s in srcs) and _same_bytes(
+                rebuild(*srcs), load(name)
+            ):
+                derived.append(name)
+            del srcs  # release the spools' mappings one check at a time
+    stored_meta = {k: v for k, v in meta.items() if k != "derived"}
+    if derived:
+        stored_meta["derived"] = derived
+    payload = np.frombuffer(json.dumps(stored_meta).encode("utf-8"), dtype=np.uint8)
+    path = os.fspath(path)
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh, zipfile.ZipFile(
+            fh, "w", zipfile.ZIP_DEFLATED, compresslevel=DEFLATE_LEVEL
+        ) as zf:
+            for name in ("meta_json", *columns):
+                if name in derived:
+                    continue
+                arr = payload if name == "meta_json" else load(name)
+                with zf.open(f"{name}.npy", "w", force_zip64=True) as out:
+                    np.lib.format.write_array(out, arr)
+                del arr
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def write_archive_columns(
     path, columns: dict, meta: dict | None = None, dropped: int = 0
 ) -> None:
-    """Write pre-collected *columns* as an archive at *path* (``.npz``)."""
+    """Write pre-collected *columns* as an archive at exactly *path*."""
     full_meta = dict(meta or {})
     full_meta["schema"] = ARCHIVE_SCHEMA
     full_meta.setdefault("dropped", dropped)
-    payload = np.frombuffer(
-        json.dumps(full_meta).encode("utf-8"), dtype=np.uint8
-    )
-    np.savez_compressed(path, meta_json=payload, **columns)
+    write_meta_npz(path, full_meta, columns)
 
 
 def write_archive(
     path, deployment, meta: dict | None = None, wall_columns: bool = True
 ) -> None:
-    """Archive *deployment*'s telemetry columns at *path* (``.npz``).
+    """Archive *deployment*'s telemetry columns at exactly *path*.
 
     *meta* is caller context (scenario name, engine, kernel, parameters);
     it must be JSON-serialisable and is stored under the caller's keys
-    (reserved keys: ``schema``, ``dropped``).  ``wall_columns=False``
+    (reserved keys: ``schema``, ``dropped``, ``derived``).  ``wall_columns=False``
     omits the wall-clock-derived columns, making the archive comparable
     bit-for-bit across runs of the same stimulus.
     """
@@ -215,9 +302,9 @@ class ArchiveWriter(ChunkListener):
     Register on ``deployment.chunk_listeners`` before the run; every
     flushed chunk's columns are appended to per-column raw spool files (a
     few array-to-bytes copies, no per-query python, nothing retained in
-    memory), and :meth:`close` assembles the final archive --
-    byte-compatible with :func:`write_archive` -- from the spools.  Use as
-    a context manager to guarantee cleanup::
+    memory), and :meth:`close` assembles the final archive at exactly
+    *path* -- byte-compatible with :func:`write_archive` -- from the
+    spools.  Use as a context manager to guarantee cleanup::
 
         with ArchiveWriter(path, meta={...}) as writer:
             deployment.chunk_listeners.append(writer)
@@ -267,7 +354,10 @@ class ArchiveWriter(ChunkListener):
         *extra_columns* adds arbitrary caller-supplied numpy columns
         (e.g. the control plane's ``dec_*`` decision columns) next to the
         streamed per-query ones; :func:`read_archive` returns every
-        non-meta column generically, so they round-trip for free.
+        non-meta column generically, so they round-trip for free.  A
+        close that fails -- an extra column that collides with a
+        streamed one included -- writes nothing and leaves *path* as it
+        was; the spools are discarded either way.
         """
         if self._closed:
             return
@@ -278,38 +368,27 @@ class ArchiveWriter(ChunkListener):
         for fp in self._spools.values():
             fp.close()
         try:
-            payload = np.frombuffer(
-                json.dumps(full_meta).encode("utf-8"), dtype=np.uint8
-            )
-            with zipfile.ZipFile(
-                self.path, "w", zipfile.ZIP_DEFLATED
-            ) as zf:
-                with zf.open("meta_json.npy", "w") as out:
-                    np.lib.format.write_array(out, payload, version=(1, 0))
-                for name in self._columns:
-                    dtype = _column_dtype(name)
-                    spool = os.path.join(self._spool_dir, name)
-                    if self.n_rows:
-                        arr = np.memmap(
-                            spool, dtype=dtype, mode="r", shape=(self.n_rows,)
-                        )
-                    else:
-                        arr = np.empty(0, dtype=dtype)
-                    with zf.open(f"{name}.npy", "w") as out:
-                        np.lib.format.write_array(out, arr, version=(1, 0))
-                    del arr  # release the memmap before the spool unlinks
-                for name, col in (extra_columns or {}).items():
-                    if name in self._columns or name == "meta_json":
-                        raise ValueError(
-                            f"extra column {name!r} collides with a "
-                            "streamed archive column"
-                        )
-                    with zf.open(f"{name}.npy", "w") as out:
-                        np.lib.format.write_array(
-                            out, np.ascontiguousarray(col), version=(1, 0)
-                        )
+            extra = extra_columns or {}
+            for name in extra:
+                if name in self._columns:
+                    raise ValueError(
+                        f"extra column {name!r} collides with a "
+                        "streamed archive column"
+                    )
+            streamed = {
+                name: functools.partial(self._spooled, name) for name in self._columns
+            }
+            write_meta_npz(self.path, full_meta, {**streamed, **extra})
         finally:
             self._cleanup()
+
+    def _spooled(self, name: str) -> "np.ndarray":
+        """Column *name* mapped from its spool (read-only)."""
+        dtype = _column_dtype(name)
+        if not self.n_rows:
+            return np.empty(0, dtype=dtype)
+        spool = os.path.join(self._spool_dir, name)
+        return np.memmap(spool, dtype=dtype, mode="r", shape=(self.n_rows,))
 
     def abort(self) -> None:
         """Discard the spools without writing an archive."""
@@ -330,26 +409,63 @@ class ArchiveWriter(ChunkListener):
         self.abort()  # no-op when close() already ran
 
 
-def read_meta_npz(path, kind: str, error: type = ValueError) -> tuple[dict, dict]:
-    """``(meta, columns)`` of an ``.npz`` that carries a ``meta_json`` column.
+def read_meta_npz(
+    path, kind: str, fix: str, error: type = ValueError
+) -> tuple[dict, dict, list]:
+    """``(meta, columns, derived)`` of an ``.npz`` that carries a
+    ``meta_json`` column -- the one reader behind :func:`read_archive`,
+    :func:`~repro.traces.record.read_recording` and
+    :meth:`~repro.telemetry.snapshot.Snapshot.load`.
 
-    A file that numpy cannot read -- truncated, empty, not a zip, or
-    without ``meta_json`` -- raises *error* with the path, the problem and
-    the fix, not zipfile's or numpy's bare exception.  A missing file
-    still raises ``OSError``.
+    The columns meta ``derived`` names are rebuilt from the stored ones
+    and the key leaves *meta* (it comes back as *derived*), so a caller
+    sees the same meta and columns whether :func:`write_meta_npz` left a
+    column out or a writer stored them all.  A file that numpy cannot
+    read -- truncated, empty, not a zip, or without ``meta_json`` --
+    raises *error* with the path, the problem and the fix, not zipfile's
+    or numpy's bare exception; a ``derived`` list this build cannot
+    rebuild -- an unknown column, or a source column missing or not
+    shaped like ``log_query_id`` -- raises *error* naming the path, the
+    column and *fix*.  A missing file still raises ``OSError``.
     """
-    fix = f"the file is truncated or is not a {kind}; write it again"
+    unreadable = f"the file is truncated or is not a {kind}; write it again"
     try:
         with np.load(path) as data:
             if "meta_json" not in data.files:
                 raise KeyError("meta_json")
             meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
+            if not isinstance(meta, dict):
+                raise ValueError("meta_json is not a JSON object")
             columns = {k: data[k] for k in data.files if k != "meta_json"}
     except KeyError:
-        raise error(f"{path}: column 'meta_json' is missing; {fix}") from None
+        raise error(f"{path}: column 'meta_json' is missing; {unreadable}") from None
     except (zipfile.BadZipFile, zlib.error, EOFError, TypeError, ValueError) as exc:
-        raise error(f"{path}: not a readable {kind} ({exc}); {fix}") from None
-    return meta, columns
+        raise error(f"{path}: not a readable {kind} ({exc}); {unreadable}") from None
+    derived = meta.pop("derived", [])
+    if not isinstance(derived, list):
+        raise error(f"{path}: meta key 'derived' is not a list of columns; {fix}")
+    for name in derived:
+        if not isinstance(name, str) or name not in _DERIVED:
+            raise error(
+                f"{path}: derived column {name!r} is not one this build "
+                f"rebuilds; {fix}"
+            )
+        sources, rebuild = _DERIVED[name]
+        for source in ("log_query_id", *sources):
+            if source not in columns:
+                raise error(
+                    f"{path}: column {source!r} is missing, and derived column "
+                    f"{name!r} is rebuilt from it; {fix}"
+                )
+            shape, want = columns[source].shape, columns["log_query_id"].shape
+            if shape != want:
+                raise error(
+                    f"{path}: column {source!r} has shape {shape}, 'log_query_id' "
+                    f"has {want}, and derived column {name!r} is rebuilt from it; "
+                    f"{fix}"
+                )
+        columns[name] = rebuild(*(columns[s] for s in sources))
+    return meta, columns, derived
 
 
 def check_columns(path, columns: dict, fix: str, error: type = ValueError) -> None:
@@ -415,7 +531,8 @@ def read_archive(path, kind: str = "run archive") -> RunArchive:
     *kind* names what the file should be in the error an unreadable file
     raises.
     """
-    meta, columns = read_meta_npz(path, kind)
+    fix = "the archive is corrupt -- write it again"
+    meta, columns, derived = read_meta_npz(path, kind, fix)
     schema = meta.get("schema")
     if schema != ARCHIVE_SCHEMA:
         raise ValueError(
@@ -423,8 +540,10 @@ def read_archive(path, kind: str = "run archive") -> RunArchive:
             f"(this build reads schema {ARCHIVE_SCHEMA}); write the archive "
             "again with this build"
         )
-    check_columns(path, columns, "the archive is corrupt -- write it again")
-    return RunArchive(meta=meta, columns=columns, path=str(path))
+    check_columns(path, columns, fix)
+    return RunArchive(
+        meta=meta, columns=columns, path=str(path), derived=tuple(derived)
+    )
 
 
 def archive_info(archive: RunArchive) -> dict:
@@ -436,6 +555,7 @@ def archive_info(archive: RunArchive) -> dict:
         "n_queries": n,
         "dropped": archive.meta.get("dropped", 0),
         "columns": sorted(archive.columns),
+        "derived": sorted(archive.derived),
         "meta": {
             k: v
             for k, v in archive.meta.items()

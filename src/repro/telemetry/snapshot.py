@@ -21,8 +21,9 @@ expressible through the public API, so this is not a practical constraint.
 Serialisation: scalar/object state goes into a JSON-able ``meta`` dict
 (schema-versioned via :data:`SNAPSHOT_SCHEMA`); the telemetry columns ride
 alongside as numpy arrays.  :meth:`Snapshot.save` packs both into one
-compressed ``.npz``; floats survive the JSON leg exactly (``repr``-based
-round trip).
+compressed ``.npz`` through the run archives' writer, which leaves out the
+columns the others rebuild (:mod:`repro.telemetry.archive`); floats
+survive the JSON leg exactly (``repr``-based round trip).
 
 Deployments with real object stores (``store_objects=True``) are refused:
 replica inventories are derived state of the reconfigurator and are out of
@@ -40,7 +41,7 @@ except ImportError:  # pragma: no cover - the image bakes numpy in
     np = None  # type: ignore[assignment]
 
 from .. import _rng
-from .archive import check_columns, read_meta_npz
+from .archive import check_columns, read_meta_npz, write_meta_npz
 
 __all__ = [
     "SNAPSHOT_SCHEMA",
@@ -71,16 +72,14 @@ class Snapshot:
     columns: dict
 
     def save(self, path) -> None:
-        """Write a compressed ``.npz`` archive of this snapshot."""
-        payload = np.frombuffer(
-            json.dumps(self.meta).encode("utf-8"), dtype=np.uint8
-        )
-        np.savez_compressed(path, meta_json=payload, **self.columns)
+        """Write this snapshot as a compressed ``.npz`` at exactly *path*."""
+        write_meta_npz(path, self.meta, self.columns)
 
     @classmethod
     def load(cls, path) -> "Snapshot":
         """Read a snapshot written by :meth:`save`."""
-        meta, columns = read_meta_npz(path, "snapshot", SnapshotError)
+        fix = "the snapshot is corrupt -- take it again"
+        meta, columns, _ = read_meta_npz(path, "snapshot", fix, SnapshotError)
         schema = meta.get("schema")
         if schema != SNAPSHOT_SCHEMA:
             raise SnapshotError(
@@ -88,9 +87,7 @@ class Snapshot:
                 f"(this build reads schema {SNAPSHOT_SCHEMA}); take the "
                 "snapshot again with this build"
             )
-        check_columns(
-            path, columns, "the snapshot is corrupt -- take it again", SnapshotError
-        )
+        check_columns(path, columns, fix, SnapshotError)
         return cls(meta=meta, columns=columns)
 
 

@@ -17,8 +17,12 @@ recordings do not store them and replays do not compare them.
 Being a run archive, a recording reads as one: ``repro archive info``,
 ``repro archive diff`` and ``repro explain`` take it as it is.  ``repro
 record`` / ``repro replay`` are the CLI veneer; recordings are ``.npz``
-files readable by :func:`numpy.load` and replayable as plain traces
-through the ``recording`` dataloader.
+files, replayable as plain traces through the ``recording`` dataloader.
+Read them with :func:`read_recording` or
+:func:`~repro.telemetry.archive.read_archive`: the writer leaves out the
+columns the others rebuild (``stim_arrivals`` repeats ``log_arrival``
+unless queries were dropped or shed), so a raw :func:`numpy.load` sees
+only the stored ones.
 """
 
 from __future__ import annotations
@@ -210,7 +214,8 @@ def read_recording(path) -> Recording:
     """
     from ..telemetry.archive import ARCHIVE_SCHEMA, check_columns, read_meta_npz
 
-    meta, columns = read_meta_npz(path, "recording")
+    fix = "the recording is corrupt -- record the run again"
+    meta, columns, _ = read_meta_npz(path, "recording", fix)
     if meta.get("kind") != "recording":
         raise ValueError(
             f"{path}: not a recording (kind={meta.get('kind')!r}); "
@@ -225,7 +230,6 @@ def read_recording(path) -> Recording:
                 f"{path}: {key} {meta.get(key)!r} not supported (this build "
                 f"reads {version}); record the run again with this build"
             )
-    fix = "the recording is corrupt -- record the run again"
     if "scenario_spec" not in meta:
         raise ValueError(f"{path}: meta key 'scenario_spec' is missing; {fix}")
     check_columns(path, columns, fix)

@@ -20,6 +20,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 np = pytest.importorskip("numpy")
 
@@ -402,13 +403,17 @@ class TestArchive:
 
 
 def _malformed_npz(path, kind, write):
-    """Write a *kind* ("truncated" or "no-meta") malformed ``.npz`` at *path*."""
+    """Write a *kind* ("truncated", "no-meta" or "meta-not-object")
+    malformed ``.npz`` at *path*."""
     if kind == "truncated":
         write(path)
         with open(path, "rb") as fh:
             head = fh.read()
         with open(path, "wb") as fh:
             fh.write(head[: len(head) // 2])
+    elif kind == "meta-not-object":
+        payload = np.frombuffer(b"[1, 2]", dtype=np.uint8)
+        np.savez_compressed(path, meta_json=payload, log_arrival=np.arange(3.0))
     else:
         np.savez_compressed(path, log_arrival=np.arange(3.0))
     return path
@@ -423,7 +428,11 @@ def _write_small_archive(path):
 class TestMalformedArchive:
     @pytest.mark.parametrize(
         "kind, problem",
-        [("truncated", "not a readable run archive"), ("no-meta", "'meta_json' is missing")],
+        [
+            ("truncated", "not a readable run archive"),
+            ("no-meta", "'meta_json' is missing"),
+            ("meta-not-object", "meta_json is not a JSON object"),
+        ],
     )
     def test_read_archive_names_file_and_fix(self, tmp_path, kind, problem):
         path = _malformed_npz(str(tmp_path / "bad.npz"), kind, _write_small_archive)
@@ -434,7 +443,7 @@ class TestMalformedArchive:
         assert problem in msg
         assert "truncated or is not a run archive; write it again" in msg
 
-    @pytest.mark.parametrize("kind", ["truncated", "no-meta"])
+    @pytest.mark.parametrize("kind", ["truncated", "no-meta", "meta-not-object"])
     def test_cli_exits_2_naming_the_file(self, tmp_path, capsys, kind):
         from repro.cli import main
 
@@ -452,15 +461,22 @@ class TestMalformedArchive:
 
 
 def _short_or_missing(path, kind):
-    """Rewrite the ``.npz`` at *path* with ``log_finish`` deleted
-    ("missing") or three rows short ("short"); returns its row count."""
-    with np.load(path) as data:
-        arrays = {k: data[k] for k in data.files}
+    """Rewrite the ``.npz`` at *path* with every column stored and
+    ``log_finish`` deleted ("missing") or three rows short ("short");
+    returns its row count.  The columns come through the reader, so the
+    ones the writer left out are stored too: every other column is as
+    the writer was given it."""
+    import json
+
+    from repro.telemetry.archive import read_meta_npz
+
+    meta, arrays, _ = read_meta_npz(path, "file", "")
     if kind == "missing":
         del arrays["log_finish"]
     else:
         arrays["log_finish"] = arrays["log_finish"][:-3]
-    np.savez_compressed(path, **arrays)
+    payload = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    np.savez_compressed(path, meta_json=payload, **arrays)
     return arrays["log_query_id"].size
 
 
@@ -553,6 +569,31 @@ class TestArchiveCli:
         assert main(["archive", "info", a,
                      "--gate-bytes-per-query", "0.001"]) == 1
 
+    def test_info_names_the_derived_columns(self, tmp_path, capsys):
+        """``info`` lists what the file left out; the column count still
+        counts every column a reader returns."""
+        import json
+
+        from repro.cli import main
+
+        plain, rec, old = (str(tmp_path / n) for n in ("plain.npz", "rec.npz", "old.npz"))
+        _write_small_archive(plain)
+        _recorded(rec)
+        arch = read_archive(plain)
+        payload = np.frombuffer(json.dumps(arch.meta).encode("utf-8"), dtype=np.uint8)
+        np.savez_compressed(old, meta_json=payload, **arch.columns)
+        for path, derived, n_columns in (
+            (plain, ["bd_scheduling", "bd_total", "log_subqueries"], 11),
+            (rec, ["bd_total", "log_subqueries", "stim_arrivals"], 12),
+            (old, [], 11),
+        ):
+            info = archive_info(read_archive(path))
+            assert info["derived"] == derived and len(info["columns"]) == n_columns
+            assert main(["archive", "info", path]) == 0
+            out = capsys.readouterr().out
+            assert f"columns        : {n_columns}\n" in out
+            assert f"derived        : {', '.join(derived) or 'none'}\n" in out
+
     def test_diff_exits_nonzero_on_divergence(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -564,3 +605,401 @@ class TestArchiveCli:
         write_archive(b, dep_b)
         assert main(["archive", "diff", a, b]) == 1
         assert "DIVERGENT" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# One writer: each fact stored once, exact paths, nothing half-written
+# ---------------------------------------------------------------------------
+
+
+def _stored(path):
+    """The columns the file itself stores: what a raw ``numpy.load`` sees."""
+    with np.load(path) as data:
+        return set(data.files) - {"meta_json"}
+
+
+def _assert_same_columns(got, want):
+    """Same column names, and each column equal in dtype, shape and bytes."""
+    assert sorted(got) == sorted(want)
+    for name, col in want.items():
+        col = np.asarray(col)
+        assert (got[name].dtype, got[name].shape) == (col.dtype, col.shape), name
+        assert got[name].tobytes() == col.tobytes(), name
+
+
+def _rewrite_raw(path, edit):
+    """Rewrite the file's stored members as they are, after
+    ``edit(meta, arrays)`` -- meta keeps the writer's ``derived`` list."""
+    import json
+
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(bytes(arrays.pop("meta_json")).decode("utf-8"))
+    edit(meta, arrays)
+    payload = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    np.savez_compressed(path, meta_json=payload, **arrays)
+
+
+def _scenario(kind, seed):
+    from repro.scenarios import EventSpec, Scenario, UpdateSpec, WorkloadSpec
+    from repro.scenarios.spec import AdmissionSpec
+
+    base = dict(
+        n_servers=8, p=3, dataset_size=1e6, seed=seed,
+        workload=WorkloadSpec(kind="poisson", rate=8.0, duration=6.0),
+    )
+    crowd = WorkloadSpec(kind="poisson", rate=30.0, duration=6.0)
+    base.update({
+        "plain": {},
+        "updates": dict(updates=UpdateSpec(rate=4.0)),
+        # a rack of 3 fails: queries delegate around it, none drops
+        "failure-window": dict(
+            workload=crowd,
+            events=(EventSpec(at=2.0, action="fail-rack", count=3, value=2),),
+        ),
+        # 5 of 8 fail at p=2: some ranges lose every replica, queries drop
+        "drops": dict(
+            workload=crowd, p=2,
+            events=(EventSpec(at=2.0, action="fail-rack", count=5, value=0),),
+        ),
+        "sheds": dict(
+            workload=WorkloadSpec(kind="poisson", rate=400.0, duration=3.0),
+            admission=AdmissionSpec(policy="aimd", slo=0.2),
+        ),
+        "empty": dict(workload=WorkloadSpec(kind="poisson", rate=0.001, duration=1.0)),
+    }[kind])
+    return Scenario(name=kind, **base)
+
+
+class TestStoredOnce:
+    """Every writer leaves out what the file's other columns rebuild byte
+    for byte, and every reader rebuilds it: callers see the same columns
+    and meta whichever layout wrote the file."""
+
+    @pytest.mark.parametrize(
+        "kind", ["plain", "updates", "failure-window", "drops", "sheds", "empty", "charged"]
+    )
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(1, 40), record=st.booleans())
+    def test_every_writer_round_trips_a_run(self, kind, seed, record):
+        import os
+        import tempfile
+
+        from repro.scenarios import execute_scenario
+        from repro.telemetry.archive import (
+            _DERIVED,
+            ArchiveWriter,
+            collect_columns,
+            write_archive_columns,
+        )
+        from repro.telemetry.snapshot import Snapshot, capture_deployment
+
+        with tempfile.TemporaryDirectory() as tmp:
+            streamed = os.path.join(tmp, "streamed.npz")
+            extra = {}
+            if kind == "charged":  # measured scheduling: bd_total may not derive
+                dep = Deployment(DeploymentConfig(
+                    models=hen_testbed(8), p=4, seed=seed, charge_scheduling=True,
+                ))
+                writer = ArchiveWriter(streamed, wall_columns=not record)
+                dep.chunk_listeners.append(writer)
+                dep.run_queries_fast(PoissonArrivals(40.0, seed=seed).times(48), 4)
+                writer.close(dropped=dep.log.dropped)
+            else:
+                ex = execute_scenario(
+                    _scenario(kind, seed),
+                    **{("record_path" if record else "archive_path"): streamed},
+                )
+                dep = ex.deployment
+                if ex.admission is not None:
+                    extra.update(ex.admission.log.columns())
+                assert {  # the run has what its kind is about
+                    "failure-window": ex.batch.delegated and not ex.batch.dropped,
+                    "drops": ex.batch.dropped,
+                    "sheds": ex.batch.shed,
+                    "updates": ex.updates_applied,
+                    "empty": not len(ex.batch.arrivals),
+                }.get(kind, True)
+            want = {**collect_columns(dep, wall_columns=not record), **extra}
+            got = read_archive(streamed)
+            if record and kind != "charged":
+                stim = {k: v for k, v in got.columns.items() if k.startswith("stim_")}
+                assert stim["stim_arrivals"].tobytes() == ex.batch.arrivals.tobytes()
+                assert stim["stim_update_times"].size == ex.updates_applied
+                want.update(stim)
+            _assert_same_columns(got.columns, want)
+            assert got.meta["dropped"] == dep.log.dropped
+            assert "derived" not in got.meta
+            assert set(got.derived) <= set(_DERIVED)
+            assert _stored(streamed) == set(want) - set(got.derived)
+
+            whole = os.path.join(tmp, "whole.npz")
+            write_archive_columns(whole, want, meta={"kind": kind})
+            again = read_archive(whole)
+            _assert_same_columns(again.columns, want)
+            assert again.meta == {"kind": kind, "schema": ARCHIVE_SCHEMA, "dropped": 0}
+            assert again.derived == got.derived
+
+            snap = capture_deployment(dep)
+            snap_path = os.path.join(tmp, "snap.npz")
+            snap.save(snap_path)
+            loaded = Snapshot.load(snap_path)
+            assert loaded.meta == snap.meta
+            _assert_same_columns(loaded.columns, snap.columns)
+            assert _stored(snap_path) < set(snap.columns)
+            if kind in ("drops", "sheds") and record:
+                assert "stim_arrivals" in _stored(streamed)  # one row per offered query
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 30),
+        seed=st.integers(0, 2**16),
+        target=st.sampled_from(["stim_arrivals", "bd_total", "log_subqueries", "bd_scheduling"]),
+        miss=st.sampled_from(["up", "down", "row-more", "row-less"]),
+        at=st.integers(0, 29),
+    )
+    def test_a_near_miss_is_stored(self, n, seed, target, miss, at):
+        """A column one ulp (one for integers) or one row off its
+        derivation is stored, by every writer that can be given it."""
+        import os
+        import tempfile
+
+        from repro.telemetry.archive import (
+            _CHUNK_FIELDS,
+            ArchiveWriter,
+            write_archive_columns,
+        )
+        from repro.telemetry.snapshot import SNAPSHOT_SCHEMA, Snapshot
+
+        rng = np.random.default_rng(seed)
+        arrival = np.cumsum(rng.exponential(0.1, n))
+        finish = arrival + rng.exponential(0.5, n)
+        pq = rng.integers(1, 6, n)
+        scheduling = rng.exponential(1e-5, n)
+        cols = {
+            "log_query_id": np.arange(n, dtype=np.int64),
+            "log_arrival": arrival,
+            "log_finish": finish,
+            "log_pq": pq,
+            "log_subqueries": pq.copy(),
+            "log_scheduling": scheduling,
+            "bd_scheduling": scheduling.copy(),
+            "bd_network": rng.exponential(1e-3, n),
+            "bd_queueing": rng.exponential(0.1, n),
+            "bd_service": rng.exponential(0.1, n),
+            "bd_total": finish - arrival,
+            "stim_arrivals": arrival.copy(),
+        }
+        col = cols[target]
+        if miss.startswith("row"):
+            if target != "stim_arrivals":
+                miss = "up"  # per-query columns must keep log_query_id's length
+            else:  # a dropped or shed query is offered but never logged
+                cols[target] = np.append(col, col[-1] + 1.0) if miss == "row-more" else col[:-1]
+        if miss in ("up", "down"):
+            i = at % n
+            if col.dtype.kind == "i":
+                col[i] += 1 if miss == "up" else -1
+            else:
+                col[i] = np.nextafter(col[i], np.inf if miss == "up" else -np.inf)
+        derivable = {"stim_arrivals", "bd_total", "log_subqueries", "bd_scheduling"}
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cols.npz")
+            write_archive_columns(path, cols)
+            assert _stored(path) == set(cols) - (derivable - {target})
+            _assert_same_columns(read_archive(path).columns, cols)
+
+            snap_cols = {k: v for k, v in cols.items() if k != "stim_arrivals"}
+            snap_path = os.path.join(tmp, "snap.npz")
+            Snapshot(meta={"schema": SNAPSHOT_SCHEMA}, columns=snap_cols).save(snap_path)
+            assert (target in _stored(snap_path)) == (target != "stim_arrivals")
+            _assert_same_columns(Snapshot.load(snap_path).columns, snap_cols)
+
+            if target == "bd_scheduling":
+                return  # the streamed pair is one chunk field: it cannot differ
+            chunk = ChunkArrays(**{
+                field: cols[name] for name, field in _CHUNK_FIELDS.items()
+                if name != "bd_scheduling"
+            })
+            streamed = os.path.join(tmp, "streamed.npz")
+            writer = ArchiveWriter(streamed)
+            writer.observe_chunk(chunk, 0, n)
+            writer.close(extra_columns={"stim_arrivals": cols["stim_arrivals"]})
+            assert target in _stored(streamed)
+            want = dict(cols, bd_scheduling=cols["log_scheduling"])
+            _assert_same_columns(read_archive(streamed).columns, want)
+
+    @staticmethod
+    def _reader(reader):
+        """(write a valid file, read -> (meta, columns), error, fix)."""
+        write, read, error, fix = TestMalformedColumns._readers()[reader]
+
+        def view(path):
+            got = read(path)
+            if hasattr(got, "stimulus"):  # a Recording
+                return got.meta, {**got.baseline, **got.stimulus.columns()}
+            return got.meta, got.columns
+
+        return write, view, error, fix
+
+    @pytest.mark.parametrize("reader", ["read_archive", "read_recording", "Snapshot.load"])
+    def test_every_column_stored_reads_byte_identical(self, tmp_path, reader):
+        """A file with every column stored and no ``derived`` list -- the
+        layout from before the writer left columns out -- reads the same."""
+        import json
+
+        from repro.telemetry.archive import read_meta_npz
+
+        write, view, _, _ = self._reader(reader)
+        new = str(tmp_path / "new.npz")
+        write(new)
+        meta, columns, derived = read_meta_npz(new, "file", "")
+        assert derived and _stored(new) == set(columns) - set(derived)
+        old = str(tmp_path / "old.npz")
+        payload = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        np.savez_compressed(old, meta_json=payload, **columns)
+        assert _stored(old) == set(columns)
+        new_meta, new_columns = view(new)
+        old_meta, old_columns = view(old)
+        assert old_meta == new_meta
+        _assert_same_columns(old_columns, new_columns)
+
+    #: case -> (edit of the raw members, what the message names)
+    BROKEN = {
+        "unknown": (lambda m, a: m["derived"].append("log_bogus"), ["'log_bogus'"]),
+        "not-a-list": (lambda m, a: m.update(derived="bd_total"), ["'derived'"]),
+        "source-missing": (lambda m, a: a.pop("log_finish"), ["'log_finish'", "'bd_total'"]),
+        "source-short": (
+            lambda m, a: a.update(log_pq=a["log_pq"][:-3]), ["'log_pq'", "'log_subqueries'"]
+        ),
+        # one row would broadcast through log_finish - log_arrival
+        "source-one-row": (
+            lambda m, a: a.update(log_arrival=a["log_arrival"][:1]),
+            ["'log_arrival' has shape (1,)"],
+        ),
+        "query-ids-missing": (lambda m, a: a.pop("log_query_id"), ["'log_query_id'"]),
+    }
+
+    @pytest.mark.parametrize("reader", ["read_archive", "read_recording", "Snapshot.load"])
+    @pytest.mark.parametrize("case", sorted(BROKEN))
+    def test_bad_derived_list_names_file_column_and_fix(self, tmp_path, reader, case):
+        write, view, error, fix = self._reader(reader)
+        edit, names = self.BROKEN[case]
+        path = str(tmp_path / "bad.npz")
+        write(path)
+        _rewrite_raw(path, edit)
+        with pytest.raises(error) as info:
+            view(path)
+        msg = str(info.value)
+        assert msg.startswith(f"{path}: ") and fix in msg
+        for name in names:
+            assert name in msg
+        assert "broadcast" not in msg
+
+
+class TestExactPathsAndAtomicWrites:
+    @staticmethod
+    def _writers():
+        """writer -> (write at path, read at path -> columns)."""
+        from repro.telemetry.archive import ArchiveWriter
+        from repro.telemetry.snapshot import Snapshot, capture_deployment
+
+        def run():
+            dep = _build(n=8)
+            dep.run_queries_fast(PoissonArrivals(40.0, seed=3).times(32), 4)
+            return dep
+
+        def streamed(path, extra=None):
+            dep = _build(n=8)
+            writer = ArchiveWriter(path)
+            dep.chunk_listeners.append(writer)
+            dep.run_queries_fast(PoissonArrivals(40.0, seed=3).times(32), 4)
+            writer.close(extra_columns=extra)
+
+        def whole(path, extra=None):
+            from repro.telemetry.archive import collect_columns, write_archive_columns
+
+            write_archive_columns(path, {**collect_columns(run()), **(extra or {})})
+
+        def snapshot(path, extra=None):
+            snap = capture_deployment(run())
+            snap.columns.update(extra or {})
+            snap.save(path)
+
+        return {
+            "ArchiveWriter": (streamed, lambda p: read_archive(p).columns),
+            "write_archive": (whole, lambda p: read_archive(p).columns),
+            "Snapshot.save": (snapshot, lambda p: Snapshot.load(p).columns),
+        }
+
+    @pytest.mark.parametrize("writer", ["ArchiveWriter", "write_archive", "Snapshot.save"])
+    def test_suffixless_path_round_trips(self, tmp_path, writer):
+        import os
+
+        write, read = self._writers()[writer]
+        path = str(tmp_path / "run")
+        write(path)
+        assert os.listdir(tmp_path) == ["run"]
+        assert read(path)["log_query_id"].size == 32
+
+    def test_collision_is_refused_before_anything_is_written(self, tmp_path):
+        import os
+
+        path = str(tmp_path / "run.npz")
+        with pytest.raises(ValueError, match="collides"):
+            self._writers()["ArchiveWriter"][0](path, {"log_arrival": np.zeros(2)})
+        assert os.listdir(tmp_path) == []
+        with pytest.raises(FileNotFoundError):
+            read_archive(path)
+
+    def test_failed_close_keeps_the_earlier_file(self, tmp_path):
+        import os
+
+        path = str(tmp_path / "run.npz")
+        _write_small_archive(path)
+        with open(path, "rb") as fh:
+            before = fh.read()
+        with pytest.raises(ValueError, match="collides"):
+            self._writers()["ArchiveWriter"][0](path, {"log_arrival": np.zeros(2)})
+        with open(path, "rb") as fh:
+            assert fh.read() == before
+        assert os.listdir(tmp_path) == ["run.npz"]
+        assert read_archive(path).n_queries == 64
+
+    @pytest.mark.parametrize("writer", ["ArchiveWriter", "write_archive", "Snapshot.save"])
+    def test_failure_mid_write_leaves_path_untouched(self, tmp_path, writer):
+        """A column that fails after others are written: the temp file is
+        deleted and the earlier file at *path* stays as it was."""
+        import os
+
+        class Unwritable:
+            def __array__(self, *args, **kwargs):
+                raise RuntimeError("disk on fire")
+
+        write, _ = self._writers()[writer]
+        path = str(tmp_path / "run.npz")
+        _write_small_archive(path)
+        with open(path, "rb") as fh:
+            before = fh.read()
+        with pytest.raises(RuntimeError, match="disk on fire"):
+            write(path, {"zz_unwritable": Unwritable()})
+        with open(path, "rb") as fh:
+            assert fh.read() == before
+        assert os.listdir(tmp_path) == ["run.npz"]
+
+    def test_writes_beside_the_target_then_renames(self, tmp_path, monkeypatch):
+        import os
+
+        replaced = []
+        replace = os.replace
+
+        def spy(src, dst):
+            assert os.path.exists(src) and not os.path.exists(dst)
+            replaced.append((os.path.dirname(src), dst))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", spy)
+        path = str(tmp_path / "run.npz")
+        _write_small_archive(path)
+        assert replaced == [(str(tmp_path), path)]

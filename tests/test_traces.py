@@ -355,8 +355,14 @@ class TestArchiveAndRecordingLoaders:
 
 
 def _malformed_recording(tmp_path, kind):
-    """Write a recording at ``<kind>.rec.npz``, then break it as *kind* says."""
+    """Write a recording at ``<kind>.rec.npz``, then break it as *kind* says.
+
+    The metadata and structural kinds rewrite the file with every column
+    stored: the columns come through the reader, so the ones the writer
+    left out are there to delete or keep."""
     import json
+
+    from repro.telemetry.archive import read_meta_npz
 
     path = str(tmp_path / f"{kind}.rec.npz")
     execute_scenario(small(seed=7, updates=UpdateSpec(rate=4.0)), record_path=path)
@@ -368,18 +374,14 @@ def _malformed_recording(tmp_path, kind):
     elif kind == "empty":
         open(path, "wb").close()
     else:
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
-        if kind == "no-meta":
-            del arrays["meta_json"]
-        elif kind == "no-stim-arrivals":
+        meta, arrays, _ = read_meta_npz(path, "recording", "")
+        if kind == "no-stim-arrivals":
             del arrays["stim_arrivals"]
-        else:  # "schema-7" or "no-scenario"
-            meta = json.loads(bytes(arrays["meta_json"]).decode("utf-8"))
-            if kind == "schema-7":
-                meta["schema"] = 7
-            else:
-                del meta["scenario_spec"]
+        elif kind == "schema-7":
+            meta["schema"] = 7
+        elif kind == "no-scenario":
+            del meta["scenario_spec"]
+        if kind != "no-meta":
             arrays["meta_json"] = np.frombuffer(
                 json.dumps(meta).encode("utf-8"), dtype=np.uint8
             )
@@ -626,11 +628,11 @@ class TestOneArtifact:
 
         from repro.cli import main
 
+        from repro.telemetry.archive import read_meta_npz
+
         path = str(tmp_path / "old.rec.npz")
         execute_scenario(small(seed=7, updates=UpdateSpec(rate=4.0)), record_path=path)
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
-        meta = json.loads(bytes(arrays.pop("meta_json")).decode("utf-8"))
+        meta, arrays, _ = read_meta_npz(path, "recording", "")  # every column
         old_meta = {
             "schema": 1,
             "kind": "recording",
