@@ -13,7 +13,7 @@ the engine takes the untouched code path.  See ``docs/admission.md``.
 
 from .base import AdmissionPolicy
 from .policies import AIMDAdmission, DelayGatedAdmission, NoneAdmission
-from .records import (
+from ..obs.events import (
     AdmissionTick,
     ShedLog,
     ShedRecord,

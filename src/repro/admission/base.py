@@ -39,7 +39,7 @@ import math
 from typing import Optional
 
 from ..control.metrics import SlidingWindow
-from .records import ShedLog
+from ..obs.events import ShedLog
 
 __all__ = ["AdmissionPolicy"]
 

@@ -618,12 +618,14 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    from .admission.records import (
+    from .obs.events import (
         admission_from_archive,
+        decisions_from_archive,
         explain_admission,
+        explain_archive,
         render_admission,
+        render_decisions,
     )
-    from .obs.audit import decisions_from_archive, explain_archive, render_decisions
     from .telemetry.archive import read_archive
 
     try:

@@ -188,7 +188,7 @@ class Controller(ABC):
         self.cooldown = cooldown
         self.actions: list[ControlAction] = []
         self._last_action = -math.inf
-        #: optional :class:`~repro.obs.audit.DecisionLog`; when attached,
+        #: optional :class:`~repro.obs.events.DecisionLog`; when attached,
         #: every tick leaves a structured record -- actions with their
         #: inputs, and explicit holds with the reason (no-signal /
         #: cooldown / steady).

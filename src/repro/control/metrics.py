@@ -225,7 +225,7 @@ class MetricsSnapshot:
     """Frozen view of the system handed to controllers each tick.
 
     These fields are the controller's *only* inputs, which is what makes
-    the decision audit trail complete: :class:`~repro.obs.audit.DecisionLog`
+    the decision audit trail complete: :class:`~repro.obs.events.DecisionLog`
     copies ``p50``/``p95``/``p99``, ``max_queue_depth``,
     ``mean_utilisation``, ``qps``, ``n_queries`` and ``n_servers`` into
     every decision record, so ``repro explain`` can reconstruct exactly

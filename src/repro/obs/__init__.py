@@ -1,4 +1,4 @@
-"""Observability: wall-time spans, decision audit logs, run manifests.
+"""Observability: wall-time spans, event tables, run manifests.
 
 Three layers the rest of the toolkit plugs into:
 
@@ -8,10 +8,11 @@ Three layers the rest of the toolkit plugs into:
   outside for the block's duration, reports calls, total and self time
   per span plus the unattributed rest of the wall, and exports
   chrome://tracing JSON.  The engine carries no profiling code.
-* :mod:`repro.obs.audit` -- the columnar :class:`DecisionLog` every
-  controller tick appends to: window inputs (p50/p95/p99/backlog), the
-  decision, its magnitude, and the exact query index it landed at.
-  Archived alongside run archives; ``repro explain`` reconstructs it.
+* :mod:`repro.obs.events` -- the columnar event tables a run archive
+  carries: control decisions (:class:`DecisionLog`: window inputs, the
+  decision, its magnitude), admission sheds and ticks
+  (:class:`ShedLog`), each row at the exact query index it landed at.
+  ``repro explain`` reads them back and cross-checks them.
 * :mod:`repro.obs.manifest` -- provenance manifests (git revision, config
   hash, kernel, seeds, host) stamped into archives, recordings, and
   ``repro profile --json`` summaries.
@@ -19,11 +20,11 @@ Three layers the rest of the toolkit plugs into:
 
 _EXPORTS = {
     "SpanRecorder": "profiler",
-    "DecisionLog": "audit",
-    "DecisionRecord": "audit",
-    "decisions_from_archive": "audit",
-    "explain_archive": "audit",
-    "render_decisions": "audit",
+    "DecisionLog": "events",
+    "DecisionRecord": "events",
+    "decisions_from_archive": "events",
+    "explain_archive": "events",
+    "render_decisions": "events",
     "build_manifest": "manifest",
     "config_hash": "manifest",
     "git_revision": "manifest",

@@ -225,12 +225,12 @@ class ScenarioExecution:
     pq_end: int
     notes: list[str]
     wall_seconds: float
-    #: the control plane's :class:`~repro.obs.audit.DecisionLog` (None
+    #: the control plane's :class:`~repro.obs.events.DecisionLog` (None
     #: when the scenario has no control spec).
     decisions: object = None
     #: the admission controller (an
     #: :class:`~repro.admission.base.AdmissionPolicy` carrying its
-    #: :class:`~repro.admission.records.ShedLog`); None when the scenario
+    #: :class:`~repro.obs.events.ShedLog`); None when the scenario
     #: has no admission spec or the policy is accept-all.
     admission: object = None
     #: the run's provenance manifest (:mod:`repro.obs.manifest`), as its
@@ -344,7 +344,7 @@ def execute_scenario(
     ctl = scenario.control
     decision_log = None
     if ctl is not None:
-        from ..obs.audit import DecisionLog
+        from ..obs.events import DecisionLog
 
         decision_log = DecisionLog()
         collector = MetricsCollector(window=ctl.metrics_window).attach(deployment)
@@ -672,9 +672,7 @@ def execute_scenario(
             extra_columns = decision_log.columns()
             close_meta["decisions"] = decision_log.meta(window=ctl.metrics_window)
         if admission_controller is not None:
-            # shed_*/adm_* rows are simulated-time too; the per-chunk
-            # shedchunk_* rows depend on engine chunking and are skipped
-            # by archive_diff's gated mode like wall-clock columns
+            # shed_*/adm_* rows are simulated-time too
             extra_columns = {
                 **(extra_columns or {}),
                 **admission_controller.log.columns(),

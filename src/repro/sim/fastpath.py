@@ -207,7 +207,7 @@ class BatchResult:
     #: queries refused by the admission controller (``latencies`` holds
     #: NaN and ``query_ids`` -1 there, like drops -- but sheds never
     #: reached the scheduler, and the per-shed reasons live in the
-    #: controller's :class:`~repro.admission.records.ShedLog`).
+    #: controller's :class:`~repro.obs.events.ShedLog`).
     shed: int = 0
 
     def completed_latencies(self) -> "np.ndarray":
@@ -443,8 +443,6 @@ class _Engine:
         log_start = self.log.n_records
         self.log.append_columns(qqid, qnow, fr, qpq, qpq, qsched)
         dep.breakdowns.append_columns(qsched, qrtt, qmw, qms, qtotal)
-        if self.admission is not None:
-            self.admission.log.record_chunk(log_start, nq, self.admission.shed)
 
         if dep.chunk_listeners:
             chunk = ChunkArrays(
@@ -1139,10 +1137,6 @@ def run_queries_reference(
         actions_applied += 1
         ai += 1
     wall = time.perf_counter() - wall_start
-    if admission is not None:
-        # no chunks on this path: one whole-run summary row keeps the
-        # shedchunk_* column totals comparable across engines
-        admission.log.record_chunk(0, completed, admission.shed)
     return BatchResult(
         arrivals=arrivals,
         latencies=latencies,

@@ -100,18 +100,6 @@ _BD_COLUMNS = (
 #: same exclusion the batched/per-query differential tests apply).
 _WALL_COLUMNS = frozenset({"log_scheduling", "bd_scheduling"})
 
-
-def _gate_exempt(name: str) -> bool:
-    """Columns the gated diff reports but never gates on.
-
-    Wall-clock columns measure this machine, and the per-chunk admission
-    counters (``shedchunk_*``) follow the engine's chunking -- the
-    reference path writes one whole-run row where the batched engine
-    writes one per flushed chunk.  Both are legitimately engine-dependent;
-    everything else must match bit for bit.
-    """
-    return name in _WALL_COLUMNS or name.startswith("shedchunk_")
-
 #: zlib level of every member the writer deflates.  The float columns
 #: hardly compress at any level (to 75-92% of their size), and level 1
 #: deflates them in under half the time of zlib's default 6.
@@ -488,42 +476,6 @@ def check_columns(path, columns: dict, fix: str, error: type = ValueError) -> No
             )
 
 
-def check_row_columns(
-    path,
-    columns: dict,
-    names,
-    interned: dict | None = None,
-    fix: str = "the archive is corrupt -- write it again",
-) -> None:
-    """Refuse a table of event rows (decisions, sheds, ticks) that an
-    archive carries beside its per-query columns.
-
-    Every column in *names* must be present and hold as many values as
-    the first; every column named in *interned* must hold indexes into
-    its side table (a list from archive meta).  Otherwise raise
-    ``ValueError`` naming *path*, the column and *fix* -- not a
-    ``KeyError`` or an ``IndexError`` while the records are rebuilt.
-    """
-    for name in names:
-        if name not in columns:
-            raise ValueError(f"{path}: column {name!r} is missing; {fix}")
-    n = columns[names[0]].size
-    for name in names[1:]:
-        if columns[name].size != n:
-            raise ValueError(
-                f"{path}: column {name!r} has {columns[name].size} values, "
-                f"{names[0]!r} has {n}; {fix}"
-            )
-    for name, table in (interned or {}).items():
-        col = columns[name]
-        bad = col[~((col >= 0) & (col < len(table)))]
-        if bad.size:
-            raise ValueError(
-                f"{path}: column {name!r} holds index {bad[0]:g}, outside "
-                f"its {len(table)}-entry table in meta; {fix}"
-            )
-
-
 def read_archive(path, kind: str = "run archive") -> RunArchive:
     """Read an archive written by :func:`write_archive` or
     :class:`ArchiveWriter` -- a recording is one too.
@@ -603,8 +555,7 @@ def archive_diff(a: RunArchive, b: RunArchive) -> dict:
     itself.  ``identical`` requires every shared column equal and no
     column present on one side only; ``gated_identical`` applies
     the differential-test exclusion of wall-clock-derived columns
-    (``log_scheduling``/``bd_scheduling``) and of the engine-chunking
-    admission counters (``shedchunk_*``) -- the right predicate for CI
+    (``log_scheduling``/``bd_scheduling``) -- the right predicate for CI
     bit-identity gates.
     """
     names = sorted(set(a.columns) | set(b.columns))
@@ -617,7 +568,7 @@ def archive_diff(a: RunArchive, b: RunArchive) -> dict:
         if ca is None or cb is None:
             entry = {"equal": False, "missing_in": "a" if ca is None else "b"}
             identical = False
-            if not _gate_exempt(name):
+            if name not in _WALL_COLUMNS:
                 gated_identical = False
             out["columns"][name] = entry
             continue
@@ -631,7 +582,7 @@ def archive_diff(a: RunArchive, b: RunArchive) -> dict:
                     np.max(np.abs(ca[:k] - cb[:k]))
                 )
             identical = False
-            if not _gate_exempt(name):
+            if name not in _WALL_COLUMNS:
                 gated_identical = False
         out["columns"][name] = entry
     out["identical"] = identical

@@ -229,10 +229,9 @@ class BreakdownLog:
 class DelayLog:
     """Accumulates completed queries (columnar) and summarises them.
 
-    Drop-in replacement for the historic list-of-records ``DelayLog``:
-    the constructor still accepts ``records=[...]``/``dropped=`` and the
-    summary methods produce bit-identical floats; the per-query rows now
-    live in flat columns and ``records`` is a lazy :class:`RecordView`.
+    The summary methods produce the floats of the historic
+    list-of-records log bit for bit; the per-query rows live in flat
+    columns and ``records`` is a lazy :class:`RecordView`.
     """
 
     __slots__ = (
@@ -245,7 +244,7 @@ class DelayLog:
         "dropped",
     )
 
-    def __init__(self, records=None, dropped: int = 0) -> None:
+    def __init__(self, dropped: int = 0) -> None:
         self._qid = GrowArray(dtype="int64")
         self._arrival = GrowArray()
         self._finish = GrowArray()
@@ -253,8 +252,6 @@ class DelayLog:
         self._subqueries = GrowArray(dtype="int64")
         self._sched = GrowArray()
         self.dropped = dropped  # queries not serviced (yield accounting)
-        for record in records or ():
-            self.add(record)
 
     # -- writing -----------------------------------------------------------
     def add(self, record: QueryRecord) -> None:

@@ -186,14 +186,6 @@ class TestShedLog:
         assert out == ""
         assert errout.strip() == f"cannot explain {message}"
 
-    def test_chunk_rows_are_deltas(self):
-        log = ShedLog()
-        log.record_chunk(0, 10, 4)
-        log.record_chunk(10, 6, 9)  # running shed total 9 -> delta 5
-        cols = log.columns()
-        assert cols["shedchunk_shed"].tolist() == [4, 5]
-        assert cols["shedchunk_accepted"].tolist() == [10, 6]
-
     def test_no_admission_columns_raises(self, tmp_path):
         from repro.telemetry.archive import ArchiveWriter, read_archive
 

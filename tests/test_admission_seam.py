@@ -101,9 +101,7 @@ def _fingerprint(dep, result, policy):
             result.pqs.tobytes(),
         ),
         "counts": (result.completed, result.dropped, result.shed),
-        # shedchunk_* follow engine chunking by design; everything else is
-        # simulated time and must match
-        "log": {k: v.tobytes() for k, v in cols.items() if not k.startswith("shedchunk_")},
+        "log": {k: v.tobytes() for k, v in cols.items()},
         "reasons": policy.log.meta()["reasons"],
         "policy": (
             policy.accepted,
@@ -256,7 +254,7 @@ def run(path):
         res = dep.run_queries_fast(arr, 4, admission=pol)
     cols = pol.log.columns()
     return (res.latencies.tobytes(), res.shed, pol._tokens,
-            [cols[k].tobytes() for k in sorted(cols) if not k.startswith("shedchunk")],
+            [cols[k].tobytes() for k in sorted(cols)],
             dep.network.rng.getstate())
 
 ref = run("reference")
@@ -409,9 +407,9 @@ class TestAdmissionWithFailureWindow:
         assert fast.batch.shed == ref.batch.shed
         cols_f = fast.admission.log.columns()
         cols_r = ref.admission.log.columns()
+        assert cols_f.keys() == cols_r.keys()
         for name, col in cols_r.items():
-            if not name.startswith("shedchunk_"):
-                assert col.tobytes() == cols_f[name].tobytes(), name
+            assert col.tobytes() == cols_f[name].tobytes(), name
         assert fast.admission.log.meta() == ref.admission.log.meta()
 
 

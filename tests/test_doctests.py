@@ -16,11 +16,10 @@ import pytest
 pytest.importorskip("numpy")  # run_queries_fast examples need the fast path
 
 import repro.admission.base
-import repro.admission.records
 import repro.cli
 import repro.cluster.deployment
 import repro.core.ids
-import repro.obs.audit
+import repro.obs.events
 import repro.obs.manifest
 import repro.obs.profiler
 import repro.scenarios.matrix
@@ -33,11 +32,10 @@ import repro.traces.spec
 #: contract; add modules here when giving them doctest examples.
 DOCTEST_MODULES = (
     repro.admission.base,
-    repro.admission.records,
     repro.cli,
     repro.cluster.deployment,
     repro.core.ids,
-    repro.obs.audit,
+    repro.obs.events,
     repro.obs.manifest,
     repro.obs.profiler,
     repro.scenarios.matrix,

@@ -41,7 +41,7 @@ np = pytest.importorskip("numpy")
 from repro._rng import capture_streams
 from repro.cluster import Deployment, DeploymentConfig, hen_testbed
 from repro.kernels.registry import kernel_available
-from repro.obs.audit import (
+from repro.obs.events import (
     DecisionLog,
     DecisionRecord,
     decisions_from_archive,
