@@ -37,10 +37,11 @@ is the *commit* -- sub-query widths, the front-end reserve, queue submit
 with EWMA speed observation, and the mirror write-through, all closed-form
 per-server float updates.  :meth:`SweepKernel.commit_batch` fuses them
 with the sweep over a whole chunk of queries per call: the kernel advances
-the live mirrors (``state.busy``, ``plan.spd``, ``entry.Q``) in place and
-returns the per-sub-query chunk-buffer rows in bulk through a
-:class:`CommitBuffers`, which the engine flushes with a handful of numpy
-reductions.  It is the only place the engine commits a query.  The
+the live mirrors (``state.busy``, ``plan.spd``, ``entry.Q`` and the plan's
+per-server accumulators) in place and returns the per-sub-query
+chunk-buffer rows in bulk through a :class:`CommitBuffers`, which the
+engine turns into per-query columns.  It is the only place the engine
+commits a query.  The
 default implementation is the reference python loop; the compiled kernel
 overrides it with a single C call per chunk.  The exactness contract
 extends to it unchanged (an override must produce bit-identical *state*,
@@ -63,13 +64,23 @@ same fused call; shed queries consume no RTT draw and emit one shed row
 each.  Policies whose decision needs per-query delay feedback
 (``delay_gated``) cannot use the gate: the engine admits each query
 itself and calls ``commit_batch`` for one query at a time.
+
+**The update stream.**  Object updates are engine data too.  An
+:class:`UpdateStream` holds the run's updates as flat arrays; the kernel
+applies each one just before the query it precedes (before that query's
+admission check and sweep), so an update and a query that hit the same
+server advance the queue, busy-time and object mirrors in submission
+order.  A call with no queries (``nq == 0``, which needs no ``entry`` or
+``bufs``) applies the pending updates at ``start`` only: the engine makes
+one where updates precede a callback or follow the last query.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from typing import TYPE_CHECKING, ClassVar, Sequence
+from bisect import bisect_left, bisect_right
+from itertools import chain
+from typing import TYPE_CHECKING, ClassVar, Optional, Sequence
 
 try:
     import numpy as np
@@ -87,6 +98,7 @@ __all__ = [
     "PqEntry",
     "SweepKernel",
     "SweepState",
+    "UpdateStream",
     "assignment_at",
     "check_commit_args",
 ]
@@ -196,12 +208,25 @@ class CommitPlan:
     """Per-batch commit constants and mirrors for :meth:`SweepKernel.commit_batch`.
 
     Built by the engine alongside :class:`SweepState` (a fresh instance per
-    membership epoch).  ``spd`` is the live EWMA speed-estimate mirror --
-    the commit's one mutable array beyond ``state.busy`` and ``entry.Q``;
+    membership epoch).  ``spd`` is the live EWMA speed-estimate mirror;
     the ``*_l`` plain-list shadows exist so the pure-python default commit
     pays scalar float arithmetic, not numpy scalar boxing.  ``arrivals``
     is the whole batch's arrival times; spans address into it by index so
     compiled kernels can cache one raw pointer per batch.
+
+    The per-server accumulators advance inside the kernel, in submission
+    order, for queries and object updates alike: ``busy_time``,
+    ``objects`` and ``tasks`` (the ``SimServer`` counters),
+    ``completed`` and ``last_seen`` (the ``NodeStats`` ones, queries
+    only), and ``touched``, set for every server the kernel wrote.  They
+    start from the keyword arguments (zeros by default) in arrays the
+    plan owns.  One object update costs server ``g`` ``upd_work[g] =
+    update_cost * speed`` objects and ``upd_service[g]`` seconds, in
+    ``SimServer.submit``'s float ops.  ``alive`` mirrors the ring nodes'
+    ``alive`` flags (the replica-holder walk reads ring 0's); ``trace``
+    marks the servers that keep a task trace (None: no server does).
+    ``busy_snap`` is where the kernel saves the queues before the first
+    update write after a commit (see :class:`UpdateStream`).
     """
 
     __slots__ = (
@@ -215,6 +240,17 @@ class CommitPlan:
         "alpha",
         "om_alpha",
         "dataset",
+        "busy_time",
+        "objects",
+        "tasks",
+        "completed",
+        "last_seen",
+        "touched",
+        "alive",
+        "upd_work",
+        "upd_service",
+        "trace",
+        "busy_snap",
     )
 
     def __init__(
@@ -227,7 +263,17 @@ class CommitPlan:
         alpha: float,
         om_alpha: float,
         dataset: float,
+        *,
+        update_cost: float = 0.0,
+        busy_time: Optional[Sequence[float]] = None,
+        objects: Optional[Sequence[float]] = None,
+        tasks: Optional[Sequence[int]] = None,
+        completed: Optional[Sequence[int]] = None,
+        last_seen: Optional[Sequence[float]] = None,
+        alive: Optional[Sequence[bool]] = None,
+        trace: Optional[Sequence[bool]] = None,
     ) -> None:
+        n = len(spd)
         self.arrivals = arrivals
         self.arr_l = arr_l
         self.spd = spd
@@ -238,6 +284,23 @@ class CommitPlan:
         self.alpha = alpha
         self.om_alpha = om_alpha
         self.dataset = dataset
+
+        def own(values, dtype, fill):
+            if values is None:
+                return np.full(n, fill, dtype=dtype)
+            return np.array(values, dtype=dtype)
+
+        self.busy_time = own(busy_time, np.float64, 0.0)
+        self.objects = own(objects, np.float64, 0.0)
+        self.tasks = own(tasks, np.int64, 0)
+        self.completed = own(completed, np.int64, 0)
+        self.last_seen = own(last_seen, np.float64, 0.0)
+        self.touched = np.zeros(n, dtype=bool)
+        self.alive = own(alive, bool, True)
+        self.trace = None if trace is None or not any(trace) else own(trace, bool, False)
+        self.upd_work = update_cost * self.srv_speed
+        self.upd_service = self.srv_fixed + (self.upd_work / self.srv_speed)
+        self.busy_snap = np.zeros(n, dtype=np.float64)
 
 
 class CommitBuffers:
@@ -356,23 +419,109 @@ class AdmissionGate:
         self.ext: dict[str, object] = {}
 
 
+class UpdateStream:
+    """A run's object updates, applied inside ``commit_batch``.
+
+    Flat arrays built once per run, in action order: update ``u`` precedes
+    query ``q[u]`` (non-decreasing; updates after the last query hold the
+    arrival count), happens at time ``t[u]`` and writes the object at ring
+    position ``pos[u]``.  ``next`` is the first update not applied yet,
+    and a call applies none at or past ``end``.
+
+    Before query ``q`` of a call -- or at ``start`` in a call with no
+    queries -- every pending update with ``q[u] <= q`` is applied, with
+    :meth:`Deployment.apply_update
+    <repro.cluster.deployment.Deployment.apply_update>`'s rule.  The
+    holders are the first ``r`` alive nodes of ring 0 clockwise from the
+    position (bisect-left on the node starts, then the walk that
+    :meth:`~repro.core.ring.Ring.replica_holders` makes).  A holder whose
+    server has failed skips the write; every other holder ``g`` takes one
+    fixed-cost task in ``SimServer.submit``'s float ops: ``start =
+    max(busy[g], t)``, then ``busy``, the gate's running max, busy time,
+    objects, tasks and ``touched`` move.  ``n_written`` counts the
+    updates that found a holder (the ledger charges ``r`` messages for
+    each), and a traced holder adds one row to ``row_*``: server, the
+    number of query sub-rows the call had emitted before it, time, start
+    and finish.
+
+    ``snap_due`` is set by each commit and cleared by the first update
+    write after it, which first copies ``busy`` to ``plan.busy_snap``: the
+    queues the last committed query's ``NodeStats`` sync read.
+    """
+
+    __slots__ = (
+        "q",
+        "t",
+        "pos",
+        "next",
+        "end",
+        "r",
+        "snap_due",
+        "n_written",
+        "n_rows",
+        "row_g",
+        "row_at",
+        "row_t",
+        "row_start",
+        "row_finish",
+        "ext",
+    )
+
+    def __init__(self, q: Sequence[int], t: Sequence[float], pos: Sequence[float]) -> None:
+        self.q = np.array(q, dtype=np.int64)
+        self.t = np.array(t, dtype=np.float64)
+        self.pos = np.array(pos, dtype=np.float64)
+        if not (self.q.shape == self.t.shape == self.pos.shape) or self.q.ndim != 1:
+            raise ValueError("UpdateStream: q, t and pos must be 1-D and of equal length")
+        if self.q.size and (self.q[0] < 0 or (np.diff(self.q) < 0).any()):
+            raise ValueError("UpdateStream: q must be non-negative and non-decreasing")
+        self.next = 0
+        self.end = len(self.q)
+        self.r = 1
+        self.snap_due = 0
+        self.n_written = self.n_rows = 0
+        self._alloc_rows(0)
+        #: scratch for kernels (e.g. a compiled struct), keyed by kernel name.
+        self.ext: dict[str, object] = {}
+
+    def pending(self, start: int, nq: int) -> int:
+        """How many updates a call over ``[start, start + nq)`` can apply."""
+        last = start + nq - 1 if nq else start
+        hi = int(np.searchsorted(self.q, last, side="right"))
+        return max(0, min(self.end, hi) - self.next)
+
+    def reserve_rows(self, cap: int) -> None:
+        """Make room for at least *cap* trace rows."""
+        if cap > len(self.row_g):
+            self._alloc_rows(cap)
+
+    def _alloc_rows(self, cap: int) -> None:
+        self.row_g = np.empty(cap, dtype=np.int64)
+        self.row_at = np.empty(cap, dtype=np.int64)
+        self.row_t = np.empty(cap, dtype=np.float64)
+        self.row_start = np.empty(cap, dtype=np.float64)
+        self.row_finish = np.empty(cap, dtype=np.float64)
+
+
 def check_commit_args(
     state: SweepState,
-    entry: PqEntry,
+    entry: "PqEntry | None",
     plan: CommitPlan,
-    bufs: CommitBuffers,
+    bufs: "CommitBuffers | None",
     start: int,
     nq: int,
     gate: "AdmissionGate | None",
     failed: "np.ndarray | None",
+    updates: "UpdateStream | None" = None,
 ) -> None:
     """Refuse a ``commit_batch`` call before any mirror moves.
 
     The compiled kernel reads and writes through raw pointers, so an
-    index past ``plan.arrivals``, a span longer than the out buffers, or
-    buffers sized for another ``pq`` would corrupt memory instead of
-    raising; the python loop would fail part-way, after it had moved
-    ``busy``.  Each check names the argument at fault.
+    index past ``plan.arrivals``, a span longer than the out buffers,
+    buffers sized for another ``pq``, an update cursor past its stream or
+    trace rows that cannot hold the call's writes would corrupt memory
+    instead of raising; the python loop would fail part-way, after it
+    had moved ``busy``.  Each check names the argument at fault.
     """
     if start < 0:
         raise ValueError(f"commit_batch: start={start} must be >= 0")
@@ -384,9 +533,14 @@ def check_commit_args(
             f"commit_batch: start + nq = {start + nq} runs past the "
             f"{n_arr} arrivals in plan.arrivals"
         )
-    if nq > bufs.cap:
+    if (entry is None) != (bufs is None) or (entry is None and nq):
+        raise ValueError(
+            "commit_batch: entry and bufs may be None only together, in a "
+            "call with no queries (nq=0)"
+        )
+    if bufs is not None and nq > bufs.cap:
         raise ValueError(f"commit_batch: nq={nq} exceeds bufs.cap={bufs.cap}")
-    if bufs.pq != entry.pq:
+    if bufs is not None and bufs.pq != entry.pq:
         raise ValueError(
             f"commit_batch: bufs.pq={bufs.pq} does not match entry.pq={entry.pq}"
         )
@@ -406,6 +560,22 @@ def check_commit_args(
             f"{getattr(failed, 'dtype', type(failed).__name__)} "
             f"{getattr(failed, 'shape', '')}"
         )
+    if updates is not None:
+        n_upd = len(updates.q)
+        if not 0 <= updates.next <= updates.end <= n_upd:
+            raise ValueError(
+                f"commit_batch: updates.next={updates.next} and "
+                f"updates.end={updates.end} must satisfy "
+                f"0 <= next <= end <= {n_upd}"
+            )
+        if updates.r < 1:
+            raise ValueError(f"commit_batch: updates.r={updates.r} must be >= 1")
+        need = updates.pending(start, nq) * updates.r
+        if plan.trace is not None and len(updates.row_g) < need:
+            raise ValueError(
+                f"commit_batch: updates hold {len(updates.row_g)} trace rows; "
+                f"the call may write {need} (reserve_rows first)"
+            )
 
 
 def assignment_at(
@@ -487,26 +657,28 @@ class SweepKernel:
     def commit_batch(
         self,
         state: SweepState,
-        entry: PqEntry,
+        entry: "PqEntry | None",
         plan: CommitPlan,
-        bufs: CommitBuffers,
+        bufs: "CommitBuffers | None",
         start: int,
         nq: int,
         gate: "AdmissionGate | None" = None,
         failed: "np.ndarray | None" = None,
+        updates: "UpdateStream | None" = None,
     ) -> int:
         """Fused sweep+commit over queries ``start .. start + nq``.
 
         Contract: on return the live mirrors (``state.busy``, ``plan.spd``,
-        ``entry.Q``) hold exactly the state the per-query reference path
-        would have produced after the last committed query, and *bufs*
-        holds the committed queries' chunk-buffer rows (sub-query rows in
-        submit order, per-query totals, the last committed query's
-        reserve map; ``res_*`` are left alone when nothing was
-        committed).  The caller guarantees a span-constant ``pq`` matching
-        *entry* and ``bufs.rtts[:nq]`` pre-drawn in arrival order; the
-        arguments are checked (:func:`check_commit_args`) before any
-        mirror moves.  Returns the number of committed queries.
+        ``entry.Q`` and the plan's per-server accumulators) hold exactly
+        the state the per-query reference path would have produced after
+        the last committed query and the updates applied before it, and
+        *bufs* holds the committed queries' chunk-buffer rows (sub-query
+        rows in submit order, per-query totals, the last committed query's
+        reserve map; ``res_*`` are left alone when nothing was committed).
+        The caller guarantees a span-constant ``pq`` matching *entry* and
+        ``bufs.rtts[:nq]`` pre-drawn in arrival order; the arguments are
+        checked (:func:`check_commit_args`) before any mirror moves.
+        Returns the number of committed queries.
 
         With a *gate* each query first passes the admission pre-check
         (see :class:`AdmissionGate`); only admitted queries are scheduled,
@@ -519,6 +691,12 @@ class SweepKernel:
         index (-1 when the call ran to the end) and ``bufs.stop_g`` /
         ``bufs.stop_start_id`` its pick, which the engine hands to the
         reference path's fall-back.  The stopped query draws no RTT.
+        Updates skip failed servers.
+
+        *updates* is the run's :class:`UpdateStream`: its pending updates
+        are applied before the queries they precede (before the admission
+        check), and at ``start`` in a call with ``nq == 0``, which may
+        pass None for *entry* and *bufs*.
 
         The engine times this call as one opaque span: its wall is what
         the chunk accounting charges to scheduling, and ``repro profile``
@@ -528,23 +706,27 @@ class SweepKernel:
 
         This default implementation is the reference python commit loop
         -- the same scalar float operations in the same order as
-        ``Deployment.run_query`` and as ``roar_commit_batch`` in
-        ``csrc/sweep.c`` (the two are pinned together by the differential
-        tests).  Override it only with something bit-identical.
+        ``Deployment.run_query``, ``Deployment.apply_update`` and
+        ``roar_commit_batch`` in ``csrc/sweep.c`` (the three are pinned
+        together by the differential tests).  Override it only with
+        something bit-identical.
         """
-        check_commit_args(state, entry, plan, bufs, start, nq, gate, failed)
-        bufs.stop_idx[0] = -1
+        check_commit_args(state, entry, plan, bufs, start, nq, gate, failed, updates)
+        if bufs is not None:
+            bufs.stop_idx[0] = -1
         select = self.select
         busy_np = state.busy
         spd_np = plan.spd
-        Q = entry.Q
-        wd = entry.wd
-        off0 = entry.off0
-        pq = entry.pq
         # plain-list shadows: the per-query updates are scalar float
         # arithmetic, which python floats do ~5x cheaper than numpy scalars
         busy_l = busy_np.tolist()
         spd_l = spd_np.tolist()
+        bt_l = plan.busy_time.tolist()
+        om_l = plan.objects.tolist()
+        tasks_l = plan.tasks.tolist()
+        cc_l = plan.completed.tolist()
+        ls_l = plan.last_seen.tolist()
+        touched: set[int] = set()
         srv_fixed_l = plan.srv_fixed_l
         srv_speed_l = plan.srv_speed_l
         fe_fixed = state.fe_fixed
@@ -552,9 +734,70 @@ class SweepKernel:
         om_alpha = plan.om_alpha
         dataset = plan.dataset
         arr_l = plan.arr_l
-        rtt_l = bufs.rtts[:nq].tolist()
         failed_l = failed.tolist() if failed is not None else None
         fmod = math.fmod
+        gated = gate is not None
+        # running max of the queue mirror: exact, because a commit or an
+        # update only ever raises busy[g]
+        bmax = max(busy_l) if gated else 0.0
+
+        # the update stream: the n_due updates this call can apply, from
+        # the cursor on, walked (u counts them) by this closure, which
+        # advances the mirrors exactly as Deployment.apply_update advances
+        # the servers
+        u = n_due = 0
+        snap_due = n_written = 0
+        rows: list[tuple] = []
+        if updates is not None:
+            u0 = updates.next
+            n_due = updates.pending(start, nq)
+            window = slice(u0, u0 + n_due)
+            uq = updates.q[window].tolist()
+            ut = updates.t[window].tolist()
+            upos = updates.pos[window].tolist()
+            snap_due, r = updates.snap_due, updates.r
+            lo0 = state.ring_lo[0]
+            starts0 = state.ring_starts[0]
+            n0 = len(starts0)
+            alive_l = plan.alive.tolist()
+            usvc_l = plan.upd_service.tolist()
+            uwork_l = plan.upd_work.tolist()
+            trace_l = plan.trace.tolist() if plan.trace is not None else None
+
+        def apply_updates(q_bound: int, at: int) -> None:
+            nonlocal u, bmax, snap_due, n_written
+            while u < n_due and uq[u] <= q_bound:
+                t = ut[u]
+                i = bisect_left(starts0, upos[u])
+                u += 1
+                found = 0
+                for j in chain(range(i, n0), range(i)):
+                    g = lo0 + j
+                    if not alive_l[g]:
+                        continue
+                    found += 1
+                    if failed_l is None or not failed_l[g]:
+                        if snap_due:
+                            plan.busy_snap[:] = busy_np
+                            snap_due = 0
+                        b = busy_l[g]
+                        s0 = b if b > t else t
+                        svc = usvc_l[g]
+                        f = s0 + svc
+                        busy_l[g] = f
+                        busy_np[g] = f
+                        bt_l[g] += svc
+                        om_l[g] += uwork_l[g]
+                        tasks_l[g] += 1
+                        touched.add(g)
+                        if gated and f > bmax:
+                            bmax = f
+                        if trace_l is not None and trace_l[g]:
+                            rows.append((g, at, t, s0, f))
+                    if found == r:
+                        break
+                if found:
+                    n_written += 1
 
         sg: list[int] = []
         ssv: list[float] = []
@@ -570,7 +813,7 @@ class SweepKernel:
         q_mw: list[float] = []
         q_ms: list[float] = []
         res: dict[int, float] = {}
-        if gate is not None:
+        if gated:
             queue_cap = gate.queue_cap
             bucket = gate.bucket
             rate = gate.rate
@@ -579,17 +822,22 @@ class SweepKernel:
             accrued_at = gate.accrued_at
             hwm = gate.backlog_hwm
             max_adm = gate.max_admitted_backlog
-            # running max of the queue mirror: exact, because a commit
-            # only ever raises busy[g]
-            bmax = max(busy_l)
             adm_idx: list[int] = []
             shed_rows: list[tuple] = []
+        if nq:
+            Q = entry.Q
+            wd = entry.wd
+            off0 = entry.off0
+            pq = entry.pq
+            rtt_l = bufs.rtts[:nq].tolist()
         j = 0  # admitted queries so far
 
         for k in range(nq):
             q = start + k
+            if u < n_due and uq[u] <= q:
+                apply_updates(q, len(sg))
             now = arr_l[q]
-            if gate is not None:
+            if gated:
                 backlog = bmax - now
                 if backlog < 0.0:
                     backlog = 0.0
@@ -677,8 +925,15 @@ class SweepKernel:
                 service = srv_fixed_l[g] + work / srv_speed_l[g]
                 f = start_t + service
                 busy_l[g] = f
-                if gate is not None and f > bmax:
+                if gated and f > bmax:
                     bmax = f
+                bt_l[g] += service
+                om_l[g] += work
+                tasks_l[g] += 1
+                cc_l[g] += 1
+                if f > ls_l[g]:
+                    ls_l[g] = f
+                touched.add(g)
                 sg_append(g)
                 ssv_append(service)
                 swk_append(work)
@@ -703,27 +958,51 @@ class SweepKernel:
                 if spd_np[g] != s_g:
                     spd_np[g] = s_g
                     Q[g] = wd / s_g
+            snap_due = 1
 
             q_total.append(finish - now)
             q_mw.append(mw)
             q_ms.append(ms)
 
-        m = j * pq
-        bufs.sub_g[:m] = sg
-        bufs.sub_service[:m] = ssv
-        bufs.sub_work[:m] = swk
-        bufs.sub_finish[:m] = sf
-        bufs.sub_start[:m] = sst
-        bufs.q_total[:j] = q_total
-        bufs.q_mw[:j] = q_mw
-        bufs.q_ms[:j] = q_ms
+        if not nq and u < n_due:
+            apply_updates(start, 0)
+
+        plan.busy_time[:] = bt_l
+        plan.objects[:] = om_l
+        plan.tasks[:] = tasks_l
+        plan.completed[:] = cc_l
+        plan.last_seen[:] = ls_l
+        if touched:
+            plan.touched[list(touched)] = True
+        if updates is not None:
+            updates.next = u0 + u
+            updates.snap_due = snap_due
+            updates.n_written = n_written
+            updates.n_rows = n_rows = len(rows)
+            if n_rows:
+                rg, rat, rt, rs, rf = zip(*rows)
+                updates.row_g[:n_rows] = rg
+                updates.row_at[:n_rows] = rat
+                updates.row_t[:n_rows] = rt
+                updates.row_start[:n_rows] = rs
+                updates.row_finish[:n_rows] = rf
+        m = j * pq if nq else 0
+        if nq:
+            bufs.sub_g[:m] = sg
+            bufs.sub_service[:m] = ssv
+            bufs.sub_work[:m] = swk
+            bufs.sub_finish[:m] = sf
+            bufs.sub_start[:m] = sst
+            bufs.q_total[:j] = q_total
+            bufs.q_mw[:j] = q_mw
+            bufs.q_ms[:j] = q_ms
         if j:
             rn = len(res)
             bufs.res_n[0] = rn
             keys = list(res)
             bufs.res_g[:rn] = keys
             bufs.res_v[:rn] = [res[g] for g in keys]
-        if gate is not None:
+        if gated:
             gate.tokens = tokens
             gate.accrued_at = accrued_at
             gate.backlog_hwm = hwm

@@ -48,6 +48,7 @@ from .base import (
     PqEntry,
     SweepKernel,
     SweepState,
+    UpdateStream,
     check_commit_args,
 )
 
@@ -59,7 +60,7 @@ __all__ = [
 ]
 
 _SOURCE = Path(__file__).with_name("csrc") / "sweep.c"
-_ABI_VERSION = 6
+_ABI_VERSION = 7
 
 #: memoised library handle / failure reason (one build attempt per process).
 _lib: Optional[ctypes.CDLL] = None
@@ -254,7 +255,72 @@ class _CommitArgs(ctypes.Structure):
         ("stop", ctypes.c_void_p),
         ("stop_g", ctypes.c_void_p),
         ("stop_start_id", ctypes.c_void_p),
+        ("busy_time", ctypes.c_void_p),
+        ("objects", ctypes.c_void_p),
+        ("tasks", ctypes.c_void_p),
+        ("completed", ctypes.c_void_p),
+        ("last_seen", ctypes.c_void_p),
+        ("touched", ctypes.c_void_p),
+        ("alive", ctypes.c_void_p),
+        ("upd_work", ctypes.c_void_p),
+        ("upd_service", ctypes.c_void_p),
+        ("trace", ctypes.c_void_p),
+        ("busy_snap", ctypes.c_void_p),
+        ("upd", ctypes.c_void_p),
     ]
+
+
+class _UpdateArgs(ctypes.Structure):
+    """Mirror of ``roar_updates`` in ``csrc/sweep.c`` (keep in sync)."""
+
+    _fields_ = [
+        ("q", ctypes.c_void_p),
+        ("t", ctypes.c_void_p),
+        ("pos", ctypes.c_void_p),
+        ("next", ctypes.c_int64),
+        ("end", ctypes.c_int64),
+        ("r", ctypes.c_int64),
+        ("snap_due", ctypes.c_int64),
+        ("n_written", ctypes.c_int64),
+        ("n_rows", ctypes.c_int64),
+        ("row_g", ctypes.c_void_p),
+        ("row_at", ctypes.c_void_p),
+        ("row_t", ctypes.c_void_p),
+        ("row_start", ctypes.c_void_p),
+        ("row_finish", ctypes.c_void_p),
+    ]
+
+    @classmethod
+    def for_stream(cls, stream: UpdateStream) -> "_UpdateArgs":
+        """The stream's struct (cached on it, rebuilt when its trace rows
+        were reallocated), its scalars copied in."""
+        cached = stream.ext.get("compiled")
+        if cached is None or cached[1] is not stream.row_g:
+            args = cls(
+                q=stream.q.ctypes.data,
+                t=stream.t.ctypes.data,
+                pos=stream.pos.ctypes.data,
+                row_g=stream.row_g.ctypes.data,
+                row_at=stream.row_at.ctypes.data,
+                row_t=stream.row_t.ctypes.data,
+                row_start=stream.row_start.ctypes.data,
+                row_finish=stream.row_finish.ctypes.data,
+            )
+            stream.ext["compiled"] = (args, stream.row_g)
+        else:
+            args = cached[0]
+        args.next = stream.next
+        args.end = stream.end
+        args.r = stream.r
+        args.snap_due = stream.snap_due
+        args.n_written = args.n_rows = 0
+        return args
+
+    def copy_out(self, stream: UpdateStream) -> None:
+        stream.next = self.next
+        stream.snap_due = self.snap_due
+        stream.n_written = self.n_written
+        stream.n_rows = self.n_rows
 
 
 class _GateArgs(ctypes.Structure):
@@ -377,9 +443,13 @@ class _CommitBlock:
 
     Same idea as :class:`_EntryBlock`, one level up: every pointer a whole
     chunk's sweep+commit needs -- including the engine-owned
-    :class:`~repro.kernels.base.CommitBuffers` out arrays and the batch's
-    arrival times -- lives in one struct, so each chunk marshals three
-    scalar foreign-call arguments (block pointer, start index, count).
+    :class:`~repro.kernels.base.CommitBuffers` out arrays, the plan's
+    per-server accumulators and the batch's arrival times -- lives in one
+    struct, so each chunk marshals three scalar foreign-call arguments
+    (block pointer, start index, count).  With no *entry* and *bufs* the
+    block serves calls with no queries: the sweep struct carries only the
+    ring geometry the update walk reads, and every per-entry pointer is
+    NULL.
     """
 
     __slots__ = (
@@ -394,59 +464,79 @@ class _CommitBlock:
     def __init__(
         self,
         state: SweepState,
-        entry: PqEntry,
+        entry: Optional[PqEntry],
         plan: CommitPlan,
-        bufs: CommitBuffers,
+        bufs: Optional[CommitBuffers],
         starts_flat: "np.ndarray",
     ) -> None:
-        pq = len(entry.offs)
-        g_buf = np.empty(pq, dtype=np.int64)
-        pts_buf = np.empty(pq, dtype=np.float64)
-        sid_buf = np.empty(1, dtype=np.float64)
-        sweep, sweep_holds = _sweep_struct(
-            state, entry, starts_flat, g_buf, pts_buf, sid_buf
-        )
-        wbuf = np.empty(pq, dtype=np.float64)
-        args = _CommitArgs(
-            sweep=sweep,
+        fields = dict(
             srv_fixed=plan.srv_fixed.ctypes.data,
             srv_speed=plan.srv_speed.ctypes.data,
             alpha=plan.alpha,
             om_alpha=plan.om_alpha,
             dataset=plan.dataset,
-            wd=entry.wd,
-            off0=entry.off0,
             arrivals=plan.arrivals.ctypes.data,
-            rtts=bufs.rtts.ctypes.data,
             busy_mut=state.busy.ctypes.data,
             spd=plan.spd.ctypes.data,
-            q_over_s_mut=entry.Q.ctypes.data,
-            wbuf=wbuf.ctypes.data,
-            res_g=bufs.res_g.ctypes.data,
-            res_v=bufs.res_v.ctypes.data,
-            res_n=bufs.res_n.ctypes.data,
-            sub_g=bufs.sub_g.ctypes.data,
-            sub_service=bufs.sub_service.ctypes.data,
-            sub_work=bufs.sub_work.ctypes.data,
-            sub_finish=bufs.sub_finish.ctypes.data,
-            sub_start=bufs.sub_start.ctypes.data,
-            q_total=bufs.q_total.ctypes.data,
-            q_mw=bufs.q_mw.ctypes.data,
-            q_ms=bufs.q_ms.ctypes.data,
-            stop=bufs.stop_idx.ctypes.data,
-            stop_g=bufs.stop_g.ctypes.data,
-            stop_start_id=bufs.stop_start_id.ctypes.data,
+            busy_time=plan.busy_time.ctypes.data,
+            objects=plan.objects.ctypes.data,
+            tasks=plan.tasks.ctypes.data,
+            completed=plan.completed.ctypes.data,
+            last_seen=plan.last_seen.ctypes.data,
+            touched=plan.touched.ctypes.data,
+            alive=plan.alive.ctypes.data,
+            upd_work=plan.upd_work.ctypes.data,
+            upd_service=plan.upd_service.ctypes.data,
+            trace=None if plan.trace is None else plan.trace.ctypes.data,
+            busy_snap=plan.busy_snap.ctypes.data,
         )
-        self._hold = (
-            args,
-            sweep_holds,
-            g_buf,
-            pts_buf,
-            sid_buf,
-            wbuf,
-            plan,
-            bufs,
-        )
+        if entry is None:
+            lo = np.asarray(state.ring_lo, dtype=np.int64)
+            hi = np.asarray(state.ring_hi, dtype=np.int64)
+            sweep = _SweepArgs(
+                busy=state.busy.ctypes.data,
+                fe_fixed=state.fe_fixed,
+                n=state.n,
+                ring_lo=lo.ctypes.data,
+                ring_hi=hi.ctypes.data,
+                n_rings=state.n_rings,
+                starts_flat=starts_flat.ctypes.data,
+            )
+            scratch: tuple = (lo, hi, starts_flat, state)
+        else:
+            pq = len(entry.offs)
+            g_buf = np.empty(pq, dtype=np.int64)
+            pts_buf = np.empty(pq, dtype=np.float64)
+            sid_buf = np.empty(1, dtype=np.float64)
+            sweep, sweep_holds = _sweep_struct(
+                state, entry, starts_flat, g_buf, pts_buf, sid_buf
+            )
+            wbuf = np.empty(pq, dtype=np.float64)
+            fields.update(
+                wd=entry.wd,
+                off0=entry.off0,
+                rtts=bufs.rtts.ctypes.data,
+                q_over_s_mut=entry.Q.ctypes.data,
+                wbuf=wbuf.ctypes.data,
+                res_g=bufs.res_g.ctypes.data,
+                res_v=bufs.res_v.ctypes.data,
+                res_n=bufs.res_n.ctypes.data,
+                sub_g=bufs.sub_g.ctypes.data,
+                sub_service=bufs.sub_service.ctypes.data,
+                sub_work=bufs.sub_work.ctypes.data,
+                sub_finish=bufs.sub_finish.ctypes.data,
+                sub_start=bufs.sub_start.ctypes.data,
+                q_total=bufs.q_total.ctypes.data,
+                q_mw=bufs.q_mw.ctypes.data,
+                q_ms=bufs.q_ms.ctypes.data,
+                stop=bufs.stop_idx.ctypes.data,
+                stop_g=bufs.stop_g.ctypes.data,
+                stop_start_id=bufs.stop_start_id.ctypes.data,
+            )
+            scratch = (sweep_holds, g_buf, pts_buf, sid_buf, wbuf, bufs)
+        args = _CommitArgs(sweep=sweep, **fields)
+        # keep the struct and every array behind its raw pointers alive
+        self._hold = (args, scratch, plan)
         self.args = args
         self.args_ptr = ctypes.addressof(args)
         self.state_token = id(state)
@@ -481,6 +571,8 @@ class CompiledKernel(SweepKernel):
         self._starts_flat: Optional["np.ndarray"] = None
         self._last_entry: Optional[PqEntry] = None
         self._last_block: Optional[_EntryBlock] = None
+        #: the block for calls with no queries (no entry, no bufs)
+        self._bare_block: Optional[_CommitBlock] = None
 
     def bind(self, state: SweepState) -> None:
         self._state = state
@@ -513,18 +605,21 @@ class CompiledKernel(SweepKernel):
     def commit_batch(
         self,
         state: SweepState,
-        entry: PqEntry,
+        entry: Optional[PqEntry],
         plan: CommitPlan,
-        bufs: CommitBuffers,
+        bufs: Optional[CommitBuffers],
         start: int,
         nq: int,
         gate: Optional[AdmissionGate] = None,
         failed: Optional["np.ndarray"] = None,
+        updates: Optional[UpdateStream] = None,
     ) -> int:
-        check_commit_args(state, entry, plan, bufs, start, nq, gate, failed)
+        check_commit_args(state, entry, plan, bufs, start, nq, gate, failed, updates)
         if state is not self._state:
             self.bind(state)
-        block = entry.ext.get("compiled_commit")
+        block = (
+            self._bare_block if entry is None else entry.ext.get("compiled_commit")
+        )
         if (
             block is None
             or block.state_token != id(state)
@@ -532,27 +627,41 @@ class CompiledKernel(SweepKernel):
             or block.bufs_token != id(bufs)
         ):
             block = _CommitBlock(state, entry, plan, bufs, self._starts_flat)
-            entry.ext["compiled_commit"] = block
-        block.args.failed = None if failed is None else failed.ctypes.data
+            if entry is None:
+                self._bare_block = block
+            else:
+                entry.ext["compiled_commit"] = block
+        args = block.args
+        args.failed = None if failed is None else failed.ctypes.data
+        u = None
+        if updates is not None:
+            u = _UpdateArgs.for_stream(updates)
+            args.upd = ctypes.addressof(u)
+        else:
+            args.upd = None
         if gate is None:
-            block.args.gate = None
-            return self._commit_fn(block.args_ptr, start, nq)
-        g = _GateArgs.for_gate(gate)
-        g.queue_cap = gate.queue_cap
-        g.rate = gate.rate
-        g.burst = gate.burst
-        g.tokens = gate.tokens
-        g.accrued_at = gate.accrued_at
-        g.backlog_hwm = gate.backlog_hwm
-        g.max_admitted_backlog = gate.max_admitted_backlog
-        g.bucket = int(gate.bucket)
-        block.args.gate = ctypes.addressof(g)
-        n_committed = self._commit_fn(block.args_ptr, start, nq)
-        gate.tokens = g.tokens
-        gate.accrued_at = g.accrued_at
-        gate.backlog_hwm = g.backlog_hwm
-        gate.max_admitted_backlog = g.max_admitted_backlog
-        # a stopped query passed the pre-check: it counts as admitted
-        gate.n_admitted = n_committed + (int(bufs.stop_idx[0]) >= 0)
-        gate.n_shed = g.n_shed
+            args.gate = None
+            n_committed = self._commit_fn(block.args_ptr, start, nq)
+        else:
+            g = _GateArgs.for_gate(gate)
+            g.queue_cap = gate.queue_cap
+            g.rate = gate.rate
+            g.burst = gate.burst
+            g.tokens = gate.tokens
+            g.accrued_at = gate.accrued_at
+            g.backlog_hwm = gate.backlog_hwm
+            g.max_admitted_backlog = gate.max_admitted_backlog
+            g.bucket = int(gate.bucket)
+            args.gate = ctypes.addressof(g)
+            n_committed = self._commit_fn(block.args_ptr, start, nq)
+            gate.tokens = g.tokens
+            gate.accrued_at = g.accrued_at
+            gate.backlog_hwm = g.backlog_hwm
+            gate.max_admitted_backlog = g.max_admitted_backlog
+            # a stopped query passed the pre-check: it counts as admitted
+            stopped = bufs is not None and int(bufs.stop_idx[0]) >= 0
+            gate.n_admitted = n_committed + stopped
+            gate.n_shed = g.n_shed
+        if u is not None:
+            u.copy_out(updates)
         return n_committed

@@ -12,7 +12,7 @@
  * each -- sub-query widths, the front-end reserve, queue submit, EWMA
  * speed observation, and the q_over_s write-through -- against the live
  * mirror arrays, emitting the per-sub-query chunk-buffer rows in bulk
- * for the engine's numpy flush.  It is the engine's only commit when
+ * for the engine's per-query columns.  It is the engine's only commit when
  * the compiled kernel runs: inside a failure window it stops at the
  * first query whose pick touches a failed server and reports that pick,
  * and the engine hands the query to the reference path's fall-back.
@@ -28,7 +28,13 @@
  * (see repro/kernels/compiled.py), which is what lets `repro[fast]`
  * degrade gracefully to the pure-python oracle when no toolchain exists.
  *
- * ABI notes (revision 6): `owners` is the (n_rings, pq, n_configs)
+ * roar_commit_batch also applies the run's object updates (the update
+ * stream, roar_updates): each one just before the query it precedes, so
+ * an update and a query that hit the same server advance the queue, busy
+ * time and object mirrors in submission order, and a call with nq == 0
+ * applies the updates pending at `start` alone.
+ *
+ * ABI notes (revision 7): `owners` is the (n_rings, pq, n_configs)
  * C-contiguous owner timeline of ring-LOCAL node indices; `ring_lo[r]`
  * maps them to global server indices (the order of `busy` / `q_over_s` /
  * `starts_flat`).  `next_change` is the (pq, n_configs) C-contiguous
@@ -38,12 +44,19 @@
  * sorted node start positions in the global order.  Revision 6 added the
  * failed-server mask (`failed`, one byte per server, NULL outside failure
  * windows) and the stop report (`stop`, `stop_g`, `stop_start_id`) to
- * roar_commit_args.  All int buffers are int64 (numpy intp on LP64).
+ * roar_commit_args.  Revision 7 added the per-server accumulators the
+ * commit now advances itself (busy time, objects, tasks, completed,
+ * last seen, touched), the update constants and mirrors (alive flags,
+ * one update's work and service time, the trace mask, the queue
+ * snapshot) and the update stream (`upd`); with nq == 0 the sweep's
+ * entry fields and every `bufs` pointer may be NULL.  All int buffers
+ * are int64 (numpy intp on LP64); bool buffers are one byte per server.
  */
 
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 /* The reference estimator: (max(busy - now, 0) + fixed) + work*d/speed.
  * A pure function of per-server state, evaluated lazily at gather sites:
@@ -59,6 +72,21 @@ static inline double est_of(
         e = 0.0;
     }
     return (e + fe_fixed) + q_over_s[i];
+}
+
+/* bisect_left: first index in a[0..len) with a[index] >= v (python's
+ * bisect.bisect_left comparison, so a NaN lands where it does there). */
+static int64_t lower_bound(const double *a, int64_t len, double v) {
+    int64_t lo = 0, hi = len;
+    while (lo < hi) {
+        int64_t mid = (lo + hi) / 2;
+        if (a[mid] < v) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    return lo;
 }
 
 /* bisect_right: first index in a[0..len) with v < a[index]. */
@@ -250,10 +278,11 @@ int64_t roar_sweep_select(const roar_sweep_args *a, double now)
  * write-through that keeps the estimate quotient fresh for the next
  * query's sweep.  roar_commit_batch runs sweep + commit for a whole
  * chunk of queries in one call, advancing the live mirrors (`busy_mut`,
- * `spd`, `q_over_s_mut`) in place and emitting the per-sub-query rows
- * (server, service, work, finish, start; submit order) plus the
- * per-query reductions (total delay, max wait, max service) into the
- * engine-owned out buffers consumed by the numpy flush.
+ * `spd`, `q_over_s_mut` and the per-server accumulators `busy_time`,
+ * `objects`, `tasks`, `completed`, `last_seen`, `touched`) in place and
+ * emitting the per-sub-query rows (server, service, work, finish, start;
+ * submit order) plus the per-query reductions (total delay, max wait,
+ * max service) into the engine-owned out buffers the flush reads.
  *
  * Exactness: each operation replicates the python oracle's scalar float
  * ops in the same order (SweepKernel.commit_batch in kernels/base.py);
@@ -269,8 +298,8 @@ int64_t roar_sweep_select(const roar_sweep_args *a, double now)
  *
  * Admission pre-check: with a non-NULL `gate`, each arrival first sees
  * backlog = max(busy) - now (clipped at 0), kept as a running max that
- * is exact because a commit only ever raises busy[g].  The token bucket
- * (when `bucket`) accrues once at `now` -- AIMDAdmission._accrue,
+ * is exact because a commit or an update only ever raises busy[g].  The
+ * token bucket (when `bucket`) accrues once at `now` -- AIMDAdmission._accrue,
  * operation for operation -- then the query is shed on the queue cap
  * (code 0) or on an empty bucket (code 1), or admitted.  Admitted query
  * j takes rtts[j] and fills out row j; shed queries emit one shed row
@@ -293,6 +322,34 @@ typedef struct {
     double *shed_backlog;          /* [cap] out: backlog at the decision  */
     double *shed_signal;           /* [cap] out: tokens (NaN w/o bucket)  */
 } roar_gate;
+
+/* The update stream (kernels/base.py UpdateStream): update u precedes
+ * query q[u] (non-decreasing), happens at t[u] and writes the object at
+ * ring position pos[u].  Before query q -- or at `start` in a call with
+ * no queries -- every update in [next, end) with q[u] <= q is applied by
+ * Deployment.apply_update's rule: the first r alive nodes of ring 0
+ * clockwise from the position (bisect-left on the starts, then the walk
+ * Ring.replica_holders makes) hold it; a failed server skips the write,
+ * every other holder takes one fixed-cost task in SimServer.submit's
+ * float ops.  snap_due is set by each commit and cleared by the first
+ * write after it, which first copies busy to busy_snap (the queues the
+ * last committed query's NodeStats sync read). */
+typedef struct {
+    const int64_t *q;              /* [n_upd] query each update precedes  */
+    const double *t;               /* [n_upd] update time                 */
+    const double *pos;             /* [n_upd] ring position               */
+    int64_t next;                  /* in/out: first update not applied    */
+    int64_t end;                   /* apply none at or past this index    */
+    int64_t r;                     /* alive holders per update            */
+    int64_t snap_due;              /* in/out: snapshot before next write  */
+    int64_t n_written;             /* out: updates that found a holder    */
+    int64_t n_rows;                /* out: trace rows written             */
+    int64_t *row_g;                /* out: traced holder                  */
+    int64_t *row_at;               /* out: query sub-rows emitted before  */
+    double *row_t;                 /* out: update time                    */
+    double *row_start;             /* out: task start                     */
+    double *row_finish;            /* out: task finish                    */
+} roar_updates;
 
 typedef struct {
     roar_sweep_args sweep;         /* embedded; its busy/q_over_s alias   */
@@ -326,7 +383,87 @@ typedef struct {
     int64_t *stop;                 /* [1] out: stopped query, -1 = none   */
     int64_t *stop_g;               /* [pq] out: the stopped query's pick  */
     double *stop_start_id;         /* [1] out: its start id               */
+    double *busy_time;             /* [n] SimServer.busy_time mirror      */
+    double *objects;               /* [n] SimServer.objects_matched       */
+    int64_t *tasks;                /* [n] SimServer.tasks_run             */
+    int64_t *completed;            /* [n] NodeStats.completed             */
+    double *last_seen;             /* [n] NodeStats.last_seen             */
+    uint8_t *touched;              /* [n] out: servers this run wrote     */
+    const uint8_t *alive;          /* [n] ring node alive flags           */
+    const double *upd_work;        /* [n] one update's objects            */
+    const double *upd_service;     /* [n] one update's service time       */
+    const uint8_t *trace;          /* [n] traced servers, NULL = none     */
+    double *busy_snap;             /* [n] out: queues at the last sync    */
+    roar_updates *upd;             /* the update stream, NULL = none      */
 } roar_commit_args;
+
+/* Apply every pending update with q[u] <= q_bound (see roar_updates).
+ * `at` is the number of query sub-rows the call has emitted; `bmax` the
+ * gate's running max (NULL without a gate). */
+static void apply_updates(const roar_commit_args *a, roar_updates *u,
+                          int64_t q_bound, int64_t at, double *bmax)
+{
+    const roar_sweep_args *sw = &a->sweep;
+    const int64_t lo0 = sw->ring_lo[0];
+    const int64_t n0 = sw->ring_hi[0] - lo0;
+    const double *starts0 = sw->starts_flat + lo0;
+    const uint8_t *failed = a->failed;
+    const int64_t r = u->r, end = u->end;
+    double *busy = a->busy_mut;
+    int64_t k = u->next, snap_due = u->snap_due;
+    int64_t n_written = u->n_written, n_rows = u->n_rows;
+    while (k < end && u->q[k] <= q_bound) {
+        const double t = u->t[k];
+        const int64_t i = lower_bound(starts0, n0, u->pos[k]);
+        int64_t found = 0, c;
+        k++;
+        for (c = 0; c < n0 && found < r; c++) {
+            int64_t j = i + c;
+            if (j >= n0) {
+                j -= n0;
+            }
+            const int64_t g = lo0 + j;
+            if (!a->alive[g]) {
+                continue;
+            }
+            found++;
+            if (failed != NULL && failed[g]) {
+                continue;
+            }
+            if (snap_due) {
+                memcpy(a->busy_snap, busy, (size_t)sw->n * sizeof(double));
+                snap_due = 0;
+            }
+            const double b = busy[g];
+            const double s0 = b > t ? b : t;
+            const double svc = a->upd_service[g];
+            const double f = s0 + svc;
+            busy[g] = f;
+            a->busy_time[g] += svc;
+            a->objects[g] += a->upd_work[g];
+            a->tasks[g] += 1;
+            a->touched[g] = 1;
+            if (bmax != NULL && f > *bmax) {
+                *bmax = f;
+            }
+            if (a->trace != NULL && a->trace[g]) {
+                u->row_g[n_rows] = g;
+                u->row_at[n_rows] = at;
+                u->row_t[n_rows] = t;
+                u->row_start[n_rows] = s0;
+                u->row_finish[n_rows] = f;
+                n_rows++;
+            }
+        }
+        if (found > 0) {
+            n_written++;
+        }
+    }
+    u->next = k;
+    u->snap_due = snap_due;
+    u->n_written = n_written;
+    u->n_rows = n_rows;
+}
 
 int64_t roar_commit_batch(const roar_commit_args *a, int64_t start,
                           int64_t nq)
@@ -348,10 +485,16 @@ int64_t roar_commit_batch(const roar_commit_args *a, int64_t start,
     double *res_v = a->res_v;
     roar_gate *gate = a->gate;
     const uint8_t *failed = a->failed;
+    roar_updates *upd = a->upd;
+    double *busy_time = a->busy_time, *objects = a->objects;
+    double *last_seen = a->last_seen;
+    int64_t *tasks = a->tasks, *completed = a->completed;
+    uint8_t *touched = a->touched;
     int64_t si = 0, adm = 0, ns = 0;
     int64_t k, i, j;
     double bmax = 0.0, hwm = 0.0, max_adm = 0.0, tokens = 0.0;
     double accrued_at = 0.0;
+    double *bmax_p = gate != NULL ? &bmax : NULL;
     if (gate != NULL) {
         bmax = busy[0];
         for (j = 1; j < sw->n; j++) {
@@ -364,9 +507,14 @@ int64_t roar_commit_batch(const roar_commit_args *a, int64_t start,
         tokens = gate->tokens;
         accrued_at = gate->accrued_at;
     }
-    *a->stop = -1;
+    if (a->stop != NULL) {
+        *a->stop = -1;
+    }
 
     for (k = 0; k < nq; k++) {
+        if (upd != NULL && upd->next < upd->end && upd->q[upd->next] <= start + k) {
+            apply_updates(a, upd, start + k, si, bmax_p);
+        }
         const double now = a->arrivals[start + k];
         if (gate != NULL) {
             double backlog = bmax - now;
@@ -493,6 +641,14 @@ int64_t roar_commit_batch(const roar_commit_args *a, int64_t start,
             if (gate != NULL && f > bmax) {
                 bmax = f;
             }
+            busy_time[g] += service;
+            objects[g] += work;
+            tasks[g] += 1;
+            completed[g] += 1;
+            if (f > last_seen[g]) {
+                last_seen[g] = f;
+            }
+            touched[g] = 1;
             a->sub_g[si] = g;
             a->sub_service[si] = service;
             a->sub_work[si] = work;
@@ -525,6 +681,12 @@ int64_t roar_commit_batch(const roar_commit_args *a, int64_t start,
         a->q_mw[adm] = mw;
         a->q_ms[adm] = ms;
         adm++;
+        if (upd != NULL) {
+            upd->snap_due = 1;
+        }
+    }
+    if (nq == 0 && upd != NULL) {
+        apply_updates(a, upd, start, 0, bmax_p);
     }
     if (gate != NULL) {
         gate->tokens = tokens;
@@ -537,4 +699,4 @@ int64_t roar_commit_batch(const roar_commit_args *a, int64_t start,
 }
 
 /* Build-probe symbol so the loader can verify the ABI revision it built. */
-int64_t roar_sweep_abi_version(void) { return 6; }
+int64_t roar_sweep_abi_version(void) { return 7; }

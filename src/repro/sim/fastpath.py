@@ -11,12 +11,13 @@ the same system with no per-query python on its hot path:
   servers).  The next query's estimates are therefore always exact --
   freshness is what makes the batched schedule provably bit-identical.
 
-* **One commit path.**  Between two cut points (exact-time actions, the
+* **One commit path.**  Between two cut points (callback actions, the
   chunk cap) the engine hands the kernel a whole chunk of queries at once
   through :meth:`~repro.kernels.base.SweepKernel.commit_batch`: the kernel
-  runs sweep *and* commit -- widths, reserve, queue submit, EWMA
-  observation, write-through -- for every query of the chunk, advancing
-  the live mirrors in place and returning the per-sub-query rows in bulk.
+  applies the object updates due before each query, then runs sweep
+  *and* commit -- widths, reserve, queue submit, EWMA observation,
+  write-through -- for every query of the chunk, advancing the live
+  mirrors in place and returning the per-sub-query rows in bulk.
   It is the only place a query is committed.  The default
   ``commit_batch`` is the reference python loop (so every kernel takes
   the seam); the compiled kernel fuses the whole chunk into one C call.
@@ -25,13 +26,14 @@ the same system with no per-query python on its hot path:
   :mod:`repro.kernels`).
 
 * **Chunked accounting.**  Writing ``SimServer``/``NodeStats`` objects,
-  building columnar records, feeding listeners and the traffic ledger
-  commutes into per-server reductions: each chunk is flushed straight
-  from the kernel's out buffers with a handful of numpy ops
-  (``np.add.at`` preserves per-server float addition order, so even
-  busy-time sums are bit-exact).  Objects are materialised only where
-  some consumer could observe intermediate state: before an action
-  callback, a failure delegation, and at the end of the batch.
+  building columnar records, feeding listeners and the traffic ledger is
+  deferred: the kernel advances per-server accumulator mirrors (busy
+  time, objects, tasks, completions, last seen) in submission order, so
+  even busy-time sums are bit-exact with updates interleaved, and each
+  chunk's per-query columns are flushed straight from the kernel's out
+  buffers.  Objects are materialised only where some consumer could
+  observe intermediate state: before an action callback, a failure
+  delegation, and at the end of the batch.
 
 * **Stop, delegate, resume.**  Inside a failure window the engine passes
   the failed-server mask; ``commit_batch`` stops before the first query
@@ -62,11 +64,14 @@ the same system with no per-query python on its hot path:
   object state before each callback -- so a mid-batch failure,
   membership change, or control tick sees precisely the state the
   per-query reference path would have produced, and is visible to the
-  very next query.  Update data needs no materialise: the engine applies
-  each ``(time, position)`` write on its mirrors
-  (:meth:`_Engine._apply_updates`), with the replica-holder rule
+  very next query.  Update data cuts nothing: every action's
+  ``(time, position)`` writes form one
+  :class:`~repro.kernels.base.UpdateStream` per run, which the kernel
+  applies inside ``commit_batch`` with the replica-holder rule
   :meth:`Deployment.apply_update <repro.cluster.deployment.Deployment.
-  apply_update>` uses.
+  apply_update>` uses; updates outside any query (before a callback,
+  after the last query) go through a call with no queries
+  (:meth:`_Engine._apply_updates`).
 
 The batched path is only landable because it is *provably the same system*:
 for equal seeds it produces bit-identical per-query server sets, latencies,
@@ -82,7 +87,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import chain, groupby
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 try:
@@ -98,6 +103,7 @@ from ..kernels.base import (
     PqEntry,
     SweepKernel,
     SweepState,
+    UpdateStream,
 )
 from ..kernels.registry import get_kernel
 from ..telemetry.listeners import ChunkArrays
@@ -141,8 +147,9 @@ class Action:
     ``updates`` holds ``(time, position)`` object updates, applied in
     order after ``fn`` with :meth:`~repro.cluster.deployment.Deployment.
     apply_update`'s semantics.  The reference path calls that method; the
-    batched engine applies them on its own mirrors, with no materialise
-    and no refresh.
+    batched engine hands them to its kernel as part of the run's update
+    stream, with no materialise and no refresh, and an action without a
+    callback does not cut the chunk it falls in.
 
     ``scope`` declares what ``fn`` may have mutated so the engine can
     refresh its mirrors minimally:
@@ -232,6 +239,34 @@ def _sorted_actions(actions) -> list[Action]:
     return acts
 
 
+def _update_stream(
+    actions: Sequence[Action], n_q: int
+) -> tuple[UpdateStream, list[tuple[Action, int, int]]]:
+    """Every action's object updates as one flat stream, in action order,
+    and the callback actions with their place in it.
+
+    An update precedes the query its action fires before (updates after
+    the last query precede the arrival count).  A callback action comes
+    back as ``(action, lo, hi)``: the stream's updates before ``lo``
+    precede it, and ``[lo, hi)`` are its own, applied after its callback.
+    """
+    counts = [len(a.updates) for a in actions]
+    bounds = np.cumsum([0] + counts).tolist()
+    callbacks = [
+        (a, lo, hi)
+        for a, lo, hi in zip(actions, bounds, bounds[1:])
+        if a.fn is not None
+    ]
+    q = np.repeat([min(a.index, n_q) for a in actions], counts)
+    flat = np.fromiter(
+        chain.from_iterable(chain.from_iterable(a.updates for a in actions)),
+        dtype=np.float64,
+    )
+    if flat.size != 2 * bounds[-1]:
+        raise ValueError("each action update must be a (time, position) pair")
+    return UpdateStream(q, flat[0::2], flat[1::2]), callbacks
+
+
 class _Engine:
     """One batched run: mirrors, the action queue, and a pluggable
     :class:`~repro.kernels.base.SweepKernel` that schedules and commits
@@ -265,7 +300,6 @@ class _Engine:
         self.one_minus_alpha = 1.0 - self.alpha
         self.pq_fn = pq_fn
         self.pq_override: Optional[int] = None
-        self.actions = actions
         self.kernel = kernel
 
         if deployment.cover_tables is None:
@@ -273,6 +307,10 @@ class _Engine:
         self.cache: CoverTableCache = deployment.cover_tables
 
         n_q = len(arrivals)
+        self.n_q = n_q
+        #: the run's object updates, applied inside ``commit_batch``; the
+        #: run cuts its spans only at the callback actions.
+        self.stream, self.callbacks = _update_stream(actions, n_q)
         self.arrivals = arrivals
         self.arr_l = arrivals.tolist()
         self.latencies = np.full(n_q, np.nan, dtype=np.float64)
@@ -288,19 +326,19 @@ class _Engine:
         self.shed_n = 0
         self.fast_scheduled = 0
         self.delegated = 0
-        self.actions_applied = 0
+        #: update-only actions fire inside the kernel; count them here
+        self.actions_applied = len(actions) - len(self.callbacks)
         self.chunk_sizes: list[int] = []
 
         #: NodeStats.busy_until reservations of the *last* scheduled query
         #: (bulk or delegated) -- the one piece of front-end state the
         #: reference path leaves holding a prediction rather than a synced
-        #: server value.
+        #: server value.  The queues that query's sync read are in
+        #: ``busy`` while ``stream.snap_due`` is set, else in
+        #: ``plan.busy_snap`` (snapshotted before a delegated query, or by
+        #: the kernel before the first update write after a commit).
         self.last_res: Optional[list[tuple[int, float]]] = None
         self.st_sync_pending = False
-        #: the queues that query's sync read, once ``busy`` no longer holds
-        #: them: snapshotted before a delegated query, or when a data update
-        #: moves them after a bulk chunk (None: ``busy`` still holds them).
-        self.st_busy: Optional[list[float]] = None
 
         #: per-pq commit out buffers (stable objects, so compiled kernels
         #: can cache raw pointers against them for the whole run).
@@ -316,6 +354,7 @@ class _Engine:
         )
 
         self._build()
+        self.stream.r = self._replicas()
 
     # -- mirrors -----------------------------------------------------------
     def _build(self) -> None:
@@ -337,42 +376,19 @@ class _Engine:
         self.index_of = {name: g for g, name in enumerate(self.names_flat)}
         self.stats_flat = [fe.stats_for(nd) for nd in nodes_flat]
         self.servers_flat = [dep.servers[nd.name] for nd in nodes_flat]
-        self.trace_any = any(s.keep_trace for s in dep.servers.values())
         self.multi_lane = any(s.cores != 1 for s in self.servers_flat)
 
         n = len(nodes_flat)
-        srv_speed_l = [s.speed for s in self.servers_flat]
-        srv_fixed_l = [s.fixed_overhead for s in self.servers_flat]
-        self.busy = np.array(
-            [s.busy_until for s in self.servers_flat], dtype=np.float64
-        )
+        servers_flat, stats_flat = self.servers_flat, self.stats_flat
+        self.busy = np.array([s.busy_until for s in servers_flat], dtype=np.float64)
         self.spd = np.array(
-            [st.speed_estimate for st in self.stats_flat], dtype=np.float64
+            [st.speed_estimate for st in stats_flat], dtype=np.float64
         )
         #: the failed-server mask ``commit_batch`` stops on (passed only
         #: while ``any_failed``).
-        self.failed = np.array([s.failed for s in self.servers_flat], dtype=bool)
+        self.failed = np.array([s.failed for s in servers_flat], dtype=bool)
         self.any_failed = bool(self.failed.any())
         self.est = np.empty(n, dtype=np.float64)
-        # absolute per-server accumulator mirrors (flushed chunks land here,
-        # materialise copies them back onto the objects)
-        self.bt = np.array([s.busy_time for s in self.servers_flat])
-        self.om = np.array([s.objects_matched for s in self.servers_flat])
-        self.tasks = np.array(
-            [s.tasks_run for s in self.servers_flat], dtype=np.int64
-        )
-        # one object update's work and service time per server, in
-        # SimServer.submit's float ops (work = cost * speed)
-        srv_speed = np.array(srv_speed_l, dtype=np.float64)
-        self.upd_work = self.cfg.update_cost * srv_speed
-        self.upd_svc = np.array(srv_fixed_l, dtype=np.float64) + (
-            self.upd_work / srv_speed
-        )
-        self.cc = np.array(
-            [st.completed for st in self.stats_flat], dtype=np.int64
-        )
-        self.ls = np.array([st.last_seen for st in self.stats_flat])
-        self.touched = np.zeros(n, dtype=bool)
 
         #: the kernel-facing view of the mirrors; a fresh instance per
         #: membership epoch so kernels can cache derived data against it.
@@ -387,17 +403,31 @@ class _Engine:
         self.kernel.bind(self.state)
 
         #: the kernel-facing commit constants + mirrors (paired with
-        #: ``state``: a fresh instance per membership epoch).
-        self.plan = CommitPlan(
+        #: ``state``: a fresh instance per membership epoch).  The kernel
+        #: advances the per-server accumulators in place; materialise
+        #: copies them back onto the objects.
+        self.plan = plan = CommitPlan(
             self.arrivals,
             self.arr_l,
             self.spd,
-            srv_fixed_l,
-            srv_speed_l,
+            [s.fixed_overhead for s in servers_flat],
+            [s.speed for s in servers_flat],
             self.alpha,
             self.one_minus_alpha,
             self.dataset,
+            update_cost=self.cfg.update_cost,
+            busy_time=[s.busy_time for s in servers_flat],
+            objects=[s.objects_matched for s in servers_flat],
+            tasks=[s.tasks_run for s in servers_flat],
+            completed=[st.completed for st in stats_flat],
+            last_seen=[st.last_seen for st in stats_flat],
+            alive=[nd.alive for nd in nodes_flat],
+            trace=[s.keep_trace for s in servers_flat],
         )
+        self.bt, self.om, self.tasks = plan.busy_time, plan.objects, plan.tasks
+        self.cc, self.ls = plan.completed, plan.last_seen
+        self.touched, self.alive = plan.touched, plan.alive
+        self.trace_any = plan.trace is not None
 
         self.tables: dict[int, PqEntry] = {}
         self.p_store_cur = dep.p_store
@@ -419,6 +449,7 @@ class _Engine:
         self.spd[:] = [st.speed_estimate for st in self.stats_flat]
         self.failed[:] = [s.failed for s in self.servers_flat]
         self.any_failed = bool(self.failed.any())
+        self.alive[:] = [nd.alive for nd in self.nodes_flat]
         self.cc[:] = [st.completed for st in self.stats_flat]
         self.ls[:] = [st.last_seen for st in self.stats_flat]
         for entry in self.tables.values():
@@ -433,8 +464,7 @@ class _Engine:
         they append to the deployment's columnar logs in a handful of
         array copies -- zero per-query python.  Chunk listeners receive
         the arrays directly (one ``observe_chunk`` call per flushed
-        chunk).  Server traces read the chunk's sub-query rows from
-        *bufs* (submit order, *pq* rows per query).
+        chunk).
         """
         dep = self.dep
         nq = len(qnow)
@@ -460,22 +490,51 @@ class _Engine:
             for chunk_listener in dep.chunk_listeners:
                 chunk_listener.observe_chunk(chunk, log_start, nq)
 
-        if self.trace_any:
-            m = nq * pq
+    def _emit_traces(self, bufs, qqid, qnow, pq) -> None:
+        """Append one ``commit_batch`` call's tasks to the traced servers.
+
+        The committed queries' sub-query rows come from *bufs* (submit
+        order, *pq* rows per query, ids *qqid*, arrivals *qnow*); the
+        update rows the kernel wrote to the stream are merged in where
+        they were submitted, so each trace stays in submission order.
+        """
+        servers_flat = self.servers_flat
+        nq = 0 if qnow is None else len(qnow)
+        m = nq * pq
+        if m:
             sg_l = bufs.sub_g[:m].tolist()
             sst_l = bufs.sub_start[:m].tolist()
             sf_l = bufs.sub_finish[:m].tolist()
             swk_l = bufs.sub_work[:m].tolist()
-            servers_flat = self.servers_flat
-            rows = zip(qqid.tolist(), qnow.tolist(), qrtt.tolist())
-            for k, (qid, now, rtt) in enumerate(rows):
-                arr_t = now + rtt / 2.0
-                for j in range(k * pq, (k + 1) * pq):
-                    server = servers_flat[sg_l[j]]
-                    if server.keep_trace:
-                        server.trace.append(
-                            TaskRecord(qid, arr_t, sst_l[j], sf_l[j], swk_l[j])
-                        )
+            qid_l = qqid.tolist()
+            rtt_l = bufs.rtts[:nq].tolist()
+            arr_t = [now + rtt / 2.0 for now, rtt in zip(qnow.tolist(), rtt_l)]
+        stream = self.stream
+        nr = stream.n_rows
+        ug, uat, ut, us, uf = (
+            a[:nr].tolist()
+            for a in (
+                stream.row_g,
+                stream.row_at,
+                stream.row_t,
+                stream.row_start,
+                stream.row_finish,
+            )
+        )
+        upd_work = self.plan.upd_work.tolist() if nr else None
+        u = 0
+        for j in range(m + 1):
+            # the update rows submitted before query sub-row j
+            while u < nr and uat[u] == j:
+                g = ug[u]
+                servers_flat[g].trace.append(TaskRecord(-1, ut[u], us[u], uf[u], upd_work[g]))
+                u += 1
+            if j == m:
+                break
+            server = servers_flat[sg_l[j]]
+            if server.keep_trace:
+                k = j // pq
+                server.trace.append(TaskRecord(qid_l[k], arr_t[k], sst_l[j], sf_l[j], swk_l[j]))
 
     def _materialise(self, sync: bool = True) -> None:
         """Write exact object state (servers + node stats) from the mirrors.
@@ -509,85 +568,80 @@ class _Engine:
             self.touched[:] = False
         # NodeStats.busy_until parity: after the last scheduled query, every
         # node reads the server value it synced (the queues as they stood
-        # before any later data update) except that query's reservations,
+        # before any later update) except that query's reservations,
         # which keep the reserve prediction (reference-path behaviour).
         if sync and self.st_sync_pending and self.last_res is not None:
-            synced = self.st_busy if self.st_busy is not None else self.busy.tolist()
+            synced = (self.busy if self.stream.snap_due else self.plan.busy_snap).tolist()
             for g, st in enumerate(self.stats_flat):
                 st.busy_until = synced[g]
             for g, val in self.last_res:
                 self.stats_flat[g].busy_until = val
             self.st_sync_pending = False
-            self.st_busy = None
+            self.stream.snap_due = 0
 
     # -- actions -----------------------------------------------------------
-    def _fire(self, action: Action) -> None:
-        if action.fn is not None:
-            self._materialise()
-            new_pq = action.fn(action.time)
-            if new_pq is not None:
-                self.pq_override = int(new_pq)
-            if action.scope == "membership":
-                self._build()
-            elif action.scope == "values":
-                self._refresh_values()
-            elif action.scope == "busy":
-                self._refresh_busy()
-        if action.updates:
-            self._apply_updates(action.updates)
+    def _fire(self, action: Action, lo: int, hi: int) -> None:
+        """Fire one callback action at its place in the update stream: the
+        updates before *lo* first, then the callback on materialised
+        state, then its own updates ``[lo, hi)``."""
+        at = min(action.index, self.n_q)
+        self._drain(at, lo)
+        self._materialise()
+        new_pq = action.fn(action.time)
+        if new_pq is not None:
+            self.pq_override = int(new_pq)
+        if action.scope == "membership":
+            self._build()
+        elif action.scope == "values":
+            self._refresh_values()
+        elif action.scope == "busy":
+            self._refresh_busy()
+        self.stream.r = self._replicas()
+        self._drain(at, hi)
         self.actions_applied += 1
 
-    def _apply_updates(self, updates) -> None:
-        """Apply object updates on the mirrors, as
-        :meth:`~repro.cluster.deployment.Deployment.apply_update` does on
-        the objects.
-
-        Each update charges one fixed-cost write to the alive replica
-        holders clockwise from its position
-        (:meth:`~repro.core.ring.Ring.replica_holders`), skipping failed
-        servers: the queue, busy-time, task and object mirrors move in
-        ``SimServer.submit``'s float ops, and ``touched`` hands them to
-        the next materialise.  Every chunk before the update is already
-        flushed, so per-server sums keep the reference addition order.
-        """
-        if self.st_sync_pending and self.st_busy is None:
-            self.st_busy = self.busy.tolist()
+    def _replicas(self) -> int:
+        """Replica holders per object update (``Deployment.apply_update``'s r)."""
         dep = self.dep
-        r = max(1, round(dep.n / dep.p_store))
-        holders_of = self.rings[0].replica_holders
-        failed = self.failed if self.any_failed else None
-        busy, bt, om, tasks = self.busy, self.bt, self.om, self.tasks
-        upd_svc, upd_work = self.upd_svc, self.upd_work
-        record_update = self.ledger.record_update
-        for t, pos in updates:
-            holders = holders_of(pos, r)
-            if not holders:
-                continue  # an all-dead ring takes no write traffic
-            record_update(r)
-            # one update's holders are distinct servers, so fancy-indexed
-            # writes give each exactly SimServer.submit's float ops
-            h = np.array(holders, dtype=np.intp)
-            if failed is not None:
-                h = h[~failed[h]]
-                if not h.size:
-                    continue
-            start = busy[h]
-            np.maximum(start, t, out=start)
-            svc = upd_svc[h]
-            finish = start + svc
-            busy[h] = finish
-            bt[h] += svc
-            om[h] += upd_work[h]
-            tasks[h] += 1
-            self.touched[h] = True
-            if self.trace_any:
-                # the rows SimServer.submit appends for a traced server
-                for g, s0, f0 in zip(h.tolist(), start.tolist(), finish.tolist()):
-                    server = self.servers_flat[g]
-                    if server.keep_trace:
-                        server.trace.append(
-                            TaskRecord(-1, t, s0, f0, float(upd_work[g]))
-                        )
+        return max(1, round(dep.n / dep.p_store))
+
+    def _drain(self, start: int, end: int) -> None:
+        """Bound the update stream at *end* and apply its pending updates
+        that precede query *start*, if there are any."""
+        stream = self.stream
+        stream.end = end
+        if stream.next < end and stream.q[stream.next] <= start:
+            self._apply_updates(start)
+
+    def _apply_updates(self, start: int) -> None:
+        """Apply the pending updates at *start* through a ``commit_batch``
+        call with no queries: the updates before a callback, before a
+        query the engine admits itself, and after the last query."""
+        stream = self.stream
+        if self.trace_any:
+            stream.reserve_rows(stream.pending(start, 0) * stream.r)
+        self.kernel.commit_batch(
+            self.state,
+            None,
+            self.plan,
+            None,
+            start,
+            0,
+            None,
+            self.failed if self.any_failed else None,
+            stream,
+        )
+        self._settle_updates()
+
+    def _settle_updates(self, bufs=None, qqid=None, qnow=None, pq=0) -> None:
+        """After a ``commit_batch`` call: charge its update messages to the
+        ledger and write its tasks to the traced servers (*qqid*, *qnow*:
+        the committed queries, None when there are none)."""
+        stream = self.stream
+        if stream.n_written:
+            self.ledger.record_update(stream.r * stream.n_written)
+        if self.trace_any:
+            self._emit_traces(bufs, qqid, qnow, pq)
 
     # -- tables ------------------------------------------------------------
     def _table_for(self, pq: int) -> PqEntry:
@@ -617,28 +671,38 @@ class _Engine:
     def run(self) -> BatchResult:
         """Drive the batch as spans between cut points.
 
-        A span is a maximal run of queries with no exact-time action
-        inside it.  Every span goes through the kernel's sweep+commit
-        seam (:meth:`_run_seam`); inside a failure window the seam stops
-        at each query that touches a failed server, :meth:`_delegate`
-        hands it to the reference path, and the seam resumes after it.
+        A span is a maximal run of queries with no callback action inside
+        it; update-only actions do not cut it, because the kernel applies
+        the update stream inside ``commit_batch``.  Every span goes
+        through the kernel's sweep+commit seam (:meth:`_run_seam`) with
+        the stream bounded at the next callback's place in it; inside a
+        failure window the seam stops at each query that touches a failed
+        server, :meth:`_delegate` hands it to the reference path, and the
+        seam resumes after it.
         """
         wall_start = time.perf_counter()
-        n_q = len(self.arr_l)
-        acts = self.actions
-        n_act = len(acts)
-        ai = 0
+        n_q = self.n_q
+        cbs = self.callbacks
+        n_cb = len(cbs)
+        n_upd = len(self.stream.q)
+        ci = 0
         pos = 0
         while pos < n_q:
-            while ai < n_act and acts[ai].index <= pos:
-                self._fire(acts[ai])
-                ai += 1
-            end = n_q if ai >= n_act else min(n_q, acts[ai].index)
+            while ci < n_cb and cbs[ci][0].index <= pos:
+                self._fire(*cbs[ci])
+                ci += 1
+            if ci < n_cb:
+                end = min(n_q, cbs[ci][0].index)
+                self.stream.end = cbs[ci][1]
+            else:
+                end = n_q
+                self.stream.end = n_upd
             self._run_seam(pos, end)
             pos = end
-        while ai < n_act:
-            self._fire(acts[ai])
-            ai += 1
+        while ci < n_cb:
+            self._fire(*cbs[ci])
+            ci += 1
+        self._drain(n_q, n_upd)
         self._materialise()
 
         wall = time.perf_counter() - wall_start
@@ -685,9 +749,10 @@ class _Engine:
         Chunks of up to :data:`CHUNK_CAP` queries go to ``commit_batch``
         (:meth:`_commit_chunk`).  A policy that is not
         :meth:`~repro.admission.base.AdmissionPolicy.bulk_capable` keeps
-        its per-query ``admit``/``observe`` hooks: the engine admits each
-        query itself, off the busiest-server backlog of the queue mirror,
-        and drives the seam one admitted query at a time.  After the run,
+        its per-query ``admit``/``observe`` hooks: the engine applies the
+        updates before each query, admits it itself, off the
+        busiest-server backlog of the queue mirror, and drives the seam
+        one admitted query at a time.  After the run,
         sibling pq tables are re-derived from the speed mirror the kernel
         advanced in place (elementwise division is pure, so a full
         recompute matches the scatter updates bit-wise).
@@ -713,7 +778,10 @@ class _Engine:
                 pos = nxt
         else:
             arr_l, busy = self.arr_l, self.busy
+            u_end = self.stream.end
             while pos < end:
+                # the updates before this query land before its admission
+                self._drain(pos, u_end)
                 now = arr_l[pos]
                 backlog = float(busy.max()) - now
                 if backlog < 0.0:
@@ -753,9 +821,12 @@ class _Engine:
             network.rng.getstate() if gate is not None or failed is not None else None
         )
         bufs.rtts[:nq] = network.sample_rtts(nq)
+        stream = self.stream
+        if self.trace_any:
+            stream.reserve_rows(stream.pending(pos, nq) * stream.r)
         t0 = time.perf_counter()
         n = self.kernel.commit_batch(
-            self.state, entry, self.plan, bufs, pos, nq, gate, failed
+            self.state, entry, self.plan, bufs, pos, nq, gate, failed, stream
         )
         wall = time.perf_counter() - t0
         seen = self._close_chunk(pos, nq, n, pq, wall, entry, bufs, snapshot)
@@ -795,14 +866,14 @@ class _Engine:
         if self.gate is not None:
             self.admission.import_bulk(self.gate)
             self.shed_n += seen - n
-        self._flush_bulk(pos, seen, n, pq, chunk_wall, entry, bufs)
+        qqid, qnow = self._flush_bulk(pos, seen, n, pq, chunk_wall, entry, bufs)
+        self._settle_updates(bufs, qqid, qnow, pq)
         if n:
             rn = int(bufs.res_n[0])
             self.last_res = list(
                 zip(bufs.res_g[:rn].tolist(), bufs.res_v[:rn].tolist())
             )
             self.st_sync_pending = True
-            self.st_busy = None
         return seen
 
     def _flush_bulk(
@@ -814,15 +885,17 @@ class _Engine:
         chunk_wall: float,
         entry: PqEntry,
         bufs: CommitBuffers,
-    ) -> None:
-        """Account one chunk straight from the kernel's out buffers.
+    ) -> tuple:
+        """Account one chunk straight from the kernel's out buffers;
+        returns the committed queries' ids and arrival times (None, None
+        when it committed none).
 
-        ``np.add.at`` applies unbuffered, element by element in index
-        order, so repeated-server float sums keep the reference addition
-        order.  Per-query ``scheduling_delay`` is the chunk's kernel wall
-        time amortised over its committed queries (the fused call does
-        not observe per-query boundaries; with ``charge_scheduling`` the
-        amortised value is what lands in the latency).
+        The kernel has already advanced every per-server mirror, so this
+        writes per-query columns only.  Per-query ``scheduling_delay`` is
+        the chunk's kernel wall time amortised over its committed queries
+        (the fused call does not observe per-query boundaries; with
+        ``charge_scheduling`` the amortised value is what lands in the
+        latency).
 
         Of the chunk's *nq* queries the first *n_adm* rows of the out
         buffers belong to the committed ones; without a gate that is all
@@ -834,20 +907,9 @@ class _Engine:
         if self.assignments is not None:
             self.assignments.extend(self._bulk_assignments(bufs, pos, nq, n_adm, pq))
         if n_adm == 0:
-            return
+            return None, None
         gated = self.gate is not None
         rows = self.gate.adm_idx[:n_adm] if gated else slice(pos, pos + nq)
-        m = n_adm * pq
-        sg = bufs.sub_g[:m]
-        np.add.at(self.bt, sg, bufs.sub_service[:m])
-        np.add.at(self.om, sg, bufs.sub_work[:m])
-        counts = np.bincount(sg, minlength=len(self.tasks))
-        self.tasks += counts
-        self.cc += counts
-        # per-server finishes are monotone, so last-in-order == max
-        np.maximum.at(self.ls, sg, bufs.sub_finish[:m])
-        self.touched[sg] = True
-
         qnow = self.arrivals[rows]
         qtotal = bufs.q_total[:n_adm]
         sched_each = chunk_wall / n_adm
@@ -883,6 +945,7 @@ class _Engine:
         self.completed += n_adm
         self.fast_scheduled += n_adm
         self.chunk_sizes.append(n_adm)
+        return qqid, qnow
 
     def _bulk_assignments(self, bufs, pos, nq, n_adm, pq) -> list:
         """The chunk's per-query server names, ``()`` for shed queries."""
@@ -918,14 +981,16 @@ class _Engine:
         :meth:`Deployment.run_query
         <repro.cluster.deployment.Deployment.run_query>` syncs only the
         picked nodes' ``NodeStats.busy_until``, and every other node's
-        sync stays pending here, as after a bulk chunk (``st_busy``: the
-        queues before the query; ``last_res``: the picks' reservations).
+        sync stays pending here, as after a bulk chunk (``plan.busy_snap``:
+        the queues before the query; ``last_res``: the picks'
+        reservations).
         Afterwards only the servers the query submitted to (its live
         picks plus any fall-back replacements, also when it dropped) are
         re-read into the mirrors and into each table's ``Q``.
         """
         self._materialise(sync=False)
-        self.st_busy = self.busy.tolist()
+        self.plan.busy_snap[:] = self.busy
+        self.stream.snap_due = 0
         nodes = self.nodes_flat
         pick = (
             [nodes[g] for g in g_list],

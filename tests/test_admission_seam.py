@@ -385,9 +385,12 @@ class TestAdmissionWithFailureWindow:
         owner = type(fastpath.get_kernel(kernel))
         original = owner.commit_batch
 
-        def spy(self, state, entry, plan, bufs, start, nq, gate=None, failed=None):
+        def spy(self, state, entry, plan, bufs, start, nq, gate=None, failed=None,
+                updates=None):
             starts.append(start)
-            return original(self, state, entry, plan, bufs, start, nq, gate, failed)
+            return original(
+                self, state, entry, plan, bufs, start, nq, gate, failed, updates
+            )
 
         monkeypatch.setattr(owner, "commit_batch", spy)
         scenario = self._scenario()

@@ -43,6 +43,7 @@ from repro.kernels.base import (
     CommitPlan,
     PqEntry,
     SweepState,
+    UpdateStream,
 )
 from repro.kernels.compiled import (
     CompiledKernel,
@@ -529,12 +530,14 @@ class TestCompiledSelectDifferential:
 
 
 def _commit_case(
-    rings, pq, busy, spd, arrivals, rtts, cap=None, fixed=0.004, dataset=0.1
+    rings, pq, busy, spd, arrivals, rtts, cap=None, fixed=0.004, dataset=0.1,
+    alive=None,
 ):
     """``(state, entry, plan, bufs)`` for a ``commit_batch`` call over *rings*.
 
     Every call builds fresh arrays, so two kernels can run on equal copies.
     The small *dataset* keeps service times near the busy values drawn.
+    Every other server keeps a trace; *alive* marks the live ring nodes.
     """
     _, state, entry = _sweep_case(rings, pq, busy, spd, fe_fixed=fixed, dataset=dataset)
     arrivals = np.asarray(arrivals, dtype=np.float64)
@@ -547,6 +550,9 @@ def _commit_case(
         0.25,
         0.75,
         dataset,
+        update_cost=0.05,
+        alive=alive,
+        trace=[g % 2 == 0 for g in range(state.n)],
     )
     bufs = CommitBuffers(len(arrivals) if cap is None else cap, pq)
     bufs.rtts[: len(rtts)] = rtts
@@ -562,10 +568,16 @@ def _gate(cap, queue_cap, bucket, rate):
     return gate
 
 
-def _commit_outcome(kernel, case, start, nq, gate, failed):
-    """Run one ``commit_batch``; everything the stop contract pins, as bytes."""
+def _commit_outcome(kernel, case, start, nq, gate, failed, updates=None, bare=False):
+    """Run one ``commit_batch``; everything the stop contract pins, as bytes.
+
+    *bare* passes no entry and no buffers (a call with no queries), which
+    must then be left as they were."""
     state, entry, plan, bufs = case
-    n = kernel.commit_batch(state, entry, plan, bufs, start, nq, gate, failed)
+    if bare:
+        n = kernel.commit_batch(state, None, plan, None, start, nq, gate, failed, updates)
+    else:
+        n = kernel.commit_batch(state, entry, plan, bufs, start, nq, gate, failed, updates)
     stop = int(bufs.stop_idx[0])
     rn = int(bufs.res_n[0])
     m = n * entry.pq
@@ -580,7 +592,37 @@ def _commit_outcome(kernel, case, start, nq, gate, failed):
         + [a[:n].tobytes() for a in (bufs.q_total, bufs.q_mw, bufs.q_ms)],
         "res": (rn, bufs.res_g[:rn].tobytes(), bufs.res_v[:rn].tobytes()),
         "mirrors": (state.busy.tobytes(), plan.spd.tobytes(), entry.Q.tobytes()),
+        "accumulators": [
+            a.tobytes()
+            for a in (
+                plan.busy_time,
+                plan.objects,
+                plan.tasks,
+                plan.completed,
+                plan.last_seen,
+                plan.touched,
+                plan.busy_snap,
+            )
+        ],
     }
+    if updates is not None:
+        k = updates.n_rows
+        out["updates"] = (
+            updates.next,
+            updates.snap_due,
+            updates.n_written,
+            k,
+            [
+                a[:k].tobytes()
+                for a in (
+                    updates.row_g,
+                    updates.row_at,
+                    updates.row_t,
+                    updates.row_start,
+                    updates.row_finish,
+                )
+            ],
+        )
     if gate is not None:
         k, ns = gate.n_admitted, gate.n_shed
         out["gate"] = (
@@ -735,6 +777,81 @@ class TestCommitStopDifferential:
             _, k, _, adm, _ = got["gate"]
             assert k == got["n"] + 1
             assert np.frombuffer(adm, dtype=np.int64)[-1] == stop
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        data=st.data(),
+        rings=_ring_sets(min_size=2).filter(lambda rs: sum(len(r) for r in rs) <= 40),
+        pq=st.integers(min_value=1, max_value=5),
+        gated=st.booleans(),
+    )
+    def test_updates_match_python_oracle(self, data, rings, pq, gated):
+        """The update stream inside the call: holders on ring 0 with dead
+        nodes, failed servers, the gate's running max, the failure stop,
+        the queue snapshot and the trace rows, python against C."""
+        n = sum(len(r) for r in rings)
+        n0 = len(rings[0])
+        busy = data.draw(st.lists(_BUSY, min_size=n, max_size=n))
+        spd = data.draw(st.lists(_SPEED, min_size=n, max_size=n))
+        alive = data.draw(st.lists(st.booleans(), min_size=n0, max_size=n0)) + [True] * (n - n0)
+        failed = np.zeros(n, dtype=bool)
+        failed[data.draw(st.lists(st.integers(0, n - 1), max_size=2))] = True
+        n_arr = data.draw(st.integers(min_value=1, max_value=20))
+        gaps = data.draw(
+            st.lists(st.sampled_from([0.0, 0.01, 0.05, 0.2]), min_size=n_arr, max_size=n_arr)
+        )
+        arrivals = np.cumsum(gaps)
+        start = data.draw(st.integers(min_value=0, max_value=n_arr - 1))
+        nq = data.draw(st.integers(min_value=0, max_value=n_arr - start))
+        rtts = data.draw(
+            st.lists(st.sampled_from([0.0, 0.0004, 0.0006]), min_size=nq, max_size=nq)
+        )
+        ups = sorted(
+            data.draw(
+                st.lists(
+                    st.tuples(
+                        st.integers(start, start + nq),
+                        st.sampled_from([0.0, 0.1, 0.3]),
+                        st.floats(0.0, 1.0, exclude_max=True),
+                    ),
+                    max_size=12,
+                )
+            )
+        )
+        r = data.draw(st.integers(min_value=1, max_value=n0 + 2))
+        snap_due = data.draw(st.sampled_from([0, 1]))
+        end = data.draw(st.integers(min_value=0, max_value=len(ups)))
+        mask = failed if data.draw(st.booleans()) else None
+        make_gate = None
+        if gated:
+            queue_cap = data.draw(st.sampled_from([0.3, 1.0, float("inf")]))
+            bucket = data.draw(st.booleans())
+            rate = data.draw(st.sampled_from([5.0, 50.0]))
+            make_gate = lambda: _gate(n_arr, queue_cap, bucket, rate)  # noqa: E731
+
+        def make_stream():
+            stream = UpdateStream(
+                [q for q, _, _ in ups], [t for _, t, _ in ups], [p for _, _, p in ups]
+            )
+            stream.r, stream.snap_due, stream.end = r, snap_due, end
+            stream.reserve_rows(len(ups) * r)
+            return stream
+
+        bare = nq == 0 and data.draw(st.booleans(), label="no entry")
+        out = []
+        for kernel in (ExactNumpyKernel(), CompiledKernel()):
+            case = _commit_case(rings, pq, busy, spd, arrivals, rtts, cap=n_arr, alive=alive)
+            gate = make_gate() if make_gate is not None else None
+            out.append(
+                _commit_outcome(kernel, case, start, nq, gate, mask, make_stream(), bare)
+            )
+        assert out[0] == out[1]
+        applied = out[0]["updates"][0]
+        assert applied <= end
+        if out[0]["stop"] < 0:
+            # a call that ran to its end applied every update it could
+            last = start + nq - 1 if nq else start
+            assert applied == sum(1 for q, _, _ in ups[:end] if q <= last)
 
     def _spread_case(self):
         """24 idle servers, pq=2, five well-spaced queries: each query's

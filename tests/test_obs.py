@@ -181,9 +181,11 @@ class TestPhaseProfiler:
         assert per_name and max(per_name.values()) == 2
         other = loaded["otherData"]
         assert other["events_per_name_cap"] == 2
-        # the totals cover every span, not only the exported ones
+        # the totals cover every span, not only the exported ones: two
+        # committing calls around the rebalance callback, plus the no-query
+        # calls for the updates before it and after the last query
         assert other["spans"] == rec.summary()["spans"]
-        assert other["spans"]["sim.apply_updates"]["calls"] > 2
+        assert other["spans"]["kernels.commit_batch"]["calls"] > 2
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +218,8 @@ def _result_state(dep, result):
 
 class TestProfiledBitIdentity:
     def _actions(self):
-        # a callback forces span cuts and a materialise; the data updates
-        # run on the mirrors
+        # a callback forces a span cut and a materialise; the data updates
+        # ride inside commit_batch and cut nothing
         return [
             Action(index=150, time=3.75, fn=lambda now: None, scope="none"),
             Action(index=220, time=5.5, updates=[(5.5, 0.25), (5.5, 0.8)]),
@@ -241,7 +243,9 @@ class TestProfiledBitIdentity:
         state_recorded = _result_state(dep_b, recorded)
         spans = rec.summary()["spans"]
         assert spans["sim.engine"]["calls"] == 1
-        assert spans["sim.apply_updates"]["calls"] == 1
+        assert spans["sim.actions"]["calls"] == 1
+        assert spans["kernels.commit_batch"]["calls"] == 2
+        assert "sim.apply_updates" not in spans
 
         assert state_plain == state_recorded
 

@@ -26,19 +26,26 @@ and each delegated query is one ``Deployment.run_query`` call.
 
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 np = pytest.importorskip("numpy")
 
 from repro.cluster import Deployment, DeploymentConfig, hen_testbed
 from repro.core.frontend import FrontEnd
+from repro.core.ring import Ring, RingNode
+from repro.kernels.base import CommitPlan, SweepState, UpdateStream
 from repro.kernels.compiled import compiled_available
-from repro.sim import PoissonArrivals, fastpath
+from repro.kernels.registry import get_kernel
+from repro.sim import PoissonArrivals, SimServer, fastpath
 from repro.sim.fastpath import Action, run_queries_reference
+from repro.sim.network import TrafficLedger
 from repro.telemetry.archive import collect_columns
 
 PATHS = ["reference", "python_seam", "compiled"]
@@ -71,11 +78,17 @@ def _updates(arrivals, index, count, rng, lo=0.0, hi=1.0):
     return [(t, min(lo + (hi - lo) * rng.random(), BELOW_ONE)) for t in times]
 
 
+def _switching_pq(now):
+    """A callable ``pq_fn``: 6 for one half-second in three, else 4."""
+    return 6 if int(now * 2.0) % 3 == 0 else 4
+
+
 def _case(name):
-    """(deployment kwargs, pq, arrivals, plan) for one named case.
+    """(deployment kwargs, pq, arrivals, plan, admission) for one named case.
 
     A plan row is ``(index, callback kind, server names, updates)``; the
-    callback kind is None for a data-only action.
+    callback kind is None for a data-only action.  *pq* is an int or a
+    callable ``pq_fn``; *admission* a policy spec or None.
     """
     rng = np.random.default_rng(sum(map(ord, name)))
     n_q = 240
@@ -83,6 +96,7 @@ def _case(name):
     dep_kw: dict = {}
     pq = 4
     plan = []
+    admission = None
     every = range(3, n_q, 3)
     if name == "failure-window":
         plan = [(i, None, (), _updates(arrivals, i, 2, rng)) for i in every]
@@ -148,9 +162,36 @@ def _case(name):
         plan = [(i, None, (), _updates(arrivals, i, 2, rng)) for i in every]
         plan.append((60, "fail", ("node-4", "node-3"), ()))
         plan.append((180, "recover", ("node-4", "node-3"), ()))
+    elif name == "gate-sheds-then-updates":
+        # a tight AIMD bucket sheds most queries inside commit_batch, so
+        # updates land between the last admitted query and the end of the
+        # call, and after the last query: the NodeStats.busy_until sync
+        # must keep the queues that query read
+        admission = "aimd:rate=8,burst=1,floor=1"
+        plan = [(i, None, (), _updates(arrivals, i, 2, rng)) for i in every]
+        plan.append((n_q, None, (), _updates(arrivals, n_q, 3, rng)))
+    elif name == "delay-gated-drive":
+        # the engine admits each query itself: the updates before a query
+        # must land before its admission check
+        admission = "delay_gated:slo=1,window=0.5"
+        plan = [(i, None, (), _updates(arrivals, i, 3, rng)) for i in range(2, n_q, 2)]
+        plan.append((n_q, None, (), _updates(arrivals, n_q, 2, rng)))
+    elif name == "pq-switch":
+        # a callable pq_fn cuts the callback-free span into runs of
+        # constant pq; updates fall inside runs and on their borders
+        pq = _switching_pq
+        plan = [(i, None, (), _updates(arrivals, i, 2, rng)) for i in range(1, n_q, 2)]
+    elif name == "same-index-order":
+        # one index holds [updates, callback, updates] in caller order:
+        # the callback sees the first updates and not the second
+        for i in range(10, n_q, 40):
+            plan.append((i, None, (), _updates(arrivals, i, 2, rng)))
+            plan.append((i, "write", (), ()))
+            plan.append((i, None, (), _updates(arrivals, i, 2, rng)))
+        plan += [(i, None, (), _updates(arrivals, i, 1, rng)) for i in every]
     else:  # pragma: no cover
         raise KeyError(name)
-    return dep_kw, pq, arrivals, plan
+    return dep_kw, pq, arrivals, plan, admission
 
 
 CASES = [
@@ -167,6 +208,10 @@ CASES = [
     "delegated-then-callback",
     "replacement-then-drop",
     "failure-multi-ring",
+    "gate-sheds-then-updates",
+    "delay-gated-drive",
+    "pq-switch",
+    "same-index-order",
 ]
 
 
@@ -227,6 +272,7 @@ def _fingerprint(dep, res):
             res.pqs.tobytes(),
             res.completed,
             res.dropped,
+            res.shed,
             res.actions_applied,
         ),
         "columns": {
@@ -260,19 +306,23 @@ def _fingerprint(dep, res):
 
 
 def run_path(path, name):
-    """One run of case *name* on *path*: ``(fingerprint, result)``."""
-    dep_kw, pq, arrivals, plan = _case(name)
+    """One run of case *name* on *path*: ``(fingerprint, result)``.
+
+    The case's admission spec resolves to a fresh policy per run, and its
+    ``pq`` may be a callable ``pq_fn``."""
+    dep_kw, pq, arrivals, plan, admission = _case(name)
     dep = _deployment(**dep_kw)
     seen = []
     acts = _actions(dep, arrivals, plan, seen)
     if path == "reference":
-        res = run_queries_reference(dep, arrivals, pq, actions=acts)
+        res = run_queries_reference(dep, arrivals, pq, actions=acts, admission=admission)
     else:
         res = dep.run_queries_fast(
             arrivals,
             pq,
             actions=acts,
             kernel="compiled" if path == "compiled" else "exact_numpy",
+            admission=admission,
         )
     fingerprint = _fingerprint(dep, res)
     fingerprint["seen by callbacks"] = seen
@@ -281,6 +331,10 @@ def run_path(path, name):
 
 def _paths():
     return [p for p in PATHS if p != "compiled" or compiled_available()]
+
+
+def _kernels():
+    return ["exact_numpy"] + (["compiled"] if compiled_available() else [])
 
 
 def _delegations(monkeypatch, name, path="python_seam"):
@@ -368,17 +422,43 @@ class TestDataUpdatesMatchTheReference:
         ring_of = {nd.name: r for r, ring in enumerate(dep.rings) for nd in ring.nodes()}
         assert {ring_of["node-4"], ring_of["node-3"]} == {0, 1}
 
+        # the bulk gate sheds, and updates follow the last admitted query
+        # inside the call and after the run's last query
+        _, res = run_path("python_seam", "gate-sheds-then-updates")
+        n_q = len(res.arrivals)
+        last = int(np.flatnonzero(res.query_ids >= 0).max())
+        data_at = [i for i, kind, _, _ in _case("gate-sheds-then-updates")[3] if kind is None]
+        assert res.shed > 0 and n_q in data_at
+        assert any(last < i < n_q for i in data_at)
+
+        # the one-query drive both admits and sheds
+        _, res = run_path("python_seam", "delay-gated-drive")
+        assert 0 < res.shed < n_q and res.fast_scheduled > 0
+
+        # the callable pq_fn cuts the one callback-free span into runs
+        _, res = run_path("python_seam", "pq-switch")
+        assert set(res.pqs.tolist()) == {4, 6} and len(res.chunk_sizes) > 2
+
+        # one index holds [updates, callback, updates] in caller order
+        rows = [(i, kind) for i, kind, _, _ in _case("same-index-order")[3]]
+        assert any(
+            rows[k : k + 3] == [(i, None), (i, "write"), (i, None)]
+            for k, (i, _) in enumerate(rows)
+        )
+
     def test_profiled_run_is_identical_and_adds_no_phase(self):
         """Recorded, the batched paths are byte-identical, and data updates
-        stay on the mirrors: no ``Deployment.apply_update`` call."""
+        stay on the mirrors: no ``Deployment.apply_update`` call.  The
+        case's data updates before a callback go through the engine's
+        no-query kernel call (``sim.apply_updates``)."""
         from repro.obs.profiler import SpanRecorder
 
         for path in _paths():
             if path == "reference":
                 continue
-            plain, _ = run_path(path, "coalesced")
+            plain, _ = run_path(path, "failure-window")
             with SpanRecorder() as rec:
-                profiled, _ = run_path(path, "coalesced")
+                profiled, _ = run_path(path, "failure-window")
             assert profiled == plain, path
             spans = rec.summary()["spans"]
             assert spans["sim.actions"]["calls"] > 0
@@ -423,6 +503,47 @@ class TestMechanism:
             _, res = run_path(path, "coalesced")
             assert res.actions_applied > 0
 
+    @pytest.mark.parametrize("kernel", _kernels())
+    def test_update_only_actions_cut_no_chunk(self, monkeypatch, kernel):
+        """Update-only actions ride inside ``commit_batch``: without
+        failures the calls are the callback-free spans (here: the whole
+        run) split at ``CHUNK_CAP``, each a committing chunk, and every
+        action still counts as applied."""
+        def boom(*args, **kwargs):
+            raise AssertionError("called on a data-update-only run")
+
+        calls = []
+        owner = type(get_kernel(kernel))
+        original = owner.commit_batch
+
+        def counting(self, *args, **kwargs):
+            calls.append(args[5])  # nq
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Deployment, "apply_update", boom)
+        monkeypatch.setattr(owner, "commit_batch", counting)
+        monkeypatch.setattr(fastpath, "CHUNK_CAP", 50)
+        dep_kw, pq, arrivals, plan, _ = _case("coalesced")
+        assert all(kind is None for _, kind, _, _ in plan)
+        assert max(i for i, _, _, _ in plan) < len(arrivals)  # none after the end
+        dep = _deployment(**dep_kw)
+        res = dep.run_queries_fast(
+            arrivals, pq, actions=_actions(dep, arrivals, plan, []), kernel=kernel
+        )
+        spans = -(-len(arrivals) // 50)
+        assert len(calls) == spans and sum(calls) == len(arrivals)
+        assert len(res.chunk_sizes) == spans and sum(res.chunk_sizes) == len(arrivals)
+        assert res.actions_applied == len(plan)
+
+    def test_malformed_update_is_refused(self):
+        """An update that is not a ``(time, position)`` pair fails before
+        any query runs, as unpacking it fails on the reference path."""
+        dep = _deployment()
+        acts = [Action(0, 0.0, updates=[(0.0, 0.5, 1.0)])]
+        with pytest.raises(ValueError, match=r"\(time, position\) pair"):
+            dep.run_queries_fast([0.1, 0.2], 4, actions=acts)
+        assert dep.frontend.queries_scheduled == 0
+
     @pytest.mark.parametrize("name", ["failure-window", "replacement-then-drop"])
     @pytest.mark.parametrize("path", ["python_seam", "compiled"])
     def test_each_delegation_is_one_run_query_call(self, monkeypatch, path, name):
@@ -454,6 +575,149 @@ class TestMechanism:
         res = dep.run_queries_fast(arrivals, 4, actions=acts, kernel=kernel)
         assert res.delegated > 0
         assert sweeps == []
+
+
+def _apply_with_kernel(kernel, ring, servers, updates, r, cost):
+    """Apply *updates* on mirrors of *servers* (one per node of *ring*,
+    in ring order) with one ``commit_batch`` call that holds no queries.
+    Returns the stream (``n_written``, trace rows) and the mirrors."""
+    nodes = ring.nodes()
+    n = len(nodes)
+    busy = np.array([s.busy_until for s in servers], dtype=np.float64)
+    state = SweepState(busy, np.empty(n), 0.0, [0], [n], [[nd.start for nd in nodes]])
+    plan = CommitPlan(
+        np.zeros(0),
+        [],
+        np.ones(n),
+        [s.fixed_overhead for s in servers],
+        [s.speed for s in servers],
+        0.25,
+        0.75,
+        1.0,
+        update_cost=cost,
+        busy_time=[s.busy_time for s in servers],
+        objects=[s.objects_matched for s in servers],
+        tasks=[s.tasks_run for s in servers],
+        alive=[nd.alive for nd in nodes],
+        trace=[True] * n,
+    )
+    stream = UpdateStream([0] * len(updates), [t for t, _ in updates], [p for _, p in updates])
+    stream.r = r
+    stream.reserve_rows(len(updates) * r)
+    failed = np.array([s.failed for s in servers], dtype=bool)
+    n_done = get_kernel(kernel).commit_batch(
+        state, None, plan, None, 0, 0, None, failed if failed.any() else None, stream
+    )
+    assert n_done == 0 and stream.next == len(updates)
+    return stream, state, plan
+
+
+class TestHolderWalkDifferential:
+    """The kernels' replica-holder walk against ``Ring.replica_holders``,
+    and their writes against ``Deployment.apply_update`` on the objects:
+    random ring-0 layouts with dead nodes and failed servers on alive
+    nodes, positions on node starts, at 0.0 and just below 1.0, and r from
+    1 to past the alive count."""
+
+    @pytest.mark.parametrize("kernel", _kernels())
+    @settings(max_examples=150, deadline=None)
+    @given(
+        starts=st.lists(
+            st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from([0.0, 0.5])),
+            min_size=1,
+            max_size=16,
+        ),
+        dead=st.lists(st.booleans(), max_size=16),
+        failed=st.lists(st.booleans(), max_size=16),
+        busy=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=16, max_size=16),
+        r=st.integers(1, 20),
+        data=st.data(),
+    )
+    def test_walk_and_writes_match_the_reference(
+        self, kernel, starts, dead, failed, busy, r, data
+    ):
+        ring = Ring()
+        for i, s in enumerate(starts):
+            try:
+                ring.add_node(RingNode(f"w{i}", s))
+            except ValueError:
+                pass  # within EPS of a node already placed
+        nodes = ring.nodes()
+        for node, is_dead in zip(nodes, dead):
+            node.alive = not is_dead
+
+        def fleet():
+            servers = []
+            for g, node in enumerate(nodes):
+                server = SimServer(node.name, 1.0 + 0.5 * (g % 3), fixed_overhead=0.004)
+                server._lane_busy_until[0] = busy[g]
+                server.failed = g < len(failed) and failed[g]
+                server.keep_trace = True
+                servers.append(server)
+            return servers
+
+        node_starts = [nd.start for nd in nodes]
+        updates = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from([0.0, 0.25, 0.6]),
+                    st.one_of(
+                        st.floats(0.0, 1.0, exclude_max=True),
+                        st.sampled_from([0.0, BELOW_ONE] + node_starts),
+                    ),
+                ),
+                min_size=1,
+                max_size=6,
+            )
+        )
+        cost = 0.01
+
+        # the reference: Deployment.apply_update on the objects, with
+        # r = round(n / p_store) holders
+        ref = fleet()
+        dep = SimpleNamespace(
+            n=r,
+            p_store=1.0,
+            rings=[ring],
+            rng=random.Random(0),
+            servers={s.name: s for s in ref},
+            config=SimpleNamespace(update_cost=cost),
+            ledger=TrafficLedger(),
+        )
+        for t, pos in updates:
+            Deployment.apply_update(dep, t, at=pos)
+
+        got = fleet()
+        stream, state, plan = _apply_with_kernel(kernel, ring, got, updates, r, cost)
+
+        # the walk: first r alive nodes clockwise, failed servers skipped
+        is_failed = [s.failed for s in got]
+        walk = [
+            g
+            for _, pos in updates
+            for g in ring.replica_holders(pos, r)
+            if not is_failed[g]
+        ]
+        assert stream.row_g[: stream.n_rows].tolist() == walk
+        assert stream.n_written == sum(bool(ring.replica_holders(p, r)) for _, p in updates)
+        assert dep.ledger.update_messages == r * stream.n_written
+
+        # the writes: SimServer.submit's float ops, bit for bit
+        assert state.busy.tolist() == [s.busy_until for s in ref]
+        assert plan.busy_time.tolist() == [s.busy_time for s in ref]
+        assert plan.objects.tolist() == [s.objects_matched for s in ref]
+        assert plan.tasks.tolist() == [s.tasks_run for s in ref]
+        assert plan.touched.tolist() == [s.tasks_run > 0 for s in ref]
+        rows = {}
+        for k in range(stream.n_rows):
+            g = int(stream.row_g[k])
+            rows.setdefault(g, []).append(
+                (-1, float(stream.row_t[k]), float(stream.row_start[k]),
+                 float(stream.row_finish[k]), float(plan.upd_work[g]))
+            )
+        for g, server in enumerate(ref):
+            expected = [(t.query_id, t.arrival, t.start, t.finish, t.work) for t in server.trace]
+            assert rows.get(g, []) == expected, g
 
 
 class TestPumpOnlyWhereSimulationWorkExists:
