@@ -177,10 +177,8 @@ def ring_unavailability_mc(
     Reads the actual node range lengths in ring order, so the estimate
     reflects whatever balancing/reconfiguration has done to the layout.
     """
-    nodes = ring.nodes()
-    lengths = [ring.range_of(node).length for node in nodes]
     return coverage_unavailability_mc(
-        lengths, p_store, f, delta=delta, trials=trials, seed=seed
+        ring.range_lengths(), p_store, f, delta=delta, trials=trials, seed=seed
     )
 
 

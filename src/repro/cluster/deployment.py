@@ -265,9 +265,9 @@ class Deployment:
         for ring in self.rings:
             run = 0.0
             first_run = None  # run starting at index 0, may wrap via the end
-            for node in ring.nodes():
+            for node, length in zip(ring.nodes(), ring.range_lengths()):
                 if not node.alive:
-                    run += ring.range_of(node).length
+                    run += length
                     worst = max(worst, run)
                 else:
                     if first_run is None:

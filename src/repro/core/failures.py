@@ -33,13 +33,21 @@ chosen so ``1/p - delta < 1/p_old`` for all recently used storage levels.
 from __future__ import annotations
 
 import random
+from typing import NamedTuple, Sequence
 
 from .._rng import ensure_rng
-from .ids import EPS, cw_distance, frac
+from .ids import EPS, Arc, cw_distance, frac
 from .node import SubQuery
 from .ring import Ring, RingNode
 
-__all__ = ["FailureCoverageError", "replacement_subqueries", "split_failed"]
+__all__ = [
+    "DeadRun",
+    "FailureCoverageError",
+    "dead_run",
+    "lost_nodes",
+    "replacement_subqueries",
+    "split_failed",
+]
 
 #: maximum recursive splits per sub-query before giving up (mass failure).
 MAX_DEPTH = 12
@@ -53,6 +61,99 @@ class FailureCoverageError(RuntimeError):
     recursive splitting exhausts its depth limit under mass failures -- the
     data is genuinely unavailable until re-replication.
     """
+
+
+class DeadRun(NamedTuple):
+    """The maximal contiguous run of dead ring nodes around one node.
+
+    ``lo`` and ``hi`` are the ring indices (start order) of the run's
+    first and last node clockwise; the run covers ``[fail_lo, fail_hi)``,
+    ``length`` long (1.0 when it is the whole circle).
+    """
+
+    lo: int
+    hi: int
+    fail_lo: float
+    fail_hi: float
+    length: float
+
+
+def _dead_run(ring: Ring, nodes: Sequence[RingNode], i: int) -> DeadRun:
+    """:func:`dead_run` around ``nodes[i]`` (*nodes* is ``ring.nodes()``),
+    walked by index."""
+    n = len(nodes)
+    lo = i
+    while True:
+        j = (lo - 1) % n
+        if nodes[j].alive or j == i:
+            break
+        lo = j
+    hi = i
+    while True:
+        j = (hi + 1) % n
+        if nodes[j].alive or j == i:
+            break
+        hi = j
+    if lo != i and not nodes[(lo - 1) % n].alive:
+        raise FailureCoverageError("every node on the ring has failed")
+    fail_lo = nodes[lo].start
+    fail_hi = Arc(nodes[hi].start, ring.range_length_at(hi)).end  # exclusive
+    length = cw_distance(fail_lo, fail_hi) if hi != (lo - 1) % n else 1.0
+    return DeadRun(lo, hi, fail_lo, fail_hi, length)
+
+
+def dead_run(ring: Ring, failed: RingNode) -> DeadRun:
+    """The maximal contiguous run of dead nodes around *failed*.
+
+    One :meth:`Ring.index_of` bisect, then a walk through the node list
+    to the first alive node on each side.  Raises
+    :class:`FailureCoverageError` when every node on the ring has failed.
+    """
+    return _dead_run(ring, ring.nodes(), ring.index_of(failed))
+
+
+def _placement_span(run: DeadRun, width: float) -> float:
+    """Room for the split point in ``(fail_hi - width, fail_lo)``; raises
+    :class:`FailureCoverageError` when the run leaves none."""
+    span = width - run.length
+    if span <= EPS:
+        raise FailureCoverageError(
+            f"failed range {run.length:.4f} exceeds replacement "
+            f"width {width:.4f}; objects unavailable until re-replication"
+        )
+    return span
+
+
+def lost_nodes(ring: Ring, p_store: float, delta: float = 0.0) -> list[int]:
+    """Ring indices of the dead nodes whose run cannot be re-covered.
+
+    A sub-query addressed to one of them makes
+    :func:`replacement_subqueries` raise before it places anything (the
+    run is at least the replacement width ``1/p_store - delta``, or the
+    whole ring is dead), so the query that sent it drops.  The rule is
+    the fall-back's own: :func:`dead_run` plus the same span check, once
+    per run.
+    """
+    width = 1.0 / float(p_store) - delta
+    nodes = ring.nodes()
+    n = len(nodes)
+    lost: list[int] = []
+    done = [False] * n
+    for i, node in enumerate(nodes):
+        if node.alive or done[i]:
+            continue
+        try:
+            run = _dead_run(ring, nodes, i)
+        except FailureCoverageError:
+            return list(range(n))
+        members = [(run.lo + k) % n for k in range((run.hi - run.lo) % n + 1)]
+        for j in members:
+            done[j] = True
+        try:
+            _placement_span(run, width)
+        except FailureCoverageError:
+            lost.extend(members)
+    return sorted(lost)
 
 
 def replacement_subqueries(
@@ -87,35 +188,10 @@ def replacement_subqueries(
     # silently match nothing.  With the combined range, either a valid
     # placement exists (run shorter than the replication arc) or the data is
     # genuinely unavailable and we raise -- no silent partial harvests.
-    lo_node = failed
-    while True:
-        pred = ring.predecessor(lo_node)
-        if pred.alive or pred is failed:
-            break
-        lo_node = pred
-    hi_node = failed
-    while True:
-        succ = ring.successor(hi_node)
-        if succ.alive or succ is failed:
-            break
-        hi_node = succ
-    if not ring.predecessor(lo_node).alive and lo_node is not failed:
-        raise FailureCoverageError("every node on the ring has failed")
-    fail_lo = lo_node.start
-    fail_hi = ring.range_of(hi_node).end  # exclusive upper bound of the run
-    run_length = (
-        cw_distance(fail_lo, fail_hi)
-        if hi_node is not ring.predecessor(lo_node)
-        else 1.0
-    )
-
+    run = dead_run(ring, failed)
+    fail_lo, fail_hi = run.fail_lo, run.fail_hi
     # Valid placements for idq1: (fail_hi - width, fail_lo).
-    span = width - run_length
-    if span <= EPS:
-        raise FailureCoverageError(
-            f"failed range {run_length:.4f} exceeds replacement "
-            f"width {width:.4f}; objects unavailable until re-replication"
-        )
+    span = _placement_span(run, width)
 
     lower = frac(fail_hi - width)
     idq1 = idq2 = None

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .._rng import ensure_rng
@@ -66,19 +67,25 @@ class MembershipServer:
         return min(capacities)[1]
 
     # -- hotspot detection -----------------------------------------------------
+    @staticmethod
+    def _load_ratios(ring: Ring) -> list[tuple[RingNode, float]]:
+        """``(node, range length / speed)`` for each alive node, in ring
+        order, from one :meth:`Ring.range_lengths` pass."""
+        return [
+            (nd, length / nd.speed)
+            for nd, length in zip(ring.nodes(), ring.range_lengths())
+            if nd.alive
+        ]
+
     def hottest_node(self, ring: Ring) -> Optional[RingNode]:
         """Node with the worst range-to-speed ratio (the membership server's
-        load proxy; see Section 4.9)."""
-        nodes = ring.alive_nodes()
-        if not nodes:
-            return None
-        return max(nodes, key=lambda n: ring.range_of(n).length / n.speed)
+        load proxy; see Section 4.9); the first in ring order on ties."""
+        ratios = self._load_ratios(ring)
+        return max(ratios, key=itemgetter(1))[0] if ratios else None
 
     def coolest_node(self, ring: Ring) -> Optional[RingNode]:
-        nodes = ring.alive_nodes()
-        if not nodes:
-            return None
-        return min(nodes, key=lambda n: ring.range_of(n).length / n.speed)
+        ratios = self._load_ratios(ring)
+        return min(ratios, key=itemgetter(1))[0] if ratios else None
 
     # -- joins / leaves ------------------------------------------------------------
     def add_server(

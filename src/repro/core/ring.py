@@ -200,12 +200,22 @@ class Ring:
         idx = self.index_of(node)
         return self._nodes[(idx - 1) % len(self._nodes)]
 
+    def range_length_at(self, idx: int) -> float:
+        """Length of the arc of ``nodes()[idx]``: the clockwise distance
+        to the next start (1.0, the full circle, on a one-node ring)."""
+        starts = self._starts
+        n = len(starts)
+        if n == 1:
+            return 1.0
+        return cw_distance(starts[idx], starts[(idx + 1) % n])
+
+    def range_lengths(self) -> list[float]:
+        """:meth:`range_length_at` for every node, in ring order."""
+        return [self.range_length_at(i) for i in range(len(self._starts))]
+
     def range_of(self, node: RingNode) -> Arc:
         """The arc this node is responsible for."""
-        if len(self._nodes) == 1:
-            return Arc(node.start, 1.0)
-        succ = self.successor(node)
-        return Arc(node.start, cw_distance(node.start, succ.start))
+        return Arc(node.start, self.range_length_at(self.index_of(node)))
 
     def range_length(self, node: RingNode) -> float:
         return self.range_of(node).length
@@ -227,7 +237,7 @@ class Ring:
         """Check the partition invariant; raises AssertionError on breakage."""
         assert self._starts == sorted(self._starts), "starts out of order"
         assert len(set(self._starts)) == len(self._starts), "duplicate starts"
-        total = sum(self.range_of(n).length for n in self._nodes)
+        total = sum(self.range_lengths())
         assert abs(total - 1.0) < 1e-9 or not self._nodes, (
             f"ranges sum to {total}, expected 1.0"
         )

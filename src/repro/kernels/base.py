@@ -47,12 +47,19 @@ overrides it with a single C call per chunk.  The exactness contract
 extends to it unchanged (an override must produce bit-identical *state*,
 not just decisions).
 
-**The failure stop.**  Inside a failure window the engine passes the
-failed-server mask.  ``commit_batch`` then stops before committing the
-first scheduled query whose pick touches a failed server, leaves every
-mirror as the last committed query left it, and reports the stopped
-query's index and pick in ``bufs.stop_*``; the engine hands that query to
-the reference path's fall-back and resumes the seam after it.
+**The failure stop and the drop.**  Inside a failure window the engine
+passes the failed-server mask, and ``plan.lost`` flags the ring-0 nodes
+whose dead run the fall-back cannot re-cover.  A scheduled query whose
+pick touches a failed server is settled by the first failed piece that
+``Deployment.run_query``'s LIFO loop would pop: when ring 0's owner of
+that piece's point is flagged, the fall-back would raise before placing
+anything, so the kernel drops the query itself -- it submits the live
+pieces popped before that one, exactly as ``run_query`` does, and
+reports the drop in its out row.  Otherwise ``commit_batch`` stops
+before the query, leaves every mirror as the last scheduled query left
+it, and reports the stopped query's index and pick in ``bufs.stop_*``;
+the engine hands that query to the reference path's fall-back, which
+owns the rng-drawing re-cover, and resumes the seam after it.
 
 **The admission pre-check.**  An :class:`AdmissionGate` passed to
 ``commit_batch`` decides, per arriving query and before any scheduling
@@ -226,7 +233,11 @@ class CommitPlan:
     ``alive`` flags (the replica-holder walk reads ring 0's); ``trace``
     marks the servers that keep a task trace (None: no server does).
     ``busy_snap`` is where the kernel saves the queues before the first
-    update write after a commit (see :class:`UpdateStream`).
+    update write after a commit (see :class:`UpdateStream`).  ``lost``
+    flags the ring-0 nodes whose dead run the failure fall-back cannot
+    re-cover (:func:`repro.core.failures.lost_nodes`); the engine sets it
+    in failure windows and leaves it None elsewhere, and the kernel reads
+    it only with a failed-server mask.
     """
 
     __slots__ = (
@@ -251,6 +262,7 @@ class CommitPlan:
         "upd_service",
         "trace",
         "busy_snap",
+        "lost",
     )
 
     def __init__(
@@ -272,6 +284,7 @@ class CommitPlan:
         last_seen: Optional[Sequence[float]] = None,
         alive: Optional[Sequence[bool]] = None,
         trace: Optional[Sequence[bool]] = None,
+        lost: Optional[Sequence[bool]] = None,
     ) -> None:
         n = len(spd)
         self.arrivals = arrivals
@@ -301,6 +314,7 @@ class CommitPlan:
         self.upd_work = update_cost * self.srv_speed
         self.upd_service = self.srv_fixed + (self.upd_work / self.srv_speed)
         self.busy_snap = np.zeros(n, dtype=np.float64)
+        self.lost = None if lost is None else own(lost, bool, False)
 
 
 class CommitBuffers:
@@ -317,6 +331,13 @@ class CommitBuffers:
     stopped the call at (-1 when it ran to the end); ``stop_g`` and
     ``stop_start_id[0]`` hold that query's pick: global server indices in
     point order, and the chosen start id.
+
+    Row ``j`` belongs to the ``j``-th scheduled query, committed or
+    dropped; ``q_sent[j]`` counts the pieces it submitted.  A committed
+    query submitted all ``pq``.  A dropped query submitted fewer: its
+    sub rows hold the submitted pieces first, in submit order, then its
+    unsubmitted picks in the same LIFO order with NaN service, work,
+    finish and start, and its ``q_total``/``q_mw``/``q_ms`` are NaN.
     """
 
     __slots__ = (
@@ -331,6 +352,7 @@ class CommitBuffers:
         "q_total",
         "q_mw",
         "q_ms",
+        "q_sent",
         "res_g",
         "res_v",
         "res_n",
@@ -351,6 +373,7 @@ class CommitBuffers:
         self.q_total = np.empty(cap, dtype=np.float64)
         self.q_mw = np.empty(cap, dtype=np.float64)
         self.q_ms = np.empty(cap, dtype=np.float64)
+        self.q_sent = np.empty(cap, dtype=np.int64)
         self.res_g = np.empty(pq, dtype=np.int64)
         self.res_v = np.empty(pq, dtype=np.float64)
         self.res_n = np.zeros(1, dtype=np.int64)
@@ -375,7 +398,8 @@ class AdmissionGate:
     lists the admitted query indices in arrival order: admitted query
     ``j`` uses ``bufs.rtts[j]`` and fills row ``j`` of the out buffers.
     A query the failure stop ends the call at has passed the pre-check:
-    it is the last entry of ``adm_idx`` and counts in ``n_admitted``.
+    it is the last entry of ``adm_idx`` and counts in ``n_admitted``, as
+    a dropped query does (its token stays spent).
     ``shed_*`` hold one row per shed query, with the token count as the
     signal (NaN without a bucket).
     """
@@ -560,6 +584,19 @@ def check_commit_args(
             f"{getattr(failed, 'dtype', type(failed).__name__)} "
             f"{getattr(failed, 'shape', '')}"
         )
+    lost = plan.lost
+    if lost is not None and not (
+        isinstance(lost, np.ndarray)
+        and lost.dtype == np.bool_
+        and lost.shape == (state.n,)
+        and lost.flags.c_contiguous
+    ):
+        raise ValueError(
+            "commit_batch: plan.lost must be None or a C-contiguous bool "
+            f"array of shape ({state.n},); got "
+            f"{getattr(lost, 'dtype', type(lost).__name__)} "
+            f"{getattr(lost, 'shape', '')}"
+        )
     if updates is not None:
         n_upd = len(updates.q)
         if not 0 <= updates.next <= updates.end <= n_upd:
@@ -671,27 +708,33 @@ class SweepKernel:
         Contract: on return the live mirrors (``state.busy``, ``plan.spd``,
         ``entry.Q`` and the plan's per-server accumulators) hold exactly
         the state the per-query reference path would have produced after
-        the last committed query and the updates applied before it, and
-        *bufs* holds the committed queries' chunk-buffer rows (sub-query
-        rows in submit order, per-query totals, the last committed query's
-        reserve map; ``res_*`` are left alone when nothing was committed).
+        the last scheduled query and the updates applied before it, and
+        *bufs* holds the scheduled queries' chunk-buffer rows (sub-query
+        rows in submit order, per-query totals, the last scheduled query's
+        reserve map; ``res_*`` are left alone when nothing was scheduled).
         The caller guarantees a span-constant ``pq`` matching *entry* and
         ``bufs.rtts[:nq]`` pre-drawn in arrival order; the arguments are
         checked (:func:`check_commit_args`) before any mirror moves.
-        Returns the number of committed queries.
+        Returns the number of scheduled queries: committed or dropped,
+        each one out row and one RTT draw.
 
         With a *gate* each query first passes the admission pre-check
         (see :class:`AdmissionGate`); only admitted queries are scheduled,
         and they fill the out buffers densely in arrival order.
 
         *failed* is the failed-server mask (a bool array over the global
-        server index), or None outside failure windows.  With a mask the
-        call stops before committing the first scheduled query whose pick
-        touches a failed server: ``bufs.stop_idx[0]`` is that query's
-        index (-1 when the call ran to the end) and ``bufs.stop_g`` /
-        ``bufs.stop_start_id`` its pick, which the engine hands to the
-        reference path's fall-back.  The stopped query draws no RTT.
-        Updates skip failed servers.
+        server index), or None outside failure windows.  With a mask, a
+        scheduled query whose pick touches a failed server is settled by
+        its highest pick index ``i*`` on a failed server (the first failed
+        piece ``Deployment.run_query`` pops).  When ``plan.lost`` flags
+        ring 0's owner of point ``i*`` (bisect-right on ring 0's starts),
+        the query drops here: it reserves every pick and submits pieces
+        ``pq - 1 .. i* + 1`` with the commit's float ops, and its row says
+        so (see :class:`CommitBuffers`).  Otherwise the call stops before
+        the query: ``bufs.stop_idx[0]`` is its index (-1 when the call ran
+        to the end) and ``bufs.stop_g`` / ``bufs.stop_start_id`` its
+        pick, which the engine hands to the reference path's fall-back.
+        The stopped query draws no RTT.  Updates skip failed servers.
 
         *updates* is the run's :class:`UpdateStream`: its pending updates
         are applied before the queries they precede (before the admission
@@ -735,6 +778,12 @@ class SweepKernel:
         dataset = plan.dataset
         arr_l = plan.arr_l
         failed_l = failed.tolist() if failed is not None else None
+        lost_l = (
+            plan.lost.tolist() if failed is not None and plan.lost is not None else None
+        )
+        lo0 = state.ring_lo[0]
+        starts0 = state.ring_starts[0]
+        n0 = len(starts0)
         fmod = math.fmod
         gated = gate is not None
         # running max of the queue mirror: exact, because a commit or an
@@ -756,9 +805,6 @@ class SweepKernel:
             ut = updates.t[window].tolist()
             upos = updates.pos[window].tolist()
             snap_due, r = updates.snap_due, updates.r
-            lo0 = state.ring_lo[0]
-            starts0 = state.ring_starts[0]
-            n0 = len(starts0)
             alive_l = plan.alive.tolist()
             usvc_l = plan.upd_service.tolist()
             uwork_l = plan.upd_work.tolist()
@@ -812,6 +858,8 @@ class SweepKernel:
         q_total: list[float] = []
         q_mw: list[float] = []
         q_ms: list[float] = []
+        q_sent: list[int] = []
+        nan = math.nan
         res: dict[int, float] = {}
         if gated:
             queue_cap = gate.queue_cap
@@ -830,7 +878,7 @@ class SweepKernel:
             off0 = entry.off0
             pq = entry.pq
             rtt_l = bufs.rtts[:nq].tolist()
-        j = 0  # admitted queries so far
+        j = 0  # scheduled queries so far: out rows, RTT draws
 
         for k in range(nq):
             q = start + k
@@ -869,12 +917,22 @@ class SweepKernel:
                     tokens -= 1.0
                 adm_idx.append(q)
             g_list, pts, start_id = select(state, entry, now)
-            if failed_l is not None and any(failed_l[g] for g in g_list):
-                # the reference path's fall-back owns this query
-                bufs.stop_idx[0] = q
-                bufs.stop_g[:] = g_list
-                bufs.stop_start_id[0] = start_id
-                break
+            live = 0  # the lowest pick index the query submits
+            if failed_l is not None:
+                i_hit = pq - 1
+                while i_hit >= 0 and not failed_l[g_list[i_hit]]:
+                    i_hit -= 1
+                if i_hit >= 0:
+                    # the fall-back re-covers from ring 0's owner of the
+                    # failed point; a flagged owner means it would raise
+                    o = bisect_right(starts0, pts[i_hit]) - 1
+                    if lost_l is None or not lost_l[lo0 + (o if o >= 0 else n0 - 1)]:
+                        # the reference path's fall-back owns this query
+                        bufs.stop_idx[0] = q
+                        bufs.stop_g[:] = g_list
+                        bufs.stop_start_id[0] = start_id
+                        break
+                    live = i_hit + 1
             rtt = rtt_l[j]
             j += 1
 
@@ -913,8 +971,9 @@ class SweepKernel:
             ms = 0.0
             half = rtt / 2.0
             arr_t = now + half
-            # submit + EWMA observe (LIFO: the reference path pops)
-            for i in range(pq - 1, -1, -1):
+            # submit + EWMA observe (LIFO: the reference path pops, and a
+            # drop stops at its failed piece)
+            for i in range(pq - 1, live - 1, -1):
                 g = g_list[i]
                 work = w_list[i] * dataset
                 b = busy_l[g]
@@ -949,6 +1008,13 @@ class SweepKernel:
                     mw = wait
                 if service > ms:
                     ms = service
+            for i in range(live - 1, -1, -1):
+                # a drop's unsubmitted picks
+                sg_append(g_list[i])
+                ssv_append(nan)
+                swk_append(nan)
+                sf_append(nan)
+                sst_append(nan)
 
             # write-through the final per-server values (only the last
             # value per server matters to the next query's estimates)
@@ -960,9 +1026,15 @@ class SweepKernel:
                     Q[g] = wd / s_g
             snap_due = 1
 
-            q_total.append(finish - now)
-            q_mw.append(mw)
-            q_ms.append(ms)
+            if live:
+                q_total.append(nan)
+                q_mw.append(nan)
+                q_ms.append(nan)
+            else:
+                q_total.append(finish - now)
+                q_mw.append(mw)
+                q_ms.append(ms)
+            q_sent.append(pq - live)
 
         if not nq and u < n_due:
             apply_updates(start, 0)
@@ -996,6 +1068,7 @@ class SweepKernel:
             bufs.q_total[:j] = q_total
             bufs.q_mw[:j] = q_mw
             bufs.q_ms[:j] = q_ms
+            bufs.q_sent[:j] = q_sent
         if j:
             rn = len(res)
             bufs.res_n[0] = rn

@@ -60,7 +60,7 @@ __all__ = [
 ]
 
 _SOURCE = Path(__file__).with_name("csrc") / "sweep.c"
-_ABI_VERSION = 7
+_ABI_VERSION = 8
 
 #: memoised library handle / failure reason (one build attempt per process).
 _lib: Optional[ctypes.CDLL] = None
@@ -250,8 +250,10 @@ class _CommitArgs(ctypes.Structure):
         ("q_total", ctypes.c_void_p),
         ("q_mw", ctypes.c_void_p),
         ("q_ms", ctypes.c_void_p),
+        ("q_sent", ctypes.c_void_p),
         ("gate", ctypes.c_void_p),
         ("failed", ctypes.c_void_p),
+        ("lost", ctypes.c_void_p),
         ("stop", ctypes.c_void_p),
         ("stop_g", ctypes.c_void_p),
         ("stop_start_id", ctypes.c_void_p),
@@ -529,6 +531,7 @@ class _CommitBlock:
                 q_total=bufs.q_total.ctypes.data,
                 q_mw=bufs.q_mw.ctypes.data,
                 q_ms=bufs.q_ms.ctypes.data,
+                q_sent=bufs.q_sent.ctypes.data,
                 stop=bufs.stop_idx.ctypes.data,
                 stop_g=bufs.stop_g.ctypes.data,
                 stop_start_id=bufs.stop_start_id.ctypes.data,
@@ -632,7 +635,11 @@ class CompiledKernel(SweepKernel):
             else:
                 entry.ext["compiled_commit"] = block
         args = block.args
-        args.failed = None if failed is None else failed.ctypes.data
+        if failed is None:
+            args.failed = args.lost = None
+        else:
+            args.failed = failed.ctypes.data
+            args.lost = None if plan.lost is None else plan.lost.ctypes.data
         u = None
         if updates is not None:
             u = _UpdateArgs.for_stream(updates)
@@ -641,7 +648,7 @@ class CompiledKernel(SweepKernel):
             args.upd = None
         if gate is None:
             args.gate = None
-            n_committed = self._commit_fn(block.args_ptr, start, nq)
+            n_scheduled = self._commit_fn(block.args_ptr, start, nq)
         else:
             g = _GateArgs.for_gate(gate)
             g.queue_cap = gate.queue_cap
@@ -653,15 +660,15 @@ class CompiledKernel(SweepKernel):
             g.max_admitted_backlog = gate.max_admitted_backlog
             g.bucket = int(gate.bucket)
             args.gate = ctypes.addressof(g)
-            n_committed = self._commit_fn(block.args_ptr, start, nq)
+            n_scheduled = self._commit_fn(block.args_ptr, start, nq)
             gate.tokens = g.tokens
             gate.accrued_at = g.accrued_at
             gate.backlog_hwm = g.backlog_hwm
             gate.max_admitted_backlog = g.max_admitted_backlog
             # a stopped query passed the pre-check: it counts as admitted
             stopped = bufs is not None and int(bufs.stop_idx[0]) >= 0
-            gate.n_admitted = n_committed + stopped
+            gate.n_admitted = n_scheduled + stopped
             gate.n_shed = g.n_shed
         if u is not None:
             u.copy_out(updates)
-        return n_committed
+        return n_scheduled

@@ -13,9 +13,11 @@
  * speed observation, and the q_over_s write-through -- against the live
  * mirror arrays, emitting the per-sub-query chunk-buffer rows in bulk
  * for the engine's per-query columns.  It is the engine's only commit when
- * the compiled kernel runs: inside a failure window it stops at the
- * first query whose pick touches a failed server and reports that pick,
- * and the engine hands the query to the reference path's fall-back.
+ * the compiled kernel runs.  Inside a failure window a query whose pick
+ * touches a failed server either drops in the kernel -- when the failure
+ * fall-back could not re-cover the dead run its first failed piece lands
+ * on -- or stops the call, reporting that pick, and the engine hands the
+ * query to the reference path's fall-back.
  * Every float operation replicates the python oracle's order exactly
  * (IEEE-754 doubles, same comparisons, same tie-breaking; the build
  * passes -ffp-contract=off so the EWMA's a*b + c*d cannot be contracted
@@ -34,7 +36,7 @@
  * time and object mirrors in submission order, and a call with nq == 0
  * applies the updates pending at `start` alone.
  *
- * ABI notes (revision 7): `owners` is the (n_rings, pq, n_configs)
+ * ABI notes (revision 8): `owners` is the (n_rings, pq, n_configs)
  * C-contiguous owner timeline of ring-LOCAL node indices; `ring_lo[r]`
  * maps them to global server indices (the order of `busy` / `q_over_s` /
  * `starts_flat`).  `next_change` is the (pq, n_configs) C-contiguous
@@ -49,8 +51,12 @@
  * last seen, touched), the update constants and mirrors (alive flags,
  * one update's work and service time, the trace mask, the queue
  * snapshot) and the update stream (`upd`); with nq == 0 the sweep's
- * entry fields and every `bufs` pointer may be NULL.  All int buffers
- * are int64 (numpy intp on LP64); bool buffers are one byte per server.
+ * entry fields and every `bufs` pointer may be NULL.  Revision 8 added
+ * the drop: `lost` (one byte per server, NULL outside failure windows)
+ * flags the ring-0 nodes whose dead run the fall-back cannot re-cover,
+ * and `q_sent` reports how many pieces each scheduled query submitted.
+ * All int buffers are int64 (numpy intp on LP64); bool buffers are one
+ * byte per server.
  */
 
 #include <math.h>
@@ -290,11 +296,20 @@ int64_t roar_sweep_select(const roar_sweep_args *a, double now)
  * guarantees that pq is constant across the span and that start, nq and
  * the buffers are in bounds (kernels/compiled.py checks them first).
  *
- * Failure stop: with a non-NULL `failed` mask, a scheduled query whose
- * pick holds a failed server is not committed.  Its index goes to
- * *stop, its pick to stop_g / *stop_start_id, and the call returns the
- * number committed before it; the mirrors and res_* are as that last
- * committed query left them.  *stop is -1 when the call ran to the end.
+ * Failure drop and stop: with a non-NULL `failed` mask, a scheduled
+ * query whose pick holds a failed server is settled by its highest pick
+ * index i* on a failed server -- the first failed piece
+ * Deployment.run_query's LIFO loop pops.  When `lost` flags ring 0's
+ * owner of point i* (bisect-right on ring 0's starts, as
+ * Ring.node_in_charge), the fall-back would raise before placing a
+ * piece, so the query drops here: it reserves every pick, submits pieces
+ * pq-1 .. i*+1 with the commit's float ops, and fills its out row with
+ * q_sent = pq-1-i*, its unsubmitted picks (continuing the LIFO order,
+ * NaN service/work/finish/start) and NaN totals.  Otherwise the query is
+ * not committed: its index goes to *stop, its pick to stop_g /
+ * *stop_start_id, and the call returns the number scheduled before it;
+ * the mirrors and res_* are as that last scheduled query left them.
+ * *stop is -1 when the call ran to the end.
  *
  * Admission pre-check: with a non-NULL `gate`, each arrival first sees
  * backlog = max(busy) - now (clipped at 0), kept as a running max that
@@ -378,8 +393,11 @@ typedef struct {
     double *q_total;               /* [cap] out: finish - now             */
     double *q_mw;                  /* [cap] out: max sub-query wait       */
     double *q_ms;                  /* [cap] out: max sub-query service    */
+    int64_t *q_sent;               /* [cap] out: pieces submitted         */
     roar_gate *gate;               /* admission pre-check, NULL = none    */
     const uint8_t *failed;         /* [n] failed-server mask, NULL = none */
+    const uint8_t *lost;           /* [n] unrecoverable ring-0 nodes, or  */
+                                   /* NULL: every failed pick stops       */
     int64_t *stop;                 /* [1] out: stopped query, -1 = none   */
     int64_t *stop_g;               /* [pq] out: the stopped query's pick  */
     double *stop_start_id;         /* [1] out: its start id               */
@@ -485,6 +503,10 @@ int64_t roar_commit_batch(const roar_commit_args *a, int64_t start,
     double *res_v = a->res_v;
     roar_gate *gate = a->gate;
     const uint8_t *failed = a->failed;
+    const uint8_t *lost = a->lost;
+    const int64_t lo0 = sw->ring_lo[0];
+    const int64_t n0 = sw->ring_hi[0] - lo0;
+    const double *starts0 = sw->starts_flat + lo0;
     roar_updates *upd = a->upd;
     double *busy_time = a->busy_time, *objects = a->objects;
     double *last_seen = a->last_seen;
@@ -561,18 +583,29 @@ int64_t roar_commit_batch(const roar_commit_args *a, int64_t start,
         }
         (void)roar_sweep_select(sw, now);
         const double start_id = sw->start_id_out[0];
+        int64_t live = 0;  /* the lowest pick index the query submits */
         if (failed != NULL) {
-            int64_t hit = 0;
-            for (i = 0; i < pq; i++) {
-                hit |= failed[g_list[i]];
+            int64_t hit = pq - 1;
+            while (hit >= 0 && !failed[g_list[hit]]) {
+                hit--;
             }
-            if (hit) {  /* the reference path's fall-back owns it */
-                *a->stop = start + k;
-                for (i = 0; i < pq; i++) {
-                    a->stop_g[i] = g_list[i];
+            if (hit >= 0) {
+                /* the fall-back re-covers from ring 0's owner of the
+                 * failed point; a flagged owner means it would raise */
+                int64_t o = upper_bound(starts0, n0, pts[hit]) - 1;
+                if (o < 0) {
+                    o = n0 - 1;
                 }
-                *a->stop_start_id = start_id;
-                break;
+                if (lost == NULL || !lost[lo0 + o]) {
+                    /* the reference path's fall-back owns it */
+                    *a->stop = start + k;
+                    for (i = 0; i < pq; i++) {
+                        a->stop_g[i] = g_list[i];
+                    }
+                    *a->stop_start_id = start_id;
+                    break;
+                }
+                live = hit + 1;
             }
         }
         const double rtt = a->rtts[adm];
@@ -622,11 +655,12 @@ int64_t roar_commit_batch(const roar_commit_args *a, int64_t start,
         }
         *a->res_n = rn;
 
-        /* submit + EWMA observe (LIFO: the reference path pops) */
+        /* submit + EWMA observe (LIFO: the reference path pops, and a
+         * drop stops at its failed piece) */
         double finish = now, mw = 0.0, ms = 0.0;
         const double half = rtt / 2.0;
         const double arr_t = now + half;
-        for (i = pq - 1; i >= 0; i--) {
+        for (i = pq - 1; i >= live; i--) {
             const int64_t g = g_list[i];
             const double work = wbuf[i] * dataset;
             const double b = busy[g];
@@ -670,6 +704,14 @@ int64_t roar_commit_batch(const roar_commit_args *a, int64_t start,
                 ms = service;
             }
         }
+        for (i = live - 1; i >= 0; i--) {  /* a drop's unsubmitted picks */
+            a->sub_g[si] = g_list[i];
+            a->sub_service[si] = NAN;
+            a->sub_work[si] = NAN;
+            a->sub_finish[si] = NAN;
+            a->sub_start[si] = NAN;
+            si++;
+        }
 
         /* write-through: q_over_s tracks wd/spd for the touched servers
          * (only the final per-server speed matters to the next sweep) */
@@ -677,9 +719,16 @@ int64_t roar_commit_batch(const roar_commit_args *a, int64_t start,
             const int64_t g = res_g[j];
             q_over_s[g] = wd / spd[g];
         }
-        a->q_total[adm] = finish - now;
-        a->q_mw[adm] = mw;
-        a->q_ms[adm] = ms;
+        if (live > 0) {
+            a->q_total[adm] = NAN;
+            a->q_mw[adm] = NAN;
+            a->q_ms[adm] = NAN;
+        } else {
+            a->q_total[adm] = finish - now;
+            a->q_mw[adm] = mw;
+            a->q_ms[adm] = ms;
+        }
+        a->q_sent[adm] = pq - live;
         adm++;
         if (upd != NULL) {
             upd->snap_due = 1;
@@ -699,4 +748,4 @@ int64_t roar_commit_batch(const roar_commit_args *a, int64_t start,
 }
 
 /* Build-probe symbol so the loader can verify the ABI revision it built. */
-int64_t roar_sweep_abi_version(void) { return 7; }
+int64_t roar_sweep_abi_version(void) { return 8; }

@@ -35,12 +35,17 @@ the same system with no per-query python on its hot path:
   observe intermediate state: before an action callback, a failure
   delegation, and at the end of the batch.
 
-* **Stop, delegate, resume.**  Inside a failure window the engine passes
-  the failed-server mask; ``commit_batch`` stops before the first query
-  whose pick touches a failed server, the engine delegates that query to
-  the reference path (:meth:`Deployment.run_query
+* **Drop, or stop, delegate, resume.**  Inside a failure window the
+  engine passes the failed-server mask, and flags the ring-0 nodes whose
+  dead run the fall-back cannot re-cover
+  (:func:`~repro.core.failures.lost_nodes`, once per failure epoch).  A
+  query whose pick touches a failed server then either commits as
+  dropped inside ``commit_batch`` -- its first failed piece lands on a
+  flagged run, where the fall-back would raise before drawing anything
+  -- or stops the call, and the engine delegates it to the reference
+  path (:meth:`Deployment.run_query
   <repro.cluster.deployment.Deployment.run_query>`), which owns the
-  rng-consuming fall-back, and the seam resumes after it.  The kernel's
+  rng-consuming re-cover, and the seam resumes after it.  The kernel's
   pick is the decision the reference sweep would make, so the engine
   hands it over and the fall-back skips its own sweep.  A delegation
   costs O(servers it touches): it syncs only the picks' node stats
@@ -96,6 +101,7 @@ except ImportError:  # pragma: no cover - the image bakes numpy in
     np = None  # type: ignore[assignment]
 
 from ..core.covertable import CoverTableCache, require_numpy
+from ..core.failures import lost_nodes
 from ..kernels.base import (
     AdmissionGate,
     CommitBuffers,
@@ -185,7 +191,9 @@ class BatchResult:
     """Array-backed account of one batched run.
 
     ``latencies`` holds NaN for dropped queries (failure fall-back could not
-    re-cover a dead range); ``query_ids`` holds -1 there.
+    re-cover a dead range); ``query_ids`` holds -1 there.  A dropped query
+    counts in ``dropped`` and in ``delegated``, whether the kernel dropped
+    it or ``Deployment.run_query`` did.
     """
 
     arrivals: "np.ndarray"
@@ -198,16 +206,18 @@ class BatchResult:
     #: per-query server name tuples, populated when record_assignments=True:
     #: a bulk-committed query's picks in query-point order; a query run by
     #: ``Deployment.run_query`` names each server it submitted to once, in
-    #: submission order; ``()`` for shed and dropped queries.
+    #: submission order; ``()`` for shed and dropped queries (wherever
+    #: they dropped).
     assignments: Optional[list[tuple[str, ...]]]
-    #: queries scheduled through the cover table vs. delegated to the
-    #: per-query reference path (failure handling).
+    #: queries committed through the cover table vs. handed to the
+    #: failure handling (delegated to the per-query reference path, or
+    #: dropped in the kernel).
     fast_scheduled: int
     delegated: int
     wall_seconds: float
     #: committed queries per flushed accounting chunk (one per
     #: ``commit_batch`` call that committed any; cut at actions,
-    #: delegations and the chunk cap).
+    #: delegations and the chunk cap; kernel drops cut nothing).
     chunk_sizes: list[int] = field(default_factory=list)
     #: actions fired from the exact-time queue during this run.
     actions_applied: int = 0
@@ -432,17 +442,34 @@ class _Engine:
         self.tables: dict[int, PqEntry] = {}
         self.p_store_cur = dep.p_store
         self.qid_last = fe._query_counter
+        self._mark_lost()
 
-    def _refresh_busy(self) -> None:
+    def _mark_lost(self) -> None:
+        """Flag (``plan.lost``) the ring-0 nodes whose dead run the
+        fall-back cannot re-cover at the stored partitioning level: a
+        query whose first failed piece lands there drops inside
+        ``commit_batch``.  None outside failure windows."""
+        lost = None
+        if self.any_failed:
+            lost = np.zeros(len(self.nodes_flat), dtype=bool)
+            # ring 0 comes first in the flat order
+            lost[lost_nodes(self.rings[0], self.p_store_cur, self.fe.config.failure_delta)] = True
+        self.plan.lost = lost
+
+    def _refresh_busy(self) -> bool:
         """Re-read server queues *and* execution counters (a "busy"-scoped
         action submits work, which moves busy_time/tasks_run/objects too).
         Also re-reads p_store: any action may pump the discrete-event
-        simulation, which can complete an in-flight repartition."""
+        simulation, which can complete an in-flight repartition.  Returns
+        whether p_store moved (the lost flags then need a refresh)."""
         self.busy[:] = [s.busy_until for s in self.servers_flat]
         self.bt[:] = [s.busy_time for s in self.servers_flat]
         self.om[:] = [s.objects_matched for s in self.servers_flat]
         self.tasks[:] = [s.tasks_run for s in self.servers_flat]
-        self.p_store_cur = self.dep.p_store
+        p_store = self.dep.p_store
+        moved = p_store != self.p_store_cur
+        self.p_store_cur = p_store
+        return moved
 
     def _refresh_values(self) -> None:
         self._refresh_busy()
@@ -454,22 +481,22 @@ class _Engine:
         self.ls[:] = [st.last_seen for st in self.stats_flat]
         for entry in self.tables.values():
             np.divide(entry.wd, self.spd, out=entry.Q)
+        self._mark_lost()
 
     # -- accounting ----------------------------------------------------------
-    def _emit_records(self, qqid, qnow, fr, qsched, qtotal, pq, bufs) -> None:
+    def _emit_records(self, qqid, qnow, fr, qsched, qtotal, pq, qrtt, qmw, qms) -> None:
         """Land one chunk's per-query telemetry as columns.
 
         The ``q*`` arguments are equal-length per-query float64/int64
-        arrays; with the chunk's RTT, wait and service rows from *bufs*
-        they append to the deployment's columnar logs in a handful of
-        array copies -- zero per-query python.  Chunk listeners receive
-        the arrays directly (one ``observe_chunk`` call per flushed
-        chunk).
+        arrays (the committed queries' RTTs, max waits and max services
+        among them); they append to the deployment's columnar logs in a
+        handful of array copies -- zero per-query python.  Chunk
+        listeners receive the arrays directly (one ``observe_chunk`` call
+        per flushed chunk).
         """
         dep = self.dep
         nq = len(qnow)
         qpq = np.full(nq, pq, dtype=np.int64)
-        qrtt, qmw, qms = bufs.rtts[:nq], bufs.q_mw[:nq], bufs.q_ms[:nq]
         log_start = self.log.n_records
         self.log.append_columns(qqid, qnow, fr, qpq, qpq, qsched)
         dep.breakdowns.append_columns(qsched, qrtt, qmw, qms, qtotal)
@@ -493,10 +520,11 @@ class _Engine:
     def _emit_traces(self, bufs, qqid, qnow, pq) -> None:
         """Append one ``commit_batch`` call's tasks to the traced servers.
 
-        The committed queries' sub-query rows come from *bufs* (submit
-        order, *pq* rows per query, ids *qqid*, arrivals *qnow*); the
-        update rows the kernel wrote to the stream are merged in where
-        they were submitted, so each trace stays in submission order.
+        The scheduled queries' sub-query rows come from *bufs* (submit
+        order, *pq* rows per query, ids *qqid*, arrivals *qnow*; a
+        dropped query's unsubmitted picks are skipped); the update rows
+        the kernel wrote to the stream are merged in where they were
+        submitted, so each trace stays in submission order.
         """
         servers_flat = self.servers_flat
         nq = 0 if qnow is None else len(qnow)
@@ -506,6 +534,7 @@ class _Engine:
             sst_l = bufs.sub_start[:m].tolist()
             sf_l = bufs.sub_finish[:m].tolist()
             swk_l = bufs.sub_work[:m].tolist()
+            sent_l = bufs.q_sent[:nq].tolist()
             qid_l = qqid.tolist()
             rtt_l = bufs.rtts[:nq].tolist()
             arr_t = [now + rtt / 2.0 for now, rtt in zip(qnow.tolist(), rtt_l)]
@@ -534,7 +563,8 @@ class _Engine:
             server = servers_flat[sg_l[j]]
             if server.keep_trace:
                 k = j // pq
-                server.trace.append(TaskRecord(qid_l[k], arr_t[k], sst_l[j], sf_l[j], swk_l[j]))
+                if j - k * pq < sent_l[k]:
+                    server.trace.append(TaskRecord(qid_l[k], arr_t[k], sst_l[j], sf_l[j], swk_l[j]))
 
     def _materialise(self, sync: bool = True) -> None:
         """Write exact object state (servers + node stats) from the mirrors.
@@ -594,8 +624,8 @@ class _Engine:
             self._build()
         elif action.scope == "values":
             self._refresh_values()
-        elif action.scope == "busy":
-            self._refresh_busy()
+        elif action.scope == "busy" and self._refresh_busy():
+            self._mark_lost()
         self.stream.r = self._replicas()
         self._drain(at, hi)
         self.actions_applied += 1
@@ -636,7 +666,7 @@ class _Engine:
     def _settle_updates(self, bufs=None, qqid=None, qnow=None, pq=0) -> None:
         """After a ``commit_batch`` call: charge its update messages to the
         ledger and write its tasks to the traced servers (*qqid*, *qnow*:
-        the committed queries, None when there are none)."""
+        the scheduled queries, None when there are none)."""
         stream = self.stream
         if stream.n_written:
             self.ledger.record_update(stream.r * stream.n_written)
@@ -808,9 +838,10 @@ class _Engine:
         draw no RTT) or a failed-server mask (the stopped query draws
         none either) can leave some unused, so then the network rng is
         snapshotted first and, after the call, rewound and re-drawn once
-        per committed query: the stream advances draw for draw as on the
-        reference path.  The committed queries are flushed straight from
-        the out buffers; a stopped query then goes to :meth:`_delegate`.
+        per scheduled query (a drop draws one too): the stream advances
+        draw for draw as on the reference path.  The scheduled queries
+        are flushed straight from the out buffers; a stopped query then
+        goes to :meth:`_delegate`.
         """
         gate = self.gate
         failed = self.failed if self.any_failed else None
@@ -855,7 +886,7 @@ class _Engine:
         snapshot,
     ) -> int:
         """Settle one ``commit_batch`` call: fix the rng stream, hand a
-        gate's outcome to the policy, flush the *n* committed queries.
+        gate's outcome to the policy, flush the *n* scheduled queries.
         Returns how many of the chunk's queries the call settled (the
         stopped query, if any, is the next one)."""
         stop = int(bufs.stop_idx[0])
@@ -880,15 +911,15 @@ class _Engine:
         self,
         pos: int,
         nq: int,
-        n_adm: int,
+        n_rows: int,
         pq: int,
         chunk_wall: float,
         entry: PqEntry,
         bufs: CommitBuffers,
     ) -> tuple:
         """Account one chunk straight from the kernel's out buffers;
-        returns the committed queries' ids and arrival times (None, None
-        when it committed none).
+        returns the scheduled queries' ids and arrival times (None, None
+        when it scheduled none).
 
         The kernel has already advanced every per-server mirror, so this
         writes per-query columns only.  Per-query ``scheduling_delay`` is
@@ -897,67 +928,105 @@ class _Engine:
         ``charge_scheduling`` the amortised value is what lands in the
         latency).
 
-        Of the chunk's *nq* queries the first *n_adm* rows of the out
-        buffers belong to the committed ones; without a gate that is all
+        Of the chunk's *nq* queries the first *n_rows* rows of the out
+        buffers belong to the scheduled ones; without a gate that is all
         of them, in order.  Gated chunks scatter by the gate's admitted
         indices and leave shed slots as shed: NaN latency, ``-1`` id, the
-        recorded ``pq``, and ``()`` assignments.
+        recorded ``pq``, and ``()`` assignments.  A row that submitted
+        fewer than *pq* pieces is a dropped query (:meth:`_settle_drops`):
+        it takes a query id, the front-end work counters and its messages,
+        but no log row.
         """
         self.pqs[pos : pos + nq] = pq
+        sent = bufs.q_sent[:n_rows]
+        done = sent == pq
+        n_adm = int(np.count_nonzero(done))
         if self.assignments is not None:
-            self.assignments.extend(self._bulk_assignments(bufs, pos, nq, n_adm, pq))
-        if n_adm == 0:
+            self.assignments.extend(self._bulk_assignments(bufs, pos, nq, n_rows, pq, done))
+        if n_rows == 0:
             return None, None
         gated = self.gate is not None
-        rows = self.gate.adm_idx[:n_adm] if gated else slice(pos, pos + nq)
+        rows = self.gate.adm_idx[:n_rows] if gated else slice(pos, pos + n_rows)
         qnow = self.arrivals[rows]
-        qtotal = bufs.q_total[:n_adm]
+        qid0 = self.qid_last
+        qqid = np.arange(qid0 + 1, qid0 + n_rows + 1, dtype=np.int64)
+        self.qid_last = qid0 + n_rows
+
+        fe = self.fe
+        fe.total_iterations += n_rows * entry.iterations
+        fe.total_estimates += n_rows * entry.estimates
+        fe.queries_scheduled += n_rows
+        fe._query_counter = self.qid_last
+        self.dep.scheduling_wallclock += chunk_wall
+        self.ledger.record_query(n_rows * pq)
+        cols = (qnow, qqid, bufs.q_total[:n_rows], bufs.rtts[:n_rows],
+                bufs.q_mw[:n_rows], bufs.q_ms[:n_rows])
+        if n_adm == n_rows:
+            self.ledger.record_result(n_rows * pq)
+        else:
+            self.ledger.record_result(int(sent.sum()))
+            self._settle_drops(bufs, sent, pq)
+            if not gated:
+                rows = np.arange(pos, pos + n_rows)
+            rows = rows[done]
+            cols = tuple(a[done] for a in cols)
+        if n_adm == 0:
+            return qqid, qnow
+        cnow, cqid, qtotal, qrtt, qmw, qms = cols
+
         sched_each = chunk_wall / n_adm
         if self.charge:
             qtotal = qtotal + sched_each
-        fr = qnow + qtotal
-        delay = fr - qnow
+        fr = cnow + qtotal
+        delay = fr - cnow
         self.latencies[rows] = delay
         self.finishes[rows] = fr
-        qid0 = self.qid_last
-        qqid = np.arange(qid0 + 1, qid0 + n_adm + 1, dtype=np.int64)
-        self.query_ids[rows] = qqid
-        self.qid_last = qid0 + n_adm
+        self.query_ids[rows] = cqid
         if gated:
             # the same (arrival, total) pairs the per-query path observes
-            self.admission.observe_chunk(qnow, qtotal)
+            self.admission.observe_chunk(cnow, qtotal)
         elif self.admission is not None:
             # the one-query drive: the policy's own per-query hook
-            self.admission.observe(float(qnow[0]), float(qtotal[0]))
-
+            self.admission.observe(float(cnow[0]), float(qtotal[0]))
         self._emit_records(
-            qqid, qnow, fr, np.full(n_adm, sched_each), qtotal, pq, bufs
+            cqid, cnow, fr, np.full(n_adm, sched_each), qtotal, pq, qrtt, qmw, qms
         )
-
-        fe = self.fe
-        fe.total_iterations += n_adm * entry.iterations
-        fe.total_estimates += n_adm * entry.estimates
-        fe.queries_scheduled += n_adm
-        fe._query_counter = self.qid_last
-        self.dep.scheduling_wallclock += chunk_wall
-        self.ledger.record_query(n_adm * pq)
-        self.ledger.record_result(n_adm * pq)
         self.completed += n_adm
         self.fast_scheduled += n_adm
         self.chunk_sizes.append(n_adm)
         return qqid, qnow
 
-    def _bulk_assignments(self, bufs, pos, nq, n_adm, pq) -> list:
-        """The chunk's per-query server names, ``()`` for shed queries."""
+    def _settle_drops(self, bufs, sent, pq) -> None:
+        """Count the queries the kernel dropped, and leave each of their
+        unsubmitted picks one more ``NodeStats.outstanding``: the reserve
+        counted every pick, and only the submitted pieces completed."""
+        stats_flat = self.stats_flat
+        sub_g = bufs.sub_g
+        n_drop = 0
+        for k in np.flatnonzero(sent != pq).tolist():
+            n_drop += 1
+            row = k * pq
+            for g in sub_g[row + int(sent[k]) : row + pq].tolist():
+                stats_flat[g].outstanding += 1
+        self.dropped += n_drop
+        self.delegated += n_drop
+        self.log.dropped += n_drop
+
+    def _bulk_assignments(self, bufs, pos, nq, n_rows, pq, done) -> list:
+        """The chunk's per-query server names, ``()`` for shed and dropped
+        queries."""
         names = self.names_flat
         # sub rows are in submit (LIFO) order; assignments record the
         # selection (point) order, so reverse each query's row
-        rows = bufs.sub_g[: n_adm * pq].reshape(n_adm, pq)[:, ::-1].tolist()
-        picked = [tuple(names[g] for g in row) for row in rows]
-        if n_adm == nq:
+        rows = bufs.sub_g[: n_rows * pq].reshape(n_rows, pq)[:, ::-1].tolist()
+        picked = [
+            tuple(names[g] for g in row) if ok else ()
+            for row, ok in zip(rows, done.tolist())
+        ]
+        if n_rows == nq:
             return picked
         out: list[tuple[str, ...]] = [()] * nq
-        for slot, sel in zip((self.gate.adm_idx[:n_adm] - pos).tolist(), picked):
+        for slot, sel in zip((self.gate.adm_idx[:n_rows] - pos).tolist(), picked):
             out[slot] = sel
         return out
 

@@ -3,14 +3,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import Ring, RingNode, generate_objects
 from repro.core.failures import (
     FailureCoverageError,
+    dead_run,
+    lost_nodes,
     replacement_subqueries,
     split_failed,
 )
-from repro.core.ids import cw_distance, frac
+from repro.core.ids import EPS, cw_distance, frac
 from repro.core.node import RoarNode, SubQuery, dedup_matches
 
 
@@ -246,3 +249,138 @@ class TestAdjacentFailureRuns:
         ring.nodes()[5].alive = False
         matched = self._harvest(ring, stores, objects, 4, rng)
         assert len(matched) == len(objects)
+
+
+def _walked_run(ring, failed):
+    """The dead-run walk ``replacement_subqueries`` made before
+    :func:`dead_run` existed: neighbour by neighbour through
+    ``Ring.predecessor``/``Ring.successor``, a bisect per step."""
+    lo_node = failed
+    while True:
+        pred = ring.predecessor(lo_node)
+        if pred.alive or pred is failed:
+            break
+        lo_node = pred
+    hi_node = failed
+    while True:
+        succ = ring.successor(hi_node)
+        if succ.alive or succ is failed:
+            break
+        hi_node = succ
+    if not ring.predecessor(lo_node).alive and lo_node is not failed:
+        raise FailureCoverageError("every node on the ring has failed")
+    fail_lo = lo_node.start
+    fail_hi = ring.range_of(hi_node).end
+    run_length = (
+        cw_distance(fail_lo, fail_hi)
+        if hi_node is not ring.predecessor(lo_node)
+        else 1.0
+    )
+    return lo_node, hi_node, fail_lo, fail_hi, run_length
+
+
+@st.composite
+def _rings_with_dead(draw):
+    """A ring of 1-12 nodes (starts drawn, one at 0.0 or near the wrap
+    often) with a drawn dead mask, and one dead node to start from."""
+    starts = draw(
+        st.lists(
+            st.one_of(
+                st.floats(0.0, 1.0, exclude_max=True),
+                st.sampled_from([0.0, 0.5, 1.0 - 1e-9]),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    ring = Ring()
+    for i, s in enumerate(starts):
+        try:
+            ring.add_node(RingNode(f"d{i}", s))
+        except ValueError:
+            pass  # within EPS of a node already placed
+    nodes = ring.nodes()
+    dead = draw(st.lists(st.booleans(), min_size=len(nodes), max_size=len(nodes)))
+    start = draw(st.integers(0, len(nodes) - 1))
+    dead[start] = True
+    if draw(st.booleans()):
+        # a run across index 0: the last and the first node dead
+        dead[0] = dead[-1] = True
+    for node, is_dead in zip(nodes, dead):
+        node.alive = not is_dead
+    return ring, nodes[start]
+
+
+class TestDeadRunHelper:
+    """:func:`dead_run` walks the node list by index; it must give the old
+    neighbour walk's run exactly, and :func:`lost_nodes` must flag exactly
+    the dead nodes whose fall-back raises before it places a piece."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_rings_with_dead())
+    def test_matches_the_neighbour_walk(self, case):
+        ring, failed = case
+        try:
+            want = _walked_run(ring, failed)
+        except FailureCoverageError as exc:
+            with pytest.raises(FailureCoverageError) as got:
+                dead_run(ring, failed)
+            assert str(got.value) == str(exc)
+            return
+        run = dead_run(ring, failed)
+        nodes = ring.nodes()
+        lo_node, hi_node, fail_lo, fail_hi, length = want
+        assert nodes[run.lo] is lo_node and nodes[run.hi] is hi_node
+        assert (run.fail_lo, run.fail_hi, run.length) == (fail_lo, fail_hi, length)
+        # the same doubles, bit for bit (0.0 and -0.0 included)
+        assert repr((run.fail_lo, run.fail_hi, run.length)) == repr(
+            (fail_lo, fail_hi, length)
+        )
+
+    def test_one_node_ring(self):
+        ring = Ring([RingNode("solo", 0.3)])
+        (node,) = ring.nodes()
+        node.alive = False
+        run = dead_run(ring, node)
+        assert (run.lo, run.hi, run.length) == (0, 0, 1.0)
+        assert run.fail_lo == run.fail_hi == node.start
+        assert lost_nodes(ring, 1.0) == [0]
+
+    def test_all_dead_ring_raises(self):
+        ring = Ring.uniform(5)
+        for node in ring.nodes():
+            node.alive = False
+        with pytest.raises(FailureCoverageError, match="every node"):
+            dead_run(ring, ring.nodes()[2])
+        assert lost_nodes(ring, 2.0) == [0, 1, 2, 3, 4]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        case=_rings_with_dead(),
+        p_store=st.sampled_from([1.0, 2.0, 3.0, 4.0, 7.5]),
+        delta=st.sampled_from([0.0, 1e-6]),
+    )
+    def test_lost_nodes_are_where_the_fall_back_raises(self, case, p_store, delta):
+        ring, _ = case
+        nodes = ring.nodes()
+        want = []
+        for i, node in enumerate(nodes):
+            if node.alive:
+                continue
+            sub = SubQuery.normal(1, node.start, p_store)
+            try:
+                replacement_subqueries(
+                    ring, node, sub, p_store, delta=delta, rng=random.Random(0)
+                )
+            except FailureCoverageError as exc:
+                # only the run rules count; the storage-reach check comes
+                # after a placement was drawn
+                if "reaches beyond" not in str(exc):
+                    want.append(i)
+        assert lost_nodes(ring, p_store, delta) == want
+        width = 1.0 / p_store - delta
+        for i in want:
+            try:
+                assert width - dead_run(ring, nodes[i]).length <= EPS
+            except FailureCoverageError:
+                pass  # the whole ring is dead

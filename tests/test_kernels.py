@@ -531,13 +531,14 @@ class TestCompiledSelectDifferential:
 
 def _commit_case(
     rings, pq, busy, spd, arrivals, rtts, cap=None, fixed=0.004, dataset=0.1,
-    alive=None,
+    alive=None, lost=None,
 ):
     """``(state, entry, plan, bufs)`` for a ``commit_batch`` call over *rings*.
 
     Every call builds fresh arrays, so two kernels can run on equal copies.
     The small *dataset* keeps service times near the busy values drawn.
-    Every other server keeps a trace; *alive* marks the live ring nodes.
+    Every other server keeps a trace; *alive* marks the live ring nodes,
+    *lost* the ring-0 nodes whose dead run cannot be re-covered.
     """
     _, state, entry = _sweep_case(rings, pq, busy, spd, fe_fixed=fixed, dataset=dataset)
     arrivals = np.asarray(arrivals, dtype=np.float64)
@@ -553,6 +554,7 @@ def _commit_case(
         update_cost=0.05,
         alive=alive,
         trace=[g % 2 == 0 for g in range(state.n)],
+        lost=lost,
     )
     bufs = CommitBuffers(len(arrivals) if cap is None else cap, pq)
     bufs.rtts[: len(rtts)] = rtts
@@ -589,7 +591,7 @@ def _commit_outcome(kernel, case, start, nq, gate, failed, updates=None, bare=Fa
             a[:m].tobytes()
             for a in (bufs.sub_g, bufs.sub_service, bufs.sub_work, bufs.sub_finish, bufs.sub_start)
         ]
-        + [a[:n].tobytes() for a in (bufs.q_total, bufs.q_mw, bufs.q_ms)],
+        + [a[:n].tobytes() for a in (bufs.q_total, bufs.q_mw, bufs.q_ms, bufs.q_sent)],
         "res": (rn, bufs.res_g[:rn].tobytes(), bufs.res_v[:rn].tobytes()),
         "mirrors": (state.busy.tobytes(), plan.spd.tobytes(), entry.Q.tobytes()),
         "accumulators": [
@@ -699,6 +701,20 @@ class TestCommitArgumentChecks:
             with pytest.raises(ValueError, match="failed must be a C-contiguous bool"):
                 kernel.commit_batch(state, entry, plan, bufs, 0, 1, None, failed)
 
+    @pytest.mark.parametrize(
+        "lost",
+        [np.zeros(11, dtype=bool), np.zeros(12, dtype=np.uint8), [False] * 12],
+        ids=["length", "dtype", "list"],
+    )
+    def test_malformed_lost_flags(self, lost):
+        for kernel in self._kernels():
+            state, entry, plan, bufs = self._case()
+            plan.lost = lost
+            with pytest.raises(ValueError, match="plan.lost must be None or a C-contiguous"):
+                kernel.commit_batch(
+                    state, entry, plan, bufs, 0, 1, None, np.zeros(12, dtype=bool)
+                )
+
     def test_gate_smaller_than_span(self):
         for kernel in self._kernels():
             state, entry, plan, bufs = self._case(cap=8)
@@ -708,10 +724,11 @@ class TestCommitArgumentChecks:
 
 @needs_compiled
 class TestCommitStopDifferential:
-    """The failure stop: the python oracle and C agree on the committed
-    count, the stop index and the stopped query's pick, every out row,
-    ``res_*``, the gate's scalars and shed rows, and the mirrors -- which
-    must be exactly as after the last committed query."""
+    """The failure stop and the drop: the python oracle and C agree on the
+    scheduled count, the stop index and the stopped query's pick, every
+    out row (``q_sent`` and a drop's NaN rows included), ``res_*``, the
+    gate's scalars and shed rows, and the mirrors -- which must be
+    exactly as after the last scheduled query."""
 
     @staticmethod
     def _both(make_case, start, nq, make_gate, failed):
@@ -723,11 +740,14 @@ class TestCommitStopDifferential:
         return out[0]
 
     @staticmethod
-    def _prefix_mirrors(make_case, start, stop, make_gate):
-        """Mirrors after committing ``[start, stop)`` with no mask."""
+    def _prefix_mirrors(make_case, start, stop, make_gate, failed=None):
+        """Mirrors after scheduling ``[start, stop)`` (with *failed*, the
+        same drops)."""
         state, entry, plan, bufs = make_case()
         gate = make_gate() if make_gate is not None else None
-        ExactNumpyKernel().commit_batch(state, entry, plan, bufs, start, stop - start, gate)
+        ExactNumpyKernel().commit_batch(
+            state, entry, plan, bufs, start, stop - start, gate, failed
+        )
         return (state.busy.tobytes(), plan.spd.tobytes(), entry.Q.tobytes())
 
     @settings(max_examples=120, deadline=None)
@@ -745,6 +765,15 @@ class TestCommitStopDifferential:
         # and not at all all stay common
         failed = np.zeros(n, dtype=bool)
         failed[data.draw(st.lists(st.integers(0, n - 1), max_size=2))] = True
+        n0 = len(rings[0])
+        lost = None
+        if data.draw(st.booleans(), label="drops"):
+            # flags on ring 0 only, dead or not: the kernels read the flag.
+            # More failed servers put two in one pick often, so the pick
+            # index that decides (the highest) is exercised.
+            failed[data.draw(st.lists(st.integers(0, n - 1), max_size=n // 3))] = True
+            lost = data.draw(st.lists(st.booleans(), min_size=n0, max_size=n0))
+            lost += [False] * (n - n0)
         n_arr = data.draw(st.integers(min_value=1, max_value=30))
         gaps = data.draw(
             st.lists(st.sampled_from([0.0, 0.01, 0.05, 0.2]), min_size=n_arr, max_size=n_arr)
@@ -763,7 +792,7 @@ class TestCommitStopDifferential:
             make_gate = lambda: _gate(n_arr, queue_cap, bucket, rate)  # noqa: E731
 
         def make_case():
-            return _commit_case(rings, pq, busy, spd, arrivals, rtts, cap=n_arr)
+            return _commit_case(rings, pq, busy, spd, arrivals, rtts, cap=n_arr, lost=lost)
 
         got = self._both(make_case, start, nq, make_gate, failed)
         stop = got["stop"]
@@ -771,7 +800,16 @@ class TestCommitStopDifferential:
             assert start <= stop < start + nq
             assert any(failed[g] for g in got["pick"][0])
         end = stop if stop >= 0 else start + nq
-        assert got["mirrors"] == self._prefix_mirrors(make_case, start, end, make_gate)
+        assert got["mirrors"] == self._prefix_mirrors(make_case, start, end, make_gate, failed)
+        sent = np.frombuffer(got["rows"][-1], dtype=np.int64)
+        if lost is None:
+            assert (sent == pq).all()
+        else:
+            # no flag stops a query; a drop is a query whose pick holds
+            # a failed server
+            sub_g = np.frombuffer(got["rows"][0], dtype=np.int64).reshape(-1, pq)
+            for row, k in zip(sub_g, sent):
+                assert (k < pq) == any(failed[g] for g in row)
         if make_gate is not None and stop >= 0:
             # the stopped query passed the pre-check: last admitted entry
             _, k, _, adm, _ = got["gate"]
@@ -796,6 +834,10 @@ class TestCommitStopDifferential:
         alive = data.draw(st.lists(st.booleans(), min_size=n0, max_size=n0)) + [True] * (n - n0)
         failed = np.zeros(n, dtype=bool)
         failed[data.draw(st.lists(st.integers(0, n - 1), max_size=2))] = True
+        lost = None
+        if data.draw(st.booleans(), label="drops"):
+            lost = data.draw(st.lists(st.booleans(), min_size=n0, max_size=n0))
+            lost += [False] * (n - n0)
         n_arr = data.draw(st.integers(min_value=1, max_value=20))
         gaps = data.draw(
             st.lists(st.sampled_from([0.0, 0.01, 0.05, 0.2]), min_size=n_arr, max_size=n_arr)
@@ -840,7 +882,9 @@ class TestCommitStopDifferential:
         bare = nq == 0 and data.draw(st.booleans(), label="no entry")
         out = []
         for kernel in (ExactNumpyKernel(), CompiledKernel()):
-            case = _commit_case(rings, pq, busy, spd, arrivals, rtts, cap=n_arr, alive=alive)
+            case = _commit_case(
+                rings, pq, busy, spd, arrivals, rtts, cap=n_arr, alive=alive, lost=lost
+            )
             gate = make_gate() if make_gate is not None else None
             out.append(
                 _commit_outcome(kernel, case, start, nq, gate, mask, make_stream(), bare)
@@ -899,6 +943,158 @@ class TestCommitStopDifferential:
         make_case = self._spread_case()
         got = self._both(make_case, 0, 5, None, np.zeros(24, dtype=bool))
         assert (got["n"], got["stop"]) == (5, -1)
+
+    # -- the drop -------------------------------------------------------
+    @staticmethod
+    def _drop_case(rings, pq, busy=None, n_arr=5):
+        """Idle (or *busy*) servers and *n_arr* queries 1 ms apart; the
+        returned maker takes the ``lost`` flags by global index."""
+        n = sum(len(r) for r in rings)
+        arrivals = [0.001 * k for k in range(n_arr)]
+
+        def make_case(lost_at=()):
+            lost = [g in lost_at for g in range(n)]
+            return _commit_case(
+                rings, pq, busy or [0.0] * n, [1.0] * n, arrivals, [0.0005] * n_arr,
+                lost=lost,
+            )
+
+        return make_case
+
+    @staticmethod
+    def _first_pick(make_case):
+        """The first query's pick on the fresh state: servers and points."""
+        state, entry, _, _ = make_case()
+        g_list, pts, _ = ExactNumpyKernel().select(state, entry, 0.0)
+        return g_list, pts
+
+    @staticmethod
+    def _assert_dropped_row(got, row, g_list, i_hit):
+        """Row *row* is a drop whose first failed piece is pick *i_hit*:
+        the live pieces above it, then its unsubmitted picks, NaN rows."""
+        pq = len(g_list)
+        sent = np.frombuffer(got["rows"][-1], dtype=np.int64)
+        assert sent[row] == pq - 1 - i_hit
+        sub_g = np.frombuffer(got["rows"][0], dtype=np.int64)[row * pq : (row + 1) * pq]
+        assert sub_g.tolist() == g_list[::-1]
+        finish = np.frombuffer(got["rows"][3], dtype=np.float64)[row * pq : (row + 1) * pq]
+        k = pq - 1 - i_hit
+        assert np.isfinite(finish[:k]).all() and np.isnan(finish[k:]).all()
+        for col in got["rows"][5:8]:
+            assert np.isnan(np.frombuffer(col, dtype=np.float64)[row])
+
+    @pytest.mark.parametrize("gated", [False, True])
+    @pytest.mark.parametrize("i_hit", [3, 0], ids=["first-popped", "last-popped"])
+    def test_drop_at_the_failed_piece(self, i_hit, gated):
+        """The failed piece popped first submits nothing; popped last, it
+        leaves every other piece submitted.  A gate admits the dropped
+        query and its token stays spent."""
+        make = self._drop_case([Ring.uniform(24)], 4)
+        g_list, _ = self._first_pick(make)
+        g = g_list[i_hit]
+        failed = np.zeros(24, dtype=bool)
+        failed[g] = True
+        make_gate = (lambda: _gate(5, 10.0, True, 1e4)) if gated else None
+        got = self._both(lambda: make(lost_at=(g,)), 0, 5, make_gate, failed)
+        assert got["stop"] == -1 and got["n"] == 5
+        self._assert_dropped_row(got, 0, g_list, i_hit)
+        if gated:
+            plain = self._both(make, 0, 5, make_gate, None)
+            assert got["gate"][1:4] == plain["gate"][1:4]  # all admitted, none shed
+            tokens = np.frombuffer(got["gate"][0], dtype=np.float64)[0]
+            assert tokens == np.frombuffer(plain["gate"][0], dtype=np.float64)[0]
+        # the unsubmitted picks' queues did not move; the drop reserved
+        # every pick (res_* is the last query's, so drop only one query)
+        one = self._both(lambda: make(lost_at=(g,)), 0, 1, None, failed)
+        busy = np.frombuffer(one["mirrors"][0], dtype=np.float64)
+        assert all(busy[h] == 0.0 for h in g_list[: i_hit + 1])
+        assert all(busy[h] > 0.0 for h in g_list[i_hit + 1 :])
+        assert sorted(np.frombuffer(one["res"][1], dtype=np.int64)) == sorted(set(g_list))
+
+    def test_drop_with_a_repeated_server(self):
+        """Three servers and pq=4: one server holds two points.  Failing it
+        drops at its higher index, and its lower one stays unsubmitted."""
+        make = self._drop_case([Ring.uniform(3)], 4)
+        g_list, _ = self._first_pick(make)
+        twice = [h for h in g_list if g_list.count(h) == 2]
+        assert twice, g_list
+        g = twice[0]
+        failed = np.zeros(3, dtype=bool)
+        failed[g] = True
+        got = self._both(lambda: make(lost_at=(g,)), 0, 1, None, failed)
+        i_hit = max(i for i, h in enumerate(g_list) if h == g)
+        self._assert_dropped_row(got, 0, g_list, i_hit)
+
+    def test_updates_right_before_and_after_a_drop(self):
+        """An update before the dropped query lands first; the one after
+        it snapshots the queues the drop left (the drop's ``NodeStats``
+        sync), as after a commit."""
+        make = self._drop_case([Ring.uniform(24)], 4)
+        g_list, pts = self._first_pick(make)
+        g = g_list[2]
+        failed = np.zeros(24, dtype=bool)
+        failed[g] = True
+
+        def stream():
+            # the first update's holders (servers 2-4) are off the pick
+            ups = UpdateStream([0, 1, 1], [0.0, 0.0005, 0.0007], [2 / 24, pts[1], 0.5])
+            ups.r = 3
+            ups.reserve_rows(9)
+            return ups
+
+        out = []
+        for kernel in (ExactNumpyKernel(), CompiledKernel()):
+            case = make(lost_at=(g,))
+            out.append(_commit_outcome(kernel, case, 0, 3, None, failed, stream()))
+        assert out[0] == out[1]
+        got = out[0]
+        self._assert_dropped_row(got, 0, g_list, 2)
+        # the queues the first update after the drop saw: the drop's own
+        case = make(lost_at=(g,))
+        state = case[0]
+        ExactNumpyKernel().commit_batch(*case, 0, 1, None, failed, stream())
+        assert got["accumulators"][-1] == state.busy.tobytes()
+
+    @pytest.mark.parametrize("flag", ["ring-0 owner", "pick"])
+    def test_multi_ring_drop_reads_ring_0s_owner(self, flag):
+        """Ring 0 is busy, so the pick is on ring 1; the fall-back re-covers
+        from ring 0's owner of the failed point, so only that owner's flag
+        drops the query -- a flag on the pick itself does not."""
+        rings = [Ring.uniform(6), Ring.uniform(10, name_prefix="b", ring_id=1)]
+        busy = [5.0] * 6 + [0.0] * 10
+        make = self._drop_case(rings, 4, busy=busy)
+        g_list, pts = self._first_pick(make)
+        assert all(h >= 6 for h in g_list)
+        g = g_list[1]
+        owner = rings[0].index_of(rings[0].node_in_charge(pts[1]))
+        assert owner != g - 6  # not the pick's own position on its ring
+        failed = np.zeros(16, dtype=bool)
+        failed[g] = True
+        lost_at = (owner,) if flag == "ring-0 owner" else (g,)
+        got = self._both(lambda: make(lost_at=lost_at), 0, 5, None, failed)
+        if flag == "ring-0 owner":
+            assert got["stop"] == -1
+            self._assert_dropped_row(got, 0, g_list, 1)
+        else:
+            assert (got["n"], got["stop"]) == (0, 0)
+
+    @pytest.mark.parametrize("lost_pick", [1, 3])
+    def test_coverable_and_unrecoverable_picks_in_one_query(self, lost_pick):
+        """Two failed picks: the higher index is popped first and decides.
+        Flagged, the query drops there; unflagged, it stops even though the
+        other failed pick is flagged."""
+        make = self._drop_case([Ring.uniform(24)], 4)
+        g_list, _ = self._first_pick(make)
+        failed = np.zeros(24, dtype=bool)
+        failed[[g_list[1], g_list[3]]] = True
+        got = self._both(
+            lambda: make(lost_at=(g_list[lost_pick],)), 0, 5, None, failed
+        )
+        if lost_pick == 3:
+            self._assert_dropped_row(got, 0, g_list, 3)
+        else:
+            assert (got["n"], got["stop"]) == (0, 0)
+            assert got["pick"][0] == g_list
 
 
 class TestScenarioKernelKnob:

@@ -3,8 +3,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core import MembershipServer
+from repro.core import MembershipServer, Ring, RingNode
 
 
 class TestBuildBalanced:
@@ -120,3 +121,47 @@ class TestDiurnalScaling:
         ms = MembershipServer()
         with pytest.raises(ValueError):
             ms.rings_needed(1.0, 0.0)
+
+
+class TestLoadRanking:
+    """``hottest_node``/``coolest_node`` rank the ranges in one pass; they
+    must pick the very node the per-node ``Ring.range_of`` ranking picked,
+    first in ring order on ties."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        starts=st.lists(
+            st.one_of(
+                st.floats(0.0, 1.0, exclude_max=True),
+                st.sampled_from([0.0, 0.25, 0.5, 0.75]),
+            ),
+            min_size=0,
+            max_size=14,
+        ),
+        speeds=st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=14, max_size=14),
+        dead=st.lists(st.booleans(), min_size=14, max_size=14),
+        uniform=st.booleans(),
+    )
+    def test_same_node_as_the_range_of_ranking(self, starts, speeds, dead, uniform):
+        if uniform and starts:
+            # equal ranges and speeds: every ratio ties
+            ring = Ring.uniform(len(starts))
+        else:
+            ring = Ring()
+            for i, s in enumerate(starts):
+                try:
+                    ring.add_node(RingNode(f"m{i}", s, speed=speeds[i]))
+                except ValueError:
+                    pass  # within EPS of a node already placed
+        for node, is_dead in zip(ring.nodes(), dead):
+            node.alive = not is_dead
+        alive = ring.alive_nodes()
+
+        def ratio(n):
+            return ring.range_of(n).length / n.speed
+
+        ms = MembershipServer()
+        want_hot = max(alive, key=ratio) if alive else None
+        want_cool = min(alive, key=ratio) if alive else None
+        assert ms.hottest_node(ring) is want_hot
+        assert ms.coolest_node(ring) is want_cool

@@ -140,18 +140,24 @@ class TestPhaseProfiler:
 
     def test_summary_and_per_query(self):
         """Call counts follow the run: one engine call, one
-        ``commit_batch`` per chunk, one ``run_query`` per delegation."""
+        ``commit_batch`` per chunk, one ``run_query`` per delegation whose
+        fall-back can re-cover (crowd-x-rack's), none for the queries the
+        kernel drops (rack-failure's dead run is too wide)."""
         with SpanRecorder() as rec:
             steady = runner.execute_scenario(_scenario("steady"))
-            failing = runner.execute_scenario(_scenario("rack-failure", n=16))
+            failing = runner.execute_scenario(_scenario("crowd-x-rack", n=16))
         s = rec.summary()
         spans = s["spans"]
         assert spans["scenarios.execute_scenario"]["calls"] == 2
         assert spans["sim.engine"]["calls"] == 2
-        assert failing.batch.delegated > 0
+        assert failing.batch.delegated > 0 and failing.batch.dropped == 0
         assert spans["cluster.run_query"]["calls"] == failing.batch.delegated
         chunks = len(steady.batch.chunk_sizes) + len(failing.batch.chunk_sizes)
         assert spans["kernels.commit_batch"]["calls"] >= chunks
+        with SpanRecorder() as rec:
+            dropping = runner.execute_scenario(_scenario("rack-failure", n=16))
+        assert dropping.batch.dropped == dropping.batch.delegated > 0
+        assert "cluster.run_query" not in rec.summary()["spans"]
         for v in spans.values():
             assert 0 <= v["self_ns"] <= v["total_ns"]
         json.dumps(s)  # JSON-safe by construction

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import Ring, RingNode
-from repro.core.ids import Arc
+from repro.core.ids import Arc, cw_distance
 
 #: the largest double below 1.0 -- the last position an update can take.
 BELOW_ONE = math.nextafter(1.0, 0.0)
@@ -312,3 +312,42 @@ class TestReplicaHolders:
         dep.apply_update(1.0, at=0.4)
         assert dep.ledger.update_messages == 0
         assert all(s.tasks_run == 0 for s in dep.servers.values())
+
+
+class TestRangeLengths:
+    """``Ring.range_length_at`` is the one range rule: ``range_of`` and
+    the index-based callers (the dead-run walk, the membership ranking)
+    all read it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        starts=st.lists(
+            st.one_of(
+                st.floats(0.0, 1.0, exclude_max=True),
+                st.sampled_from([0.0, BELOW_ONE, 0.5]),
+            ),
+            min_size=1,
+            max_size=16,
+        )
+    )
+    def test_clockwise_distance_to_the_next_start(self, starts):
+        ring = Ring()
+        for i, s in enumerate(starts):
+            try:
+                ring.add_node(RingNode(f"n{i}", s))
+            except ValueError:
+                pass  # within EPS of a node already placed
+        nodes = ring.nodes()
+        n = len(nodes)
+        want = [
+            1.0 if n == 1 else cw_distance(nd.start, nodes[(i + 1) % n].start)
+            for i, nd in enumerate(nodes)
+        ]
+        assert ring.range_lengths() == want
+        for nd, length in zip(nodes, want):
+            assert ring.range_of(nd) == Arc(nd.start, length)
+
+    def test_one_node_ring_owns_the_circle(self):
+        ring = Ring([RingNode("solo", 0.3)])
+        assert ring.range_lengths() == [1.0]
+        assert ring.range_of(ring.get("solo")).end == 0.3

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from repro.pps.crypto import prf_bit
+from repro.pps.schemes import keyword_dict
 from repro.pps.schemes import (
     BloomKeywordScheme,
     DictionaryKeywordScheme,
@@ -158,9 +160,19 @@ class TestDictionaryKeyword:
         with pytest.raises(KeyError):
             scheme.encrypt_metadata(["nonexistent"])
 
-    def test_metadata_blinded_per_nonce(self, scheme):
+    def test_metadata_blinded_per_nonce(self, scheme, monkeypatch):
+        # two fixed nonces whose blinding masks differ: with os.urandom the
+        # one-byte payload of this 8-word dictionary repeats 1 run in 256
+        nonces = [b"nonce-01", b"nonce-02"]
+        monkeypatch.setattr(keyword_dict, "random_nonce", iter(nonces).__next__)
+        masks = [
+            [prf_bit(scheme._blind_key(i), rnd) for i in range(len(WORDS))]
+            for rnd in nonces
+        ]
+        assert masks[0] != masks[1]
         m1 = scheme.encrypt_metadata(["alpha"])
         m2 = scheme.encrypt_metadata(["alpha"])
+        assert (m1.payload[0], m2.payload[0]) == tuple(nonces)
         assert m1.payload[1] != m2.payload[1]
 
     def test_metadata_size_is_dictionary_bits(self, scheme):

@@ -21,7 +21,8 @@ Mechanism checks, each with a monkeypatch that raises or counts: data
 updates never reach ``Deployment.apply_update`` or ``_refresh_busy`` on
 the batched engine, exact kernels hand their failure-window picks to
 the reference path, which then never calls ``FrontEnd.schedule_query``,
-and each delegated query is one ``Deployment.run_query`` call.
+each delegated query is one ``Deployment.run_query`` call, and a query
+whose dead run cannot be re-covered drops in the kernel without one.
 """
 
 import math
@@ -54,7 +55,7 @@ PATHS = ["reference", "python_seam", "compiled"]
 BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
-def _deployment(n=12, p=4, seed=5, n_rings=1, trace="all"):
+def _deployment(n=12, p=4, seed=5, n_rings=1, trace="all", store_objects=False):
     dep = Deployment(
         DeploymentConfig(
             models=hen_testbed(n),
@@ -63,6 +64,7 @@ def _deployment(n=12, p=4, seed=5, n_rings=1, trace="all"):
             dataset_size=2e6,
             seed=seed,
             charge_scheduling=False,
+            store_objects=store_objects,
         )
     )
     for i, server in enumerate(dep.servers.values()):
@@ -162,6 +164,36 @@ def _case(name):
         plan = [(i, None, (), _updates(arrivals, i, 2, rng)) for i in every]
         plan.append((60, "fail", ("node-4", "node-3"), ()))
         plan.append((180, "recover", ("node-4", "node-3"), ()))
+    elif name == "lost-run":
+        # three dead ring neighbours, wider than the replication arc: the
+        # fall-back cannot re-cover them, so every query of the window
+        # drops inside commit_batch and none reaches Deployment.run_query
+        plan = [(i, None, (), _updates(arrivals, i, 2, rng)) for i in every]
+        plan.append((60, "fail", (2, 3, 4), ()))
+        plan.append((150, "recover", (2, 3, 4), ()))
+    elif name == "lost-and-coverable":
+        # the too-wide run and a coverable hole: a query whose first
+        # failed piece lands in the hole is delegated (and then drops on
+        # the wide run after its replacement ran), the others drop in
+        # the kernel
+        plan = [(i, None, (), _updates(arrivals, i, 2, rng)) for i in every]
+        plan.append((60, "fail", (2, 3, 4, 9), ()))
+        plan.append((150, "recover", (2, 3, 4, 9), ()))
+    elif name == "lost-last-and-callback":
+        # the too-wide window stays open to the end: kernel drops right
+        # before callbacks and as the last query leave the NodeStats
+        # sync pending for the callback and the end-of-run materialise
+        plan = [(i, None, (), _updates(arrivals, i, 2, rng)) for i in every]
+        plan.append((200, "fail", (2, 3, 4), ()))
+        plan += [(i, "write", (), ()) for i in (205, 216, 230)]
+    elif name == "lost-then-regrow":
+        # inside the too-wide window a busy-scope callback finishes a
+        # repartition to p=2: the replication arc doubles, the run turns
+        # coverable, and the lost flags must follow p_store
+        dep_kw = {"store_objects": True}
+        plan = [(i, None, (), _updates(arrivals, i, 2, rng)) for i in every]
+        plan.append((60, "fail", (2, 3, 4), ()))
+        plan.append((110, "regrow", (), ()))
     elif name == "gate-sheds-then-updates":
         # a tight AIMD bucket sheds most queries inside commit_batch, so
         # updates land between the last admitted query and the end of the
@@ -208,6 +240,10 @@ CASES = [
     "delegated-then-callback",
     "replacement-then-drop",
     "failure-multi-ring",
+    "lost-run",
+    "lost-and-coverable",
+    "lost-last-and-callback",
+    "lost-then-regrow",
     "gate-sheds-then-updates",
     "delay-gated-drive",
     "pq-switch",
@@ -250,7 +286,16 @@ def _actions(dep, arrivals, plan, seen):
         seen.append(_state(dep))
         dep.apply_update(now, at=0.25)
 
-    kinds = {"fail": (fail, "values"), "recover": (recover, "values"), "write": (write, "busy")}
+    def regrow(now, names):
+        dep.reconfig.request_p(2)
+        dep.reconfig.run_all_steps()
+
+    kinds = {
+        "fail": (fail, "values"),
+        "recover": (recover, "values"),
+        "write": (write, "busy"),
+        "regrow": (regrow, "busy"),
+    }
     acts = []
     for index, kind, names, updates in plan:
         t = updates[0][0] if updates else arrivals[index - 1]
@@ -337,9 +382,13 @@ def _kernels():
     return ["exact_numpy"] + (["compiled"] if compiled_available() else [])
 
 
-def _delegations(monkeypatch, name, path="python_seam"):
+def _delegations(monkeypatch, name, path="python_seam", coverable=True):
     """Run case *name* on a batched *path*; one ``(query index, dropped,
-    servers submitted to)`` row per ``Deployment.run_query`` call."""
+    servers submitted to)`` row per ``Deployment.run_query`` call.
+
+    On a *coverable* case every delegated query is one call.  Otherwise
+    the kernel drops some itself: those make no call, and every other
+    delegated query still makes one."""
     arrivals = _case(name)[2]
     index = {t: i for i, t in enumerate(arrivals)}
     calls = []
@@ -353,7 +402,11 @@ def _delegations(monkeypatch, name, path="python_seam"):
     with monkeypatch.context() as m:
         m.setattr(Deployment, "run_query", recording)
         _, res = run_path(path, name)
-    assert len(calls) == res.delegated
+    if coverable:
+        assert len(calls) == res.delegated
+    else:
+        kernel_drops = res.dropped - sum(dropped for _, dropped, _ in calls)
+        assert kernel_drops > 0 and len(calls) + kernel_drops == res.delegated
     return calls
 
 
@@ -412,7 +465,7 @@ class TestDataUpdatesMatchTheReference:
         assert any(i - 1 in delegated for i in callback_at - data_at)
         assert any(i - 1 in delegated for i in data_at & callback_at)
 
-        calls = _delegations(monkeypatch, "replacement-then-drop")
+        calls = _delegations(monkeypatch, "replacement-then-drop", coverable=False)
         assert any(dropped and submitted for _, dropped, submitted in calls)
         assert max(q for q, _, _ in calls) < 150  # the seam runs after recovery
 
@@ -421,6 +474,25 @@ class TestDataUpdatesMatchTheReference:
         dep = _deployment(**_case("failure-multi-ring")[0])
         ring_of = {nd.name: r for r, ring in enumerate(dep.rings) for nd in ring.nodes()}
         assert {ring_of["node-4"], ring_of["node-3"]} == {0, 1}
+
+        # a too-wide dead run: every delegated query drops in the kernel
+        assert _delegations(monkeypatch, "lost-run", coverable=False) == []
+        _, res = run_path("python_seam", "lost-run")
+        assert res.dropped == res.delegated > 0
+        # with a coverable hole beside it, some queries still delegate
+        calls = _delegations(monkeypatch, "lost-and-coverable", coverable=False)
+        assert calls and any(submitted for _, _, submitted in calls)
+        # kernel drops as the last query and right before callbacks
+        _, res = run_path("python_seam", "lost-last-and-callback")
+        assert res.shed == 0 and res.query_ids[-1] == -1
+        callback_at = [
+            i for i, kind, _, _ in _case("lost-last-and-callback")[3] if kind == "write"
+        ]
+        assert all(res.query_ids[i - 1] == -1 for i in callback_at)
+        # a busy callback moves p_store: kernel drops before it, fall-backs
+        # through run_query after it
+        calls = _delegations(monkeypatch, "lost-then-regrow", coverable=False)
+        assert calls and min(q for q, _, _ in calls) >= 110
 
         # the bulk gate sheds, and updates follow the last admitted query
         # inside the call and after the run's last query
@@ -547,10 +619,30 @@ class TestMechanism:
     @pytest.mark.parametrize("name", ["failure-window", "replacement-then-drop"])
     @pytest.mark.parametrize("path", ["python_seam", "compiled"])
     def test_each_delegation_is_one_run_query_call(self, monkeypatch, path, name):
-        """Delegations stay on the public entry point that traces see."""
+        """Delegations stay on the public entry point that traces see
+        (``replacement-then-drop`` also has a query the kernel drops)."""
         if path == "compiled" and not compiled_available():
             pytest.skip("compiled kernel unavailable")
-        assert _delegations(monkeypatch, name, path)
+        assert _delegations(monkeypatch, name, path, name == "failure-window")
+
+    @pytest.mark.parametrize("path", ["python_seam", "compiled"])
+    def test_unrecoverable_queries_drop_in_the_kernel(self, monkeypatch, path):
+        """On a window whose dead run is too wide to re-cover, the kernel
+        drops every delegated query itself: ``Deployment.run_query`` is
+        never called.  On a coverable window it is called once per
+        delegated query, as before."""
+        if path == "compiled" and not compiled_available():
+            pytest.skip("compiled kernel unavailable")
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a query reached the reference path")
+
+        with monkeypatch.context() as m:
+            m.setattr(Deployment, "run_query", boom)
+            _, res = run_path(path, "lost-run")
+        assert res.dropped == res.delegated > 0
+        calls = _delegations(monkeypatch, "failure-window", path)
+        assert calls and not any(dropped for _, dropped, _ in calls)
 
     @pytest.mark.parametrize("kernel", ["exact_numpy", "compiled", "twin"])
     def test_exact_kernels_hand_their_pick_to_the_fall_back(
