@@ -422,6 +422,7 @@ class Deployment:
         actions: Sequence | None = None,
         kernel=None,
         admission=None,
+        updates=None,
     ):
         """Run an arrival trace through the batched query path.
 
@@ -429,9 +430,11 @@ class Deployment:
         identical to :meth:`run_queries`, orders of magnitude faster; see
         :func:`repro.sim.fastpath.run_queries_fast` and
         ``docs/architecture.md`` for how.  *actions* schedules
-        :class:`~repro.sim.fastpath.Action` work (callbacks for events
-        and control ticks, object updates as data) to land between two
-        specific queries with exact event-time semantics.  *kernel*
+        :class:`~repro.sim.fastpath.Action` callbacks (events, control
+        ticks) to land between two specific queries with exact event-time
+        semantics; *updates* is the run's object-update stream (query
+        indices with an ``(n, 2)`` array of ``(time, position)`` rows),
+        applied as data before the query each precedes.  *kernel*
         selects the scheduling kernel by registry name (default
         ``exact_numpy``, the bit-exact oracle;
         ``compiled`` fuses sweep and commit into one C call per chunk --
@@ -466,6 +469,7 @@ class Deployment:
             actions=actions,
             kernel=kernel,
             admission=admission,
+            updates=updates,
         )
 
     # -- updates (Fig 7.4) ------------------------------------------------------------

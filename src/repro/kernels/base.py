@@ -446,7 +446,8 @@ class AdmissionGate:
 class UpdateStream:
     """A run's object updates, applied inside ``commit_batch``.
 
-    Flat arrays built once per run, in action order: update ``u`` precedes
+    Flat arrays built once per run from its ``updates=`` run data (see
+    :func:`~repro.sim.fastpath.run_queries_fast`): update ``u`` precedes
     query ``q[u]`` (non-decreasing; updates after the last query hold the
     arrival count), happens at time ``t[u]`` and writes the object at ring
     position ``pos[u]``.  ``next`` is the first update not applied yet,

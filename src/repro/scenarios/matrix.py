@@ -210,8 +210,9 @@ def trace_scenario(
     """A scenario replaying the external request log *source*.
 
     The trace's arrivals (and any update rows) drive the engines through
-    the exact-time action queue, so a real log is a first-class matrix
-    row alongside the synthetic battery (``repro matrix --trace``).
+    the exact-time query and update streams, so a real log is a
+    first-class matrix row alongside the synthetic battery (``repro
+    matrix --trace``).
     """
     return Scenario(
         name=name,

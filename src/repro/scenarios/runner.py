@@ -11,22 +11,24 @@ through a :class:`~repro.control.controllers.DeploymentActuator`.  The
 ``repro control`` closed loops are ordinary scenarios
 (:func:`~repro.scenarios.matrix.control_scenario`) run here.
 
-Execution has **exact event-time semantics**: every stimulus (event, churn
-tick, control tick, individual update) is compiled to an
-:class:`~repro.sim.fastpath.Action` bound to the precise query index where
-its timestamp falls, and the batched engine fires it *between those two
-queries*: callbacks with fully materialised deployment state, object
-updates (coalesced per index) as data the engine applies on its own
-mirrors.  A mid-batch update is therefore visible to the very next query,
-at full batch speed.  The ``engine="reference"`` backend replays the same
-action schedule through the per-query path, so both engines agree on
-*when* every stimulus lands.  Discrete-event work scheduled on the
-internal :class:`~repro.sim.engine.Simulation` (reconfiguration node
-steps, delayed elastic grows) is pumped at every action instant where it
-can exist: update actions carry the pump callback only when the scenario
-has a control spec or a repartition event, its only sources.  Every
-random choice derives from ``Scenario.seed``; two runs of one scenario
-are identical.
+Execution has **exact event-time semantics**: the stimulus timeline is
+compiled with numpy (:func:`compile_timeline`) to exact query indices.
+Every event, churn tick, control tick and admission tick becomes an
+:class:`~repro.sim.fastpath.Action` callback bound to the query index
+where its timestamp falls, and the object updates stay one ``(n, 2)``
+array of ``(time, position)`` rows from the draw to the kernel, each
+bound to the query it precedes.  The batched engine fires each callback
+*between those two queries* with fully materialised deployment state,
+and applies the updates as data on its own mirrors, so a mid-batch
+update is visible to the very next query, at full batch speed.  The
+``engine="reference"`` backend replays the same timeline through the
+per-query path, so both engines agree on *when* every stimulus lands.
+Discrete-event work scheduled on the internal
+:class:`~repro.sim.engine.Simulation` (reconfiguration node steps,
+delayed elastic grows) is pumped at every callback, and at the first
+update of each run of same-index updates when the scenario has a control
+spec or a repartition event, its only sources.  Every random choice
+derives from ``Scenario.seed``; two runs of one scenario are identical.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ __all__ = [
     "auto_rate",
     "build_deployment",
     "build_models",
+    "compile_timeline",
     "execute_scenario",
     "generate_arrivals",
     "run_scenario_spec",
@@ -186,11 +189,11 @@ def generate_arrivals(scenario: Scenario) -> "_np.ndarray":
     )
 
 
-def _generate_updates(scenario: Scenario, horizon: float):
-    """Zipf-skewed (time, ring position) update stream."""
+def _generate_updates(scenario: Scenario, horizon: float) -> "_np.ndarray":
+    """Zipf-skewed update stream: ``(n, 2)`` (time, ring position) rows."""
     spec = scenario.updates
     if spec is None:
-        return []
+        return _np.empty((0, 2))
     return zipf_update_times(
         spec.rate,
         horizon,
@@ -199,6 +202,43 @@ def _generate_updates(scenario: Scenario, horizon: float):
         jitter=spec.jitter,
         seed=scenario.seed + 211,
     )
+
+
+def compile_timeline(arrivals, updates, callback_times, pump: bool) -> tuple:
+    """Bind a run's stimulus timeline to exact query indices, with numpy.
+
+    *updates* is the run's ``(n, 2)`` float64 array of ``(time,
+    position)`` rows in insertion order (the seed-drawn updates, then the
+    trace's); *callback_times* holds the callback entries' times (events,
+    churn, control and admission ticks) in their ``(time, priority,
+    sequence)`` order.  Every entry lands before the first query that
+    arrives strictly after it.
+
+    Returns ``(q, rows, cb_index, cb_place, pump_place)``:
+
+    * ``rows``: the updates in time order -- one stable sort, so
+      same-time updates keep insertion order -- and ``q``, the index of
+      the query each precedes;
+    * ``cb_index`` and ``cb_place``: each callback's query index and its
+      place in ``rows``.  The updates at or before a callback's time come
+      first, so an update at the same instant goes before it;
+    * ``pump_place``: with *pump*, the first row of each maximal group of
+      same-index updates with no callback between them (each group gets
+      one pump callback there); empty without.
+    """
+    rows = updates[_np.argsort(updates[:, 0], kind="stable")]
+    times = _np.ascontiguousarray(rows[:, 0])
+    q = _np.searchsorted(arrivals, times, side="right")
+    callback_times = _np.asarray(callback_times, dtype=_np.float64)
+    cb_index = _np.searchsorted(arrivals, callback_times, side="right")
+    cb_place = _np.searchsorted(times, callback_times, side="right")
+    pump_place = _np.empty(0, dtype=_np.intp)
+    if pump and len(q):
+        split = cb_place[(cb_place > 0) & (cb_place < len(q))]
+        pump_place = _np.unique(
+            _np.concatenate(([0], _np.flatnonzero(_np.diff(q)) + 1, split))
+        )
+    return q, rows, cb_index, cb_place, pump_place
 
 
 # -- results ------------------------------------------------------------------
@@ -313,26 +353,30 @@ def execute_scenario(
     deployment = build_deployment(scenario)
     servers_start = len(deployment.servers)
     # -- stimulus: drawn from the scenario, or injected verbatim -----------
-    trace_updates: list[tuple[float, float]] = []
+    drawn = _np.empty((0, 2))
     if stimulus is not None:
         arrivals = _np.asarray(stimulus.arrivals, dtype=float)
         horizon = float(stimulus.horizon)
-        update_stream = list(stimulus.updates)
+        given = stimulus.updates
     else:
         w = scenario.workload
+        given = ()
         if isinstance(w, TraceSpec):
             trace = w.load()  # load once: arrivals, horizon and updates
             arrivals = trace.arrivals
             horizon = float(trace.horizon)
-            trace_updates = list(trace.updates)
+            given = trace.updates
         else:
             arrivals = generate_arrivals(scenario)
             horizon = float(w.horizon)
-        # seed-drawn Zipf updates first, then trace-supplied ones: the
-        # action compiler's stable sort keeps this insertion order on
-        # same-index ties, and recordings replay the same concatenation,
-        # so record and replay see identical update ordering.
-        update_stream = list(_generate_updates(scenario, horizon)) + trace_updates
+        drawn = _generate_updates(scenario, horizon)
+    # seed-drawn Zipf updates first, then trace-supplied ones: the
+    # timeline compile's stable sort keeps this insertion order on time
+    # ties, and recordings replay the same concatenation, so record and
+    # replay see identical update ordering.
+    updates = _np.concatenate(
+        (drawn, _np.asarray(given, dtype=_np.float64).reshape(-1, 2))
+    )
     sim = Simulation()
     event_rng = random.Random(scenario.seed + 31)
     notes: list[str] = []
@@ -384,18 +428,13 @@ def execute_scenario(
 
     admission_controller = build_admission(scenario.admission)
 
-    # -- compile the stimulus timeline to exact query indices --------------
-    # Each entry becomes an Action at the index of the first query arriving
-    # strictly after its timestamp, so it lands between two specific
-    # queries.  Same-time entries keep the old boundary ordering
-    # (updates, then events, then churn, then control).
+    # -- the callback entries of the stimulus timeline ---------------------
+    # Same-time callbacks keep the boundary order events, churn, control,
+    # admission; an update at the same instant goes before all of them.
     entries: list[tuple[float, int, int, str, object]] = []  # (t, prio, seq, kind, payload)
-    seq = 0
 
     def add_entry(t: float, prio: int, kind: str, payload: object) -> None:
-        nonlocal seq
-        entries.append((t, prio, seq, kind, payload))
-        seq += 1
+        entries.append((t, prio, len(entries), kind, payload))
 
     for e in scenario.events:
         if e.at <= horizon:
@@ -417,8 +456,7 @@ def execute_scenario(
         while t <= horizon:
             add_entry(t, 3, "admission", None)
             t += scenario.admission.tick
-    for t_u, pos in update_stream:
-        add_entry(t_u, -1, "update", (t_u, pos))
+    entries.sort(key=lambda en: en[:3])
 
     current_pq = scenario.pq or scenario.p
     events_applied = 0
@@ -528,10 +566,10 @@ def execute_scenario(
         "set-pq": "busy",
     }
     # Only the control actuator and event-driven repartitions schedule
-    # simulation work, so only then do update actions carry the pump.
+    # simulation work, so only then do update groups get a pump callback.
     pump = ctl is not None or any(e.action == "repartition" for e in scenario.events)
 
-    def make_action(t: float, kind: str, payload: object, index: int) -> Action:
+    def make_action(t: float, kind: str, payload: object, index: int, place: int) -> Action:
         def fire(now: float) -> int:
             sim.run(until=now)  # fire pending reconfiguration steps
             if kind == "event":
@@ -546,52 +584,38 @@ def execute_scenario(
                 admission_controller.tick(now, query_index=index)
             return pq_now()
 
-        if kind == "updates":
-            # object updates are engine data; the pump rides along only
-            # where simulation work can exist
-            if not pump:
-                return Action(index=index, time=t, updates=payload)
-            scope = "membership" if ctl is not None else "busy"
-            return Action(index=index, time=t, fn=fire, scope=scope, updates=payload)
         if ctl is not None:
             scope = "membership"
         elif kind == "event":
             scope = _EVENT_SCOPES.get(payload.action, "membership")
-        elif kind == "admission":
-            # mutates controller state only, but the fire() pump can
-            # complete an in-flight event-driven repartition (see set-pq)
+        elif kind in ("admission", "pump"):
+            # mutates controller state only (or nothing), but the fire()
+            # pump can complete an in-flight event-driven repartition
+            # (see set-pq)
             scope = "busy"
         else:
             scope = "membership"
-        return Action(index=index, time=t, fn=fire, scope=scope)
+        return Action(index=index, time=t, fn=fire, scope=scope, stream_pos=place)
 
-    # merge sort (time, then old boundary priority), then bind to indices;
-    # consecutive same-index updates coalesce into one action.
-    entries.sort(key=lambda en: (en[0], en[1], en[2]))
-    if entries:
-        idx_of = _np.searchsorted(
-            arrivals, _np.array([en[0] for en in entries]), side="right"
-        ).tolist()
-    else:
-        idx_of = []
-    actions: list[Action] = []
-    k = 0
-    while k < len(entries):
-        t, _prio, _seq, kind, payload = entries[k]
-        index = int(idx_of[k])
-        if kind == "update":
-            batch = [payload]
-            while (
-                k + 1 < len(entries)
-                and entries[k + 1][3] == "update"
-                and int(idx_of[k + 1]) == index
-            ):
-                k += 1
-                batch.append(entries[k][4])
-            actions.append(make_action(t, "updates", batch, index))
-        else:
-            actions.append(make_action(t, kind, payload, index))
-        k += 1
+    # -- compile the timeline to exact query indices -------------------------
+    q, update_rows, cb_index, cb_place, pump_place = compile_timeline(
+        arrivals, updates, [en[0] for en in entries], pump
+    )
+    actions = [
+        make_action(t, kind, payload, index, place)
+        for (t, _, _, kind, payload), index, place in zip(
+            entries, cb_index.tolist(), cb_place.tolist()
+        )
+    ]
+    # a pump goes after any callback at its place: ties keep list order
+    actions += [
+        make_action(t, "pump", None, index, place)
+        for t, index, place in zip(
+            update_rows[pump_place, 0].tolist(),
+            q[pump_place].tolist(),
+            pump_place.tolist(),
+        )
+    ]
 
     # telemetry archive: streamed append-per-chunk during the run, so a
     # day-scale trace replay never holds its columns in memory twice.
@@ -635,6 +659,7 @@ def execute_scenario(
                 kernel=kernel_obj,
                 record_assignments=record_assignments,
                 admission=admission_controller,
+                updates=(q, update_rows),
             )
         else:
             batch_result = run_queries_reference(
@@ -644,6 +669,7 @@ def execute_scenario(
                 actions=actions,
                 record_assignments=record_assignments,
                 admission=admission_controller,
+                updates=(q, update_rows),
             )
             kernel_name = "reference"
         sim.run(until=horizon)  # drain sim work scheduled after the last action
@@ -686,9 +712,7 @@ def execute_scenario(
                 scenario,
                 stimulus
                 if stimulus is not None
-                else Stimulus(
-                    arrivals=arrivals, updates=tuple(update_stream), horizon=horizon
-                ),
+                else Stimulus(arrivals=arrivals, updates=updates, horizon=horizon),
                 dropped=deployment.log.dropped,
                 meta=close_meta,
                 extra_columns=extra_columns,
@@ -711,7 +735,7 @@ def execute_scenario(
         batch=batch_result,
         servers_start=servers_start,
         horizon=horizon,
-        updates_applied=len(update_stream),
+        updates_applied=len(updates),
         events_applied=events_applied,
         controllers=controllers,
         pq_end=pq_now(),

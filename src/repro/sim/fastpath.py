@@ -63,16 +63,19 @@ the same system with no per-query python on its hot path:
   per-query delays (``delay_gated``) is asked per query, and the seam
   commits one admitted query at a time.
 
-* **Exact-time action queue.**  :class:`Action` schedules work *between
-  two specific queries* (before ``arrival_times[index]``): a callback,
-  object updates given as data, or both.  The engine materialises full
-  object state before each callback -- so a mid-batch failure,
-  membership change, or control tick sees precisely the state the
-  per-query reference path would have produced, and is visible to the
-  very next query.  Update data cuts nothing: every action's
-  ``(time, position)`` writes form one
-  :class:`~repro.kernels.base.UpdateStream` per run, which the kernel
-  applies inside ``commit_batch`` with the replica-holder rule
+* **Exact-time action queue.**  :class:`Action` schedules a callback
+  *between two specific queries* (before ``arrival_times[index]``).  The
+  engine materialises full object state before each callback -- so a
+  mid-batch failure, membership change, or control tick sees precisely
+  the state the per-query reference path would have produced, and is
+  visible to the very next query.
+
+* **Object updates as run data.**  A run's ``(time, position)`` writes
+  arrive as ``updates=`` (the index of the query each precedes, and the
+  ``(n, 2)`` rows), held as one :class:`~repro.kernels.base.UpdateStream`,
+  and each callback carries its place in that stream
+  (:attr:`Action.stream_pos`).  Updates cut nothing: the kernel applies
+  them inside ``commit_batch`` with the replica-holder rule
   :meth:`Deployment.apply_update <repro.cluster.deployment.Deployment.
   apply_update>` uses; updates outside any query (before a callback,
   after the last query) go through a call with no queries
@@ -90,9 +93,10 @@ raise and should use :meth:`Deployment.run_queries`.
 
 from __future__ import annotations
 
+import bisect
 import time
 from dataclasses import dataclass, field
-from itertools import chain, groupby
+from itertools import groupby
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 try:
@@ -114,6 +118,7 @@ from ..kernels.base import (
 from ..kernels.registry import get_kernel
 from ..telemetry.listeners import ChunkArrays
 from .server import TaskRecord
+from .workload import update_rows
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.deployment import Deployment
@@ -138,24 +143,22 @@ ACTION_SCOPES = ("none", "busy", "values", "membership")
 
 @dataclass
 class Action:
-    """Work scheduled between two specific queries of a batch: a callback,
-    object updates given as data, or both.
+    """A callback scheduled between two specific queries of a batch.
 
     Fires immediately before ``arrival_times[index]`` (an index of
-    ``len(arrival_times)`` or beyond fires after the last query).  For a
-    callback the engine flushes pending accounting and materialises exact
-    object state first, so ``fn`` observes precisely what the reference
-    path would show at that point in the arrival order.  ``fn`` receives
-    ``time`` and may return an ``int`` to change the partitioning level
-    ``pq`` for subsequent queries (honoured when ``pq_fn`` is not a
-    callable).
+    ``len(arrival_times)`` or beyond fires after the last query).  The
+    engine flushes pending accounting and materialises exact object state
+    first, so ``fn`` observes precisely what the reference path would
+    show at that point in the arrival order.  ``fn`` receives ``time``
+    and may return an ``int`` to change the partitioning level ``pq`` for
+    subsequent queries (honoured when ``pq_fn`` is not a callable).
 
-    ``updates`` holds ``(time, position)`` object updates, applied in
-    order after ``fn`` with :meth:`~repro.cluster.deployment.Deployment.
-    apply_update`'s semantics.  The reference path calls that method; the
-    batched engine hands them to its kernel as part of the run's update
-    stream, with no materialise and no refresh, and an action without a
-    callback does not cut the chunk it falls in.
+    ``stream_pos`` is the callback's place in the run's object-update
+    stream (the ``updates=`` run data): the stream's updates before it
+    are applied first, the rest after ``fn``.  It must agree with
+    ``index`` -- the updates before the place precede queries at or
+    before ``index``, the rest queries at or after it -- and the run
+    refuses an action whose place does not.  Without updates it is 0.
 
     ``scope`` declares what ``fn`` may have mutated so the engine can
     refresh its mirrors minimally:
@@ -171,9 +174,9 @@ class Action:
 
     index: int
     time: float
-    fn: Optional[Callable[[float], Optional[int]]] = None
+    fn: Callable[[float], Optional[int]]
     scope: str = "membership"
-    updates: Sequence[tuple[float, float]] = ()
+    stream_pos: int = 0
 
     def __post_init__(self) -> None:
         if self.scope not in ACTION_SCOPES:
@@ -182,8 +185,8 @@ class Action:
             )
         if self.index < 0:
             raise ValueError("action index must be >= 0")
-        if self.fn is None and not self.updates:
-            raise ValueError("an action needs a callback, updates, or both")
+        if not callable(self.fn):
+            raise TypeError(f"an action needs a callable fn, got {self.fn!r}")
 
 
 @dataclass
@@ -219,7 +222,7 @@ class BatchResult:
     #: ``commit_batch`` call that committed any; cut at actions,
     #: delegations and the chunk cap; kernel drops cut nothing).
     chunk_sizes: list[int] = field(default_factory=list)
-    #: actions fired from the exact-time queue during this run.
+    #: callbacks fired from the exact-time queue during this run.
     actions_applied: int = 0
     #: queries refused by the admission controller (``latencies`` holds
     #: NaN and ``query_ids`` -1 there, like drops -- but sheds never
@@ -239,42 +242,45 @@ class BatchResult:
         return float(np.percentile(done, q)) if done.size else float("nan")
 
 
-def _sorted_actions(actions) -> list[Action]:
+def _stream_of(updates, n_q: int) -> UpdateStream:
+    """A run's object updates (the ``updates=`` run data) as a fresh
+    :class:`~repro.kernels.base.UpdateStream`.
+
+    *updates* is ``None`` or a ``(q, rows)`` pair: the index of the query
+    each update precedes (non-decreasing) and an ``(n, 2)`` float64 array
+    of ``(time, position)`` rows.  Indices past the last query clip to
+    the arrival count.
+    """
+    q, rows = updates if updates is not None else ((), ())
+    rows = update_rows(rows)
+    q = np.minimum(np.asarray(q, dtype=np.int64), n_q)
+    return UpdateStream(q, rows[:, 0], rows[:, 1])
+
+
+def _sorted_actions(actions, stream: UpdateStream, n_q: int) -> list[Action]:
+    """The callbacks in firing order -- by index, then by place in
+    *stream*; equal pairs keep caller order -- each checked against the
+    stream: a place must agree with its action's index."""
     acts = list(actions or ())
     for a in acts:
         if not isinstance(a, Action):
             raise TypeError(f"actions must be Action instances, got {a!r}")
-    # stable: equal indices keep caller order
-    acts.sort(key=lambda a: a.index)
+    acts.sort(key=lambda a: (a.index, a.stream_pos))
+    q, n_upd = stream.q, len(stream.q)
+    for a in acts:
+        at, place = min(a.index, n_q), a.stream_pos
+        if not (
+            0 <= place <= n_upd
+            and (place == 0 or q[place - 1] <= at)
+            and (place == n_upd or q[place] >= at)
+        ):
+            raise ValueError(
+                f"action at index {a.index} has stream_pos={place}, which "
+                f"disagrees with its index: of the {n_upd} updates, those "
+                f"before its place must precede queries at or before {at} "
+                "and the rest queries at or after it"
+            )
     return acts
-
-
-def _update_stream(
-    actions: Sequence[Action], n_q: int
-) -> tuple[UpdateStream, list[tuple[Action, int, int]]]:
-    """Every action's object updates as one flat stream, in action order,
-    and the callback actions with their place in it.
-
-    An update precedes the query its action fires before (updates after
-    the last query precede the arrival count).  A callback action comes
-    back as ``(action, lo, hi)``: the stream's updates before ``lo``
-    precede it, and ``[lo, hi)`` are its own, applied after its callback.
-    """
-    counts = [len(a.updates) for a in actions]
-    bounds = np.cumsum([0] + counts).tolist()
-    callbacks = [
-        (a, lo, hi)
-        for a, lo, hi in zip(actions, bounds, bounds[1:])
-        if a.fn is not None
-    ]
-    q = np.repeat([min(a.index, n_q) for a in actions], counts)
-    flat = np.fromiter(
-        chain.from_iterable(chain.from_iterable(a.updates for a in actions)),
-        dtype=np.float64,
-    )
-    if flat.size != 2 * bounds[-1]:
-        raise ValueError("each action update must be a (time, position) pair")
-    return UpdateStream(q, flat[0::2], flat[1::2]), callbacks
 
 
 class _Engine:
@@ -291,6 +297,7 @@ class _Engine:
         actions: Sequence[Action],
         kernel: SweepKernel,
         admission=None,
+        updates=None,
     ) -> None:
         self.dep = deployment
         #: admission controller, or None (the default).  Every site below
@@ -319,8 +326,9 @@ class _Engine:
         n_q = len(arrivals)
         self.n_q = n_q
         #: the run's object updates, applied inside ``commit_batch``; the
-        #: run cuts its spans only at the callback actions.
-        self.stream, self.callbacks = _update_stream(actions, n_q)
+        #: run cuts its spans only at the callbacks, each placed in it.
+        self.stream = _stream_of(updates, n_q)
+        self.callbacks = _sorted_actions(actions, self.stream, n_q)
         self.arrivals = arrivals
         self.arr_l = arrivals.tolist()
         self.latencies = np.full(n_q, np.nan, dtype=np.float64)
@@ -336,8 +344,7 @@ class _Engine:
         self.shed_n = 0
         self.fast_scheduled = 0
         self.delegated = 0
-        #: update-only actions fire inside the kernel; count them here
-        self.actions_applied = len(actions) - len(self.callbacks)
+        self.actions_applied = 0
         self.chunk_sizes: list[int] = []
 
         #: NodeStats.busy_until reservations of the *last* scheduled query
@@ -610,12 +617,11 @@ class _Engine:
             self.stream.snap_due = 0
 
     # -- actions -----------------------------------------------------------
-    def _fire(self, action: Action, lo: int, hi: int) -> None:
-        """Fire one callback action at its place in the update stream: the
-        updates before *lo* first, then the callback on materialised
-        state, then its own updates ``[lo, hi)``."""
-        at = min(action.index, self.n_q)
-        self._drain(at, lo)
+    def _fire(self, action: Action) -> None:
+        """Fire one callback at its place in the update stream: the updates
+        before it first, then the callback on materialised state.  The
+        updates after its place land with the next kernel call."""
+        self._drain(min(action.index, self.n_q), action.stream_pos)
         self._materialise()
         new_pq = action.fn(action.time)
         if new_pq is not None:
@@ -627,7 +633,6 @@ class _Engine:
         elif action.scope == "busy" and self._refresh_busy():
             self._mark_lost()
         self.stream.r = self._replicas()
-        self._drain(at, hi)
         self.actions_applied += 1
 
     def _replicas(self) -> int:
@@ -701,14 +706,14 @@ class _Engine:
     def run(self) -> BatchResult:
         """Drive the batch as spans between cut points.
 
-        A span is a maximal run of queries with no callback action inside
-        it; update-only actions do not cut it, because the kernel applies
-        the update stream inside ``commit_batch``.  Every span goes
-        through the kernel's sweep+commit seam (:meth:`_run_seam`) with
-        the stream bounded at the next callback's place in it; inside a
-        failure window the seam stops at each query that touches a failed
-        server, :meth:`_delegate` hands it to the reference path, and the
-        seam resumes after it.
+        A span is a maximal run of queries with no callback inside it;
+        updates do not cut it, because the kernel applies the update
+        stream inside ``commit_batch``.  Every span goes through the
+        kernel's sweep+commit seam (:meth:`_run_seam`) with the stream
+        bounded at the next callback's place in it; inside a failure
+        window the seam stops at each query that touches a failed server,
+        :meth:`_delegate` hands it to the reference path, and the seam
+        resumes after it.
         """
         wall_start = time.perf_counter()
         n_q = self.n_q
@@ -718,19 +723,19 @@ class _Engine:
         ci = 0
         pos = 0
         while pos < n_q:
-            while ci < n_cb and cbs[ci][0].index <= pos:
-                self._fire(*cbs[ci])
+            while ci < n_cb and cbs[ci].index <= pos:
+                self._fire(cbs[ci])
                 ci += 1
             if ci < n_cb:
-                end = min(n_q, cbs[ci][0].index)
-                self.stream.end = cbs[ci][1]
+                end = min(n_q, cbs[ci].index)
+                self.stream.end = cbs[ci].stream_pos
             else:
                 end = n_q
                 self.stream.end = n_upd
             self._run_seam(pos, end)
             pos = end
         while ci < n_cb:
-            self._fire(*cbs[ci])
+            self._fire(cbs[ci])
             ci += 1
         self._drain(n_q, n_upd)
         self._materialise()
@@ -1125,13 +1130,19 @@ def run_queries_fast(
     actions: Sequence[Action] | None = None,
     kernel: SweepKernel | str | None = None,
     admission=None,
+    updates=None,
 ) -> BatchResult:
     """Run a whole arrival trace through the batched path.
 
     Mirrors :meth:`Deployment.run_queries` (including per-query ``pq_fn``
     support) and leaves the deployment in the same state the reference path
     would have.  *actions* schedules callbacks at exact query indices; see
-    :class:`Action`.  *kernel* picks the scheduling kernel by registry name
+    :class:`Action`.  *updates* is the run's object-update stream, a
+    ``(q, rows)`` pair of query indices and an ``(n, 2)`` array of
+    ``(time, position)`` rows (each update lands before query ``q``, with
+    :meth:`Deployment.apply_update <repro.cluster.deployment.Deployment.
+    apply_update>`'s rule); each action's ``stream_pos`` places it in
+    that stream.  *kernel* picks the scheduling kernel by registry name
     (or instance); every kernel is bit-identical to the reference path
     (see :mod:`repro.kernels`).  Failure-window queries delegate to the
     per-query reference path, so fall-back semantics stay exact
@@ -1155,16 +1166,16 @@ def run_queries_fast(
     from ..admission.registry import resolve_admission
 
     arrivals = np.asarray(arrival_times, dtype=np.float64)
-    acts = _sorted_actions(actions)
     adm = resolve_admission(admission)
     engine = _Engine(
         deployment,
         arrivals,
         pq_fn,
         record_assignments,
-        acts,
+        actions,
         get_kernel(kernel),
         admission=adm,
+        updates=updates,
     )
     if engine.multi_lane:
         # Multi-lane SimServers fall outside the closed-form queue mirror;
@@ -1176,8 +1187,9 @@ def run_queries_fast(
             arrival_times,
             pq_fn,
             record_assignments=record_assignments,
-            actions=acts,
+            actions=actions,
             admission=adm,
+            updates=updates,
         )
     return engine.run()
 
@@ -1189,15 +1201,20 @@ def run_queries_reference(
     record_assignments: bool = False,
     actions: Sequence[Action] | None = None,
     admission=None,
+    updates=None,
 ) -> BatchResult:
     """The per-query reference path with the same exact-time action queue.
 
     Semantically interchangeable with :func:`run_queries_fast` -- the
     scenario runner uses it as the ``engine="reference"`` backend so both
-    engines share one definition of *when* an action lands.  *admission*
-    is the same knob as on the batched path, with the same backlog/delay signals (the busiest
-    server's queued seconds, completed delays by arrival), so shed
-    decisions are engine-independent.
+    engines share one definition of *when* an action or an update lands.
+    *updates* is the same run data: each one goes through
+    :meth:`Deployment.apply_update
+    <repro.cluster.deployment.Deployment.apply_update>` before the query
+    it precedes, and before a callback placed after it.  *admission* is
+    the same knob as on the batched path, with the same backlog/delay
+    signals (the busiest server's queued seconds, completed delays by
+    arrival), so shed decisions are engine-independent.
     """
     require_numpy()
     from ..admission.registry import resolve_admission
@@ -1205,8 +1222,9 @@ def run_queries_reference(
     admission = resolve_admission(admission)
     wall_start = time.perf_counter()
     arrivals = np.asarray(arrival_times, dtype=np.float64)
-    acts = _sorted_actions(actions)
     n_q = len(arrivals)
+    stream = _stream_of(updates, n_q)
+    acts = _sorted_actions(actions, stream, n_q)
     latencies = np.full(n_q, np.nan, dtype=np.float64)
     finishes = np.full(n_q, np.nan, dtype=np.float64)
     query_ids = np.full(n_q, -1, dtype=np.int64)
@@ -1221,12 +1239,21 @@ def run_queries_reference(
     actions_applied = 0
     ai = 0
     arr_l = arrivals.tolist()
+    # the update stream, read once: row u precedes query q_l[u]
+    q_l = stream.q.tolist()
+    rows = np.column_stack((stream.t, stream.pos)).tolist()
+    u = 0
+
+    def apply_until(end: int) -> None:
+        """Apply the stream's updates before place *end*."""
+        nonlocal u
+        for t_u, pos in rows[u:end]:
+            deployment.apply_update(t_u, at=pos)
+        u = end
 
     def fire(action: Action) -> Optional[int]:
-        new_pq = action.fn(action.time) if action.fn is not None else None
-        for t_u, pos in action.updates:
-            deployment.apply_update(t_u, at=pos)
-        return new_pq
+        apply_until(action.stream_pos)
+        return action.fn(action.time)
 
     for q_i in range(n_q):
         while ai < len(acts) and acts[ai].index <= q_i:
@@ -1235,6 +1262,7 @@ def run_queries_reference(
                 pq_override = int(new_pq)
             actions_applied += 1
             ai += 1
+        apply_until(bisect.bisect_right(q_l, q_i, u))
         now = arr_l[q_i]
         if callable(pq_fn):
             pq = pq_fn(now)
@@ -1270,6 +1298,7 @@ def run_queries_reference(
             pq_override = int(new_pq)
         actions_applied += 1
         ai += 1
+    apply_until(len(rows))
     wall = time.perf_counter() - wall_start
     return BatchResult(
         arrivals=arrivals,

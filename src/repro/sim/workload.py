@@ -22,6 +22,7 @@ __all__ = [
     "batched_poisson_times",
     "batched_uniform_times",
     "batched_arrivals_from_rate_fn",
+    "update_rows",
     "zipf_update_times",
 ]
 
@@ -180,8 +181,9 @@ def zipf_update_times(
     zipf_s: float = 1.1,
     jitter: float = 0.01,
     seed: int | None = None,
-) -> list[tuple[float, float]]:
-    """A Zipf-skewed object-update stream: ``(time, ring position)`` pairs.
+):
+    """A Zipf-skewed object-update stream: an ``(n, 2)`` float64 array of
+    ``(time, ring position)`` rows, in time order.
 
     Poisson arrivals at *rate*; each update lands near one of *hotspots*
     ring positions chosen with Zipf(*zipf_s*) rank probabilities and
@@ -204,7 +206,24 @@ def zipf_update_times(
     centers = rng.random(hotspots)
     idx = rng.choice(hotspots, size=times.size, p=weights)
     pos = (centers[idx] + rng.uniform(-jitter, jitter, times.size)) % 1.0
-    return list(zip(times.tolist(), pos.tolist()))
+    return np.column_stack((times, pos))
+
+
+def update_rows(updates):
+    """*updates* as an ``(n, 2)`` float64 array of ``(time, position)``
+    rows, the shape :func:`zipf_update_times` draws; anything else raises
+    :class:`ValueError`."""
+    import numpy as np
+
+    rows = np.asarray(updates, dtype=np.float64)
+    if rows.size == 0:
+        return rows.reshape(0, 2)
+    if rows.ndim != 2 or rows.shape[1] != 2:
+        raise ValueError(
+            f"updates must be an (n, 2) array of (time, position) rows, "
+            f"got shape {rows.shape}"
+        )
+    return rows
 
 
 def batched_arrivals_from_rate_fn(

@@ -8,8 +8,8 @@ workloads (see ``docs/traces.md``):
   with builtin loaders for CSV, JSON-lines, telemetry run archives, and
   recordings (:mod:`~repro.traces.loaders`);
 * :class:`TraceSpec` -- a declarative trace workload accepted anywhere a
-  :class:`~repro.scenarios.spec.WorkloadSpec` is; arrivals and updates
-  drive the engines through the exact-time action queue;
+  :class:`~repro.scenarios.spec.WorkloadSpec` is; its arrivals drive the
+  query stream and its updates join the run's update stream;
 * :mod:`~repro.traces.record` -- record-then-replay:
   ``execute_scenario(record_path=...)`` writes the run archive plus the
   drawn stimulus (``stim_*`` columns) as one recording, and

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 
 try:
     import numpy as np
@@ -70,8 +71,11 @@ def _parse_time(raw, source: str, line: int, col: str) -> float:
             f"{source}:{line}: cannot parse {col!r} value {raw!r} as a "
             "number"
         ) from None
-    if t != t:  # NaN
-        raise TraceFormatError(f"{source}:{line}: {col!r} is NaN")
+    if not math.isfinite(t):
+        raise TraceFormatError(
+            f"{source}:{line}: {col!r} value {raw!r} is not a finite time; "
+            "fix or drop the row"
+        )
     if t < 0.0:
         raise TraceFormatError(
             f"{source}:{line}: negative time {t!r}; trace times must be "
@@ -106,8 +110,11 @@ def _parse_pos(raw, source: str, line: int, col: str) -> float:
             f"{source}:{line}: cannot parse {col!r} value {raw!r} as a "
             "number"
         ) from None
-    if p != p:
-        raise TraceFormatError(f"{source}:{line}: {col!r} is NaN")
+    if not math.isfinite(p):
+        raise TraceFormatError(
+            f"{source}:{line}: {col!r} value {raw!r} is not a finite ring "
+            "position; fix or drop the row"
+        )
     # real logs key updates by object id, not ring position; wrapping
     # modulo 1.0 maps any non-negative key onto the ring deterministically
     return p % 1.0
@@ -294,8 +301,4 @@ class RecordingTraceLoader(TraceLoader):
             "format": "recording",
             "scenario": rec.meta.get("scenario"),
         }
-        return Trace(
-            arrivals=np.asarray(stim.arrivals, dtype=np.float64),
-            updates=tuple(stim.updates),
-            meta=meta,
-        )
+        return Trace(arrivals=stim.arrivals, updates=stim.updates, meta=meta)

@@ -28,6 +28,7 @@ only the stored ones.
 from __future__ import annotations
 
 import json
+import math
 import zipfile
 import zlib
 from dataclasses import dataclass, field
@@ -36,6 +37,9 @@ try:
     import numpy as np
 except ImportError:  # pragma: no cover - the image bakes numpy in
     np = None  # type: ignore[assignment]
+
+from ..sim.workload import update_rows
+from .spec import update_problem
 
 __all__ = [
     "RECORDING_LAYOUT",
@@ -57,6 +61,9 @@ RECORDING_LAYOUT = 2
 
 #: The drawn-stimulus columns every recording carries.
 _STIMULUS_COLUMNS = ("stim_arrivals", "stim_update_times", "stim_update_pos")
+
+#: The recording column of each field of an update row.
+_UPDATE_COLUMNS = {"time": "stim_update_times", "pos": "stim_update_pos"}
 
 #: The simulated-time telemetry columns replay verifies against: the
 #: archive's per-query columns minus the wall-clock pair.
@@ -86,48 +93,41 @@ class Stimulus:
     """The drawn stimulus of one execution: what replay re-injects.
 
     ``arrivals`` is every offered query arrival (dropped queries
-    included); ``updates`` is the full exact-time ``(time, position)``
-    update stream; ``horizon`` is the scenario horizon the run drained to.
-    Events, churn and control ticks are *not* stored: they are
-    deterministic functions of the scenario (timed schedules plus
-    seed-derived RNG), so rebuilding the scenario reproduces them exactly.
+    included); ``updates`` is the full exact-time update stream, an
+    ``(n, 2)`` float64 array of ``(time, position)`` rows (its two
+    ``stim_update_*`` columns); ``horizon`` is the scenario horizon the
+    run drained to.  Events, churn and control ticks are *not* stored:
+    they are deterministic functions of the scenario (timed schedules
+    plus seed-derived RNG), so rebuilding the scenario reproduces them
+    exactly.
 
     Update times must be finite and non-negative and positions must lie
     in ``[0, 1)``, as for :class:`~repro.traces.spec.Trace`; anything else
-    raises :class:`StimulusError`.  The stream need not be sorted: a run
-    appends trace-supplied updates after its seed-drawn ones.
+    raises :class:`StimulusError` naming the column and the first bad
+    update.  The stream need not be sorted: a run appends trace-supplied
+    updates after its seed-drawn ones.
     """
 
     arrivals: "np.ndarray"
-    updates: tuple = ()
+    updates: "np.ndarray" = ()
     horizon: float = 0.0
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.arrivals, dtype=np.float64)
-        ups = tuple((float(t), float(p)) for t, p in self.updates)
-        if ups:
-            times, pos = np.array(ups, dtype=np.float64).T
-            bad = np.flatnonzero(~(np.isfinite(times) & (times >= 0.0)))
-            if bad.size:
-                i = int(bad[0])
-                raise StimulusError(
-                    "stim_update_times",
-                    f"update {i} has time {float(times[i])!r}; update times must be "
-                    "finite and non-negative",
-                )
-            bad = np.flatnonzero(~((pos >= 0.0) & (pos < 1.0)))
-            if bad.size:
-                i = int(bad[0])
-                raise StimulusError(
-                    "stim_update_pos",
-                    f"update {i} has ring position {float(pos[i])!r} outside [0, 1)",
-                )
+        try:
+            ups = update_rows(self.updates)
+        except ValueError as exc:
+            raise StimulusError("stim_update_times", str(exc)) from None
+        problem = update_problem(ups)
+        if problem is not None:
+            field_, message = problem
+            raise StimulusError(_UPDATE_COLUMNS[field_], message)
         object.__setattr__(self, "arrivals", arr)
         object.__setattr__(self, "updates", ups)
 
     def columns(self) -> dict:
         """The ``stim_*`` columns a recording stores this stimulus as."""
-        ups = np.asarray(self.updates, dtype=np.float64).reshape(-1, 2)
+        ups = self.updates
         return dict(zip(_STIMULUS_COLUMNS, (self.arrivals, ups[:, 0], ups[:, 1])))
 
 
@@ -239,17 +239,18 @@ def read_recording(path) -> Recording:
     arrivals = np.asarray(columns["stim_arrivals"], dtype=np.float64)
     times = columns["stim_update_times"]
     pos = columns["stim_update_pos"]
-    if times.shape != pos.shape:
+    if times.shape != pos.shape or times.ndim != 1:
         raise ValueError(
             f"{path}: columns 'stim_update_times' {times.shape} and "
             f"'stim_update_pos' {pos.shape} disagree; {fix}"
         )
-    updates = tuple(zip(times.tolist(), pos.tolist()))
+    horizon = float(meta.get("horizon", arrivals[-1] if arrivals.size else 0.0))
+    if not math.isfinite(horizon):
+        # the run's tick schedules end at the horizon
+        raise ValueError(f"{path}: meta key 'horizon' is {horizon!r}, not a finite time; {fix}")
     try:
         stimulus = Stimulus(
-            arrivals=arrivals,
-            updates=updates,
-            horizon=float(meta.get("horizon", arrivals[-1] if arrivals.size else 0.0)),
+            arrivals=arrivals, updates=np.column_stack((times, pos)), horizon=horizon
         )
     except StimulusError as exc:
         raise ValueError(f"{path}: column {exc.column!r}: {exc}; {fix}") from exc

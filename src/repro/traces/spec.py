@@ -4,7 +4,7 @@ A :class:`Trace` is what every dataloader produces: query arrival times
 plus an optional object-update stream, normalised into the scenario
 engine's existing ``Workload``/``Update`` vocabulary (arrivals drive the
 query stream exactly like a :class:`~repro.scenarios.spec.WorkloadSpec`;
-updates land as exact-time actions exactly like an
+updates join the run's exact-time update stream exactly like an
 :class:`~repro.scenarios.spec.UpdateSpec` stream).  A :class:`TraceSpec`
 is the declarative handle -- a file path plus a loader name -- accepted
 anywhere a ``WorkloadSpec`` is (``Scenario.workload``, the matrix,
@@ -38,6 +38,8 @@ try:
 except ImportError:  # pragma: no cover - the image bakes numpy in
     np = None  # type: ignore[assignment]
 
+from ..sim.workload import update_rows
+
 __all__ = ["Trace", "TraceFormatError", "TraceSpec"]
 
 
@@ -50,15 +52,35 @@ class TraceFormatError(ValueError):
     """
 
 
+def update_problem(rows: "np.ndarray") -> tuple[str, str] | None:
+    """The first bad row of an ``(n, 2)`` update array, as ``(field,
+    message)`` with field ``"time"`` or ``"pos"``; None when every time is
+    finite and non-negative and every position lies in ``[0, 1)``."""
+    times, pos = rows[:, 0], rows[:, 1]
+    bad = np.flatnonzero(~(np.isfinite(times) & (times >= 0.0)))
+    if bad.size:
+        i = int(bad[0])
+        return "time", (
+            f"update {i} has time {float(times[i])!r}; update times must be "
+            "finite and non-negative"
+        )
+    bad = np.flatnonzero(~((pos >= 0.0) & (pos < 1.0)))
+    if bad.size:
+        i = int(bad[0])
+        return "pos", f"update {i} has ring position {float(pos[i])!r} outside [0, 1)"
+    return None
+
+
 @dataclass(frozen=True)
 class Trace:
     """One normalised stimulus stream.
 
-    ``arrivals`` are the query arrival times (seconds, sorted ascending);
-    ``updates`` are ``(time, ring position)`` pairs exactly as
+    ``arrivals`` are the query arrival times (seconds, finite, sorted
+    ascending); ``updates`` are ``(time, ring position)`` pairs exactly as
     :meth:`~repro.cluster.deployment.Deployment.apply_update` consumes
-    them.  ``meta`` carries loader provenance (source path, loader name,
-    anything the file's own metadata offered).
+    them, with finite non-negative times in order.  ``meta`` carries
+    loader provenance (source path, loader name, anything the file's own
+    metadata offered).
     """
 
     arrivals: "np.ndarray"
@@ -69,23 +91,27 @@ class Trace:
         arr = np.asarray(self.arrivals, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError("trace arrivals must be one-dimensional")
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(
+                f"trace arrival {i} is {float(arr[i])!r}; arrival times must "
+                "be finite"
+            )
         if arr.size and float(arr[0]) < 0.0:
             raise ValueError("trace arrivals must be non-negative")
         if arr.size > 1 and bool((np.diff(arr) < 0.0).any()):
             raise ValueError("trace arrivals must be sorted ascending")
-        ups = tuple((float(t), float(p)) for t, p in self.updates)
-        for t, p in ups:
-            if t < 0.0:
-                raise ValueError("trace update times must be non-negative")
-            if not 0.0 <= p < 1.0:
-                raise ValueError(
-                    f"trace update position {p!r} outside [0, 1); loaders "
-                    "should wrap positions modulo 1.0"
-                )
-        if any(b[0] < a[0] for a, b in zip(ups, ups[1:])):
+        rows = update_rows(self.updates)
+        problem = update_problem(rows)
+        if problem is not None:
+            field_, message = problem
+            hint = "; loaders should wrap positions modulo 1.0" if field_ == "pos" else ""
+            raise ValueError(f"trace {message}{hint}")
+        if bool((np.diff(rows[:, 0]) < 0.0).any()):
             raise ValueError("trace updates must be sorted by time")
         object.__setattr__(self, "arrivals", arr)
-        object.__setattr__(self, "updates", ups)
+        object.__setattr__(self, "updates", tuple(map(tuple, rows.tolist())))
 
     @property
     def n_queries(self) -> int:

@@ -606,7 +606,7 @@ class TestChunkedAccounting:
 
             return recover, "values", t
 
-        ref_stimuli, fast_actions = [], []
+        ref_stimuli, fast_actions, q, rows = [], [], [], []
         for j, (i, kind) in enumerate(sorted(stimuli, key=lambda s: s[0])):
             if kind == "data":
                 t = arrivals[i - 1] if i else 0.0
@@ -614,14 +614,15 @@ class TestChunkedAccounting:
                 ref_stimuli.append(
                     (i, lambda t=t, pos=pos: slow.apply_update(t, at=pos))
                 )
-                fast_actions.append(Action(i, t, updates=((t, pos),)))
+                q.append(i)
+                rows.append((t, pos))
                 continue
             fn_s, _, t = mk(slow, i, kind)
             ref_stimuli.append((i, lambda fn=fn_s, tt=t: fn(tt)))
             fn_f, scope, t = mk(fast, i, kind)
-            fast_actions.append(Action(i, t, fn_f, scope))
+            fast_actions.append(Action(i, t, fn_f, scope, stream_pos=len(rows)))
         _interleaved_reference(slow, arrivals, 4, ref_stimuli)
-        fast.run_queries_fast(arrivals, 4, actions=fast_actions)
+        fast.run_queries_fast(arrivals, 4, actions=fast_actions, updates=(q, rows))
         assert_deployments_identical(slow, fast)
 
 

@@ -224,12 +224,12 @@ def _result_state(dep, result):
 
 class TestProfiledBitIdentity:
     def _actions(self):
-        # a callback forces a span cut and a materialise; the data updates
-        # ride inside commit_batch and cut nothing
-        return [
-            Action(index=150, time=3.75, fn=lambda now: None, scope="none"),
-            Action(index=220, time=5.5, updates=[(5.5, 0.25), (5.5, 0.8)]),
-        ]
+        # a callback forces a span cut and a materialise
+        return [Action(index=150, time=3.75, fn=lambda now: None, scope="none")]
+
+    #: data updates before query 220: they ride inside commit_batch and
+    #: cut nothing
+    UPDATES = ([220, 220], [(5.5, 0.25), (5.5, 0.8)])
 
     @pytest.mark.parametrize("kernel", _kernels_under_test())
     def test_batched_engine_identical(self, kernel):
@@ -237,14 +237,14 @@ class TestProfiledBitIdentity:
 
         dep_a = _build(seed=3)
         plain = dep_a.run_queries_fast(
-            arrivals, 4, actions=self._actions(), kernel=kernel
+            arrivals, 4, actions=self._actions(), kernel=kernel, updates=self.UPDATES
         )
         state_plain = _result_state(dep_a, plain)
 
         dep_b = _build(seed=3)
         with SpanRecorder() as rec:
             recorded = dep_b.run_queries_fast(
-                arrivals, 4, actions=self._actions(), kernel=kernel
+                arrivals, 4, actions=self._actions(), kernel=kernel, updates=self.UPDATES
             )
         state_recorded = _result_state(dep_b, recorded)
         spans = rec.summary()["spans"]
@@ -259,13 +259,15 @@ class TestProfiledBitIdentity:
         arrivals = PoissonArrivals(40.0, seed=9).times(200)
 
         dep_a = _build(seed=5)
-        plain = run_queries_reference(dep_a, arrivals, 4, actions=self._actions())
+        plain = run_queries_reference(
+            dep_a, arrivals, 4, actions=self._actions(), updates=self.UPDATES
+        )
         state_plain = _result_state(dep_a, plain)
 
         dep_b = _build(seed=5)
         with SpanRecorder() as rec:
             recorded = run_queries_reference(
-                dep_b, arrivals, 4, actions=self._actions()
+                dep_b, arrivals, 4, actions=self._actions(), updates=self.UPDATES
             )
         state_recorded = _result_state(dep_b, recorded)
         spans = rec.summary()["spans"]

@@ -81,6 +81,13 @@ class TestTrace:
         with pytest.raises(ValueError, match="sorted by time"):
             Trace(arrivals=(0.0,), updates=((2.0, 0.5), (1.0, 0.5)))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_times_are_refused(self, bad):
+        with pytest.raises(ValueError, match=r"trace arrival 1 is .*must be finite"):
+            Trace(arrivals=(0.0, bad))
+        with pytest.raises(ValueError, match=r"trace update 1 has time .*finite"):
+            Trace(arrivals=(0.0,), updates=((0.5, 0.1), (bad, 0.5)))
+
     def test_properties(self):
         t = Trace(arrivals=(0.0, 1.0, 2.0), updates=((3.0, 0.5),))
         assert (t.n_queries, t.n_updates) == (3, 1)
@@ -215,6 +222,17 @@ class TestCsvLoader:
         with pytest.raises(TraceFormatError, match="pos.csv:2: update row missing"):
             load_trace(src)
 
+    @pytest.mark.parametrize("raw", ["inf", "-inf", "nan", "Infinity"])
+    def test_non_finite_values_name_file_line_and_column(self, tmp_path, raw):
+        src = write_csv(tmp_path, f"time,kind,pos\n0.0,query,\n{raw},query,\n", "t.csv")
+        with pytest.raises(TraceFormatError, match=r"t\.csv:3: 'time' value .* not a finite time"):
+            load_trace(src)
+        src = write_csv(tmp_path, f"time,kind,pos\n0.0,query,\n0.5,update,{raw}\n", "p.csv")
+        with pytest.raises(
+            TraceFormatError, match=r"p\.csv:3: 'pos' value .* not a finite ring position"
+        ):
+            load_trace(src)
+
     def test_empty_and_query_free_files(self, tmp_path):
         src = write_csv(tmp_path, "", "empty.csv")
         with pytest.raises(TraceFormatError, match="empty file"):
@@ -249,6 +267,18 @@ class TestJsonlLoader:
             load_trace(str(path))
         path.write_text('{"ts": 0.0}\n')
         with pytest.raises(TraceFormatError, match="jsonl:time_key=<name>"):
+            load_trace(str(path))
+
+    @pytest.mark.parametrize("raw", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_values_name_file_line_and_column(self, tmp_path, raw):
+        path = tmp_path / "inf.jsonl"
+        path.write_text(f'{{"time": 0.0}}\n{{"time": {raw}}}\n')
+        with pytest.raises(TraceFormatError, match="inf.jsonl:2: 'time' value .* not a finite time"):
+            load_trace(str(path))
+        path.write_text(f'{{"time": 0.0}}\n{{"time": 0.5, "kind": "update", "pos": {raw}}}\n')
+        with pytest.raises(
+            TraceFormatError, match="inf.jsonl:2: 'pos' value .* not a finite ring position"
+        ):
             load_trace(str(path))
 
 
@@ -319,7 +349,9 @@ class TestArchiveAndRecordingLoaders:
         from repro.traces.record import Stimulus, StimulusError
 
         ok = Stimulus(arrivals=[0.5], updates=[(2.0, 0.5), (1.0, 0.0)])
-        assert ok.updates == ((2.0, 0.5), (1.0, 0.0))  # order is kept as given
+        # one (n, 2) float64 array; order is kept as given
+        assert ok.updates.dtype == np.float64
+        np.testing.assert_array_equal(ok.updates, [[2.0, 0.5], [1.0, 0.0]])
         for bad, column in (
             ((float("nan"), 0.5), "stim_update_times"),
             ((-1.0, 0.5), "stim_update_times"),
@@ -381,6 +413,8 @@ def _malformed_recording(tmp_path, kind):
             meta["schema"] = 7
         elif kind == "no-scenario":
             del meta["scenario_spec"]
+        elif kind == "horizon-inf":
+            meta["horizon"] = float("inf")
         if kind != "no-meta":
             arrays["meta_json"] = np.frombuffer(
                 json.dumps(meta).encode("utf-8"), dtype=np.uint8
@@ -412,6 +446,11 @@ class TestMalformedRecording:
             "meta key 'scenario_spec' is missing; the recording is corrupt -- "
             "record the run again",
         ),
+        "horizon-inf": (
+            None,
+            "meta key 'horizon' is inf, not a finite time",
+            "meta key 'horizon' is inf, not a finite time",
+        ),
     }
 
     @staticmethod
@@ -434,7 +473,7 @@ class TestMalformedRecording:
     def test_load_trace(self, tmp_path, kind):
         path = _malformed_recording(tmp_path, kind)
         column, _, fix = self.CASES[kind]
-        readable = kind in ("no-stim-arrivals", "schema-7", "no-scenario")
+        readable = kind in ("no-stim-arrivals", "schema-7", "no-scenario", "horizon-inf")
         assert is_recording(path) == readable
         with pytest.raises(TraceFormatError) as info:
             load_trace(path)
@@ -673,6 +712,18 @@ class TestTraceWorkloads:
                 fast.deployment.log.column(col),
                 slow.deployment.log.column(col),
             ), col
+
+    def test_non_finite_trace_time_fails_before_the_control_ticks(self, tmp_path):
+        """An ``inf`` time once loaded as an ``inf`` horizon, and the control
+        tick schedule up to it never ended; the loader now refuses it."""
+        from repro.scenarios import ControlSpec
+
+        src = write_csv(tmp_path, "time,kind,pos\n0.0,query,\n1.0,query,\ninf,query,\n")
+        scenario = trace_scenario(src, n_servers=8, p=3, dataset_size=1e6).with_(
+            control=ControlSpec(policies=("elasticity",), slo_p99=0.5, interval=1.0)
+        )
+        with pytest.raises(TraceFormatError, match=r"trace\.csv:4: 'time' value 'inf'"):
+            execute_scenario(scenario)
 
     def test_scenario_dict_round_trip(self, tmp_path):
         from repro.scenarios import builtin_scenarios

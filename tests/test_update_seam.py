@@ -1,7 +1,9 @@
 """Object updates as engine data, and delegations that reuse the kernel's pick.
 
-An :class:`~repro.sim.fastpath.Action` may carry ``(time, position)``
-object updates as data.  The reference path applies them through
+A run's ``(time, position)`` object updates are run data (``updates=``:
+the index of the query each precedes and the ``(n, 2)`` rows), and each
+:class:`~repro.sim.fastpath.Action` callback carries its place in that
+stream.  The reference path applies the updates through
 :meth:`Deployment.apply_update`; the batched engine applies them on its
 own mirrors.  The two must leave the same bytes behind.  Compared: the
 ``BatchResult`` arrays and counts, the wall-free telemetry columns, every
@@ -23,6 +25,8 @@ the batched engine, exact kernels hand their failure-window picks to
 the reference path, which then never calls ``FrontEnd.schedule_query``,
 each delegated query is one ``Deployment.run_query`` call, and a query
 whose dead run cannot be re-covered drops in the kernel without one.
+Both engines refuse a callback whose place in the update stream
+disagrees with its index.
 """
 
 import math
@@ -88,8 +92,9 @@ def _switching_pq(now):
 def _case(name):
     """(deployment kwargs, pq, arrivals, plan, admission) for one named case.
 
-    A plan row is ``(index, callback kind, server names, updates)``; the
-    callback kind is None for a data-only action.  *pq* is an int or a
+    A plan row is ``(index, callback kind, server names, updates)``: the
+    callback kind is None for updates alone, and a callback's own updates
+    follow it in the stream (:func:`_run_data`).  *pq* is an int or a
     callable ``pq_fn``; *admission* a policy spec or None.
     """
     rng = np.random.default_rng(sum(map(ord, name)))
@@ -134,7 +139,7 @@ def _case(name):
         dep_kw = {"n_rings": 2}
         plan = [(i, None, (), _updates(arrivals, i, 2, rng)) for i in every]
     elif name == "callback-and-data":
-        # a callback that itself writes, then data updates in one action
+        # a callback that itself writes, then data updates at its place
         plan = [(i, "write", (), _updates(arrivals, i, 2, rng)) for i in range(4, n_q, 9)]
         plan += [(i, None, (), _updates(arrivals, i, 1, rng)) for i in range(6, n_q, 9)]
     elif name == "delegated-last":
@@ -214,7 +219,7 @@ def _case(name):
         pq = _switching_pq
         plan = [(i, None, (), _updates(arrivals, i, 2, rng)) for i in range(1, n_q, 2)]
     elif name == "same-index-order":
-        # one index holds [updates, callback, updates] in caller order:
+        # one index holds [updates, callback, updates] in plan order:
         # the callback sees the first updates and not the second
         for i in range(10, n_q, 40):
             plan.append((i, None, (), _updates(arrivals, i, 2, rng)))
@@ -265,10 +270,14 @@ def _state(dep):
     )
 
 
-def _actions(dep, arrivals, plan, seen):
-    """One Action per plan row; an int among a row's server names is a
-    position on ring 0.  A ``write`` callback appends the state it
-    observes to *seen* before it writes."""
+def _run_data(dep, arrivals, plan, seen):
+    """The plan as run data: ``(actions, updates)``.
+
+    Rows go in index order (ties keep plan order).  Each row's updates
+    join the stream, after its callback if it has one; the callback's
+    ``stream_pos`` is the number of updates before it.  An int among a
+    row's server names is a position on ring 0.  A ``write`` callback
+    appends the state it observes to *seen* before it writes."""
     ring0 = [nd.name for nd in dep.rings[0].nodes()]
 
     def resolve(names):
@@ -296,15 +305,16 @@ def _actions(dep, arrivals, plan, seen):
         "write": (write, "busy"),
         "regrow": (regrow, "busy"),
     }
-    acts = []
-    for index, kind, names, updates in plan:
-        t = updates[0][0] if updates else arrivals[index - 1]
-        fn, scope = None, "membership"
+    acts, q, rows = [], [], []
+    for index, kind, names, updates in sorted(plan, key=lambda row: row[0]):
         if kind is not None:
+            t = updates[0][0] if updates else arrivals[index - 1]
             body, scope = kinds[kind]
             fn = lambda now, body=body, names=names: body(now, names)  # noqa: E731
-        acts.append(Action(index, t, fn, scope, updates=tuple(updates)))
-    return acts
+            acts.append(Action(index, t, fn, scope, stream_pos=len(rows)))
+        q += [index] * len(updates)
+        rows += updates
+    return acts, (q, rows)
 
 
 def _fingerprint(dep, res):
@@ -358,9 +368,11 @@ def run_path(path, name):
     dep_kw, pq, arrivals, plan, admission = _case(name)
     dep = _deployment(**dep_kw)
     seen = []
-    acts = _actions(dep, arrivals, plan, seen)
+    acts, updates = _run_data(dep, arrivals, plan, seen)
     if path == "reference":
-        res = run_queries_reference(dep, arrivals, pq, actions=acts, admission=admission)
+        res = run_queries_reference(
+            dep, arrivals, pq, actions=acts, admission=admission, updates=updates
+        )
     else:
         res = dep.run_queries_fast(
             arrivals,
@@ -368,6 +380,7 @@ def run_path(path, name):
             actions=acts,
             kernel="compiled" if path == "compiled" else "exact_numpy",
             admission=admission,
+            updates=updates,
         )
     fingerprint = _fingerprint(dep, res)
     fingerprint["seen by callbacks"] = seen
@@ -414,7 +427,7 @@ class TestDataUpdatesMatchTheReference:
     @pytest.mark.parametrize("name", CASES)
     def test_every_path_leaves_the_same_bytes(self, name):
         base, ref = run_path("reference", name)
-        assert ref.actions_applied == len(_case(name)[3])
+        assert ref.actions_applied == sum(row[1] is not None for row in _case(name)[3])
         for path in _paths()[1:]:
             got, res = run_path(path, name)
             for key in base:
@@ -427,12 +440,12 @@ class TestDataUpdatesMatchTheReference:
         for path in _paths():
             dep = _deployment(n=8)
             dep.servers["node-2"].fail()  # the server only: its node stays alive
-            acts = [Action(0, 0.1, updates=ups[:15]), Action(0, 2.0, updates=ups[15:])]
+            updates = ([0] * len(ups), ups)
             if path == "reference":
-                res = run_queries_reference(dep, [], 4, actions=acts)
+                res = run_queries_reference(dep, [], 4, updates=updates)
             else:
                 kernel = "compiled" if path == "compiled" else "exact_numpy"
-                res = dep.run_queries_fast([], 4, actions=acts, kernel=kernel)
+                res = dep.run_queries_fast([], 4, kernel=kernel, updates=updates)
             prints.append(_fingerprint(dep, res))
         assert all(p == prints[0] for p in prints[1:])
         tasks = {name: s[2] for name, s in prints[0]["servers"].items()}
@@ -511,7 +524,7 @@ class TestDataUpdatesMatchTheReference:
         _, res = run_path("python_seam", "pq-switch")
         assert set(res.pqs.tolist()) == {4, 6} and len(res.chunk_sizes) > 2
 
-        # one index holds [updates, callback, updates] in caller order
+        # one index holds [updates, callback, updates] in plan order
         rows = [(i, kind) for i, kind, _, _ in _case("same-index-order")[3]]
         assert any(
             rows[k : k + 3] == [(i, None), (i, "write"), (i, None)]
@@ -571,16 +584,18 @@ class TestMechanism:
 
         monkeypatch.setattr(Deployment, "apply_update", boom)
         monkeypatch.setattr(fastpath._Engine, "_refresh_busy", boom)
+        n_updates = sum(len(row[3]) for row in _case("coalesced")[3])
         for path in _paths()[1:]:
-            _, res = run_path(path, "coalesced")
-            assert res.actions_applied > 0
+            fp, res = run_path(path, "coalesced")
+            # no callback fired, and r = 12 / 4 holders took every update
+            assert res.actions_applied == 0
+            assert fp["ledger"].update_messages == 3 * n_updates
 
     @pytest.mark.parametrize("kernel", _kernels())
     def test_update_only_actions_cut_no_chunk(self, monkeypatch, kernel):
-        """Update-only actions ride inside ``commit_batch``: without
-        failures the calls are the callback-free spans (here: the whole
-        run) split at ``CHUNK_CAP``, each a committing chunk, and every
-        action still counts as applied."""
+        """Updates ride inside ``commit_batch``: without failures the
+        calls are the callback-free spans (here: the whole run) split at
+        ``CHUNK_CAP``, each a committing chunk, and no callback fires."""
         def boom(*args, **kwargs):
             raise AssertionError("called on a data-update-only run")
 
@@ -599,22 +614,53 @@ class TestMechanism:
         assert all(kind is None for _, kind, _, _ in plan)
         assert max(i for i, _, _, _ in plan) < len(arrivals)  # none after the end
         dep = _deployment(**dep_kw)
-        res = dep.run_queries_fast(
-            arrivals, pq, actions=_actions(dep, arrivals, plan, []), kernel=kernel
-        )
+        acts, updates = _run_data(dep, arrivals, plan, [])
+        res = dep.run_queries_fast(arrivals, pq, actions=acts, kernel=kernel, updates=updates)
         spans = -(-len(arrivals) // 50)
         assert len(calls) == spans and sum(calls) == len(arrivals)
         assert len(res.chunk_sizes) == spans and sum(res.chunk_sizes) == len(arrivals)
-        assert res.actions_applied == len(plan)
+        assert acts == [] and res.actions_applied == 0
 
     def test_malformed_update_is_refused(self):
-        """An update that is not a ``(time, position)`` pair fails before
-        any query runs, as unpacking it fails on the reference path."""
-        dep = _deployment()
-        acts = [Action(0, 0.0, updates=[(0.0, 0.5, 1.0)])]
-        with pytest.raises(ValueError, match=r"\(time, position\) pair"):
-            dep.run_queries_fast([0.1, 0.2], 4, actions=acts)
-        assert dep.frontend.queries_scheduled == 0
+        """Update rows that are not ``(time, position)`` pairs fail before
+        any query runs, on both engines."""
+        for run in (
+            lambda dep, **kw: dep.run_queries_fast([0.1, 0.2], 4, **kw),
+            lambda dep, **kw: run_queries_reference(dep, [0.1, 0.2], 4, **kw),
+        ):
+            dep = _deployment()
+            with pytest.raises(ValueError, match=r"\(time, position\) rows"):
+                run(dep, updates=([0], [(0.0, 0.5, 1.0)]))
+            assert dep.frontend.queries_scheduled == 0
+
+    def test_callback_place_must_agree_with_its_index(self):
+        """A callback's ``stream_pos`` must split the stream where its index
+        falls: the updates before it precede queries at or before the
+        index, the rest queries at or after it.  A place that disagrees
+        fails before any query runs, on both engines."""
+        arrivals = [0.1, 0.2, 0.3]
+        updates = ([1, 2], [(0.15, 0.5), (0.25, 0.5)])
+        ok = {(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2), (9, 2)}
+        bad = {(0, 1), (1, 2), (2, 0), (3, 1), (9, 1), (1, 3), (1, -1)}
+        for path in _paths():
+            for (index, place) in sorted(ok | bad):
+                dep = _deployment()
+                acts = [Action(index, 0.15, lambda now: None, "none", stream_pos=place)]
+                if path == "reference":
+                    run = lambda: run_queries_reference(  # noqa: E731
+                        dep, arrivals, 4, actions=acts, updates=updates
+                    )
+                else:
+                    kernel = "compiled" if path == "compiled" else "exact_numpy"
+                    run = lambda: dep.run_queries_fast(  # noqa: E731
+                        arrivals, 4, actions=acts, kernel=kernel, updates=updates
+                    )
+                if (index, place) in ok:
+                    assert run().actions_applied == 1
+                    continue
+                with pytest.raises(ValueError, match=f"stream_pos={place}"):
+                    run()
+                assert dep.frontend.queries_scheduled == 0, (path, index, place)
 
     @pytest.mark.parametrize("name", ["failure-window", "replacement-then-drop"])
     @pytest.mark.parametrize("path", ["python_seam", "compiled"])
@@ -873,5 +919,8 @@ class TestPumpOnlyWhereSimulationWorkExists:
         scenario = self._scenario(control=False)
         ex, pumps = self._pumps(monkeypatch, scenario, "batched", "exact_numpy")
         assert ex.updates_applied > 100
-        assert ex.batch.actions_applied > 0
+        # every update reached the kernel: r ledger messages per update
+        dep = ex.deployment
+        r = max(1, round(dep.n / dep.p_store))
+        assert dep.ledger.update_messages == r * ex.updates_applied
         assert pumps == [ex.horizon]  # only the final drain
