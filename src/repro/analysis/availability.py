@@ -133,10 +133,11 @@ def coverage_unavailability_mc(
     """Monte Carlo strict unavailability under run-length coverage loss.
 
     A trial fails when some contiguous dead run's total *range length*
-    reaches the replacement width ``1/p_store - delta`` -- precisely the
-    condition under which :func:`repro.core.failures.replacement_subqueries`
-    raises :class:`~repro.core.failures.FailureCoverageError` and the
-    deployment records an honest drop.  Unlike the node-count model
+    reaches the replacement width ``1/p_store - delta`` -- the fall-back's
+    own span check (:func:`repro.core.failures.coverable`), under which
+    :func:`repro.core.failures.replacement_subqueries` raises
+    :class:`~repro.core.failures.FailureCoverageError` and the deployment
+    records an honest drop.  Unlike the node-count model
     (:func:`roar_unavailability_mc`), this is exact for heterogeneous
     rings whose ranges were balanced to speed: one very fast (wide) dead
     node can exceed the width on its own while many slow (narrow) ones
@@ -146,7 +147,7 @@ def coverage_unavailability_mc(
     per node per trial, same order), so on uniform rings the two agree
     trial for trial.
     """
-    from ..core.ids import EPS
+    from ..core.failures import coverable
 
     _check_f(f)
     if p_store <= 0:
@@ -157,9 +158,7 @@ def coverage_unavailability_mc(
     bad = 0
     for _ in range(trials):
         alive = [rng.random() >= f for _ in range(n)]
-        # span = width - run <= EPS is exactly when replacement_subqueries
-        # gives up (core/failures.py) -- replicate the comparison
-        if width - max_dead_run_length(lengths, alive) <= EPS:
+        if not coverable(max_dead_run_length(lengths, alive), width):
             bad += 1
     return bad / trials
 

@@ -82,6 +82,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import Sequence
 
@@ -495,9 +496,27 @@ def _named_scenario(args: argparse.Namespace):
     return by_name[args.scenario]
 
 
+def _missing_output_dir(*outputs: tuple[str, str | None]) -> bool:
+    """True, after one stderr line that names the path and the fix, when
+    the directory of an output ``(flag, path)`` given does not exist:
+    checked before the run, which would otherwise fail only when it
+    writes."""
+    for flag, path in outputs:
+        if path is None:
+            continue
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            print(f"cannot write {flag} {path}: no directory {parent}; create "
+                  f"it first (mkdir -p {parent})", file=sys.stderr)
+            return True
+    return False
+
+
 def _cmd_matrix(args: argparse.Namespace) -> int:
     from .scenarios import run_matrix
 
+    if _missing_output_dir(("--csv", args.csv)):
+        return 2
     scenarios = _battery(args)
     if scenarios is None:
         return 2
@@ -591,6 +610,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from .obs.profiler import SpanRecorder
     from .scenarios import runner
 
+    if _missing_output_dir(("--chrome-trace", args.chrome_trace), ("--json", args.json)):
+        return 2
     scenario = _named_scenario(args)
     if scenario is None:
         return 2
@@ -628,6 +649,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     )
     from .telemetry.archive import read_archive
 
+    if _missing_output_dir(("--json", args.json)):
+        return 2
     try:
         archive = read_archive(args.path)
     except (OSError, ValueError) as exc:
@@ -810,6 +833,8 @@ def _cmd_record(args: argparse.Namespace) -> int:
     from .scenarios.runner import execute_scenario
     from .traces import TraceFormatError
 
+    if _missing_output_dir(("--out", args.out), ("--archive", args.archive)):
+        return 2
     if args.trace:
         from .scenarios.matrix import trace_scenario
 
@@ -847,6 +872,8 @@ def _cmd_record(args: argparse.Namespace) -> int:
 def _cmd_replay(args: argparse.Namespace) -> int:
     from .traces import replay_recording
 
+    if _missing_output_dir(("--archive", args.archive)):
+        return 2
     try:
         report = replay_recording(
             args.path, engine=args.engine, kernel=args.kernel,

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from ..core.failures import FailureCoverageError
+from ..core.failures import FailureCoverageError, widest_dead_run
 from ..core.frontend import FrontEnd, FrontEndConfig
 from ..core.membership import MembershipServer
 from ..core.node import RoarNode, SubQuery
@@ -168,10 +168,6 @@ class Deployment:
                 continue
             node.alive = False  # routing layer flag; scheduler still sweeps it
 
-    def _is_known_dead(self, name: str, now: float) -> bool:
-        t = self._known_dead.get(name)
-        return t is not None and now >= t
-
     def recover_node(self, name: str, now: float) -> None:
         """Bring a failed (but not removed) server back into service."""
         server = self.servers[name]
@@ -259,25 +255,9 @@ class Deployment:
         (Section 4.4), so it caps how far re-partitioning may raise p.
         Adjacent dead nodes act as one combined hole -- the fall-back splits
         around the whole run -- so the cap must measure runs, not single
-        nodes.
+        nodes (:func:`~repro.core.failures.widest_dead_run`, per ring).
         """
-        worst = 0.0
-        for ring in self.rings:
-            run = 0.0
-            first_run = None  # run starting at index 0, may wrap via the end
-            for node, length in zip(ring.nodes(), ring.range_lengths()):
-                if not node.alive:
-                    run += length
-                    worst = max(worst, run)
-                else:
-                    if first_run is None:
-                        first_run = run
-                    run = 0.0
-            if first_run is None:  # every node dead: the whole circle
-                worst = max(worst, 1.0)
-            elif run > 0.0:  # wrap: tail run joins the head run
-                worst = max(worst, run + first_run)
-        return worst
+        return max((widest_dead_run(ring) for ring in self.rings), default=0.0)
 
     # -- queries -------------------------------------------------------------------
     def run_query(

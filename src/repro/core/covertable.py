@@ -1,4 +1,4 @@
-"""Precomputed ring-cover tables and the batched rotation sweep.
+"""Precomputed ring-cover tables: the static half of the rotation sweep.
 
 :func:`~repro.core.scheduler.schedule_heap` (the paper's Algorithm 1) is
 called once per query.  Per call it rebuilds owner-lookup views, walks a
@@ -19,13 +19,16 @@ are all functions of the node start positions alone.  A :class:`CoverTable`
 precomputes them once; scheduling a query then reduces to one vectorised
 finish-estimate evaluation per server plus a gather/max/argmin over the
 precomputed owner timeline -- a handful of numpy operations instead of
-thousands of interpreter steps.
+thousands of interpreter steps.  The scheduling kernels
+(:mod:`repro.kernels`) run that half: the oracle
+:class:`~repro.kernels.exact.ExactNumpyKernel` over the owner timelines,
+the compiled kernel over :meth:`CoverTable.kernel_pack`.
 
 The table replays Algorithm 1's exact float arithmetic and tie-breaking
-(same ``EPS`` chaining, same "strictly better, first wins" selection, same
-final owner re-derivation by binary search), so the batched result is
-*bit-identical* to :func:`schedule_heap` -- the differential tests in
-``tests/test_fastpath.py`` enforce this.
+(same ``EPS`` chaining, same crossing order, same evaluated
+configurations), so a kernel's pick is *bit-identical* to
+:func:`schedule_heap`'s -- ``tests/test_fastpath.py`` holds the oracle's
+``select`` to it.
 
 Tables cache against :attr:`Ring.version` and are invalidated whenever a
 reconfiguration (add/remove/move) changes range ownership.
@@ -43,7 +46,6 @@ except ImportError:  # pragma: no cover - the image bakes numpy in
 
 from .ids import EPS, cw_distance, frac
 from .ring import Ring, RingNode
-from .scheduler import ScheduleResult
 
 __all__ = ["CoverTable", "CoverTableCache", "KernelPack", "require_numpy"]
 
@@ -85,7 +87,6 @@ class _RingTable:
     """Per-ring static data: nodes in start order plus owner timelines."""
 
     nodes: list[RingNode]
-    starts: "np.ndarray"  # sorted start positions, float64
     #: owner index per (query point, configuration): shape (pq, n_configs).
     owner_timeline: "np.ndarray"
 
@@ -110,7 +111,7 @@ class CoverTable:
         # offsets at which the point crosses into the ring's next node.
         events: list[tuple[float, int, int, int]] = []  # (crossing, pt, ring, new owner)
         sentinel_min: float | None = None  # first crossing >= work - EPS, any chain
-        per_ring: list[tuple[list[RingNode], list[float], list[int]]] = []
+        per_ring: list[tuple[list[RingNode], list[int]]] = []
         limit = self.work - EPS
         for r_i, ring in enumerate(rings):
             nodes = ring.nodes()
@@ -143,7 +144,7 @@ class CoverTable:
                         if sentinel_min is None or crossing < sentinel_min:
                             sentinel_min = crossing
                         break  # the heap breaks the sweep here
-            per_ring.append((nodes, starts, owner0))
+            per_ring.append((nodes, owner0))
 
         events.sort(key=lambda e: (e[0], e[1], e[2]))
         self.iterations = len(events)
@@ -180,7 +181,7 @@ class CoverTable:
 
         # -- owner timelines ----------------------------------------------
         self.ring_tables: list[_RingTable] = []
-        for r_i, (nodes, starts, owner0) in enumerate(per_ring):
+        for r_i, (nodes, owner0) in enumerate(per_ring):
             timeline = np.empty((pq, n_configs), dtype=np.intp)
             timeline[:, 0] = owner0
             current = list(owner0)
@@ -195,13 +196,7 @@ class CoverTable:
             # there were no events at all)
             if n_configs == 1:
                 timeline[:, 0] = owner0
-            self.ring_tables.append(
-                _RingTable(
-                    nodes=nodes,
-                    starts=np.array(starts, dtype=np.float64),
-                    owner_timeline=timeline,
-                )
-            )
+            self.ring_tables.append(_RingTable(nodes=nodes, owner_timeline=timeline))
 
     # -- kernel-facing views ----------------------------------------------
     def kernel_pack(self) -> KernelPack:
@@ -235,62 +230,6 @@ class CoverTable:
             )
             self._kernel_pack = pack
         return pack
-
-    # -- scheduling --------------------------------------------------------
-    def schedule(self, estimates: Sequence["np.ndarray"]) -> ScheduleResult:
-        """Run the sweep given per-ring finish-estimate arrays.
-
-        ``estimates[r][j]`` must be the predicted finish delay of a
-        ``1/pq``-wide sub-query on ring *r*'s node *j* (ring order), computed
-        with the same float arithmetic as the per-query estimator.  Returns
-        a :class:`ScheduleResult` bit-identical to :func:`schedule_heap`.
-        """
-        pq = self.pq
-        # Finish of each point across all configurations: gather each ring's
-        # estimates through its owner timeline, min across rings.
-        finish = self.ring_tables[0].owner_timeline
-        finish = estimates[0][finish]
-        for r_i in range(1, self.n_rings):
-            other = estimates[r_i][self.ring_tables[r_i].owner_timeline]
-            finish = np.minimum(finish, other)
-        makespans = finish.max(axis=0)
-
-        # "Strictly better than the running best, first wins" == first
-        # occurrence of the global minimum among evaluated configurations.
-        candidates = np.where(self.evaluated, makespans, np.inf)
-        best_config = int(np.argmin(candidates))
-        best_id = float(self.config_start_id[best_config])
-
-        # Final assignment re-derived by binary search at best_id, exactly
-        # like schedule_heap's closing assignment_at() call.
-        points = np.array([frac(best_id + i / pq) for i in range(pq)])
-        owner_per_ring = []
-        for table in self.ring_tables:
-            idx = np.searchsorted(table.starts, points, side="right") - 1
-            idx[idx < 0] = len(table.nodes) - 1
-            owner_per_ring.append(idx)
-        assignment: list[RingNode] = []
-        finishes: list[float] = []
-        for i in range(pq):
-            best_node = None
-            best_finish = float("inf")
-            for r_i, table in enumerate(self.ring_tables):
-                idx = int(owner_per_ring[r_i][i])
-                fin = float(estimates[r_i][idx])
-                if fin < best_finish:
-                    best_finish = fin
-                    best_node = table.nodes[idx]
-            assignment.append(best_node)  # type: ignore[arg-type]
-            finishes.append(best_finish)
-
-        return ScheduleResult(
-            start_id=frac(best_id),
-            assignment=assignment,
-            finishes=finishes,
-            makespan=max(finishes),
-            iterations=self.iterations,
-            estimates=self.estimates,
-        )
 
 
 class CoverTableCache:

@@ -33,7 +33,7 @@ chosen so ``1/p - delta < 1/p_old`` for all recently used storage levels.
 from __future__ import annotations
 
 import random
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .._rng import ensure_rng
 from .ids import EPS, Arc, cw_distance, frac
@@ -43,10 +43,12 @@ from .ring import Ring, RingNode
 __all__ = [
     "DeadRun",
     "FailureCoverageError",
+    "coverable",
     "dead_run",
     "lost_nodes",
     "replacement_subqueries",
     "split_failed",
+    "widest_dead_run",
 ]
 
 #: maximum recursive splits per sub-query before giving up (mass failure).
@@ -112,16 +114,52 @@ def dead_run(ring: Ring, failed: RingNode) -> DeadRun:
     return _dead_run(ring, ring.nodes(), ring.index_of(failed))
 
 
+def coverable(length: float, width: float) -> bool:
+    """The fall-back's span check: a dead run *length* long leaves room
+    for the split point of a replacement *width* wide (``1/p_store -
+    delta``) only while ``width - length > EPS``."""
+    return width - length > EPS
+
+
 def _placement_span(run: DeadRun, width: float) -> float:
     """Room for the split point in ``(fail_hi - width, fail_lo)``; raises
     :class:`FailureCoverageError` when the run leaves none."""
-    span = width - run.length
-    if span <= EPS:
+    if not coverable(run.length, width):
         raise FailureCoverageError(
             f"failed range {run.length:.4f} exceeds replacement "
             f"width {width:.4f}; objects unavailable until re-replication"
         )
-    return span
+    return width - run.length
+
+
+def _dead_runs(
+    ring: Ring, nodes: Sequence[RingNode]
+) -> Iterator[tuple[DeadRun, list[int]]]:
+    """Every maximal run of dead nodes on *ring* (*nodes* is
+    ``ring.nodes()``) with its members' ring indices, one
+    :func:`_dead_run` walk per run.  Raises :class:`FailureCoverageError`
+    when every node on the ring has failed."""
+    n = len(nodes)
+    done = [False] * n
+    for i, node in enumerate(nodes):
+        if node.alive or done[i]:
+            continue
+        run = _dead_run(ring, nodes, i)
+        members = [(run.lo + k) % n for k in range((run.hi - run.lo) % n + 1)]
+        for j in members:
+            done[j] = True
+        yield run, members
+
+
+def widest_dead_run(ring: Ring) -> float:
+    """Length of the widest maximal run of dead nodes on *ring*: 0.0 when
+    every node is alive, 1.0 when none is.  The fall-back re-covers a run
+    only while it is :func:`coverable`, so the replacement width ``1/p``
+    must stay above this."""
+    try:
+        return max((run.length for run, _ in _dead_runs(ring, ring.nodes())), default=0.0)
+    except FailureCoverageError:
+        return 1.0
 
 
 def lost_nodes(ring: Ring, p_store: float, delta: float = 0.0) -> list[int]:
@@ -136,23 +174,13 @@ def lost_nodes(ring: Ring, p_store: float, delta: float = 0.0) -> list[int]:
     """
     width = 1.0 / float(p_store) - delta
     nodes = ring.nodes()
-    n = len(nodes)
     lost: list[int] = []
-    done = [False] * n
-    for i, node in enumerate(nodes):
-        if node.alive or done[i]:
-            continue
-        try:
-            run = _dead_run(ring, nodes, i)
-        except FailureCoverageError:
-            return list(range(n))
-        members = [(run.lo + k) % n for k in range((run.hi - run.lo) % n + 1)]
-        for j in members:
-            done[j] = True
-        try:
-            _placement_span(run, width)
-        except FailureCoverageError:
-            lost.extend(members)
+    try:
+        for run, members in _dead_runs(ring, nodes):
+            if not coverable(run.length, width):
+                lost.extend(members)
+    except FailureCoverageError:
+        return list(range(len(nodes)))
     return sorted(lost)
 
 

@@ -10,20 +10,21 @@ block as an interface -- :class:`SweepKernel` -- so implementations can
 compete on speed while the engine, the accounting, and the failure
 fall-back stay shared.
 
-The ABI (``SweepKernel.select(state, entry, now) -> (server_set, points,
-start_id)``) is deliberately narrow:
+The per-query hook (``SweepKernel.select(state, entry, now) ->
+(server_set, points, start_id)``), which the reference python commit
+calls once per scheduled query, is deliberately narrow:
 
 * ``state`` is a :class:`SweepState`: the engine's always-fresh per-server
   mirrors (busy-until, a scratch estimate buffer) plus the static ring
-  geometry of the current batch segment.  The engine rebuilds it whenever
-  an action may have moved membership and calls :meth:`SweepKernel.bind`
-  so kernels can re-derive cached views (e.g. raw pointers).
+  geometry of the current batch segment.  The engine builds a fresh one
+  whenever an action may have moved membership, so a kernel may cache
+  views derived from it (e.g. raw pointers) against its identity.
 * ``entry`` is a :class:`PqEntry`: per-(rings, pq) static data resolved
   from the :class:`~repro.core.covertable.CoverTable`, including the
   pre-divided work/speed quotients the estimate needs.
 * the return value is the *complete* scheduling decision: global server
   indices per sub-query, the query points, and the chosen start id.  The
-  engine commits it without re-deriving anything, so a kernel's choice is
+  commit uses it without re-deriving anything, so a kernel's choice is
   exactly what executes.
 
 Exactness contract: every kernel makes bit-identical decisions to
@@ -116,7 +117,7 @@ class KernelUnavailableError(RuntimeError):
 
 
 class SweepState:
-    """Per-batch-segment view the engine hands every ``select`` call.
+    """Per-batch-segment view the engine hands every kernel call.
 
     Rebuilt (a fresh instance) whenever an action may have changed ring
     membership; the arrays inside are the engine's live mirrors, updated in
@@ -665,19 +666,16 @@ def assignment_at(
 class SweepKernel:
     """Base class of every scheduling kernel.
 
-    Subclasses set ``name`` (the registry key) and implement
-    :meth:`select`, bit-identical to the oracle.  ``bind`` is an
-    optional hook called whenever the engine's :class:`SweepState` is
-    rebuilt -- kernels holding derived caches (pointers, strided views)
-    refresh them there.
+    Subclasses set ``name`` (the registry key) and implement either
+    :meth:`select`, the per-query hook the default :meth:`commit_batch`
+    calls, or :meth:`commit_batch` itself; either way bit-identical to
+    the oracle.  A kernel that caches views derived from the engine's
+    :class:`SweepState` rebuilds them when it is handed a new one.
     """
 
     name: ClassVar[str] = "abstract"
     #: one-line human description for ``repro kernels``.
     description: ClassVar[str] = ""
-
-    def bind(self, state: SweepState) -> None:  # pragma: no cover - hook
-        """Called when the engine (re)builds its mirrors."""
 
     def select(
         self, state: SweepState, entry: PqEntry, now: float
@@ -685,10 +683,9 @@ class SweepKernel:
         """Schedule one query: ``-> (server_set, points, start_id)``.
 
         *server_set* holds global server indices, one per sub-query point.
-        The engine never reads ``state.est`` after the call -- it is a
-        scratch buffer kernels may use (the numpy kernels evaluate all n
-        estimates into it; the compiled kernel computes estimates lazily
-        at its gather sites and leaves it untouched).
+        The commit never reads ``state.est`` after the call -- it is a
+        scratch buffer kernels may use (the oracle evaluates all n
+        estimates into it).
         """
         raise NotImplementedError
 

@@ -165,9 +165,6 @@ def load_sweep_library() -> ctypes.CDLL:
         lib.roar_sweep_abi_version.restype = ctypes.c_int64
         if lib.roar_sweep_abi_version() != _ABI_VERSION:  # pragma: no cover
             raise KernelUnavailableError("stale compiled kernel ABI; clear the cache")
-        fn = lib.roar_sweep_select
-        fn.restype = ctypes.c_int64
-        fn.argtypes = [ctypes.c_void_p, ctypes.c_double]  # (&args, now)
         cb = lib.roar_commit_batch
         cb.restype = ctypes.c_int64
         cb.argtypes = [  # (&args, start, nq)
@@ -413,45 +410,17 @@ def _sweep_struct(
     return args, holds
 
 
-class _EntryBlock:
-    """Per-(state, entry) argument block cached on ``entry.ext``.
-
-    Every per-query-invariant pointer is written into one
-    :class:`_SweepArgs` struct so each ``select`` marshals exactly two
-    foreign-call arguments.  The referenced numpy arrays are held on the
-    block (``_hold``) so the raw pointers cannot dangle.
-    """
-
-    __slots__ = ("args_ptr", "g_buf", "pts_buf", "sid_buf", "state_token", "_hold")
-
-    def __init__(
-        self, state: SweepState, entry: PqEntry, starts_flat: "np.ndarray"
-    ) -> None:
-        pq = len(entry.offs)
-        self.g_buf = np.empty(pq, dtype=np.int64)
-        self.pts_buf = np.empty(pq, dtype=np.float64)
-        self.sid_buf = np.empty(1, dtype=np.float64)
-        args, holds = _sweep_struct(
-            state, entry, starts_flat, self.g_buf, self.pts_buf, self.sid_buf
-        )
-        # keep the struct and every array behind its raw pointers alive
-        self._hold = (args, holds)
-        self.args_ptr = ctypes.addressof(args)
-        self.state_token = id(state)
-
-
 class _CommitBlock:
     """Per-(state, entry, plan, bufs) fused-commit argument block.
 
-    Same idea as :class:`_EntryBlock`, one level up: every pointer a whole
-    chunk's sweep+commit needs -- including the engine-owned
-    :class:`~repro.kernels.base.CommitBuffers` out arrays, the plan's
-    per-server accumulators and the batch's arrival times -- lives in one
-    struct, so each chunk marshals three scalar foreign-call arguments
-    (block pointer, start index, count).  With no *entry* and *bufs* the
-    block serves calls with no queries: the sweep struct carries only the
-    ring geometry the update walk reads, and every per-entry pointer is
-    NULL.
+    Every pointer a whole chunk's sweep+commit needs -- including the
+    engine-owned :class:`~repro.kernels.base.CommitBuffers` out arrays,
+    the plan's per-server accumulators and the batch's arrival times --
+    lives in one struct, so each chunk marshals three scalar foreign-call
+    arguments (block pointer, start index, count).  With no *entry* and
+    *bufs* the block serves calls with no queries: the sweep struct
+    carries only the ring geometry the update walk reads, and every
+    per-entry pointer is NULL.
     """
 
     __slots__ = (
@@ -556,54 +525,31 @@ class CompiledKernel(SweepKernel):
     with a graceful fallback when none exists.  Any divergence from the
     oracle is a bug.
 
-    Two entry points: :meth:`select` is the per-query sweep, and
-    :meth:`commit_batch` is the fused sweep+commit -- one C call per
-    chunk of queries, advancing the live mirrors in place and returning
-    the chunk-buffer rows in bulk.  The engine commits through
-    :meth:`commit_batch` only, failure windows included.
+    One entry point: :meth:`commit_batch`, the fused sweep+commit -- one
+    C call per chunk of queries, advancing the live mirrors in place and
+    returning the chunk-buffer rows in bulk.  The C sweep runs only
+    inside it: this kernel has no ``select`` of its own (the inherited
+    :meth:`SweepKernel.select` raises).
     """
 
     name = "compiled"
     description = "fused C sweep+commit via ctypes (needs a C toolchain)"
 
     def __init__(self) -> None:
-        lib = load_sweep_library()
-        self._fn = lib.roar_sweep_select
-        self._commit_fn = lib.roar_commit_batch
+        self._commit_fn = load_sweep_library().roar_commit_batch
         self._state: Optional[SweepState] = None
         self._starts_flat: Optional["np.ndarray"] = None
-        self._last_entry: Optional[PqEntry] = None
-        self._last_block: Optional[_EntryBlock] = None
         #: the block for calls with no queries (no entry, no bufs)
         self._bare_block: Optional[_CommitBlock] = None
 
-    def bind(self, state: SweepState) -> None:
+    def _bind(self, state: SweepState) -> None:
+        """Adopt a new :class:`SweepState` (a new membership epoch):
+        flatten its ring starts in global order for the C side."""
         self._state = state
-        self._last_entry = self._last_block = None
         starts = np.empty(state.n, dtype=np.float64)
         for lo, s in zip(state.ring_lo, state.ring_starts):
             starts[lo : lo + len(s)] = s
         self._starts_flat = starts
-
-    def select(
-        self, state: SweepState, entry: PqEntry, now: float
-    ) -> tuple[list[int], list[float], float]:
-        if state is not self._state:
-            self.bind(state)
-        if entry is self._last_entry:
-            block = self._last_block
-        else:
-            block = entry.ext.get("compiled")
-            if block is None or block.state_token != id(state):
-                block = _EntryBlock(state, entry, self._starts_flat)
-                entry.ext["compiled"] = block
-            self._last_entry, self._last_block = entry, block
-        best = self._fn(block.args_ptr, now)
-        return (
-            block.g_buf.tolist(),
-            block.pts_buf.tolist(),
-            entry.csi[best],
-        )
 
     def commit_batch(
         self,
@@ -619,7 +565,7 @@ class CompiledKernel(SweepKernel):
     ) -> int:
         check_commit_args(state, entry, plan, bufs, start, nq, gate, failed, updates)
         if state is not self._state:
-            self.bind(state)
+            self._bind(state)
         block = (
             self._bare_block if entry is None else entry.ext.get("compiled_commit")
         )

@@ -1,23 +1,25 @@
 /* The compiled scheduling kernel: Algorithm 1's precomputed sweep in C,
- * plus the fused per-chunk commit stage.
+ * fused with the per-chunk commit stage.
  *
- * roar_sweep_select replaces the engine's per-query scheduling block --
- * estimate evaluation, the owner-timeline sweep (min across rings / max
- * across points / first strict minimum across evaluated configurations,
- * pruned by a witness point that, once rejected, jumps the sweep to its
- * next owner change), and the final assignment re-derivation by binary
- * search.
- * roar_commit_batch goes further: it consumes a whole chunk of
- * queries per call, running the sweep AND the closed-form commit for
- * each -- sub-query widths, the front-end reserve, queue submit, EWMA
- * speed observation, and the q_over_s write-through -- against the live
- * mirror arrays, emitting the per-sub-query chunk-buffer rows in bulk
- * for the engine's per-query columns.  It is the engine's only commit when
- * the compiled kernel runs.  Inside a failure window a query whose pick
- * touches a failed server either drops in the kernel -- when the failure
- * fall-back could not re-cover the dead run its first failed piece lands
- * on -- or stops the call, reporting that pick, and the engine hands the
- * query to the reference path's fall-back.
+ * roar_commit_batch, the one entry point (beside the ABI probe),
+ * consumes a whole chunk of queries per call, running the sweep AND the
+ * closed-form commit for each -- sub-query widths, the front-end reserve,
+ * queue submit, EWMA speed observation, and the q_over_s write-through --
+ * against the live mirror arrays, emitting the per-sub-query chunk-buffer
+ * rows in bulk for the engine's per-query columns.  It is the engine's
+ * only commit when the compiled kernel runs.  Inside a failure window a
+ * query whose pick touches a failed server either drops in the kernel --
+ * when the failure fall-back could not re-cover the dead run its first
+ * failed piece lands on -- or stops the call, reporting that pick, and
+ * the engine hands the query to the reference path's fall-back.
+ *
+ * The sweep itself, roar_sweep_select, is internal (static): estimate
+ * evaluation, the owner-timeline sweep (min across rings / max across
+ * points / first strict minimum across evaluated configurations, pruned
+ * by a witness point that, once rejected, jumps the sweep to its next
+ * owner change), and the final assignment re-derivation by binary
+ * search.  Its reference is the python oracle's ExactNumpyKernel.select;
+ * the differential tests read its pick from the commit's stop report.
  * Every float operation replicates the python oracle's order exactly
  * (IEEE-754 doubles, same comparisons, same tie-breaking; the build
  * passes -ffp-contract=off so the EWMA's a*b + c*d cannot be contracted
@@ -109,9 +111,9 @@ static int64_t upper_bound(const double *a, int64_t len, double v) {
     return lo;
 }
 
-/* All per-query-invariant inputs, filled once per (state, entry) pair by
- * the ctypes driver; per query the foreign call then marshals just two
- * arguments (block pointer + now), which matters at a few us/sweep. */
+/* All per-query-invariant inputs of the sweep, filled once per (state,
+ * entry) pair on the python side (compiled.py) and embedded in
+ * roar_commit_args. */
 typedef struct {
     const double *busy;            /* [n] live queue mirror                */
     const double *q_over_s;        /* [n] work*dataset/speed_estimate      */
@@ -154,7 +156,9 @@ static inline double point_value(const roar_sweep_args *a, double now,
     return f;
 }
 
-int64_t roar_sweep_select(const roar_sweep_args *a, double now)
+/* One query's pick at `now`: the chosen start id in *start_id_out, and
+ * each sub-query's global server and point in g_out / pts_out. */
+static void roar_sweep_select(const roar_sweep_args *a, double now)
 {
     const double *busy = a->busy;
     const double *q_over_s = a->q_over_s;
@@ -272,7 +276,6 @@ int64_t roar_sweep_select(const roar_sweep_args *a, double now)
             g_out[p] = best_g;
         }
     }
-    return best;
 }
 
 /* -- the fused commit stage ------------------------------------------------
@@ -581,7 +584,7 @@ int64_t roar_commit_batch(const roar_commit_args *a, int64_t start,
             }
             gate->adm_idx[adm] = start + k;
         }
-        (void)roar_sweep_select(sw, now);
+        roar_sweep_select(sw, now);
         const double start_id = sw->start_id_out[0];
         int64_t live = 0;  /* the lowest pick index the query submits */
         if (failed != NULL) {

@@ -2,14 +2,14 @@
 
 ``with SpanRecorder() as rec:`` wraps every entry point named in
 :data:`SPANS` -- the scenario runner, the engine's phase methods, both
-kernels' ``commit_batch``, the RTT draw, and the cluster, control,
-admission, telemetry and trace layers -- at class or module level, and
-puts every original back on exit, also when the block raises.  Each
-wrapped call appends its start, end and enclosing span to ``array``
-columns.  Nothing in the engine knows it is measured: a recorded run is
-bit-identical to an unrecorded one, and an unrecorded run runs no
-recorder code at all (nothing on the scenario runner's import path
-imports this module).
+kernels' ``commit_batch`` and the oracle's per-query ``select``, the RTT
+draw, and the cluster, control, admission, telemetry and trace layers --
+at class or module level, and puts every original back on exit, also
+when the block raises.  Each wrapped call appends its start, end and
+enclosing span to ``array`` columns.  Nothing in the engine knows it is
+measured: a recorded run is bit-identical to an unrecorded one, and an
+unrecorded run runs no recorder code at all (nothing on the scenario
+runner's import path imports this module).
 
 A span's *self* time is its duration minus the durations of its direct
 children.  Clock readings are integer nanoseconds, so the self times of
@@ -66,7 +66,7 @@ SPANS = (
     ("sim.arrival_draw", "repro.sim.network", "NetworkModel", ("sample_rtts",)),
     ("kernels.commit_batch", "repro.kernels.base", "SweepKernel", ("commit_batch",)),
     ("kernels.commit_batch", "repro.kernels.compiled", "CompiledKernel", ("commit_batch",)),
-    ("kernels.select", "repro.kernels.compiled", "CompiledKernel", ("select",)),
+    ("kernels.select", "repro.kernels.exact", "ExactNumpyKernel", ("select",)),
     ("sim.flush", *_ENGINE, ("_flush_bulk",)),
     ("sim.emit_records", *_ENGINE, ("_emit_records",)),
     ("sim.materialise", *_ENGINE, ("_materialise",)),

@@ -417,7 +417,6 @@ class _Engine:
             self.ring_hi,
             self.ring_starts,
         )
-        self.kernel.bind(self.state)
 
         #: the kernel-facing commit constants + mirrors (paired with
         #: ``state``: a fresh instance per membership epoch).  The kernel
@@ -1005,14 +1004,14 @@ class _Engine:
         """Count the queries the kernel dropped, and leave each of their
         unsubmitted picks one more ``NodeStats.outstanding``: the reserve
         counted every pick, and only the submitted pieces completed."""
+        drops = np.flatnonzero(sent != pq)
+        n_drop = len(drops)
+        picks = bufs.sub_g[: len(sent) * pq].reshape(-1, pq)[drops]
+        unsent = picks[np.arange(pq) >= sent[drops, None]]
         stats_flat = self.stats_flat
-        sub_g = bufs.sub_g
-        n_drop = 0
-        for k in np.flatnonzero(sent != pq).tolist():
-            n_drop += 1
-            row = k * pq
-            for g in sub_g[row + int(sent[k]) : row + pq].tolist():
-                stats_flat[g].outstanding += 1
+        counts = np.bincount(unsent)
+        for g in np.flatnonzero(counts).tolist():
+            stats_flat[g].outstanding += int(counts[g])
         self.dropped += n_drop
         self.delegated += n_drop
         self.log.dropped += n_drop

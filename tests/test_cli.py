@@ -148,6 +148,44 @@ class TestInputFailsBeforeAnyRun:
         assert err.count("\n") == 1 and err.startswith("bad scenario: ")
         assert not list(tmp_path.iterdir())  # nothing recorded
 
+    @pytest.mark.parametrize("argv, flag, missing", [
+        (["record", "--out", "{tmp}/nodir/x.rec.npz"], "--out", "nodir"),
+        (["record", "--out", "{tmp}/x.rec.npz", "--archive", "{tmp}/missing/dir/a.npz"],
+         "--archive", "missing/dir"),
+        (["matrix", "--scenario", "steady", "--csv", "{tmp}/nodir/m.csv"], "--csv", "nodir"),
+        (["profile", "--json", "{tmp}/nodir/p.json"], "--json", "nodir"),
+        (["profile", "--chrome-trace", "{tmp}/nodir/t.json"], "--chrome-trace", "nodir"),
+    ])
+    def test_output_into_a_missing_directory_exits_2(
+        self, argv, flag, missing, tmp_path, capsys
+    ):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert main([*argv, "--servers", "8", "--duration", "5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"cannot write {flag} {tmp_path / missing}")
+        assert f"mkdir -p {tmp_path / missing}" in err
+        assert not list(tmp_path.iterdir())  # nothing ran, nothing written
+
+    @pytest.mark.parametrize("command, flag, name", [
+        ("replay", "--archive", "r.npz"),
+        ("explain", "--json", "e.json"),
+    ])
+    def test_replay_and_explain_into_a_missing_directory_exit_2(
+        self, command, flag, name, tmp_path, capsys
+    ):
+        rec = str(tmp_path / "steady.rec.npz")
+        assert main(["record", "--servers", "8", "--duration", "5", "--out", rec]) == 0
+        capsys.readouterr()
+        path = tmp_path / "nodir" / name
+        assert main([command, rec, flag, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"cannot write {flag} {path}")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["steady.rec.npz"]
+
     def test_kernel_alias_resolves_to_its_name(self):
         assert build_parser().parse_args(["matrix", "--kernel", "exact"]).kernel == (
             "exact_numpy"

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis import max_dead_run_length
 from repro.core import Ring, RingNode, generate_objects
 from repro.core.failures import (
     FailureCoverageError,
@@ -12,6 +13,7 @@ from repro.core.failures import (
     lost_nodes,
     replacement_subqueries,
     split_failed,
+    widest_dead_run,
 )
 from repro.core.ids import EPS, cw_distance, frac
 from repro.core.node import RoarNode, SubQuery, dedup_matches
@@ -313,8 +315,9 @@ def _rings_with_dead(draw):
 
 class TestDeadRunHelper:
     """:func:`dead_run` walks the node list by index; it must give the old
-    neighbour walk's run exactly, and :func:`lost_nodes` must flag exactly
-    the dead nodes whose fall-back raises before it places a piece."""
+    neighbour walk's run exactly, :func:`lost_nodes` must flag exactly
+    the dead nodes whose fall-back raises before it places a piece, and
+    it flags one exactly when :func:`widest_dead_run` is too wide."""
 
     @settings(max_examples=300, deadline=None)
     @given(case=_rings_with_dead())
@@ -345,6 +348,7 @@ class TestDeadRunHelper:
         assert (run.lo, run.hi, run.length) == (0, 0, 1.0)
         assert run.fail_lo == run.fail_hi == node.start
         assert lost_nodes(ring, 1.0) == [0]
+        assert widest_dead_run(ring) == 1.0
 
     def test_all_dead_ring_raises(self):
         ring = Ring.uniform(5)
@@ -353,6 +357,7 @@ class TestDeadRunHelper:
         with pytest.raises(FailureCoverageError, match="every node"):
             dead_run(ring, ring.nodes()[2])
         assert lost_nodes(ring, 2.0) == [0, 1, 2, 3, 4]
+        assert widest_dead_run(ring) == 1.0
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -384,3 +389,25 @@ class TestDeadRunHelper:
                 assert width - dead_run(ring, nodes[i]).length <= EPS
             except FailureCoverageError:
                 pass  # the whole ring is dead
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        case=_rings_with_dead(),
+        all_dead=st.sampled_from([False, False, False, True]),
+        p=st.integers(min_value=1, max_value=8),
+        delta=st.sampled_from([0.0, 1e-6]),
+    )
+    def test_widest_run_decides_whether_any_node_is_lost(self, case, all_dead, p, delta):
+        ring, _ = case
+        nodes = ring.nodes()
+        if all_dead:
+            for node in nodes:
+                node.alive = False
+        max_dead = widest_dead_run(ring)
+        assert bool(lost_nodes(ring, p, delta)) == (1.0 / p - delta - max_dead <= EPS)
+        # the run is measured start to end, the availability model sums
+        # range lengths: the two agree up to rounding
+        alive = [node.alive for node in nodes]
+        assert max_dead == pytest.approx(
+            max_dead_run_length(ring.range_lengths(), alive), rel=0.0, abs=1e-12
+        )

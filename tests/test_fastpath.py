@@ -5,8 +5,10 @@ The batched path (cover tables + array mirrors) is only landable if it is
 same latencies, same traces, same statistics, same scheduler work counters,
 bit for bit.  These tests hold that line at both layers:
 
-* scheduler level: ``CoverTable.schedule`` vs ``schedule_heap`` over random
-  rings, estimates, and multi-ring overlays (hypothesis);
+* scheduler level: the oracle kernel's ``ExactNumpyKernel.select`` over a
+  cover table and the engine's float64 mirrors vs ``schedule_heap`` over
+  random rings, estimates, and multi-ring overlays (hypothesis); the C
+  sweep is held to that same ``select`` in ``tests/test_kernels.py``;
 * deployment level: ``run_queries_fast`` vs ``run_queries`` over full
   simulated deployments, including mid-run failures (the delegation path),
   heterogeneous fleets, multiple rings, and time-varying pq.
@@ -21,21 +23,56 @@ np = pytest.importorskip("numpy")
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Deployment, DeploymentConfig, hen_testbed
-from repro.core import CoverTable, Ring, schedule_heap
+from repro.core import CoverTable, Ring, ScheduleResult, schedule_heap
 from repro.core.frontend import FrontEndConfig
+from repro.kernels.base import PqEntry, SweepState
+from repro.kernels.exact import ExactNumpyKernel
 from repro.sim import PoissonArrivals, batched_poisson_times
 
 
-def _estimates_for(table, busy, speeds, now, dataset, fixed):
-    """Per-ring estimate arrays with the reference estimator's float ops."""
-    work = table.work
-    wd = work * dataset
-    out = []
-    for rt in table.ring_tables:
-        b = np.array([busy[n.name] for n in rt.nodes])
-        s = np.array([speeds[n.name] for n in rt.nodes])
-        out.append((np.maximum(b - now, 0.0) + fixed) + (wd / s))
-    return out
+def _sweep_case(rings, pq, busy, spd, fe_fixed=0.004, dataset=1e6):
+    """A ``(SweepState, PqEntry)`` pair over *rings*, laid out as the engine
+    lays it out: float64 mirrors (*busy*, *spd*) over every ring's nodes in
+    start order, ring after ring, and an entry over the cover table."""
+    table = CoverTable(rings, pq)
+    ring_lo, ring_hi, ring_starts = [], [], []
+    for ring in rings:
+        ring_lo.append(sum(len(s) for s in ring_starts))
+        ring_starts.append([nd.start for nd in ring.nodes()])
+        ring_hi.append(ring_lo[-1] + len(ring_starts[-1]))
+    busy = np.array(busy, dtype=np.float64)
+    state = SweepState(
+        busy, np.empty_like(busy), fe_fixed, ring_lo, ring_hi, ring_starts
+    )
+    entry = PqEntry(table, pq, dataset, np.array(spd, dtype=np.float64))
+    return state, entry
+
+
+def _oracle_schedule(rings, p, busy, speeds, now, dataset, fixed):
+    """``ExactNumpyKernel.select`` at *now*, as a :class:`ScheduleResult`.
+
+    *busy* and *speeds* map node names to mirror values; the finishes are
+    the oracle's estimates (``state.est``) at its picks.
+    """
+    nodes = [nd for ring in rings for nd in ring.nodes()]
+    state, entry = _sweep_case(
+        rings,
+        p,
+        [busy[nd.name] for nd in nodes],
+        [speeds[nd.name] for nd in nodes],
+        fe_fixed=fixed,
+        dataset=dataset,
+    )
+    g_list, _, start_id = ExactNumpyKernel().select(state, entry, now)
+    finishes = state.est[g_list].tolist()
+    return ScheduleResult(
+        start_id=start_id,
+        assignment=[nodes[g] for g in g_list],
+        finishes=finishes,
+        makespan=max(finishes),
+        iterations=entry.iterations,
+        estimates=entry.estimates,
+    )
 
 
 def _reference_estimator(busy, speeds, now, dataset, fixed):
@@ -56,6 +93,9 @@ def assert_schedule_identical(h, f):
 
 
 class TestCoverTableDifferential:
+    """The oracle's sweep over a cover table picks what Algorithm 1's heap
+    picks: start id, servers, finishes, makespan and work counters."""
+
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=2**16),
@@ -72,8 +112,7 @@ class TestCoverTableDifferential:
         h = schedule_heap(
             ring, p, _reference_estimator(busy, speeds, now, dataset, fixed)
         )
-        table = CoverTable([ring], p)
-        f = table.schedule(_estimates_for(table, busy, speeds, now, dataset, fixed))
+        f = _oracle_schedule([ring], p, busy, speeds, now, dataset, fixed)
         assert_schedule_identical(h, f)
 
     @settings(max_examples=40, deadline=None)
@@ -91,8 +130,7 @@ class TestCoverTableDifferential:
         speeds = {nd.name: nd.speed for nd in ring}
         est = _reference_estimator(busy, speeds, 0.0, 1e6, 0.0)
         h = schedule_heap(ring, p, est)
-        table = CoverTable([ring], p)
-        f = table.schedule(_estimates_for(table, busy, speeds, 0.0, 1e6, 0.0))
+        f = _oracle_schedule([ring], p, busy, speeds, 0.0, 1e6, 0.0)
         assert_schedule_identical(h, f)
 
     @settings(max_examples=40, deadline=None)
@@ -121,8 +159,7 @@ class TestCoverTableDifferential:
                 speeds[nd.name] = nd.speed
         est = _reference_estimator(busy, speeds, 0.0, 2e6, 0.006)
         h = schedule_heap(rings, p, est)
-        table = CoverTable(rings, p)
-        f = table.schedule(_estimates_for(table, busy, speeds, 0.0, 2e6, 0.006))
+        f = _oracle_schedule(rings, p, busy, speeds, 0.0, 2e6, 0.006)
         assert_schedule_identical(h, f)
 
     def test_cache_invalidates_on_reconfig(self):

@@ -8,22 +8,25 @@ Three layers of guarantee:
   per-query reference path (i.e. to the pre-refactor inline sweep), and
   ``compiled`` is bit-identical to the oracle across every regime the
   engine supports (multi-ring, failures/delegation, mid-batch membership
-  changes, varying pq) plus the full builtin scenario battery, and pick
-  for pick on drawn sweep states (makespan ties, pq up to 32, the
-  evaluated mask) and on states built to steer its owner-change jumps;
+  changes, varying pq) plus the full builtin scenario battery, and its
+  C sweep picks what the oracle's ``select`` picks (read from
+  ``commit_batch``'s stop report) on drawn sweep states (makespan ties,
+  pq up to 32, the evaluated mask) and on states built to steer its
+  owner-change jumps;
 * **the kernel knob** -- a non-default kernel reaches the scenario and
   matrix layers.
 """
 
 import subprocess
 import sys
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 np = pytest.importorskip("numpy")
 
-from test_fastpath import _build, assert_deployments_identical
+from test_fastpath import _build, _sweep_case, assert_deployments_identical
 
 from repro.core.covertable import CoverTable
 from repro.core.ring import Ring, RingNode
@@ -41,8 +44,6 @@ from repro.kernels.base import (
     AdmissionGate,
     CommitBuffers,
     CommitPlan,
-    PqEntry,
-    SweepState,
     UpdateStream,
 )
 from repro.kernels.compiled import (
@@ -260,22 +261,6 @@ def _noeval_ring(track=()):
     return Ring(RingNode(f"m-{j}", s) for j, s in enumerate(starts))
 
 
-def _sweep_case(rings, pq, busy, spd, fe_fixed=0.004, dataset=1e6):
-    """A (table, state, entry) triple over *rings*, in the engine's layout."""
-    table = CoverTable(rings, pq)
-    ring_lo, ring_hi, ring_starts = [], [], []
-    for ring in rings:
-        ring_lo.append(sum(len(s) for s in ring_starts))
-        ring_starts.append([nd.start for nd in ring.nodes()])
-        ring_hi.append(ring_lo[-1] + len(ring_starts[-1]))
-    busy = np.array(busy, dtype=np.float64)
-    state = SweepState(
-        busy, np.empty_like(busy), fe_fixed, ring_lo, ring_hi, ring_starts
-    )
-    entry = PqEntry(table, pq, dataset, np.array(spd, dtype=np.float64))
-    return table, state, entry
-
-
 @st.composite
 def _ring_sets(draw, min_size=2):
     rings = []
@@ -371,19 +356,42 @@ def _jump_walk(state, entry, now):
 
 @needs_compiled
 class TestCompiledSelectDifferential:
-    """``CompiledKernel.select`` equals the oracle's pick on raw states.
+    """The C sweep's pick equals the oracle's ``select`` on raw states.
 
     The engine-level tests reach the C sweep only at the pq and states a
     batch happens to produce; this draws them directly: ties between
     configurations, pq up to 32, up to three rings, and a ring whose last
-    configuration is masked out of the sweep.
+    configuration is masked out of the sweep.  The C sweep runs only
+    inside ``commit_batch``, so its pick is read from the failure stop's
+    report (see :func:`_assert_same_pick`).
     """
 
     @staticmethod
-    def _assert_same_pick(state, entry, now):
-        want = ExactNumpyKernel().select(state, entry, now)
-        got = CompiledKernel().select(state, entry, now)
-        assert got == want  # server set, points and start id, exactly
+    def _assert_same_pick(make_case, now):
+        """``make_case()`` builds a fresh one-query case at *now*
+        (:func:`_select_case`).  With every server in the failed mask and
+        no ``lost`` flags, ``commit_batch`` stops before its one query,
+        commits nothing and reports the pick: both kernels' reports must
+        equal the oracle's ``select`` (server set and start id, exactly).
+        The same query committed, python against C, must then give the
+        same rows and mirrors -- its widths follow from the points the C
+        sweep derives."""
+        state, entry, _, _ = make_case()
+        want_g, _, want_start_id = ExactNumpyKernel().select(state, entry, now)
+        failed = np.ones(state.n, dtype=bool)
+        for kernel in (ExactNumpyKernel(), CompiledKernel()):
+            state, entry, plan, bufs = make_case()
+            busy = state.busy.tobytes()
+            assert kernel.commit_batch(state, entry, plan, bufs, 0, 1, None, failed) == 0
+            assert int(bufs.stop_idx[0]) == 0, kernel.name
+            got = (bufs.stop_g.tolist(), float(bufs.stop_start_id[0]))
+            assert got == (want_g, want_start_id), kernel.name
+            assert state.busy.tobytes() == busy, kernel.name  # nothing committed
+        rows = [
+            _commit_outcome(kernel, make_case(), 0, 1, None, None)
+            for kernel in (ExactNumpyKernel(), CompiledKernel())
+        ]
+        assert rows[0] == rows[1]
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -396,19 +404,20 @@ class TestCompiledSelectDifferential:
         n = sum(len(r) for r in rings)
         busy = data.draw(st.lists(_BUSY, min_size=n, max_size=n))
         spd = data.draw(st.lists(_SPEED, min_size=n, max_size=n))
-        _, state, entry = _sweep_case(rings, pq, busy, spd)
-        self._assert_same_pick(state, entry, now)
+        self._assert_same_pick(partial(_select_case, rings, pq, busy, spd, now), now)
 
     def test_unevaluated_last_config_would_win(self):
         # nodes 2 and 3 idle: the masked config has the smallest makespan,
         # so only the evaluated mask keeps the kernels off it
         busy, spd = [1.0, 1.0, 0.0, 0.0, 1.0], [1.0] * 5
-        table, state, entry = _sweep_case([_noeval_ring()], 2, busy, spd)
-        assert not table.evaluated[-1]
+        rings = [_noeval_ring()]
+        make_case = partial(_select_case, rings, 2, busy, spd, 0.0)
+        state, entry, _, _ = make_case()
+        assert not entry.table.evaluated[-1]
         est = (np.maximum(state.busy, 0.0) + state.fe_fixed) + entry.Q
         makespans = est[entry.owners[0]].max(axis=0)
         assert makespans[-1] < makespans[:-1].min()
-        self._assert_same_pick(state, entry, 0.0)
+        self._assert_same_pick(make_case, 0.0)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -424,20 +433,21 @@ class TestCompiledSelectDifferential:
         n = sum(len(r) for r in rings)
         busy = data.draw(st.lists(_BUSY, min_size=n, max_size=n))
         spd = data.draw(st.lists(_SPEED, min_size=n, max_size=n))
-        table, state, entry = _sweep_case(rings, 2, busy, spd)
-        assert not table.evaluated[-1]
-        self._assert_same_pick(state, entry, now)
+        make_case = partial(_select_case, rings, 2, busy, spd, now)
+        assert not make_case()[1].table.evaluated[-1]
+        self._assert_same_pick(make_case, now)
 
     # -- owner-change jumps: states built to steer the walk ---------------
     #: point 1's extra owners on _noeval_ring: nodes 3-7 (configs 1-7)
     _TRACK = (0.56, 0.62, 0.84, 0.93)
 
-    def _assert_walk(self, state, entry, jumps_want):
+    def _assert_walk(self, make_case, jumps_want):
+        state, entry, _, _ = make_case()
         pick, jumps = _jump_walk(state, entry, 0.0)
         assert jumps == jumps_want
         want = ExactNumpyKernel().select(state, entry, 0.0)
         assert entry.csi[pick] == want[2]
-        self._assert_same_pick(state, entry, 0.0)
+        self._assert_same_pick(make_case, 0.0)
 
     @pytest.mark.parametrize(
         "hot, jumps",
@@ -454,11 +464,11 @@ class TestCompiledSelectDifferential:
         busy[2] = 0.25  # config 0 wins with point 1 as its witness
         for j in hot:
             busy[j] = 1.0
-        table, state, entry = _sweep_case(
-            [_noeval_ring(self._TRACK)], 2, busy, [1.0] * 9
-        )
-        assert table.kernel_pack().n_eval == entry.n_configs - 1 == 8
-        self._assert_walk(state, entry, jumps)
+        rings = [_noeval_ring(self._TRACK)]
+        make_case = partial(_select_case, rings, 2, busy, [1.0] * 9, 0.0)
+        entry = make_case()[1]
+        assert entry.table.kernel_pack().n_eval == entry.n_configs - 1 == 8
+        self._assert_walk(make_case, jumps)
 
     def test_jump_lands_on_masked_config_that_would_win(self):
         # config 0 wins with point 0 (node 8) as its witness; point 0's next
@@ -467,13 +477,13 @@ class TestCompiledSelectDifferential:
         busy = [0.0] * 9
         busy[8] = 0.25
         busy[0] = busy[1] = 1.0
-        table, state, entry = _sweep_case(
-            [_noeval_ring(self._TRACK)], 2, busy, [1.0] * 9
-        )
+        rings = [_noeval_ring(self._TRACK)]
+        make_case = partial(_select_case, rings, 2, busy, [1.0] * 9, 0.0)
+        state, entry, _, _ = make_case()
         est = (np.maximum(state.busy, 0.0) + state.fe_fixed) + entry.Q
         makespans = est[entry.owners[0]].max(axis=0)
         assert makespans[-1] < makespans[:-1].min()
-        self._assert_walk(state, entry, [(1, 0, 2), (2, 0, 5), (5, 0, 8)])
+        self._assert_walk(make_case, [(1, 0, 2), (2, 0, 5), (5, 0, 8)])
 
     #: six configs, all evaluated at pq=2; owners (point 0, point 1):
     #: (0, 3) (1, 3) (1, 4) (2, 4) (3, 4) (3, 5)
@@ -488,13 +498,18 @@ class TestCompiledSelectDifferential:
             # a scan hit at config 3 makes point 1 the witness; its jump
             # lands on the winner, config 5, the table's last
             ([0.25, 1.0, 0.0, 0.0, 1.0, 0.0], [(1, 0, 3), (3, 1, 5)]),
+            # config 1 ties config 0: its witness drops, and point 1's value
+            # equals best_mk exactly, a scan hit -- a tie is no win, so
+            # config 0, the first minimum, stays the pick
+            ([0.5, 0.0, 1.0, 0.5, 1.0, 1.0], [(1, 1, 2), (2, 1, 5), (5, 1, 6)]),
         ],
     )
     def test_jump_at_the_end_of_the_table(self, busy, jumps):
         ring = Ring(RingNode(f"e-{j}", s) for j, s in enumerate(self._OPEN_STARTS))
-        table, state, entry = _sweep_case([ring], 2, busy, [1.0] * 6)
-        assert table.evaluated.all() and entry.n_configs == 6
-        self._assert_walk(state, entry, jumps)
+        make_case = partial(_select_case, [ring], 2, busy, [1.0] * 6, 0.0)
+        entry = make_case()[1]
+        assert entry.table.evaluated.all() and entry.n_configs == 6
+        self._assert_walk(make_case, jumps)
 
     @pytest.mark.parametrize("b_first", [False, True])
     def test_only_one_rings_owner_changes_at_the_target(self, b_first):
@@ -508,25 +523,30 @@ class TestCompiledSelectDifferential:
         rings, busy = [ring_a, ring_b], busy_a + busy_b
         if b_first:
             rings, busy = [ring_b, ring_a], busy_b + busy_a
-        table, state, entry = _sweep_case(rings, 2, busy, [1.0] * 7)
-        owners = table.kernel_pack().owner_stack
+        make_case = partial(_select_case, rings, 2, busy, [1.0] * 7, 0.0)
+        entry = make_case()[1]
+        owners = entry.table.kernel_pack().owner_stack
         a = 1 if b_first else 0
         assert (owners[a] == owners[a][:, :1]).all()  # ring A is constant
-        assert table.evaluated.all() and entry.n_configs == 5
-        self._assert_walk(state, entry, [(1, 1, 3), (4, 1, 5)])
+        assert entry.table.evaluated.all() and entry.n_configs == 5
+        self._assert_walk(make_case, [(1, 1, 3), (4, 1, 5)])
 
     @pytest.mark.parametrize("bad", ["dtype", "shape", "layout"])
     def test_malformed_next_change_is_refused(self, bad):
-        table, state, entry = _sweep_case([_noeval_ring()], 2, [0.0] * 5, [1.0] * 5)
-        pack = table.kernel_pack()
+        state, entry, plan, bufs = _select_case(
+            [_noeval_ring()], 2, [0.0] * 5, [1.0] * 5, 0.0
+        )
+        pack = entry.table.kernel_pack()
         good = pack.next_change
         pack.next_change = {
             "dtype": good.astype(np.int32),
             "shape": good[:, :-1].copy(),
             "layout": np.asfortranarray(good),
         }[bad]
+        busy = state.busy.tobytes()
         with pytest.raises(ValueError, match="KernelPack.next_change"):
-            CompiledKernel().select(state, entry, 0.0)
+            CompiledKernel().commit_batch(state, entry, plan, bufs, 0, 1)
+        assert state.busy.tobytes() == busy
 
 
 def _commit_case(
@@ -540,7 +560,7 @@ def _commit_case(
     Every other server keeps a trace; *alive* marks the live ring nodes,
     *lost* the ring-0 nodes whose dead run cannot be re-covered.
     """
-    _, state, entry = _sweep_case(rings, pq, busy, spd, fe_fixed=fixed, dataset=dataset)
+    state, entry = _sweep_case(rings, pq, busy, spd, fe_fixed=fixed, dataset=dataset)
     arrivals = np.asarray(arrivals, dtype=np.float64)
     plan = CommitPlan(
         arrivals,
@@ -559,6 +579,12 @@ def _commit_case(
     bufs = CommitBuffers(len(arrivals) if cap is None else cap, pq)
     bufs.rtts[: len(rtts)] = rtts
     return state, entry, plan, bufs
+
+
+def _select_case(rings, pq, busy, spd, now):
+    """A one-query ``commit_batch`` case at *now* over :func:`_sweep_case`'s
+    state (its ``fe_fixed`` and ``dataset``), fresh arrays each call."""
+    return _commit_case(rings, pq, busy, spd, [now], [0.0005], fixed=0.004, dataset=1e6)
 
 
 def _gate(cap, queue_cap, bucket, rate):
